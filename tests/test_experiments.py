@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from vcomp.errors import NonIdentifiableError, TailGridError
+from vcomp.estimator import expected_hessian
 from vcomp.experiments import (
     REPORT_HEADER,
+    _endpoint_drop_gate,
+    _expansion_controls,
     ExperimentPlan,
     config_hash,
     gaussian_expectation,
@@ -25,6 +28,8 @@ from vcomp.experiments import (
     with_workers,
 )
 from vcomp.laws import SeedSpec
+from vcomp.model import ModelParams
+from vcomp.spectrum import GramSpectrum
 
 
 def small_plan(**kw):
@@ -236,6 +241,109 @@ class TestNormality:
         se_base = run_normality(base).cells[0]["stderr"]
         se_cv = run_normality(cv).cells[0]["stderr"]
         assert se_cv < 0.5 * se_base
+
+
+    def test_non_gaussian_control_branch_worker_invariant(self):
+        # non-Gaussian laws send the auxiliary draws through the design map
+        plan = small_plan(
+            kind="normality", n_grid=(30, 60), replicates=100, p_ratio=0.5,
+            beta_law="rademacher", eps_law="uniform", surrogate_draws=20_000,
+            control_draws=5_000,
+        )
+        serial = run_normality(plan)
+        assert all(np.isfinite(c["stderr"]) and c["stderr"] > 0 for c in serial.cells)
+        assert serial.to_json() == run_normality(with_workers(plan, 2)).to_json()
+
+
+def _linear_u(y_check_sq, params, spec, j0):
+    """sqrt(n) times -J0^{-1} S(theta_0) on a (reps, n) block; returns (reps, 2)."""
+    lam = spec.lambdas
+    n = spec.n
+    s2, e2 = params.sigma_sq, params.eta_sq
+    r = 1.0 / (e2 * lam + 1.0)
+    s_1 = (y_check_sq @ r) / n / (2.0 * s2 * s2) - 1.0 / (2.0 * s2)
+    s_2 = (y_check_sq @ (lam * r * r)) / n / (2.0 * s2) - 0.5 * float(np.mean(lam * r))
+    scores = np.stack([s_1, s_2], axis=-1)
+    return -math.sqrt(n) * scores @ np.linalg.inv(j0).T
+
+
+def _profile_newton_u(y_check_sq, params, spec, steps=2):
+    """Two guarded Newton updates of the profile score from eta_0^2, then the
+    profiled variance, written row by row; the reference for the fused core."""
+    lam = spec.lambdas
+    n = spec.n
+    e0 = params.eta_sq
+    ey2 = params.sigma_sq * (e0 * lam + 1.0)
+    r0 = 1.0 / (e0 * lam + 1.0)
+    quad0 = float(np.mean(lam * ey2 * r0 * r0))
+    fallback = (
+        -2.0 * float(np.mean(lam * lam * ey2 * r0**3))
+        + quad0 * float(np.mean(lam * r0))
+        + float(np.mean(ey2 * r0)) * float(np.mean(lam * lam * r0 * r0))
+    )
+    if not fallback < 0:
+        fallback = -1e-8
+    e = np.full(y_check_sq.shape[0], e0)
+    for _ in range(steps):
+        r = 1.0 / (e[:, None] * lam + 1.0)
+        ylr = y_check_sq * (lam * r) * r
+        quad = np.mean(ylr, axis=1)
+        ss = np.mean(y_check_sq * r, axis=1)
+        mlr = np.mean(lam * r, axis=1)
+        h = quad - ss * mlr
+        hp = -2.0 * np.mean(ylr * lam * r, axis=1) + quad * mlr + ss * np.mean(lam * lam * r * r, axis=1)
+        slope = np.where(hp < -1e-300, hp, fallback)
+        e = np.clip(e - h / slope, 0.0, 1e6)
+    r = 1.0 / (e[:, None] * lam + 1.0)
+    sig = np.mean(y_check_sq * r, axis=1)
+    return math.sqrt(n) * np.stack([sig - params.sigma_sq, e - e0], axis=-1)
+
+
+class TestExpansionControls:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fused_core_matches_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(5, 60))
+        lam = np.sort(rng.uniform(0.0, 4.0, n))[::-1]
+        lam[-1] = 0.0
+        spec = GramSpectrum(n=n, p=n, lambdas=lam, U=np.eye(n), n0=n - 1)
+        params = ModelParams(float(rng.uniform(0.3, 2.5)), float(rng.uniform(0.05, 2.5)))
+        y2 = params.sigma_sq * (params.eta_sq * lam + 1.0) * rng.standard_normal((40, n)) ** 2
+        # all mass on the zero eigenvalue: the local curvature at eta_0^2 is
+        # positive (fallback slope) and the step lands below 0 (clipped)
+        y2[:3] = 0.0
+        y2[:3, -1] = n * params.sigma_sq * np.array([10.0, 100.0, 1000.0])
+        r0 = 1.0 / (params.eta_sq * lam + 1.0)
+        hp = (
+            -2.0 * np.mean(y2 * lam**2 * r0**3, axis=1)
+            + np.mean(y2 * lam * r0**2, axis=1) * np.mean(lam * r0)
+            + np.mean(y2 * r0, axis=1) * np.mean(lam**2 * r0**2)
+        )
+        assert np.all(hp[:3] > 0) and np.any(hp[3:] < 0)
+        j0 = expected_hessian(params, params, spec)
+        fused = _expansion_controls(y2, params, spec, j0)
+        ref = np.concatenate(
+            [_linear_u(y2, params, spec, j0), _profile_newton_u(y2, params, spec)], axis=-1
+        )
+        assert np.all(ref[:3, 3] == -math.sqrt(n) * params.eta_sq)  # clipped at 0
+        np.testing.assert_allclose(fused, ref, rtol=1e-10, atol=1e-10)
+
+
+class TestEndpointDropGate:
+    def test_small_increase_fails(self):
+        gate = _endpoint_drop_gate([0.10, 0.1001], [0.05, 0.05])
+        assert gate["gate"] == "discrepancy_endpoint_drop"
+        assert not gate["pass"] and not gate["pass_strict"]
+
+    def test_no_change_passes_not_strictly(self):
+        gate = _endpoint_drop_gate([0.10, 0.07, 0.10], [0.05, 0.05, 0.05])
+        assert gate["pass"] and not gate["pass_strict"]
+        assert gate["value"] == 0.0
+
+    def test_established_drop_passes_strictly(self):
+        gate = _endpoint_drop_gate([0.50, 0.10], [0.01, 0.01])
+        assert gate["pass"] and gate["pass_strict"]
+        assert gate["stderr"] == pytest.approx(math.sqrt(2) * 0.01)
 
 
 class TestCoupling:
