@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .errors import (
     ConfigError,
     DegenerateDataError,
-    DegenerateSpectrumError,
     NonIdentifiableError,
     NumericalError,
     TailGridError,
@@ -20,33 +19,22 @@ from .laws import (
     SeedSpec,
     SubGaussianLaw,
     law_by_name,
-    law_moments,
     sample_vector,
 )
 from .spectrum import (
     GramSpectrum,
-    chi,
     decompose_gram,
     eigvar,
-    kappa,
-    log_kappa,
-    log_nu,
-    nu,
-    omega,
 )
 from .qform import (
-    QFFamily,
     QuadraticForm,
     WVector,
     build_w,
     eval_qf,
-    family_eval,
     napprox_rate,
     qf_covariance,
     qf_variance,
     sigma_k_sq,
-    sup_deviation,
-    sup_deviation_grid_bound,
 )
 from .model import (
     CouplingSpec,
@@ -76,7 +64,6 @@ from .estimator import (
     profile_score,
     score,
     score_covariance,
-    score_qf_matrices,
     sigma0_sq_of,
     sigma_star_sq,
 )

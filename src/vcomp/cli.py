@@ -24,22 +24,20 @@ from . import __version__
 from . import estimator as est
 from .errors import (
     ConfigError,
-    DegenerateSpectrumError,
     NonIdentifiableError,
     TailGridError,
     VcompError,
 )
 from .experiments import ExperimentPlan, run_experiment
+from .laws import SeedSpec, law_by_name
 from .matio import load_matrix, load_vector
 from .model import (
     CouplingSpec,
     DesignSpec,
     ModelParams,
-    SeedSpec,
     gen_coupled,
     gen_design,
     gen_independent,
-    laws_from_names,
     save_dataset,
 )
 from .spectrum import decompose_gram
@@ -67,6 +65,19 @@ def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
 
 
+def _required(obj: dict, key: str, where: str):
+    if key not in obj:
+        raise ConfigError(f"{where}: missing required key {key!r}")
+    return obj[key]
+
+
+def _integer(value, key: str) -> int:
+    # bool is a subclass of int, and int() would silently truncate 3.7
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key}: expected an integer, got {value!r}")
+    return value
+
+
 def _load_config(path: str) -> tuple[dict, Path]:
     cfg_path = Path(path)
     try:
@@ -85,7 +96,7 @@ def _resolve_seed(args, cfg: dict) -> int:
     if args.seed is not None:
         return args.seed
     if "seed" in cfg:
-        return int(cfg["seed"])
+        return _integer(cfg["seed"], "seed")
     env = os.environ.get("VCOMP_SEED")
     if env is not None:
         return int(env)
@@ -133,26 +144,31 @@ def _design_from_cfg(cfg: dict) -> tuple[DesignSpec, float]:
 
 def _params_from_cfg(cfg: dict) -> ModelParams:
     _check_keys(cfg, _PARAMS_KEYS, "params")
-    return ModelParams(sigma_sq=float(cfg["sigma2"]), eta_sq=float(cfg["eta2"]))
+    return ModelParams(
+        sigma_sq=float(_required(cfg, "sigma2", "params")),
+        eta_sq=float(_required(cfg, "eta2", "params")),
+    )
 
 
 def cmd_generate(args) -> int:
     cfg, _ = _load_config(args.config)
     _check_keys(cfg, _GENERATE_KEYS, "generate config")
     seed_val = _resolve_seed(args, cfg)
-    seed = SeedSpec(master_seed=seed_val, stream_id=int(cfg.get("stream", 0)))
-    n, p = int(cfg["n"]), int(cfg["p"])
+    seed = SeedSpec(master_seed=seed_val, stream_id=_integer(cfg.get("stream", 0), "stream"))
+    n = _integer(_required(cfg, "n", "generate config"), "n")
+    p = _integer(_required(cfg, "p", "generate config"), "p")
     design, _ = _design_from_cfg(cfg.get("design", {"kind": "gaussian_iid"}))
-    params = _params_from_cfg(cfg["params"])
+    params = _params_from_cfg(_required(cfg, "params", "generate config"))
     laws_cfg = cfg.get("laws", {"beta": "gaussian", "eps": "gaussian"})
     _check_keys(laws_cfg, _LAWS_KEYS, "laws")
-    beta_law, eps_law = laws_from_names(laws_cfg["beta"], laws_cfg["eps"])
+    beta_law = law_by_name(_required(laws_cfg, "beta", "laws"))
+    eps_law = law_by_name(_required(laws_cfg, "eps", "laws"))
 
     X = gen_design(n, p, design, seed)
     if "coupling" in cfg and cfg["coupling"] is not None:
         _check_keys(cfg["coupling"], _COUPLING_KEYS, "coupling")
         coupling = CouplingSpec(
-            scheme=cfg["coupling"]["scheme"],
+            scheme=_required(cfg["coupling"], "scheme", "coupling"),
             delta=float(cfg["coupling"].get("delta", 0.0)),
             fraction=float(cfg["coupling"].get("fraction", 0.0)),
         )
@@ -169,8 +185,8 @@ def cmd_generate(args) -> int:
 def cmd_fit(args) -> int:
     cfg, base = _load_config(args.config)
     _check_keys(cfg, _FIT_KEYS, "fit config")
-    x_path = base / cfg["x"]
-    y_path = base / cfg["y"]
+    x_path = base / _required(cfg, "x", "fit config")
+    y_path = base / _required(cfg, "y", "fit config")
     X = load_matrix(x_path)
     y = load_vector(y_path)
 
@@ -201,13 +217,15 @@ def _plan_from_cfg(cfg: dict, seed: int, workers: int) -> ExperimentPlan:
     _check_keys(coup_cfg, _EXP_COUPLING_KEYS, "coupling")
 
     return ExperimentPlan(
-        kind=cfg["kind"],
-        n_grid=tuple(int(v) for v in cfg["n_grid"]),
-        replicates=int(cfg["replicates"]),
-        sigma0_sq=float(params_cfg["sigma2"]),
-        eta0_sq=float(params_cfg["eta2"]),
-        beta_law=laws_cfg["beta"],
-        eps_law=laws_cfg["eps"],
+        kind=_required(cfg, "kind", "experiment config"),
+        n_grid=tuple(
+            _integer(v, "n_grid") for v in _required(cfg, "n_grid", "experiment config")
+        ),
+        replicates=_integer(_required(cfg, "replicates", "experiment config"), "replicates"),
+        sigma0_sq=float(_required(params_cfg, "sigma2", "params")),
+        eta0_sq=float(_required(params_cfg, "eta2", "params")),
+        beta_law=_required(laws_cfg, "beta", "laws"),
+        eps_law=_required(laws_cfg, "eps", "laws"),
         design=design.kind,
         p_ratio=p_ratio,
         design_lambdas=design.lambdas,
@@ -215,17 +233,17 @@ def _plan_from_cfg(cfg: dict, seed: int, workers: int) -> ExperimentPlan:
         workers=workers,
         r_grid=tuple(float(v) for v in cfg.get("r_grid", ())),
         eta_box=float(cfg.get("eta_box", 8.0)),
-        eta_grid_points=int(cfg.get("eta_grid_points", 129)),
+        eta_grid_points=_integer(cfg.get("eta_grid_points", 129), "eta_grid_points"),
         test_fn=fn_cfg.get("name", "tanh_product"),
         test_scales=tuple(float(v) for v in fn_cfg.get("scales", (3.0, 3.0))),
         coupling_scheme=coup_cfg.get("scheme", "additive_perturb"),
         delta_grid=tuple(float(v) for v in coup_cfg.get("delta_grid", ())),
         delta_scale=coup_cfg.get("delta_scale", "absolute"),
         sparse_fraction=float(coup_cfg.get("fraction", 0.5)),
-        k_forms=int(cfg.get("k_forms", 1)),
+        k_forms=_integer(cfg.get("k_forms", 1), "k_forms"),
         qspec=cfg.get("qspec", "equispaced"),
-        surrogate_draws=int(cfg.get("surrogate_draws", 1_000_000)),
-        control_draws=int(cfg.get("control_draws", 200_000)),
+        surrogate_draws=_integer(cfg.get("surrogate_draws", 1_000_000), "surrogate_draws"),
+        control_draws=_integer(cfg.get("control_draws", 200_000), "control_draws"),
     )
 
 
@@ -263,7 +281,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (NonIdentifiableError, DegenerateSpectrumError, TailGridError) as exc:
+    except (NonIdentifiableError, TailGridError) as exc:
         print(f"vcomp: {exc}", file=sys.stderr)
         return 2
     except (ConfigError, VcompError, OSError, ValueError, KeyError) as exc:

@@ -5,10 +5,6 @@ class VcompError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DegenerateSpectrumError(VcompError):
-    """Spectrum has no usable positive part (n0 = 0, or eigenvalue variance below floor)."""
-
-
 class NonIdentifiableError(VcompError):
     """Variance components are not identifiable for this design (singular expected Hessian)."""
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DegenerateDataError, NonIdentifiableError, NumericalError
 from .model import ModelParams
-from .qform import QuadraticForm, _resolve_mu
+from .qform import _resolve_mu
 from .spectrum import GramSpectrum, eigvar
 
 #: eigenvalue-variance floor (relative to (lambda_1+1)^2) below which the
@@ -377,40 +377,27 @@ def _newton_polish(
 
 
 # ---------------------------------------------------------------------------
-# Score-as-quadratic-form machinery and asymptotic covariance
+# Score covariance and asymptotic covariance
 # ---------------------------------------------------------------------------
 
 
-def score_qf_matrices(
-    params: ModelParams, spec: GramSpectrum, X: np.ndarray
-) -> tuple[QuadraticForm, QuadraticForm, tuple[float, float]]:
-    """PSD matrices (M1, M2) and offsets (c1, c2) with S_k(theta_0) = z'M_k z - c_k.
+def standardized_map(params: ModelParams, spec: GramSpectrum, X: np.ndarray) -> np.ndarray:
+    """The n x (n+p) matrix C with y_check = C z at theta_0.
 
     Here z = (sqrt(p) beta'/tau_0, eps'/sigma_0)' has independent unit-variance
-    coordinates and c_k = tr(M_k), so the score is exactly centered.
+    coordinates, so every score component is a quadratic form in z.
     """
-    if params.eta_sq <= 0:
-        raise ValueError("score quadratic forms need eta0^2 > 0 (tau_0 = 0 otherwise)")
-    X = np.asarray(X, dtype=np.float64)
-    n, p = X.shape
+    p = X.shape[1]
     s0 = math.sqrt(params.sigma_sq)
     tau0 = math.sqrt(params.sigma_sq * params.eta_sq)
-    lam = spec.lambdas
-
-    # C maps z into the eigenbasis of the outcome: y_check = C z
-    C = np.hstack([(tau0 / math.sqrt(p)) * (spec.U.T @ X), s0 * spec.U.T])
-    w1 = 1.0 / (2.0 * params.sigma_sq**2 * n * (params.eta_sq * lam + 1.0))
-    w2 = lam / (2.0 * params.sigma_sq * n * (params.eta_sq * lam + 1.0) ** 2)
-    M1 = QuadraticForm(C.T @ (w1[:, None] * C))
-    M2 = QuadraticForm(C.T @ (w2[:, None] * C))
-    return M1, M2, (M1.trace, M2.trace)
+    return np.hstack([(tau0 / math.sqrt(p)) * (spec.U.T @ X), s0 * spec.U.T])
 
 
 def _standardized_mu(
-    law_moments: tuple, p: int, n: int
+    laws: tuple, p: int, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-coordinate (mu3, mu4) for z = (effects block, noise block)."""
-    beta_m, eps_m = law_moments
+    beta_m, eps_m = laws
     mu3b, mu4b = _resolve_mu(beta_m, p)
     mu3e, mu4e = _resolve_mu(eps_m, n)
     mu3 = np.concatenate([np.full(p, 0.0 if mu3b is None else mu3b),
@@ -423,14 +410,15 @@ def score_covariance(
     params: ModelParams,
     spec: GramSpectrum,
     X: np.ndarray,
-    law_moments: tuple,
+    laws: tuple,
 ) -> np.ndarray:
     """Exact conditional covariance of the sqrt(n)-scaled score at theta_0.
 
-    ``law_moments`` is a pair (effects, noise) of laws or moment tuples.
-    Computed from the quadratic-form representation without materializing the
-    (n+p) x (n+p) matrices; equals the Gaussian Fisher information when both
-    laws are Gaussian.
+    ``laws`` is a pair (effects, noise) of laws or moment tuples.  The score
+    components are S_k = z'M_k z - tr(M_k) with M_k = C' diag(w_k) C and C the
+    standardized map; the covariance is computed without materializing the
+    (n+p) x (n+p) matrices M_k, and equals the Gaussian Fisher information when
+    both laws are Gaussian.
     """
     from .errors import UnsupportedLawError
 
@@ -438,14 +426,12 @@ def score_covariance(
         raise ValueError("score covariance needs eta0^2 > 0")
     X = np.asarray(X, dtype=np.float64)
     n, p = X.shape
-    mu3, mu4 = _standardized_mu(law_moments, p, n)
+    mu3, mu4 = _standardized_mu(laws, p, n)
     if np.any(mu3 != 0.0):
         raise UnsupportedLawError("score covariance requires symmetric laws (mu3 = 0)")
 
-    s0 = math.sqrt(params.sigma_sq)
-    tau0 = math.sqrt(params.sigma_sq * params.eta_sq)
     lam = spec.lambdas
-    C = np.hstack([(tau0 / math.sqrt(p)) * (spec.U.T @ X), s0 * spec.U.T])
+    C = standardized_map(params, spec, X)
     w1 = 1.0 / (2.0 * params.sigma_sq**2 * n * (params.eta_sq * lam + 1.0))
     w2 = lam / (2.0 * params.sigma_sq * n * (params.eta_sq * lam + 1.0) ** 2)
 
@@ -480,7 +466,7 @@ def asymptotic_cov(
     params: ModelParams,
     spec: GramSpectrum,
     X: np.ndarray,
-    law_moments: tuple,
+    laws: tuple,
 ) -> np.ndarray:
     """Sandwich covariance of sqrt(n)(theta_hat - theta_0): J0^-1 I J0^-1."""
     j0 = expected_hessian(params, params, spec)
@@ -490,7 +476,7 @@ def asymptotic_cov(
         raise NonIdentifiableError(
             f"expected Hessian is singular (det {det:.3e}); components not identifiable"
         )
-    info = score_covariance(params, spec, X, law_moments)
+    info = score_covariance(params, spec, X, laws)
     j0_inv = np.linalg.inv(j0)
     psi = j0_inv @ info @ j0_inv
     return 0.5 * (psi + psi.T)

@@ -529,9 +529,7 @@ def _chunk_control(task) -> np.ndarray:
     n, p = X.shape
     gaussian = beta_law.name == "gaussian" and eps_law.name == "gaussian"
     if not gaussian:
-        s0 = math.sqrt(params.sigma_sq)
-        tau0 = math.sqrt(params.sigma_sq * params.eta_sq)
-        C = np.hstack([(tau0 / math.sqrt(p)) * (spec.U.T @ X), s0 * spec.U.T])
+        C = est.standardized_map(params, spec, X)
     scale = params.sigma_sq * (params.eta_sq * spec.lambdas + 1.0)
     total, total_sq, count = np.zeros(2), np.zeros(2), 0
     block = 4096
@@ -543,8 +541,8 @@ def _chunk_control(task) -> np.ndarray:
             y_check_sq *= scale
         else:
             zb = np.empty((b, n + p))
-            zb[:, :p] = _law_block(beta_law, rng, (b, p))
-            zb[:, p:] = _law_block(eps_law, rng, (b, n))
+            zb[:, :p] = beta_law.sample(rng, (b, p))
+            zb[:, p:] = eps_law.sample(rng, (b, n))
             y_check_sq = (zb @ C.T) ** 2
         u_both = _expansion_controls(y_check_sq, params, spec, j0)
         vals = np.stack(
@@ -582,14 +580,6 @@ def _regression_adjusted_mean(
         float(np.var(resid, ddof=1)) / reps + float((coef * ctrl_se) @ (coef * ctrl_se))
     )
     return fmean, se
-
-
-def _law_block(law, rng: np.random.Generator, shape) -> np.ndarray:
-    if law.name == "gaussian":
-        return rng.standard_normal(shape)
-    if law.name == "rademacher":
-        return 2.0 * rng.integers(0, 2, size=shape).astype(np.float64) - 1.0
-    return rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=shape)
 
 
 def _chunk_tail(task) -> np.ndarray:

@@ -39,6 +39,16 @@ class SubGaussianLaw:
     def excess_kurtosis(self) -> float:
         return self.mu4 - 3.0
 
+    def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
+        """Independent coordinates of the given shape, drawn from ``rng``."""
+        if self.name == "gaussian":
+            return rng.standard_normal(shape)
+        if self.name == "rademacher":
+            return 2.0 * rng.integers(0, 2, size=shape).astype(np.float64) - 1.0
+        if self.name == "uniform":
+            return rng.uniform(-_SQRT3, _SQRT3, size=shape)
+        raise UnsupportedLawError(f"no sampler for law {self.name!r}")
+
 
 # gamma bounds: bounded laws satisfy ||zeta||_psi2 <= sup|zeta| (attained at
 # r = 1 in the defining supremum); for the standard normal the supremum is
@@ -62,11 +72,6 @@ def law_by_name(name: str) -> SubGaussianLaw:
         raise UnsupportedLawError(
             f"unknown law {name!r}; supported: {sorted(_REGISTRY)}"
         ) from None
-
-
-def law_moments(law: SubGaussianLaw) -> tuple[float, float, float, float]:
-    """Exact raw moments (mu3, mu4, mu6, mu8) of one coordinate."""
-    return (law.mu3, law.mu4, law.mu6, law.mu8)
 
 
 @dataclass(frozen=True)
@@ -105,11 +110,4 @@ def sample_vector(
     """Draw ``d`` independent coordinates from ``law``, deterministically in ``seed``."""
     if d < 1:
         raise ValueError(f"need at least one coordinate, got d={d}")
-    rng = rng_for(seed, substream)
-    if law.name == "gaussian":
-        return rng.standard_normal(d)
-    if law.name == "rademacher":
-        return 2.0 * rng.integers(0, 2, size=d).astype(np.float64) - 1.0
-    if law.name == "uniform":
-        return rng.uniform(-_SQRT3, _SQRT3, size=d)
-    raise UnsupportedLawError(f"no sampler for law {law.name!r}")
+    return law.sample(rng_for(seed, substream), d)

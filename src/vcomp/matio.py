@@ -1,4 +1,4 @@
-"""Matrix and spectrum I/O: dense CSV and a small binary container.
+"""Matrix I/O: dense CSV and a small binary container.
 
 The binary container has a 16-byte header: 4-byte magic ``VCM1``, then
 little-endian uint32 fields n (rows), p (columns), and element width in bytes
@@ -7,6 +7,7 @@ little-endian uint32 fields n (rows), p (columns), and element width in bytes
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -61,15 +62,14 @@ def _load_bin(path: Path) -> np.ndarray:
             raise ValueError(f"{path}: bad magic {magic!r}")
         if width not in _WIDTH_DTYPES:
             raise ValueError(f"{path}: unsupported element width {width}")
-        payload = fh.read(n * p * width)
-    if len(payload) != n * p * width:
-        raise ValueError(f"{path}: truncated payload")
+        expected = n * p * width
+        actual = os.fstat(fh.fileno()).st_size - _HEADER.size
+        # checked before reading: a corrupt header can declare more bytes than
+        # any buffer can index
+        if actual != expected:
+            raise ValueError(
+                f"{path}: header declares a {expected}-byte payload, file holds {actual} bytes"
+            )
+        payload = fh.read(expected)
     X = np.frombuffer(payload, dtype=_WIDTH_DTYPES[width]).astype(np.float64)
     return X.reshape(n, p)
-
-
-def save_spectrum_csv(path: str | Path, lambdas: np.ndarray) -> None:
-    """Write eigenvalues as (index, lambda) rows."""
-    lam = np.asarray(lambdas, dtype=np.float64).reshape(-1)
-    rows = np.column_stack([np.arange(1, lam.size + 1, dtype=np.float64), lam])
-    np.savetxt(path, rows, delimiter=",", fmt=["%d", "%.17g"], header="index,lambda", comments="")

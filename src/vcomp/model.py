@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .laws import SeedSpec, SubGaussianLaw, law_by_name, rng_for, sample_vector
-from .matio import load_matrix, load_vector, save_matrix_csv
+from .laws import SeedSpec, SubGaussianLaw, rng_for, sample_vector
+from .matio import save_matrix_csv
 
 # substream tags for the per-replicate Philox stream
 _SUB_BETA = 1
@@ -226,18 +226,3 @@ def save_dataset(ds: Dataset, outdir: str | Path) -> None:
     with open(outdir / "truth.json", "w", encoding="utf-8") as fh:
         json.dump(truth, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def load_dataset_arrays(indir: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Read back (X, y) from a dataset directory."""
-    indir = Path(indir)
-    return load_matrix(indir / "X.csv"), load_vector(indir / "y.csv")
-
-
-def load_truth(indir: str | Path) -> dict:
-    with open(Path(indir) / "truth.json", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def laws_from_names(beta: str, eps: str) -> tuple[SubGaussianLaw, SubGaussianLaw]:
-    return law_by_name(beta), law_by_name(eps)

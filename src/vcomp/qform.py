@@ -1,6 +1,5 @@
 """Quadratic forms in independent coordinates: evaluation, exact moment algebra,
-centered-form vectors with their exact covariance, and Lipschitz-parameterized
-families with a gridded supremum surrogate.
+and centered-form vectors with their exact covariance.
 
 For a symmetric Q and independent mean-0 variance-1 coordinates with fourth
 moments mu4_i, the exact second-moment identities used throughout are
@@ -15,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -262,106 +261,4 @@ def napprox_rate(
     return float(
         (gamma + 1.0) ** 8
         * (kk**1.5 * d**0.5 * f2 * qmax**2 + kk**3 * d * f3 * qmax**3)
-    )
-
-
-@dataclass
-class QFFamily:
-    """Family Q(u) = V diag(t(u)) V' over the box [0, R]^K.
-
-    ``t_fn`` maps a K-vector u to the m diagonal values; each component is
-    L-Lipschitz on the box.
-    """
-
-    V: np.ndarray
-    t_fn: Callable[[np.ndarray], np.ndarray]
-    lipschitz: float
-    radius: float
-    k_dim: int
-
-    def __post_init__(self) -> None:
-        self.V = np.asarray(self.V, dtype=np.float64)
-        if self.V.ndim != 2:
-            raise ValueError("V must be a d x m matrix")
-        if self.radius <= 0 or self.lipschitz < 0 or self.k_dim < 1:
-            raise ValueError("need radius > 0, lipschitz >= 0, k_dim >= 1")
-
-    @property
-    def m(self) -> int:
-        return self.V.shape[1]
-
-    def _check_u(self, u: np.ndarray) -> np.ndarray:
-        u = np.atleast_1d(np.asarray(u, dtype=np.float64))
-        if u.shape != (self.k_dim,):
-            raise ValueError(f"u must have length {self.k_dim}, got shape {u.shape}")
-        if np.any(u < 0.0) or np.any(u > self.radius):
-            raise ValueError(f"u outside [0, {self.radius}]^{self.k_dim}")
-        return u
-
-    def lipschitz_violation(self, n_pairs: int = 1000, seed: int = 0) -> float:
-        """Largest observed |t_i(u)-t_i(u')| - L||u-u'|| over random pairs (<= 0 when valid)."""
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, 1], dtype=np.uint64)))
-        worst = -np.inf
-        for _ in range(n_pairs):
-            u = rng.uniform(0.0, self.radius, self.k_dim)
-            v = rng.uniform(0.0, self.radius, self.k_dim)
-            gap = float(np.max(np.abs(self.t_fn(u) - self.t_fn(v))))
-            worst = max(worst, gap - self.lipschitz * float(np.linalg.norm(u - v)))
-        return worst
-
-
-def family_eval(fam: QFFamily, u: np.ndarray) -> QuadraticForm:
-    """Materialize Q(u) = V diag(t(u)) V' as a QuadraticForm."""
-    u = fam._check_u(u)
-    t = np.asarray(fam.t_fn(u), dtype=np.float64)
-    if t.shape != (fam.m,):
-        raise ValueError(f"t(u) must have length {fam.m}, got shape {t.shape}")
-    return QuadraticForm((fam.V * t) @ fam.V.T)
-
-
-def sup_deviation(
-    fam: QFFamily,
-    z: np.ndarray,
-    grid: int,
-    moments: SubGaussianLaw | Sequence[float] | None = None,
-) -> float:
-    """Max over a uniform grid^K lattice of |z'Q(u)z - tr Q(u)|.
-
-    The centering tr Q(u) is the expectation for unit-variance coordinates;
-    ``moments`` is accepted for interface symmetry and only sanity-checked.
-    K > 2 is rejected (the lattice grows as grid^K).
-    """
-    if grid < 2:
-        raise ValueError("need at least 2 grid points per axis")
-    if fam.k_dim > 2:
-        raise ValueError(f"grid evaluation limited to K <= 2, got K={fam.k_dim}")
-    if moments is not None:
-        _resolve_mu(moments, z.shape[0] if hasattr(z, "shape") else len(z))
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (fam.V.shape[0],):
-        raise ValueError(f"z must have length {fam.V.shape[0]}, got shape {z.shape}")
-
-    vz_sq = (fam.V.T @ z) ** 2  # (V'z)_i^2, so z'Q(u)z = sum_i t_i (V'z)_i^2
-    col_sq = np.sum(fam.V**2, axis=0)  # tr Q(u) = sum_i t_i ||v_i||^2
-    axis = np.linspace(0.0, fam.radius, grid)
-    worst = 0.0
-    for point in itertools.product(axis, repeat=fam.k_dim):
-        t = np.asarray(fam.t_fn(np.array(point)), dtype=np.float64)
-        dev = abs(float(t @ vz_sq) - float(t @ col_sq))
-        worst = max(worst, dev)
-    return worst
-
-
-def sup_deviation_grid_bound(fam: QFFamily, z: np.ndarray, grid: int) -> float:
-    """Deterministic bound on what the lattice can miss of the true supremum:
-    L R sqrt(K) / grid * ||V'V|| * ||z||^2."""
-    z = np.asarray(z, dtype=np.float64)
-    vtv_norm = operator_norm(fam.V.T @ fam.V)
-    return float(
-        fam.lipschitz
-        * fam.radius
-        * np.sqrt(fam.k_dim)
-        / grid
-        * vtv_norm
-        * float(z @ z)
     )

@@ -1,23 +1,15 @@
-"""Eigendecomposition of the scaled Gram matrix and scalar functionals of its spectrum.
+"""Eigendecomposition of the scaled Gram matrix and the variance of its eigenvalues.
 
-Everything downstream works in the eigenbasis of G = XX^T / p.  The scalar
-functionals collected here (eigenvalue variance, the two conditioning factors
-``omega`` and ``chi``, and the composite factors ``kappa`` and ``nu``) control
-identifiability and the sharpness of the finite-sample error bounds; ``kappa``
-and ``nu`` multiply dozens of powers, so they are computed in log space.
+Everything downstream works in the eigenbasis of G = XX^T / p.  The
+eigenvalue variance decides whether the two variance components are
+identifiable: it vanishes exactly when G is a multiple of the identity.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import DegenerateSpectrumError
-
-#: eigenvalue-variance floor below which kappa/nu are degenerate
-EIGVAR_FLOOR = 1e-12
 
 
 @dataclass
@@ -39,16 +31,6 @@ class GramSpectrum:
         # max rather than lambdas[0]: every spectral functional is a symmetric
         # function of the eigenvalue multiset, whatever the storage order
         return float(np.max(self.lambdas))
-
-    @property
-    def lambda_n0(self) -> float:
-        if self.n0 < 1:
-            raise DegenerateSpectrumError("spectrum has no positive part (n0 = 0)")
-        thresh = _rank_threshold(self.n, self.p, self.lambda_1)
-        positive = self.lambdas[self.lambdas > thresh]
-        if positive.size == 0:
-            raise DegenerateSpectrumError("spectrum has no positive part (n0 = 0)")
-        return float(np.min(positive))
 
 
 def _rank_threshold(n: int, p: int, lam_max: float) -> float:
@@ -95,93 +77,3 @@ def eigvar(spec: GramSpectrum) -> float:
     lam = spec.lambdas
     v = float(np.mean(lam**2) - np.mean(lam) ** 2)
     return max(v, 0.0)
-
-
-def omega(spec: GramSpectrum) -> float:
-    """Spectral conditioning factor 1 / ((lambda_1 + 1)^2 (1/lambda_n0 + 1)^2)."""
-    lam1 = spec.lambda_1
-    lamn0 = spec.lambda_n0
-    return 1.0 / ((lam1 + 1.0) ** 2 * (1.0 / lamn0 + 1.0) ** 2)
-
-
-def chi(eta0_sq: float, spec: GramSpectrum) -> float:
-    """Population profile-likelihood curvature factor.
-
-    chi = 1 / (2 (eta0^2+1)^4 (lambda_1+1)^4 (1/lambda_n0 + 1)^2); always > 0.
-    """
-    if eta0_sq < 0:
-        raise ValueError("eta0_sq must be nonnegative")
-    lam1 = spec.lambda_1
-    lamn0 = spec.lambda_n0
-    return 1.0 / (
-        2.0 * (eta0_sq + 1.0) ** 4 * (lam1 + 1.0) ** 4 * (1.0 / lamn0 + 1.0) ** 2
-    )
-
-
-def log_kappa(sigma0_sq: float, eta0_sq: float, spec: GramSpectrum) -> float:
-    """log of the concentration-rate factor kappa; -inf when it degenerates to 0.
-
-    kappa = sigma0^4 eta0^8 v^2 / ((sigma0^2+1)^5 (eta0^2+1)^12
-            (lambda_1+1)^18 (1/lambda_n0+1)^8 (v+1)^2)
-    with v the eigenvalue variance.  kappa = 0 whenever v = 0 or eta0^2 = 0.
-    """
-    if sigma0_sq <= 0:
-        raise ValueError("sigma0_sq must be positive")
-    if eta0_sq < 0:
-        raise ValueError("eta0_sq must be nonnegative")
-    v = eigvar(spec)
-    if v == 0.0 or eta0_sq == 0.0:
-        return -math.inf
-    lam1 = spec.lambda_1
-    lamn0 = spec.lambda_n0
-    return (
-        2.0 * math.log(sigma0_sq)
-        + 4.0 * math.log(eta0_sq)
-        + 2.0 * math.log(v)
-        - 5.0 * math.log(sigma0_sq + 1.0)
-        - 12.0 * math.log(eta0_sq + 1.0)
-        - 18.0 * math.log(lam1 + 1.0)
-        - 8.0 * math.log(1.0 / lamn0 + 1.0)
-        - 2.0 * math.log(v + 1.0)
-    )
-
-
-def kappa(sigma0_sq: float, eta0_sq: float, spec: GramSpectrum) -> float:
-    """Concentration-rate factor; see :func:`log_kappa`.  0 when eigvar is 0."""
-    lk = log_kappa(sigma0_sq, eta0_sq, spec)
-    if lk == -math.inf:
-        return 0.0
-    return math.exp(lk)
-
-
-def log_nu(sigma0_sq: float, eta0_sq: float, spec: GramSpectrum) -> float:
-    """log of the normal-approximation factor nu.
-
-    nu = (sigma0^2+1)^9 (eta0^2+1)^16 (lambda_1+1)^24 / (sigma0^6 eta0^2)
-         * (v+1)^3 / v^3.
-    Raises when the eigenvalue variance is below ``EIGVAR_FLOOR`` (nu -> inf).
-    """
-    if sigma0_sq <= 0:
-        raise ValueError("sigma0_sq must be positive")
-    if eta0_sq <= 0:
-        raise ValueError("eta0_sq must be positive")
-    v = eigvar(spec)
-    if v < EIGVAR_FLOOR:
-        raise DegenerateSpectrumError(
-            f"eigenvalue variance {v:.3e} below floor {EIGVAR_FLOOR:.0e}; nu diverges"
-        )
-    lam1 = spec.lambda_1
-    return (
-        9.0 * math.log(sigma0_sq + 1.0)
-        + 16.0 * math.log(eta0_sq + 1.0)
-        + 24.0 * math.log(lam1 + 1.0)
-        - 3.0 * math.log(sigma0_sq)
-        - math.log(eta0_sq)
-        + 3.0 * math.log(v + 1.0)
-        - 3.0 * math.log(v)
-    )
-
-
-def nu(sigma0_sq: float, eta0_sq: float, spec: GramSpectrum) -> float:
-    """Normal-approximation factor; see :func:`log_nu`.  May overflow to inf."""
-    return math.exp(min(log_nu(sigma0_sq, eta0_sq, spec), 709.0))

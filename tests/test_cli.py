@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -276,3 +277,99 @@ class TestExperimentCommand:
             {"kind": "consistency", "n_grid": [30], "replicates": 100, "bogus": 1},
         )
         assert main(["experiment", "--config", cfg, "--out", str(tmp_path)]) == 1
+
+
+GEN_CFG = {
+    "n": 8,
+    "p": 4,
+    "params": {"sigma2": 1.0, "eta2": 1.0},
+    "laws": {"beta": "gaussian", "eps": "gaussian"},
+    "coupling": {"scheme": "none"},
+    "seed": 1,
+}
+FIT_CFG = {"x": "X.csv", "y": "y.csv"}
+EXP_CFG = {
+    "kind": "consistency",
+    "n_grid": [30],
+    "replicates": 10,
+    "params": {"sigma2": 1.0, "eta2": 1.0},
+    "laws": {"beta": "gaussian", "eps": "gaussian"},
+}
+BASE_CFGS = {"generate": GEN_CFG, "fit": FIT_CFG, "experiment": EXP_CFG}
+
+
+def edited_config(command, path, value=None, delete=False):
+    cfg = json.loads(json.dumps(BASE_CFGS[command]))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    if delete:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return cfg
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "command, path, where",
+        [
+            ("generate", ("n",), "generate config"),
+            ("generate", ("p",), "generate config"),
+            ("generate", ("params",), "generate config"),
+            ("generate", ("params", "sigma2"), "params"),
+            ("generate", ("params", "eta2"), "params"),
+            ("generate", ("laws", "beta"), "laws"),
+            ("generate", ("laws", "eps"), "laws"),
+            ("generate", ("coupling", "scheme"), "coupling"),
+            ("fit", ("x",), "fit config"),
+            ("fit", ("y",), "fit config"),
+            ("experiment", ("kind",), "experiment config"),
+            ("experiment", ("n_grid",), "experiment config"),
+            ("experiment", ("replicates",), "experiment config"),
+            ("experiment", ("params", "sigma2"), "params"),
+            ("experiment", ("params", "eta2"), "params"),
+            ("experiment", ("laws", "beta"), "laws"),
+            ("experiment", ("laws", "eps"), "laws"),
+        ],
+    )
+    def test_missing_required_key_is_named(self, tmp_path, capsys, command, path, where):
+        write_recovery_fixture(tmp_path)
+        cfg = write_config(tmp_path / "c.cfg", edited_config(command, path, delete=True))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert f"vcomp: error: {where}: missing required key '{path[-1]}'" in err
+
+    @pytest.mark.parametrize("bad", [True, 3.7], ids=["bool", "float"])
+    @pytest.mark.parametrize(
+        "command, path",
+        [
+            ("generate", ("seed",)),
+            ("generate", ("stream",)),
+            ("generate", ("n",)),
+            ("generate", ("p",)),
+            ("fit", ("seed",)),
+            ("experiment", ("seed",)),
+            ("experiment", ("replicates",)),
+            ("experiment", ("n_grid", 0)),
+            ("experiment", ("eta_grid_points",)),
+            ("experiment", ("k_forms",)),
+            ("experiment", ("surrogate_draws",)),
+            ("experiment", ("control_draws",)),
+        ],
+    )
+    def test_ill_typed_integer_is_rejected(self, tmp_path, capsys, command, path, bad):
+        write_recovery_fixture(tmp_path)
+        cfg = write_config(tmp_path / "c.cfg", edited_config(command, path, bad))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        key = next(k for k in reversed(path) if isinstance(k, str))
+        assert f"vcomp: error: {key}: expected an integer" in capsys.readouterr().err
+
+    def test_huge_matrix_header_exit_one(self, tmp_path, capsys):
+        write_recovery_fixture(tmp_path)
+        # a 16-byte file whose header declares n = p = 2^31 float64 entries
+        (tmp_path / "X.bin").write_bytes(struct.pack("<4sIII", b"VCM1", 2**31, 2**31, 8))
+        cfg = write_config(tmp_path / "c.cfg", {"x": "X.bin", "y": "y.csv"})
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("vcomp: error: ") and "file holds 0 bytes" in err

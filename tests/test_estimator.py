@@ -22,14 +22,13 @@ from vcomp.estimator import (
     profile_score,
     score,
     score_covariance,
-    score_qf_matrices,
     sigma0_sq_of,
     sigma_star_sq,
 )
 from vcomp.laws import GAUSSIAN, RADEMACHER, UNIFORM, SeedSpec, sample_vector
 from vcomp.model import DesignSpec, ModelParams, gen_design, gen_independent
-from vcomp.qform import eval_qf
-from vcomp.spectrum import GramSpectrum, chi, decompose_gram, eigvar
+from vcomp.qform import QuadraticForm, eval_qf
+from vcomp.spectrum import GramSpectrum, decompose_gram, eigvar
 
 
 def make_state(seed=0, n=12, p=20, params=ModelParams(1.0, 1.0)):
@@ -159,7 +158,15 @@ class TestPopProfile:
         assert spec.n0 == spec.n
         params = ModelParams(1.3, 0.7)
         v = eigvar(spec)
-        c = chi(params.eta_sq, spec)
+        # curvature factor 1 / (2 (eta0^2+1)^4 (lambda_1+1)^4 (1/lambda_n0+1)^2);
+        # lambda_n0 is the smallest eigenvalue because n0 = n
+        lam_n0 = float(np.min(spec.lambdas))
+        c = 1.0 / (
+            2.0
+            * (params.eta_sq + 1.0) ** 4
+            * (spec.lambda_1 + 1.0) ** 4
+            * (1.0 / lam_n0 + 1.0) ** 2
+        )
         base = pop_profile_loglik(params.eta_sq, params, spec)
         for eta in np.linspace(0.0, 5.0, 26):
             gap = base - pop_profile_loglik(float(eta), params, spec)
@@ -447,6 +454,25 @@ class TestExpectedHessian:
                 * (spec.lambda_1 + 1.0) ** 4
             )
             assert expected_hessian_det(params, spec) >= bound - 1e-14
+
+
+def score_qf_matrices(params, spec, X):
+    """Oracle for score_covariance: PSD (M1, M2) and offsets (c1, c2) with
+    S_k(theta_0) = z'M_k z - c_k, materialized as (n+p) x (n+p) matrices.
+
+    z = (sqrt(p) beta'/tau_0, eps'/sigma_0)' has independent unit-variance
+    coordinates and c_k = tr(M_k), so the score is exactly centered.
+    """
+    if params.eta_sq <= 0:
+        raise ValueError("score quadratic forms need eta0^2 > 0 (tau_0 = 0 otherwise)")
+    n = X.shape[0]
+    lam = spec.lambdas
+    C = est.standardized_map(params, spec, X)
+    w1 = 1.0 / (2.0 * params.sigma_sq**2 * n * (params.eta_sq * lam + 1.0))
+    w2 = lam / (2.0 * params.sigma_sq * n * (params.eta_sq * lam + 1.0) ** 2)
+    M1 = QuadraticForm(C.T @ (w1[:, None] * C))
+    M2 = QuadraticForm(C.T @ (w2[:, None] * C))
+    return M1, M2, (M1.trace, M2.trace)
 
 
 class TestScoreQF:

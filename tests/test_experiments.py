@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from vcomp.errors import NonIdentifiableError, TailGridError
-from vcomp.estimator import expected_hessian
+from vcomp.estimator import ScoreState, expected_hessian, sigma0_sq_of, sigma_star_sq
 from vcomp.experiments import (
     REPORT_HEADER,
+    _cell_design,
+    _chunk_tail,
     _endpoint_drop_gate,
     _expansion_controls,
+    _stream,
     ExperimentPlan,
     config_hash,
     gaussian_expectation,
@@ -28,8 +31,8 @@ from vcomp.experiments import (
     with_workers,
 )
 from vcomp.laws import SeedSpec
-from vcomp.model import ModelParams
-from vcomp.spectrum import GramSpectrum
+from vcomp.model import ModelParams, gen_independent
+from vcomp.spectrum import GramSpectrum, decompose_gram
 
 
 def small_plan(**kw):
@@ -201,6 +204,33 @@ class TestTail:
         rep = run_tail(plan)
         big_r = [c for c in rep.cells if c["r"] == 50.0]
         assert all(not c["reliable"] for c in big_r)
+
+    def test_chunk_rows_match_scalar_supremum(self):
+        # oracle: the eta-grid supremum of |sigma_star^2 - sigma_0^2(eta)|, one
+        # scalar evaluation per grid point, on each regenerated replicate
+        plan = small_plan(kind="tail_envelope", n_grid=(30,), replicates=120,
+                          r_grid=(0.2,), sigma0_sq=2.5, eta0_sq=0.3,
+                          beta_law="rademacher", eps_law="uniform", master_seed=7)
+        X = _cell_design(plan, 0, 30)
+        spec = decompose_gram(X)
+        rows = _chunk_tail((plan, 0, X, spec, 3, 9))
+        assert rows.shape == (6, 2)
+        params = plan.params()
+        beta_law, eps_law = plan.laws()
+        etas = np.linspace(0.0, plan.eta_box, plan.eta_grid_points)
+        for row, r in zip(rows, range(3, 9)):
+            ds = gen_independent(X, params, beta_law, eps_law,
+                                 SeedSpec(plan.master_seed, _stream(0, r)))
+            state = ScoreState.from_observations(spec, ds.y)
+            sup = max(
+                abs(sigma_star_sq(state, float(e)) - sigma0_sq_of(float(e), params, spec))
+                for e in etas
+            )
+            assert row[0] == pytest.approx(sup, rel=1e-12)
+            znorm = spec.p * float(ds.beta_true @ ds.beta_true) + float(
+                ds.eps_true @ ds.eps_true
+            )
+            assert row[1] == pytest.approx(znorm, rel=1e-12)
 
     def test_widen_grid_error(self):
         plan = small_plan(kind="tail_envelope", n_grid=(30,), replicates=120,

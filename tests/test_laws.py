@@ -10,18 +10,23 @@ from vcomp.laws import (
     RADEMACHER,
     UNIFORM,
     SeedSpec,
+    SubGaussianLaw,
     law_by_name,
-    law_moments,
+    rng_for,
     sample_vector,
 )
 
 N_BIG = 1_000_000
 
 
+def raw_moments(law):
+    return (law.mu3, law.mu4, law.mu6, law.mu8)
+
+
 def test_closed_form_moments():
-    assert law_moments(GAUSSIAN) == (0.0, 3.0, 15.0, 105.0)
-    assert law_moments(RADEMACHER) == (0.0, 1.0, 1.0, 1.0)
-    assert law_moments(UNIFORM) == (0.0, 9 / 5, 27 / 7, 9.0)
+    assert raw_moments(GAUSSIAN) == (0.0, 3.0, 15.0, 105.0)
+    assert raw_moments(RADEMACHER) == (0.0, 1.0, 1.0, 1.0)
+    assert raw_moments(UNIFORM) == (0.0, 9 / 5, 27 / 7, 9.0)
 
 
 def test_uniform_moments_match_quadrature():
@@ -57,6 +62,33 @@ def test_uniform_support():
     assert -math.sqrt(3) <= v[0] <= math.sqrt(3)
     big = sample_vector(UNIFORM, 10_000, SeedSpec(5, 1))
     assert np.all(np.abs(big) <= math.sqrt(3))
+
+
+def name_switch_sample(law, rng, shape):
+    # the per-name generator calls every sampler has used; draws must not change
+    if law.name == "gaussian":
+        return rng.standard_normal(shape)
+    if law.name == "rademacher":
+        return 2.0 * rng.integers(0, 2, size=shape).astype(np.float64) - 1.0
+    return rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=shape)
+
+
+@pytest.mark.parametrize("law", [GAUSSIAN, RADEMACHER, UNIFORM], ids=lambda l: l.name)
+@pytest.mark.parametrize("shape", [(7,), (3, 5)])
+def test_sample_matches_name_switch_bitwise(law, shape):
+    seed = SeedSpec(11, 4)
+    got = law.sample(rng_for(seed, 2), shape)
+    want = name_switch_sample(law, rng_for(seed, 2), shape)
+    assert got.shape == shape
+    assert np.array_equal(got, want)
+    if len(shape) == 1:
+        assert np.array_equal(sample_vector(law, shape[0], seed, 2), want)
+
+
+def test_sample_unknown_law_rejected():
+    law = SubGaussianLaw("cauchy", gamma=1.0, mu3=0.0, mu4=3.0, mu6=15.0, mu8=105.0)
+    with pytest.raises(UnsupportedLawError):
+        law.sample(rng_for(SeedSpec(0, 0)), (3,))
 
 
 def test_empty_vector_rejected():
@@ -97,7 +129,7 @@ def test_empirical_moments_match(law, k):
     x = sample_vector(law, N_BIG, SeedSpec(99, k))
     xk = x**k
     se = xk.std(ddof=1) / math.sqrt(N_BIG)
-    expected = dict(zip((3, 4, 6, 8), law_moments(law)))[k]
+    expected = dict(zip((3, 4, 6, 8), raw_moments(law)))[k]
     assert abs(xk.mean() - expected) <= 5 * se + 1e-12
 
 

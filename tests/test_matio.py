@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from vcomp.matio import (
     load_vector,
     save_matrix_bin,
     save_matrix_csv,
-    save_spectrum_csv,
 )
 
 
@@ -51,17 +52,24 @@ def test_truncated_bin_rejected(tmp_path):
         load_matrix(path)
 
 
+def test_huge_header_rejected_before_reading(tmp_path):
+    # n = p = 2^31 declares a payload no buffer can index; only 16 bytes exist
+    path = tmp_path / "huge.bin"
+    path.write_bytes(struct.pack("<4sIII", b"VCM1", 2**31, 2**31, 8))
+    with pytest.raises(ValueError, match="36893488147419103232-byte payload, file holds 0 bytes"):
+        load_matrix(path)
+
+
+def test_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "x.bin"
+    save_matrix_bin(path, np.ones((2, 2)))
+    path.write_bytes(path.read_bytes() + b"\0" * 8)
+    with pytest.raises(ValueError, match="32-byte payload, file holds 40 bytes"):
+        load_matrix(path)
+
+
 def test_load_vector(tmp_path):
     y = np.array([1.0, 2.0, 3.0])
     path = tmp_path / "y.csv"
     save_matrix_csv(path, y.reshape(-1, 1))
     np.testing.assert_array_equal(load_vector(path), y)
-
-
-def test_spectrum_csv(tmp_path):
-    path = tmp_path / "spec.csv"
-    save_spectrum_csv(path, np.array([2.0, 1.0, 0.0]))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "index,lambda"
-    assert lines[1].startswith("1,")
-    assert len(lines) == 4

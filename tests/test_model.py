@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from vcomp.laws import GAUSSIAN, RADEMACHER, SeedSpec
+from vcomp.matio import load_matrix, load_vector
 from vcomp.model import (
     CouplingSpec,
     DesignSpec,
@@ -12,8 +13,6 @@ from vcomp.model import (
     gen_coupled,
     gen_design,
     gen_independent,
-    load_dataset_arrays,
-    load_truth,
     save_dataset,
 )
 from vcomp.spectrum import decompose_gram
@@ -197,10 +196,10 @@ def test_save_dataset_roundtrip(tmp_path):
     X = rng.standard_normal((6, 4))
     ds = gen_independent(X, ModelParams(1.5, 0.5), GAUSSIAN, RADEMACHER, SeedSpec(31, 2))
     save_dataset(ds, tmp_path)
-    X2, y2 = load_dataset_arrays(tmp_path)
+    X2, y2 = load_matrix(tmp_path / "X.csv"), load_vector(tmp_path / "y.csv")
     np.testing.assert_allclose(X2, X, rtol=1e-15)
     np.testing.assert_allclose(y2, ds.y, rtol=1e-15)
-    truth = load_truth(tmp_path)
+    truth = json.loads((tmp_path / "truth.json").read_text())
     assert truth["sigma2"] == 1.5
     assert truth["eta2"] == 0.5
     assert truth["beta_law"] == "gaussian"
@@ -218,7 +217,7 @@ def test_save_dataset_records_coupling(tmp_path):
         CouplingSpec(scheme="sparse_zero", fraction=0.5), SeedSpec(33),
     )
     save_dataset(ds, tmp_path)
-    truth = load_truth(tmp_path)
+    truth = json.loads((tmp_path / "truth.json").read_text())
     assert truth["coupling"]["scheme"] == "sparse_zero"
     assert truth["coupling"]["fraction"] == 0.5
     assert truth["coupling"]["coupling_distance"] > 0

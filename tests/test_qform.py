@@ -5,19 +5,15 @@ import numpy as np
 import pytest
 
 from vcomp.errors import UnsupportedLawError
-from vcomp.laws import GAUSSIAN, RADEMACHER, UNIFORM, SeedSpec, law_moments, sample_vector
+from vcomp.laws import GAUSSIAN, RADEMACHER, UNIFORM, SeedSpec, sample_vector
 from vcomp.qform import (
-    QFFamily,
     QuadraticForm,
     build_w,
     eval_qf,
-    family_eval,
     napprox_rate,
     qf_covariance,
     qf_variance,
     sigma_k_sq,
-    sup_deviation,
-    sup_deviation_grid_bound,
 )
 
 
@@ -299,116 +295,3 @@ class TestNapproxRate:
         one = napprox_rate([qf], d, 1.0, (1.0, 0.0))
         two = napprox_rate([qf, qf], d, 1.0, (1.0, 0.0))
         assert two / one == pytest.approx(2**1.5, rel=1e-12)
-
-
-def profile_family(lambdas, radius=4.0):
-    n = len(lambdas)
-    lam = np.asarray(lambdas, dtype=float)
-    V = np.eye(n)
-    return QFFamily(
-        V=V,
-        t_fn=lambda u: 1.0 / (u[0] * lam + 1.0),
-        lipschitz=float(np.max(lam)),
-        radius=radius,
-        k_dim=1,
-    )
-
-
-class TestFamily:
-    def test_constant_family(self):
-        fam = QFFamily(
-            V=np.eye(3), t_fn=lambda u: np.ones(3), lipschitz=0.0, radius=2.0, k_dim=1
-        )
-        qa = family_eval(fam, np.array([0.0]))
-        qb = family_eval(fam, np.array([1.7]))
-        np.testing.assert_allclose(qa.matrix, qb.matrix)
-
-    def test_profile_family_at_zero(self):
-        rng = np.random.default_rng(14)
-        V = rng.standard_normal((5, 3))
-        fam = QFFamily(
-            V=V, t_fn=lambda u: 1.0 / (u[0] * np.array([2.0, 1.0, 0.5]) + 1.0),
-            lipschitz=2.0, radius=4.0, k_dim=1,
-        )
-        q0 = family_eval(fam, np.array([0.0]))
-        np.testing.assert_allclose(q0.matrix, V @ V.T, atol=1e-12)
-
-    def test_operator_norm_lipschitz_bound(self):
-        rng = np.random.default_rng(15)
-        lam = np.array([2.0, 1.0, 0.3])
-        V = rng.standard_normal((6, 3))
-        fam = QFFamily(
-            V=V, t_fn=lambda u: 1.0 / (u[0] * lam + 1.0),
-            lipschitz=2.0, radius=4.0, k_dim=1,
-        )
-        vtv_norm = float(np.max(np.linalg.eigvalsh(V.T @ V)))
-        for _ in range(50):
-            u, v = rng.uniform(0, 4, 2)
-            qa = family_eval(fam, np.array([u]))
-            qb = family_eval(fam, np.array([v]))
-            gap = float(np.max(np.abs(np.linalg.eigvalsh(qa.matrix - qb.matrix))))
-            assert gap <= 2.0 * abs(u - v) * vtv_norm + 1e-10
-
-    def test_lipschitz_spot_check(self):
-        fam = profile_family([2.0, 1.0, 0.5])
-        assert fam.lipschitz_violation(1000, seed=3) <= 1e-12
-
-    def test_box_validation(self):
-        fam = profile_family([1.0, 0.5])
-        with pytest.raises(ValueError):
-            family_eval(fam, np.array([5.0]))
-        with pytest.raises(ValueError):
-            family_eval(fam, np.array([-0.1]))
-
-
-class TestSupDeviation:
-    def test_unit_signs_diagonal_family(self):
-        # z_i^2 = 1 with a diagonal family: z'Q(u)z = tr Q(u) at every u
-        fam = profile_family([3.0, 1.0, 0.2])
-        z = np.array([1.0, -1.0, 1.0])
-        assert sup_deviation(fam, z, grid=16) == pytest.approx(0.0, abs=1e-12)
-
-    def test_constant_family_single_point(self):
-        rng = np.random.default_rng(16)
-        V = rng.standard_normal((4, 4))
-        fam = QFFamily(
-            V=V, t_fn=lambda u: np.ones(4), lipschitz=0.0, radius=2.0, k_dim=1
-        )
-        z = rng.standard_normal(4)
-        qf = family_eval(fam, np.array([0.0]))
-        expected = abs(eval_qf(qf, z) - qf.trace)
-        assert sup_deviation(fam, z, grid=8) == pytest.approx(expected, rel=1e-12)
-
-    def test_finer_grid_never_decreases(self):
-        rng = np.random.default_rng(17)
-        V = rng.standard_normal((6, 4))
-        lam = np.array([2.0, 1.0, 0.7, 0.1])
-        fam = QFFamily(
-            V=V, t_fn=lambda u: 1.0 / (u[0] * lam + 1.0),
-            lipschitz=2.0, radius=4.0, k_dim=1,
-        )
-        z = rng.standard_normal(6)
-        coarse = sup_deviation(fam, z, grid=8)
-        fine = sup_deviation(fam, z, grid=64)
-        assert fine >= coarse - 1e-10
-
-    def test_k2_supported_k3_rejected(self):
-        rng = np.random.default_rng(18)
-        V = rng.standard_normal((4, 3))
-        fam2 = QFFamily(
-            V=V, t_fn=lambda u: np.full(3, float(np.sum(u))),
-            lipschitz=2.0, radius=1.0, k_dim=2,
-        )
-        z = rng.standard_normal(4)
-        assert np.isfinite(sup_deviation(fam2, z, grid=4))
-        fam3 = QFFamily(
-            V=V, t_fn=lambda u: np.full(3, float(np.sum(u))),
-            lipschitz=2.0, radius=1.0, k_dim=3,
-        )
-        with pytest.raises(ValueError):
-            sup_deviation(fam3, z, grid=4)
-
-    def test_grid_bound_positive(self):
-        fam = profile_family([2.0, 1.0, 0.5])
-        z = np.ones(3)
-        assert sup_deviation_grid_bound(fam, z, 16) > 0
