@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import sys
 from pathlib import Path
 
@@ -78,6 +79,13 @@ def _integer(value, key: str) -> int:
     return value
 
 
+def _listed(value, key: str):
+    # a scalar would be iterated (a string) or fail deep inside as a TypeError
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key}: expected a list, got {value!r}")
+    return value
+
+
 def _load_config(path: str) -> tuple[dict, Path]:
     cfg_path = Path(path)
     try:
@@ -99,6 +107,8 @@ def _resolve_seed(args, cfg: dict) -> int:
         return _integer(cfg["seed"], "seed")
     env = os.environ.get("VCOMP_SEED")
     if env is not None:
+        if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", env):
+            raise ConfigError(f"VCOMP_SEED: expected an integer, got {env!r}")
         return int(env)
     return 0
 
@@ -219,7 +229,8 @@ def _plan_from_cfg(cfg: dict, seed: int, workers: int) -> ExperimentPlan:
     return ExperimentPlan(
         kind=_required(cfg, "kind", "experiment config"),
         n_grid=tuple(
-            _integer(v, "n_grid") for v in _required(cfg, "n_grid", "experiment config")
+            _integer(v, "n_grid")
+            for v in _listed(_required(cfg, "n_grid", "experiment config"), "n_grid")
         ),
         replicates=_integer(_required(cfg, "replicates", "experiment config"), "replicates"),
         sigma0_sq=float(_required(params_cfg, "sigma2", "params")),
@@ -231,13 +242,13 @@ def _plan_from_cfg(cfg: dict, seed: int, workers: int) -> ExperimentPlan:
         design_lambdas=design.lambdas,
         master_seed=seed,
         workers=workers,
-        r_grid=tuple(float(v) for v in cfg.get("r_grid", ())),
+        r_grid=tuple(float(v) for v in _listed(cfg.get("r_grid", ()), "r_grid")),
         eta_box=float(cfg.get("eta_box", 8.0)),
         eta_grid_points=_integer(cfg.get("eta_grid_points", 129), "eta_grid_points"),
         test_fn=fn_cfg.get("name", "tanh_product"),
-        test_scales=tuple(float(v) for v in fn_cfg.get("scales", (3.0, 3.0))),
+        test_scales=tuple(float(v) for v in _listed(fn_cfg.get("scales", (3.0, 3.0)), "scales")),
         coupling_scheme=coup_cfg.get("scheme", "additive_perturb"),
-        delta_grid=tuple(float(v) for v in coup_cfg.get("delta_grid", ())),
+        delta_grid=tuple(float(v) for v in _listed(coup_cfg.get("delta_grid", ()), "delta_grid")),
         delta_scale=coup_cfg.get("delta_scale", "absolute"),
         sparse_fraction=float(coup_cfg.get("fraction", 0.5)),
         k_forms=_integer(cfg.get("k_forms", 1), "k_forms"),

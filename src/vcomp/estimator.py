@@ -11,6 +11,14 @@ Profiling sigma^2 out gives ell_star(eta^2); its root function
 H_star = 2 sstar d(ell_star)/d(eta^2) drives the one-dimensional search.
 Population counterparts replace y_check_i^2 by its conditional expectation
 sigma0^2 (eta0^2 lam_i + 1).
+
+The MLE search fits a whole (reps, n) block of replicates at once.  On a
+fixed grid of t = eta^2/(1+eta^2) the resolvent does not depend on the
+replicate, so ell_star, H_star and H_star' at every grid point of every row
+are one matrix product.  Each row then runs a masked, safeguarded Newton
+iteration on H_star inside the grid cells beside its grid maximum; the rows
+report whether they converged, and whether they stopped at eta^2 = 0 or at
+the grid's cap.
 """
 
 from __future__ import annotations
@@ -28,9 +36,6 @@ from .spectrum import GramSpectrum, eigvar
 #: eigenvalue-variance floor (relative to (lambda_1+1)^2) below which the
 #: components are flagged non-identifiable
 IDENT_FLOOR = 1e-10
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 @dataclass
 class ScoreState:
@@ -58,8 +63,7 @@ class ScoreState:
 @dataclass(frozen=True)
 class FitOptions:
     grid_points: int = 64
-    golden_tol: float = 1e-8
-    newton_max: int = 20
+    newton_max: int = 50
     t_cap: float = 1.0 - 1e-6
     trace: bool = True
 
@@ -76,6 +80,8 @@ class FitResult:
     psi_hat: np.ndarray | None = None
     cap_hit: bool = False
     tol_score: float = field(default=0.0, repr=False)
+    converged: bool = True
+    score_residual: float = 0.0
 
 
 def sigma_star_sq(state: ScoreState, eta_sq: float) -> float:
@@ -140,33 +146,26 @@ def profile_score(state: ScoreState, eta_sq: float) -> float:
     return quad - float(np.mean(ych2 * r)) * float(np.mean(lam * r))
 
 
-def _profile_score_deriv(state: ScoreState, eta_sq: float) -> float:
-    lam = state.spec.lambdas
-    r = 1.0 / (eta_sq * lam + 1.0)
-    ych2 = state.y_check**2
-    ss = float(np.mean(ych2 * r))
-    ss_d = -float(np.mean(lam * ych2 * r * r))
-    return (
-        -2.0 * float(np.mean(lam**2 * ych2 * r**3))
-        - ss_d * float(np.mean(lam * r))
-        + ss * float(np.mean(lam**2 * r * r))
-    )
+def _pair_spread(lam: np.ndarray, w: np.ndarray) -> float:
+    """sum_ij (lam_i - lam_j)^2 w_i w_j = 2[(sum w)(sum w lam^2) - (sum w lam)^2],
+    in O(n) and in the centered form 2 (sum w) sum w (lam - lam_w)^2, where
+    lam_w is the w-weighted mean, which does not cancel."""
+    sw = float(np.sum(w))
+    dev = lam - float(w @ lam) / sw
+    return 2.0 * sw * float(w @ (dev * dev))
 
 
 def pop_profile_score(eta_sq: float, params: ModelParams, spec: GramSpectrum) -> float:
-    """Population score H_0(eta^2) as the exact pairwise double sum.
+    """Population score H_0(eta^2) as the pairwise double sum, in O(n):
 
     H_0 = sigma0^2 (eta0^2 - eta^2) / (2 n^2)
           * sum_{ij} (lam_i - lam_j)^2 / ((eta^2 lam_i+1)^2 (eta^2 lam_j+1)^2).
     """
     if eta_sq < 0:
         raise ValueError("eta_sq must be nonnegative")
-    lam = spec.lambdas
     n = spec.n
-    r = 1.0 / (eta_sq * lam + 1.0)
-    diff = lam[:, None] - lam[None, :]
-    weights = (r * r)[:, None] * (r * r)[None, :]
-    total = float(np.sum(diff * diff * weights))
+    r = 1.0 / (eta_sq * spec.lambdas + 1.0)
+    total = _pair_spread(spec.lambdas, r * r)
     return params.sigma_sq * (params.eta_sq - eta_sq) / (2.0 * n * n) * total
 
 
@@ -226,15 +225,11 @@ def expected_hessian(
 
 
 def expected_hessian_det(params: ModelParams, spec: GramSpectrum) -> float:
-    """det J_0(theta_0) via the exact pairwise identity
+    """det J_0(theta_0) via the pairwise identity, evaluated in O(n):
     (1/(8 sigma0^4 n^2)) sum_{ij} (lam_i-lam_j)^2/((eta0^2 lam_i+1)^2 (eta0^2 lam_j+1)^2)."""
-    lam = spec.lambdas
     n = spec.n
-    r = 1.0 / (params.eta_sq * lam + 1.0)
-    diff = lam[:, None] - lam[None, :]
-    weights = (r * r)[:, None] * (r * r)[None, :]
-    total = float(np.sum(diff * diff * weights))
-    return total / (8.0 * params.sigma_sq**2 * n * n)
+    r = 1.0 / (params.eta_sq * spec.lambdas + 1.0)
+    return _pair_spread(spec.lambdas, r * r) / (8.0 * params.sigma_sq**2 * n * n)
 
 
 # ---------------------------------------------------------------------------
@@ -242,62 +237,148 @@ def expected_hessian_det(params: ModelParams, spec: GramSpectrum) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _eta_of_t(t: float) -> float:
-    return t / (1.0 - t)
+def _score_terms(ss, quad, cube, mlr, ml2r2):
+    """(H_star, H_star') from the means of y^2 r, lam y^2 r^2, lam^2 y^2 r^3,
+    lam r and lam^2 r^2, where r = 1/(eta^2 lam + 1)."""
+    return quad - ss * mlr, -2.0 * cube + quad * mlr + ss * ml2r2
 
 
-def fit_mle(state: ScoreState, options: FitOptions | None = None) -> FitResult:
-    """Maximize the profile likelihood over eta^2 >= 0, then set sigma^2 = sstar.
+def _score_rows(y_check_sq: np.ndarray, lam: np.ndarray, eta: np.ndarray):
+    """(sstar, H_star, H_star') on each row of a (reps, n) block of y_check^2,
+    each row at its own eta^2; one reused resolvent buffer."""
+    n = lam.size
+    res = np.multiply(eta[:, None], lam)
+    res += 1.0
+    np.reciprocal(res, out=res)  # r
+    yr = y_check_sq * res
+    res *= lam  # lam r
+    ss = yr.sum(axis=1) / n
+    quad = np.einsum("ij,ij->i", yr, res) / n
+    yr *= res  # y^2 lam r^2
+    cube = np.einsum("ij,ij->i", yr, res) / n
+    mlr, ml2r2 = res.sum(axis=1) / n, np.einsum("ij,ij->i", res, res) / n
+    return ss, *_score_terms(ss, quad, cube, mlr, ml2r2)
 
-    Search: coarse grid on t = eta^2/(1+eta^2) in [0, t_cap], golden-section
-    refinement around the best cell, then safeguarded Newton on H_star within
-    the refined bracket.  Exact ties resolve to the smallest maximizer; the
-    grid maximum sitting at t = 0 with H_star(0) <= 0 is returned as the
-    boundary point eta^2 = 0.
-    """
-    opts = options or FitOptions()
-    if not np.any(state.y_check):
-        raise DegenerateDataError("y = 0: error variance degenerates to 0")
 
-    spec = state.spec
-    ident_flag = eigvar(spec) < IDENT_FLOOR * (spec.lambda_1 + 1.0) ** 2
+@dataclass
+class FitBlock:
+    """MLE output for a (reps, n) block of y_check, one row per replicate."""
 
+    theta: np.ndarray  # (reps, 2): sigma^2, eta^2
+    boundary: np.ndarray
+    cap_hit: np.ndarray
+    converged: np.ndarray
+    newton_iters: int  # total over the rows
+    score_residual: np.ndarray  # |H_star| at eta-hat
+
+
+def _fit_block(y_check_sq: np.ndarray, lam: np.ndarray, opts: FitOptions):
+    """The batched search; returns the block, the eta grid and its (reps, G)
+    profile log-likelihood, and each row's score tolerance."""
+    reps, n = y_check_sq.shape
+    last = opts.grid_points - 1
     ts = np.linspace(0.0, opts.t_cap, opts.grid_points)
     etas = ts / (1.0 - ts)
-    lls = np.array([profile_loglik(state, e) for e in etas])
+    shifted = np.multiply.outer(lam, etas) + 1.0  # (n, G), the same for every row
+    res = 1.0 / shifted
+    lres = lam[:, None] * res
+    # sstar, lam y^2 r^2 and lam^2 y^2 r^3 at every grid point of every row
+    ss, quad, cube = np.split(
+        y_check_sq @ (np.hstack([res, lres * res, lres * lres * res]) / n), 3, axis=1
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lls = -0.5 * np.log(ss) - 0.5 * np.log(shifted).mean(axis=0) - 0.5
     if not np.all(np.isfinite(lls)):
         raise NumericalError("profile likelihood is non-finite on the search grid")
-    trace = list(zip(etas.tolist(), lls.tolist())) if opts.trace else []
+    h, hp = _score_terms(ss, quad, cube, lres.mean(axis=0), (lres * lres).mean(axis=0))
 
-    h0 = profile_score(state, 0.0)
-    tol_score = 1e-8 * (1.0 + abs(h0))
+    rows = np.arange(reps)
+    tol = 1e-8 * (1.0 + np.abs(h[:, 0]))
     # smallest maximizer under exact ties; fp noise within 1e-12 counts as a tie
-    ll_max = float(np.max(lls))
-    tie_tol = 1e-12 * (1.0 + abs(ll_max))
-    best = int(np.argmax(lls >= ll_max - tie_tol))
+    ll_max = lls.max(axis=1)
+    ll_floor = ll_max - 1e-12 * (1.0 + np.abs(ll_max))
+    best = np.argmax(lls >= ll_floor[:, None], axis=1)
+    lo_i, hi_i = np.maximum(best - 1, 0), np.minimum(best + 1, last)
+    lo, hi = etas[lo_i], etas[hi_i]
+    bracket = (h[rows, lo_i] > 0.0) & (h[rows, hi_i] < 0.0)
+    at_zero = (best == 0) & (h[:, 0] <= 0.0)
+    at_cap = ~bracket & (best == last) & (h[:, last] >= 0.0)
 
-    newton_iters = 0
-    cap_hit = False
-    if best == 0 and h0 <= 0.0:
-        eta_hat = 0.0
-    else:
-        t_lo = ts[max(best - 1, 0)]
-        t_hi = ts[min(best + 1, len(ts) - 1)]
-        t_star = _golden_max(
-            lambda t: profile_loglik(state, _eta_of_t(t)), t_lo, t_hi, opts.golden_tol
+    eta = etas[best]
+    sigma, cur_h, cur_hp = ss[rows, best], h[rows, best], hp[rows, best]
+    converged = at_zero | at_cap
+    iters = np.zeros(reps, dtype=np.int64)
+    active = np.flatnonzero(~converged)
+    for _ in range(opts.newton_max):
+        if active.size == 0:
+            break
+        e, hh, dd = eta[active], cur_h[active], cur_hp[active]
+        step = np.divide(-hh, dd, out=np.zeros_like(hh), where=dd != 0.0)
+        small = 1e-10 * (1.0 + e) ** 2  # 1e-10 in t
+        done = (np.abs(hh) < tol[active]) & (
+            (np.abs(step) < small) | (hi[active] - lo[active] < small)
         )
-        eta_lo, eta_hi = _eta_of_t(t_lo), _eta_of_t(t_hi)
-        eta_hat, newton_iters = _newton_polish(
-            state, _eta_of_t(t_star), eta_lo, eta_hi, tol_score, opts.newton_max
-        )
-        eta_hat = max(eta_hat, 0.0)
-        if eta_hat >= _eta_of_t(opts.t_cap) * (1.0 - 1e-12):
-            cap_hit = True
+        converged[active[done]] = True
+        keep = ~done
+        active, e, hh, step = active[keep], e[keep], hh[keep], step[keep]
+        # shrink a sign-changing bracket onto the side that still holds the root
+        sign = bracket[active]
+        lo[active] = np.where(sign & (hh > 0.0), e, lo[active])
+        hi[active] = np.where(sign & (hh <= 0.0), e, hi[active])
+        trial = e + step
+        inside = (step != 0.0) & (trial > lo[active]) & (trial < hi[active])
+        e = np.where(inside, trial, 0.5 * (lo[active] + hi[active]))
+        sigma[active], cur_h[active], cur_hp[active] = _score_rows(y_check_sq[active], lam, e)
+        eta[active] = e
+        iters[active] += 1
 
-    eta_hat = float(eta_hat)
-    sigma_hat = sigma_star_sq(state, eta_hat)
+    ll = -0.5 * np.log(sigma) - 0.5 * np.log(np.multiply.outer(eta, lam) + 1.0).mean(axis=1) - 0.5
+    # a root the search found below the grid maximum is a local optimum only:
+    # fall back to the grid maximizer, unconverged
+    worse = ll < ll_floor
+    eta[worse], sigma[worse] = etas[best[worse]], ss[worse, best[worse]]
+    cur_h[worse] = h[worse, best[worse]]
+    converged[worse] = False
+    block = FitBlock(
+        theta=np.column_stack([sigma, eta]),
+        boundary=eta == 0.0,
+        cap_hit=eta >= etas[last] * (1.0 - 1e-12),
+        converged=converged,
+        newton_iters=int(iters.sum()),
+        score_residual=np.abs(cur_h),
+    )
+    return block, etas, lls, tol
+
+
+def fit_mle(state: ScoreState, options: FitOptions | None = None) -> FitResult | FitBlock:
+    """Maximize the profile likelihood over eta^2 >= 0, then set sigma^2 = sstar.
+
+    A 1-D ``state.y_check`` gives a ``FitResult``; a (reps, n) block gives a
+    ``FitBlock``, one row per replicate.  Each row's search starts from the
+    smallest maximizer of the grid profile likelihood.  At t = 0 with
+    H_star(0) <= 0 it returns the boundary point eta^2 = 0; at the cap with
+    H_star >= 0 and no root bracketed it stays there (``cap_hit``).  Otherwise
+    Newton steps on H_star stay inside the neighbouring grid cells and fall
+    back to bisecting a sign-changing bracket (or to the cell midpoint); a row
+    converges when |H_star| < tol_score and the step or the bracket is below
+    1e-10 (1+eta^2)^2, i.e. 1e-10 in t.  A row that runs out of ``newton_max``
+    steps, or whose root lies below its grid maximum (then the grid maximizer
+    is returned), has ``converged`` False.  ``score_residual`` is |H_star| at
+    the returned eta^2.
+    """
+    opts = options or FitOptions()
+    y_check = np.asarray(state.y_check, dtype=np.float64)
+    y_block = np.atleast_2d(y_check)
+    if not np.all(np.any(y_block, axis=1)):
+        raise DegenerateDataError("y = 0: error variance degenerates to 0")
+    spec = state.spec
+    block, etas, lls, tol = _fit_block(y_block**2, spec.lambdas, opts)
+    if y_check.ndim == 2:
+        return block
+
+    sigma_hat, eta_hat = (float(v) for v in block.theta[0])
     theta_hat = ModelParams(sigma_sq=sigma_hat, eta_sq=eta_hat)
-
+    ident_flag = eigvar(spec) < IDENT_FLOOR * (spec.lambda_1 + 1.0) ** 2
     psi_hat = None
     if not ident_flag:
         fisher = gaussian_fisher(theta_hat, spec)
@@ -307,73 +388,16 @@ def fit_mle(state: ScoreState, options: FitOptions | None = None) -> FitResult:
 
     return FitResult(
         theta_hat=theta_hat,
-        eta_grid_trace=trace,
-        boundary_flag=(eta_hat == 0.0),
+        eta_grid_trace=list(zip(etas.tolist(), lls[0].tolist())) if opts.trace else [],
+        boundary_flag=bool(block.boundary[0]),
         identifiability_flag=bool(ident_flag),
-        newton_iters=newton_iters,
+        newton_iters=block.newton_iters,
         psi_hat=psi_hat,
-        cap_hit=cap_hit,
-        tol_score=tol_score,
+        cap_hit=bool(block.cap_hit[0]),
+        tol_score=float(tol[0]),
+        converged=bool(block.converged[0]),
+        score_residual=float(block.score_residual[0]),
     )
-
-
-def _golden_max(fn, a: float, b: float, tol: float) -> float:
-    """Golden-section maximization of fn on [a, b] to interval width tol."""
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = fn(x1), fn(x2)
-    while b - a > tol:
-        if f1 >= f2:  # ">=" keeps ties drifting toward the smaller end
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = fn(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = fn(x2)
-    return 0.5 * (a + b)
-
-
-def _newton_polish(
-    state: ScoreState,
-    eta0: float,
-    lo: float,
-    hi: float,
-    tol: float,
-    max_iter: int,
-) -> tuple[float, int]:
-    """Safeguarded Newton on H_star = 0, clamped to [lo, hi]; falls back to
-    bisection steps when Newton leaves the bracket or stalls."""
-    lo = max(lo, 0.0)
-    h_lo = profile_score(state, lo)
-    h_hi = profile_score(state, hi)
-    eta = min(max(eta0, lo), hi)
-    iters = 0
-    # Newton phase (counted), then a bisection tail to enforce the tolerance.
-    for phase_limit, newton_step in ((max_iter, True), (200, False)):
-        for _ in range(phase_limit):
-            h = profile_score(state, eta)
-            if abs(h) < tol:
-                return eta, iters
-            # maintain a sign-changing bracket when one exists
-            if h_lo > 0.0 > h_hi:
-                if h > 0.0:
-                    lo, h_lo = eta, h
-                else:
-                    hi, h_hi = eta, h
-            candidate = 0.5 * (lo + hi)
-            if newton_step:
-                d = _profile_score_deriv(state, eta)
-                if d != 0.0:
-                    trial = eta - h / d
-                    if lo < trial < hi:
-                        candidate = trial
-            eta = candidate
-            if newton_step:
-                iters += 1
-            if hi - lo < 1e-15 * max(1.0, hi):
-                return eta, iters
-    return eta, iters
 
 
 # ---------------------------------------------------------------------------
@@ -452,14 +476,9 @@ def score_covariance(
 
 
 def gaussian_fisher(params: ModelParams, spec: GramSpectrum) -> np.ndarray:
-    """Gaussian Fisher information for (sigma^2, eta^2) at ``params``."""
-    lam = spec.lambdas
-    s2, e2 = params.sigma_sq, params.eta_sq
-    r = 1.0 / (e2 * lam + 1.0)
-    i11 = 1.0 / (2.0 * s2 * s2)
-    i12 = float(np.mean(lam * r)) / (2.0 * s2)
-    i22 = 0.5 * float(np.mean(lam**2 * r * r))
-    return np.array([[i11, i12], [i12, i22]])
+    """Gaussian Fisher information for (sigma^2, eta^2) at ``params``: minus the
+    expected Hessian at the truth."""
+    return -expected_hessian(params, params, spec)
 
 
 def asymptotic_cov(
@@ -492,4 +511,6 @@ def fit_result_to_dict(fit: FitResult) -> dict:
         "psi": None if fit.psi_hat is None else [float(v) for v in fit.psi_hat.ravel()],
         "newton_iters": fit.newton_iters,
         "cap_hit": fit.cap_hit,
+        "converged": fit.converged,
+        "score_residual": fit.score_residual,
     }

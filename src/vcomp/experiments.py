@@ -7,10 +7,11 @@ experiment tests shapes (monotonicity, log-linearity, slope windows) rather
 than bound values; each report header restates this.
 
 Determinism contract: replicate r of cell c draws from the Philox stream
-(master_seed, c << 32 | r), all per-replicate arithmetic runs on fixed-shape
-arrays one replicate at a time, and reductions are order-independent.  Reports
-are therefore byte-identical across reruns and across any worker count
-(wall-clock time is deliberately kept out of the serialized report).
+(master_seed, c << 32 | r); fits run on fixed blocks of 64 replicates and each
+worker chunk is a union of whole blocks, so no arithmetic depends on the worker
+count; reductions are order-independent.  Reports are therefore byte-identical
+across reruns and across any worker count (wall-clock time is deliberately
+kept out of the serialized report).
 """
 
 from __future__ import annotations
@@ -54,6 +55,9 @@ KINDS = ("consistency", "tail_envelope", "normality", "coupling", "stein_discrep
 _X_STREAM = (1 << 32) - 1
 _AUX_STREAM = (1 << 32) - 2
 _CTRL_STREAM = (1 << 32) - 3
+# replicates fitted together; chunks are unions of whole blocks, so no block
+# boundary depends on the worker count
+_FIT_BLOCK = 64
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 _CHI2_2_95 = float(stats.chi2.ppf(0.95, 2))
 
@@ -223,27 +227,11 @@ class ExperimentReport:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["n", "cell", "estimate", "stderr", "gate", "pass"])
         for cell in self.cells:
-            writer.writerow(
-                [
-                    cell.get("n", ""),
-                    cell.get("cell", ""),
-                    cell.get("estimate", ""),
-                    cell.get("stderr", ""),
-                    "",
-                    "",
-                ]
-            )
+            fields = [cell.get(k, "") for k in ("n", "cell", "estimate", "stderr")]
+            writer.writerow(fields + ["", ""])
         for gate in self.gates:
-            writer.writerow(
-                [
-                    gate.get("n", ""),
-                    gate.get("cell", ""),
-                    gate.get("value", ""),
-                    gate.get("stderr", ""),
-                    gate["gate"],
-                    gate["pass"],
-                ]
-            )
+            fields = [gate.get(k, "") for k in ("n", "cell", "value", "stderr")]
+            writer.writerow(fields + [gate["gate"], gate["pass"]])
         return buf.getvalue()
 
     def write(self, outdir: str | Path) -> None:
@@ -251,6 +239,13 @@ class ExperimentReport:
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "report.json").write_text(self.to_json(), encoding="utf-8")
         (outdir / "cells.csv").write_text(self.cells_csv(), encoding="utf-8")
+
+
+def _report(plan: ExperimentPlan, cells: list, gates: list, t0: float) -> ExperimentReport:
+    return ExperimentReport(
+        kind=plan.kind, header=REPORT_HEADER, provenance=_provenance(plan),
+        cells=cells, gates=gates, runtime_seconds=time.perf_counter() - t0,
+    )
 
 
 def _provenance(plan: ExperimentPlan) -> dict:
@@ -375,8 +370,9 @@ def _cell_design(plan: ExperimentPlan, cell_index: int, n: int) -> np.ndarray:
 
 
 def _chunks(total: int, workers: int) -> list[tuple[int, int]]:
-    parts = max(1, min(workers, total))
-    size = (total + parts - 1) // parts
+    """At most ``workers`` ranges [lo, hi), each a union of whole fit blocks."""
+    blocks = -(-total // _FIT_BLOCK)
+    size = -(-blocks // max(1, min(workers, blocks))) * _FIT_BLOCK
     return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
 
 
@@ -402,26 +398,43 @@ def _gather_chunks(fn, plan: ExperimentPlan, cell_args: tuple, total: int) -> np
     return np.concatenate(parts, axis=0)
 
 
-def _fit_replicate(plan: ExperimentPlan, X, spec, cell_index: int, r: int):
+def _rotated_blocks(plan: ExperimentPlan, cell_index: int, X, spec, lo: int, hi: int,
+                    coupling: CouplingSpec | None = None):
+    """Per fit block of replicates [lo, hi): the datasets, each drawn from its
+    own replicate stream, and their outcomes rotated together, (block, n)."""
+    params = plan.params()
     beta_law, eps_law = plan.laws()
-    ds = gen_independent(
-        X, plan.params(), beta_law, eps_law, SeedSpec(plan.master_seed, _stream(cell_index, r))
-    )
-    state = est.ScoreState(y_check=spec.U.T @ ds.y, spec=spec)
-    return est.fit_mle(state, est.FitOptions(trace=False))
+    for b in range(lo, hi, _FIT_BLOCK):
+        block = range(b, min(b + _FIT_BLOCK, hi))
+        seeds = [SeedSpec(plan.master_seed, _stream(cell_index, r)) for r in block]
+        if coupling is None:
+            sets = [gen_independent(X, params, beta_law, eps_law, seed) for seed in seeds]
+        else:
+            sets = [gen_coupled(X, params, beta_law, eps_law, coupling, seed) for seed in seeds]
+        yield sets, np.stack([ds.y for ds in sets]) @ spec.U
+
+
+def _fit_rows(spec, y_check: np.ndarray) -> np.ndarray:
+    """Fit one block of rotated outcomes together; rows are
+    (sigma2_hat, eta2_hat, cap_hit, nonconverged)."""
+    fit = est.fit_mle(est.ScoreState(y_check=y_check, spec=spec), est.FitOptions(trace=False))
+    return np.column_stack([fit.theta, fit.cap_hit, ~fit.converged])
+
+
+def _fit_counts(rows: np.ndarray) -> dict:
+    """Cell counters from ``_fit_rows`` columns 2 and 3."""
+    cap_hits, nonconverged = np.count_nonzero(rows[:, 2:4], axis=0).tolist()
+    return {"cap_hits": cap_hits, "nonconverged": nonconverged}
 
 
 # module-level chunk workers (picklable) -------------------------------------
 
 
 def _chunk_theta(task) -> np.ndarray:
-    """Fit replicates [lo, hi) of one cell; rows are (sigma2_hat, eta2_hat)."""
+    """Fit replicates [lo, hi) of one cell; rows as in ``_fit_rows``."""
     plan, cell_index, X, spec, lo, hi = task
-    out = np.empty((hi - lo, 2))
-    for i, r in enumerate(range(lo, hi)):
-        fit = _fit_replicate(plan, X, spec, cell_index, r)
-        out[i] = fit.theta_hat.as_array()
-    return out
+    blocks = _rotated_blocks(plan, cell_index, X, spec, lo, hi)
+    return np.concatenate([_fit_rows(spec, y_check) for _, y_check in blocks])
 
 
 def _expansion_controls(
@@ -438,7 +451,8 @@ def _expansion_controls(
 
     The resolvent at eta_0^2 is the same for every row, so the score and the
     first Newton step come from one (reps, n) @ (n, 3) product; the second
-    step and the profiled variance reuse one (reps, n) resolvent buffer.
+    step uses the batched fit's row helper, and the profiled variance one
+    more (reps, n) resolvent.
     """
     lam = spec.lambdas
     n = spec.n
@@ -457,10 +471,7 @@ def _expansion_controls(
     if not fallback < 0:
         fallback = -1e-8
 
-    def newton(e, ss, quad, cube, mlr, ml2r2):
-        # ss, quad, cube: row means of y^2 r, y^2 lam r^2, y^2 lam^2 r^3
-        h = quad - ss * mlr
-        hp = -2.0 * cube + quad * mlr + ss * ml2r2
+    def newton(e, h, hp):
         slope = np.where(hp < -1e-300, hp, fallback)
         return np.clip(e - h / slope, 0.0, 1e6)
 
@@ -468,19 +479,10 @@ def _expansion_controls(
     scores = np.stack([ss / (2.0 * s2 * s2) - 1.0 / (2.0 * s2), quad / (2.0 * s2) - 0.5 * mlr0], axis=-1)
     u_lin = -math.sqrt(n) * scores @ np.linalg.inv(j0).T
 
-    e = newton(e0, ss, quad, cube, mlr0, ml2r2_0)
-    res = np.multiply(e[:, None], lam)
-    res += 1.0
-    np.reciprocal(res, out=res)  # r
-    yr = y_check_sq * res
-    res *= lam  # lam r
-    ss = yr.sum(axis=1) / n
-    quad = np.einsum("ij,ij->i", yr, res) / n
-    yr *= res  # y^2 lam r^2
-    cube = np.einsum("ij,ij->i", yr, res) / n
-    e = newton(e, ss, quad, cube, res.sum(axis=1) / n, np.einsum("ij,ij->i", res, res) / n)
+    e = newton(e0, *est._score_terms(ss, quad, cube, mlr0, ml2r2_0))
+    e = newton(e, *est._score_rows(y_check_sq, lam, e)[1:])
 
-    np.multiply(e[:, None], lam, out=res)
+    res = np.multiply(e[:, None], lam)
     res += 1.0
     np.reciprocal(res, out=res)
     sig = np.einsum("ij,ij->i", y_check_sq, res) / n
@@ -489,22 +491,15 @@ def _expansion_controls(
 
 
 def _chunk_theta_lin(task) -> np.ndarray:
-    """Fit replicates of one cell; rows are (sigma2_hat, eta2_hat, controls...)."""
+    """Fit replicates of one cell; rows are the ``_fit_rows`` columns, then
+    the four expansion controls."""
     plan, cell_index, X, spec, lo, hi = task
     params = plan.params()
     j0 = est.expected_hessian(params, params, spec)
-    out = np.empty((hi - lo, 6))
-    beta_law, eps_law = plan.laws()
-    for i, r in enumerate(range(lo, hi)):
-        ds = gen_independent(
-            X, params, beta_law, eps_law, SeedSpec(plan.master_seed, _stream(cell_index, r))
-        )
-        y_check = spec.U.T @ ds.y
-        state = est.ScoreState(y_check=y_check, spec=spec)
-        fit = est.fit_mle(state, est.FitOptions(trace=False))
-        out[i, :2] = fit.theta_hat.as_array()
-        out[i, 2:] = _expansion_controls((y_check**2)[None, :], params, spec, j0)[0]
-    return out
+    return np.concatenate([
+        np.hstack([_fit_rows(spec, y_check), _expansion_controls(y_check**2, params, spec, j0)])
+        for _, y_check in _rotated_blocks(plan, cell_index, X, spec, lo, hi)
+    ])
 
 
 def _chunk_control(task) -> np.ndarray:
@@ -605,22 +600,13 @@ def _chunk_tail(task) -> np.ndarray:
 
 
 def _chunk_coupled(task) -> np.ndarray:
-    """Rows are (sigma2_tilde, eta2_tilde, coupling_distance) per replicate."""
+    """Rows are the ``_fit_rows`` columns, then the coupling distance."""
     plan, cell_index, X, spec, delta, fraction, lo, hi = task
-    params = plan.params()
-    beta_law, eps_law = plan.laws()
     coupling = CouplingSpec(scheme=plan.coupling_scheme, delta=delta, fraction=fraction)
-    out = np.empty((hi - lo, 3))
-    for i, r in enumerate(range(lo, hi)):
-        ds = gen_coupled(
-            X, params, beta_law, eps_law, coupling,
-            SeedSpec(plan.master_seed, _stream(cell_index, r)),
-        )
-        state = est.ScoreState(y_check=spec.U.T @ ds.y, spec=spec)
-        fit = est.fit_mle(state, est.FitOptions(trace=False))
-        out[i, :2] = fit.theta_hat.as_array()
-        out[i, 2] = ds.coupling.coupling_distance
-    return out
+    return np.concatenate([
+        np.column_stack([_fit_rows(spec, y_check), [ds.coupling.coupling_distance for ds in sets]])
+        for sets, y_check in _rotated_blocks(plan, cell_index, X, spec, lo, hi, coupling)
+    ])
 
 
 def _chunk_wvec(task) -> np.ndarray:
@@ -712,7 +698,8 @@ def run_consistency(plan: ExperimentPlan) -> ExperimentReport:
             raise NonIdentifiableError(
                 f"cell n={n}: eigenvalue variance below the identifiability floor"
             )
-        thetas = _gather_chunks(_chunk_theta, plan, (ci, X, spec), plan.replicates)
+        rows = _gather_chunks(_chunk_theta, plan, (ci, X, spec), plan.replicates)
+        thetas = rows[:, :2]
         errs = np.linalg.norm(thetas - theta0, axis=1)
         med, se = median_with_stderr(errs)
         medians.append(med)
@@ -726,6 +713,7 @@ def run_consistency(plan: ExperimentPlan) -> ExperimentReport:
                 "stderr": se,
                 "mean_error": float(np.mean(errs)),
                 "boundary_fraction": float(np.mean(thetas[:, 1] == 0.0)),
+                **_fit_counts(rows),
             }
         )
 
@@ -757,12 +745,7 @@ def run_consistency(plan: ExperimentPlan) -> ExperimentReport:
                 r2=fitres["r2"],
             )
         )
-    report = ExperimentReport(
-        kind=plan.kind, header=REPORT_HEADER, provenance=_provenance(plan),
-        cells=cells, gates=gates,
-    )
-    report.runtime_seconds = time.perf_counter() - t0
-    return report
+    return _report(plan, cells, gates, t0)
 
 
 def run_tail(plan: ExperimentPlan, r_grid: tuple[float, ...] | None = None) -> ExperimentReport:
@@ -838,12 +821,7 @@ def run_tail(plan: ExperimentPlan, r_grid: tuple[float, ...] | None = None) -> E
                 r2=fitres["r2"],
             )
         )
-    report = ExperimentReport(
-        kind=plan.kind, header=REPORT_HEADER, provenance=_provenance(plan),
-        cells=cells, gates=gates,
-    )
-    report.runtime_seconds = time.perf_counter() - t0
-    return report
+    return _report(plan, cells, gates, t0)
 
 
 def run_normality(plan: ExperimentPlan) -> ExperimentReport:
@@ -893,7 +871,7 @@ def run_normality(plan: ExperimentPlan) -> ExperimentReport:
         fvals = fn.evaluator(u)
         if ctrl_jobs:
             ctrl_mean_aux, ctrl_se_aux = parts[0]
-            u_lin, u_step = rows[:, 2:4], rows[:, 4:6]
+            u_lin, u_step = rows[:, 4:6], rows[:, 6:8]
             # the linearized expansion's first two moments are exact: mean 0
             # and covariance equal to the sandwich matrix, for every n
             controls = np.column_stack(
@@ -936,6 +914,7 @@ def run_normality(plan: ExperimentPlan) -> ExperimentReport:
                 "coverage95_stderr": cover_se,
                 "coverage95_wilson": list(wilson_interval(k_cover, plan.replicates)),
                 "far_fraction": far,
+                **_fit_counts(rows),
             }
         )
 
@@ -955,12 +934,7 @@ def run_normality(plan: ExperimentPlan) -> ExperimentReport:
         _gate("wald_coverage_window", band, in_win, value=cov, stderr=cov_se,
               window=[0.92, 0.975], n=last["n"])
     )
-    report = ExperimentReport(
-        kind=plan.kind, header=REPORT_HEADER, provenance=_provenance(plan),
-        cells=cells, gates=gates,
-    )
-    report.runtime_seconds = time.perf_counter() - t0
-    return report
+    return _report(plan, cells, gates, t0)
 
 
 def run_coupling(plan: ExperimentPlan, delta_grid: tuple[float, ...] | None = None) -> ExperimentReport:
@@ -982,11 +956,13 @@ def run_coupling(plan: ExperimentPlan, delta_grid: tuple[float, ...] | None = No
     for ci, n in enumerate(plan.n_grid):
         X = _cell_design(plan, ci, n)
         spec = decompose_gram(X)
-        ind = _gather_chunks(_chunk_theta, plan, (ci, X, spec), plan.replicates)
+        ind_rows = _gather_chunks(_chunk_theta, plan, (ci, X, spec), plan.replicates)
+        ind = ind_rows[:, :2]
         ind_err = np.linalg.norm(ind - theta0, axis=1)
         med_ind, se_ind = median_with_stderr(ind_err)
         cells.append(
-            {"cell": f"n={n},independent", "n": n, "estimate": med_ind, "stderr": se_ind}
+            {"cell": f"n={n},independent", "n": n, "estimate": med_ind, "stderr": se_ind,
+             **_fit_counts(ind_rows)}
         )
         med_by_delta, se_by_delta, dist_by_delta = [], [], []
         for delta in deltas:
@@ -997,7 +973,7 @@ def run_coupling(plan: ExperimentPlan, delta_grid: tuple[float, ...] | None = No
             )
             errs = np.linalg.norm(coup[:, :2] - theta0, axis=1)
             med, se = median_with_stderr(errs)
-            med_dist = float(np.median(coup[:, 2]))
+            med_dist = float(np.median(coup[:, 4]))
             med_by_delta.append(med)
             se_by_delta.append(se)
             dist_by_delta.append(med_dist)
@@ -1014,6 +990,7 @@ def run_coupling(plan: ExperimentPlan, delta_grid: tuple[float, ...] | None = No
                     "stderr": se,
                     "median_coupling_distance": med_dist,
                     "error_ratio_vs_independent": med / med_ind if med_ind > 0 else math.inf,
+                    **_fit_counts(coup),
                 }
             )
         if len(deltas) > 1:
@@ -1040,12 +1017,7 @@ def run_coupling(plan: ExperimentPlan, delta_grid: tuple[float, ...] | None = No
         gates.append(
             _gate("error_ratio_within_2x", worst <= 2.0, worst <= 2.0, value=worst, n=big_n)
         )
-    report = ExperimentReport(
-        kind=plan.kind, header=REPORT_HEADER, provenance=_provenance(plan),
-        cells=cells, gates=gates,
-    )
-    report.runtime_seconds = time.perf_counter() - t0
-    return report
+    return _report(plan, cells, gates, t0)
 
 
 def run_stein(plan: ExperimentPlan) -> ExperimentReport:
@@ -1124,12 +1096,7 @@ def run_stein(plan: ExperimentPlan) -> ExperimentReport:
                 values=[float(v) for v in discs], stderrs=[float(v) for v in disc_ses],
             )
         )
-    report = ExperimentReport(
-        kind=plan.kind, header=REPORT_HEADER, provenance=_provenance(plan),
-        cells=cells, gates=gates,
-    )
-    report.runtime_seconds = time.perf_counter() - t0
-    return report
+    return _report(plan, cells, gates, t0)
 
 
 _RUNNERS = {

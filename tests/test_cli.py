@@ -39,6 +39,8 @@ class TestFit:
         assert fit["sigma2_hat"] == pytest.approx(params.sigma_sq, abs=1e-6)
         assert fit["identifiable"] is True
         assert fit["psi"] is not None and len(fit["psi"]) == 4
+        assert fit["converged"] is True and fit["cap_hit"] is False
+        assert 0.0 <= fit["score_residual"] < 1e-8
 
     def test_constant_spectrum_exit_two(self, tmp_path):
         n = 8
@@ -373,3 +375,30 @@ class TestConfigValidation:
         assert main(["fit", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("vcomp: error: ") and "file holds 0 bytes" in err
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("n_grid",), 30),
+            (("n_grid",), "30"),
+            (("r_grid",), 0.3),
+            (("test_fn", "scales"), 3.0),
+            (("coupling", "delta_grid"), 0.5),
+        ],
+    )
+    def test_scalar_where_list_belongs(self, tmp_path, capsys, path, value):
+        cfg = json.loads(json.dumps(EXP_CFG))
+        node = cfg
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = value
+        cfg_path = write_config(tmp_path / "c.cfg", cfg)
+        assert main(["experiment", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
+        assert f"vcomp: error: {path[-1]}: expected a list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "3.7", "", "1_000"])
+    def test_bad_env_seed_names_the_variable(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("VCOMP_SEED", value)
+        cfg = write_config(tmp_path / "gen.cfg", {k: v for k, v in GEN_CFG.items() if k != "seed"})
+        assert main(["generate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "vcomp: error: VCOMP_SEED: expected an integer" in capsys.readouterr().err

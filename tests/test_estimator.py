@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vcomp.estimator as est
 from vcomp.errors import DegenerateDataError, NonIdentifiableError
@@ -202,7 +204,39 @@ class TestProfileScore:
             assert abs(profile_score(state, fit.theta_hat.eta_sq)) < fit.tol_score
 
 
+def pairwise_spread(lam, eta_sq):
+    """O(n^2) oracle: sum_ij (lam_i - lam_j)^2 / ((eta^2 lam_i+1)^2 (eta^2 lam_j+1)^2)."""
+    r = 1.0 / (eta_sq * lam + 1.0)
+    diff = lam[:, None] - lam[None, :]
+    return float(np.sum(diff * diff * (r * r)[:, None] * (r * r)[None, :]))
+
+
+def pairwise_pop_score(eta_sq, params, spec):
+    n = spec.n
+    total = pairwise_spread(spec.lambdas, eta_sq)
+    return params.sigma_sq * (params.eta_sq - eta_sq) / (2.0 * n * n) * total
+
+
+def pairwise_det(params, spec):
+    n = spec.n
+    return pairwise_spread(spec.lambdas, params.eta_sq) / (8.0 * params.sigma_sq**2 * n * n)
+
+
 class TestPopProfileScore:
+    def test_matches_pairwise_oracle(self):
+        rng = np.random.default_rng(41)
+        for _ in range(100):
+            n = int(rng.integers(2, 60))
+            lam = np.sort(rng.uniform(0.0, 4.0, n))[::-1]
+            lam[rng.random(n) < 0.2] = 0.0
+            spec = spec_from_lambdas(np.sort(lam)[::-1])
+            params = ModelParams(float(rng.uniform(0.2, 3.0)), float(rng.uniform(0.0, 3.0)))
+            eta = float(rng.uniform(0.0, 4.0))
+            a, b = pop_profile_score(eta, params, spec), pairwise_pop_score(eta, params, spec)
+            assert abs(a - b) <= 1e-10 * max(1.0, abs(b))
+            a, b = expected_hessian_det(params, spec), pairwise_det(params, spec)
+            assert abs(a - b) <= 1e-10 * max(1.0, abs(b))
+
     def test_zero_at_truth(self):
         spec = spec_from_lambdas([3.0, 1.0, 0.2])
         params = ModelParams(1.0, 0.8)
@@ -626,3 +660,225 @@ class TestFisherAndSandwich:
             info_r, score_covariance(params, spec, X, (RADEMACHER, RADEMACHER)), rtol=1e-8
         )
         assert not np.allclose(psi_g, psi_r)
+
+
+# ---------------------------------------------------------------------------
+# The batched search against the scalar search it replaced
+# ---------------------------------------------------------------------------
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+T_CAP = FitOptions().t_cap
+
+
+def _profile_score_deriv(state, eta_sq):
+    lam = state.spec.lambdas
+    r = 1.0 / (eta_sq * lam + 1.0)
+    ych2 = state.y_check**2
+    ss = float(np.mean(ych2 * r))
+    ss_d = -float(np.mean(lam * ych2 * r * r))
+    return (
+        -2.0 * float(np.mean(lam**2 * ych2 * r**3))
+        - ss_d * float(np.mean(lam * r))
+        + ss * float(np.mean(lam**2 * r * r))
+    )
+
+
+def _golden_max(fn, a, b, tol):
+    x1 = b - _GOLDEN * (b - a)
+    x2 = a + _GOLDEN * (b - a)
+    f1, f2 = fn(x1), fn(x2)
+    while b - a > tol:
+        if f1 >= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLDEN * (b - a)
+            f1 = fn(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (b - a)
+            f2 = fn(x2)
+    return 0.5 * (a + b)
+
+
+def _newton_polish(state, eta0, lo, hi, tol, max_iter=20):
+    lo = max(lo, 0.0)
+    h_lo, h_hi = profile_score(state, lo), profile_score(state, hi)
+    eta = min(max(eta0, lo), hi)
+    for phase_limit, newton_step in ((max_iter, True), (200, False)):
+        for _ in range(phase_limit):
+            h = profile_score(state, eta)
+            if abs(h) < tol:
+                return eta
+            if h_lo > 0.0 > h_hi:
+                if h > 0.0:
+                    lo, h_lo = eta, h
+                else:
+                    hi, h_hi = eta, h
+            candidate = 0.5 * (lo + hi)
+            if newton_step:
+                d = _profile_score_deriv(state, eta)
+                if d != 0.0:
+                    trial = eta - h / d
+                    if lo < trial < hi:
+                        candidate = trial
+            eta = candidate
+            if hi - lo < 1e-15 * max(1.0, hi):
+                return eta
+    return eta
+
+
+def oracle_eta(state, grid_points=64, golden_tol=1e-8):
+    """The scalar search: a 64-point t grid, golden section in the best cell's
+    neighbourhood, then safeguarded Newton with a bisection tail.  Returns
+    (eta_hat, cap_hit)."""
+    eta_of = lambda t: t / (1.0 - t)  # noqa: E731
+    ts = np.linspace(0.0, T_CAP, grid_points)
+    lls = np.array([profile_loglik(state, eta_of(t)) for t in ts])
+    h0 = profile_score(state, 0.0)
+    ll_max = float(np.max(lls))
+    best = int(np.argmax(lls >= ll_max - 1e-12 * (1.0 + abs(ll_max))))
+    if best == 0 and h0 <= 0.0:
+        return 0.0, False
+    t_lo, t_hi = ts[max(best - 1, 0)], ts[min(best + 1, len(ts) - 1)]
+    t_star = _golden_max(lambda t: profile_loglik(state, eta_of(t)), t_lo, t_hi, golden_tol)
+    eta = max(_newton_polish(state, eta_of(t_star), eta_of(t_lo), eta_of(t_hi),
+                             1e-8 * (1.0 + abs(h0))), 0.0)
+    return eta, eta >= eta_of(T_CAP) * (1.0 - 1e-12)
+
+
+def grid_loglik(state):
+    ts = np.linspace(0.0, T_CAP, 64)
+    return np.array([profile_loglik(state, t / (1.0 - t)) for t in ts])
+
+
+def block_fit(spec, y_check):
+    return fit_mle(ScoreState(y_check=y_check, spec=spec), FitOptions(trace=False))
+
+
+@st.composite
+def spectra_and_blocks(draw):
+    """A random spectrum (some zero eigenvalues allowed) and a block of
+    y_check drawn from the model at a random truth."""
+    n = draw(st.integers(8, 120))
+    seed = draw(st.integers(0, 2**32 - 1))
+    eta0 = draw(st.sampled_from([0.0, 0.05, 0.5, 1.0, 3.0, 20.0]))
+    zeros = draw(st.integers(0, n // 2))
+    rng = np.random.default_rng(seed)
+    lam = np.sort(rng.uniform(0.0, 4.0, n))[::-1]
+    if zeros:
+        lam[-zeros:] = 0.0
+    spec = GramSpectrum(n=n, p=n, lambdas=lam, U=np.eye(n), n0=n - zeros)
+    sigma0 = float(rng.uniform(0.2, 5.0))
+    y_check = np.sqrt(sigma0 * (eta0 * lam + 1.0)) * rng.standard_normal((12, n))
+    return spec, y_check
+
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+class TestBatchedFitProperties:
+    @PROPERTY
+    @given(spectra_and_blocks())
+    def test_loglik_at_least_oracle_and_grid(self, case):
+        spec, y_check = case
+        fit = block_fit(spec, y_check)
+        for row, theta in zip(y_check, fit.theta):
+            state = ScoreState(y_check=row, spec=spec)
+            ll = profile_loglik(state, float(theta[1]))
+            oracle_ll = profile_loglik(state, oracle_eta(state)[0])
+            assert ll >= oracle_ll - 1e-12 * (1.0 + abs(oracle_ll))
+            grid_max = float(np.max(grid_loglik(state)))
+            assert ll >= grid_max - 1e-12 * (1.0 + abs(grid_max))
+
+    @PROPERTY
+    @given(spectra_and_blocks())
+    def test_non_cap_rows_match_oracle(self, case):
+        spec, y_check = case
+        fit = block_fit(spec, y_check)
+        for row, theta, cap in zip(y_check, fit.theta, fit.cap_hit):
+            eta, oracle_cap = oracle_eta(ScoreState(y_check=row, spec=spec))
+            if cap or oracle_cap:
+                continue
+            # the scalar search stops once |H_star| < tol_score, which on a flat
+            # profile leaves it short of the root by up to one Newton step
+            state = ScoreState(y_check=row, spec=spec)
+            slack = abs(profile_score(state, eta) / _profile_score_deriv(state, eta))
+            t_block = theta[1] / (1.0 + theta[1])
+            assert abs(t_block - eta / (1.0 + eta)) <= 1e-7 + slack / (1.0 + eta) ** 2
+
+    @PROPERTY
+    @given(spectra_and_blocks(), st.sampled_from([1e-3, 0.1, 7.0, 1e3]))
+    def test_scale_equivariance(self, case, c):
+        spec, y_check = case
+        base, scaled = block_fit(spec, y_check), block_fit(spec, c * y_check)
+        np.testing.assert_allclose(scaled.theta[:, 0], c * c * base.theta[:, 0], rtol=1e-8)
+        t = lambda e: e / (1.0 + e)  # noqa: E731
+        np.testing.assert_allclose(t(scaled.theta[:, 1]), t(base.theta[:, 1]), rtol=0, atol=1e-9)
+        assert np.array_equal(scaled.cap_hit, base.cap_hit)
+
+    @PROPERTY
+    @given(spectra_and_blocks(), st.integers(0, 63))
+    def test_row_alone_equals_row_in_block(self, case, k):
+        spec, y_check = case
+        rng = np.random.default_rng(k)
+        big = y_check[rng.integers(0, len(y_check), 64)]
+        fit = block_fit(spec, big)
+        alone = fit_mle(ScoreState(y_check=big[k], spec=spec), FitOptions(trace=False))
+        assert alone.theta_hat.sigma_sq == pytest.approx(fit.theta[k, 0], rel=1e-10)
+        assert alone.theta_hat.eta_sq / (1 + alone.theta_hat.eta_sq) == pytest.approx(
+            fit.theta[k, 1] / (1 + fit.theta[k, 1]), rel=0, abs=1e-9
+        )
+        assert (alone.boundary_flag, alone.cap_hit, alone.converged) == (
+            fit.boundary[k], fit.cap_hit[k], fit.converged[k]
+        )
+
+
+class TestBatchedFit:
+    def test_block_result_types(self):
+        _, spec, state = make_state(42, n=30, p=50)
+        block = np.stack([state.y_check, 2.0 * state.y_check, -state.y_check])
+        fit = block_fit(spec, block)
+        assert isinstance(fit, est.FitBlock)
+        assert fit.theta.shape == (3, 2)
+        assert type(fit.newton_iters) is int
+        for flags in (fit.boundary, fit.cap_hit, fit.converged):
+            assert flags.dtype == bool and flags.shape == (3,)
+        assert fit.theta[2, 1] == fit.theta[0, 1]
+
+    def test_zero_row_rejected(self):
+        _, spec, state = make_state(43)
+        with pytest.raises(DegenerateDataError):
+            block_fit(spec, np.stack([state.y_check, np.zeros(spec.n)]))
+
+    def test_converged_fit_reports_small_residual(self):
+        _, _, state = make_state(44, n=60, p=90)
+        fit = fit_mle(state)
+        assert fit.converged
+        if not fit.boundary_flag:
+            assert fit.score_residual < fit.tol_score
+            assert fit.score_residual == pytest.approx(
+                abs(profile_score(state, fit.theta_hat.eta_sq)), abs=1e-12
+            )
+
+    def test_profile_maximum_at_the_cap_is_flagged(self):
+        # n = 100, p = 200, eta0^2 = 20: the scalar search stopped within its
+        # golden-section tolerance of the cap (eta^2 about 995751) without
+        # flagging it, at a lower likelihood than the cap itself
+        n, p = 100, 200
+        X = np.random.default_rng(100).standard_normal((n, p))
+        spec = decompose_gram(X)
+        params = ModelParams(1.0, 20.0)
+        ys = [gen_independent(X, params, GAUSSIAN, GAUSSIAN, SeedSpec(3, r)).y for r in range(500)]
+        fit = block_fit(spec, np.stack(ys) @ spec.U)
+        eta_cap = T_CAP / (1.0 - T_CAP)
+        missed = 0
+        for r in range(500):
+            state = ScoreState(y_check=spec.U.T @ ys[r], spec=spec)
+            eta, cap = oracle_eta(state)
+            if eta > 0.9 * eta_cap and not cap:
+                missed += 1
+                assert fit.cap_hit[r] and fit.theta[r, 1] == eta_cap
+                assert profile_loglik(state, eta_cap) > profile_loglik(state, eta)
+        assert missed == 164
+        assert np.all(fit.converged)
+        single = fit_mle(ScoreState.from_observations(spec, ys[int(np.argmax(fit.cap_hit))]))
+        assert single.cap_hit and single.converged

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vcomp.errors import NonIdentifiableError, TailGridError
 from vcomp.estimator import ScoreState, expected_hessian, sigma0_sq_of, sigma_star_sq
 from vcomp.experiments import (
+    _FIT_BLOCK,
     REPORT_HEADER,
     _cell_design,
+    _chunks,
     _chunk_tail,
     _endpoint_drop_gate,
     _expansion_controls,
@@ -154,6 +158,30 @@ class TestDeterminism:
         assert serial.to_json() == parallel.to_json()
         assert serial.cells_csv() == parallel.cells_csv()
 
+    @pytest.mark.parametrize("total", [1, 63, 64, 65, 130, 1000])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_chunks_are_whole_fit_blocks(self, total, workers):
+        chunks = _chunks(total, workers)
+        assert len(chunks) <= workers
+        assert chunks[0][0] == 0 and chunks[-1][1] == total
+        assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+        assert all(lo % _FIT_BLOCK == 0 for lo, _ in chunks)
+
+    @settings(max_examples=4, deadline=None, derandomize=True, database=None)
+    @given(
+        kind=st.sampled_from(["consistency", "coupling", "normality"]),
+        replicates=st.integers(100, 200),
+        seed=st.integers(0, 2**31),
+    )
+    def test_generated_plans_worker_invariant(self, kind, replicates, seed):
+        # replicate counts from 100 to 200 put fit-block boundaries inside chunks
+        plan = small_plan(
+            kind=kind, n_grid=(12, 24), replicates=replicates, p_ratio=0.5, master_seed=seed,
+            delta_grid=(0.0, 0.5), surrogate_draws=2_000, control_draws=2_000,
+        )
+        reports = [run_experiment(with_workers(plan, w)).to_json() for w in (1, 2, 3)]
+        assert reports[0] == reports[1] == reports[2]
+
     def test_seed_changes_report(self):
         a = run_consistency(small_plan(master_seed=1))
         b = run_consistency(small_plan(master_seed=2))
@@ -171,6 +199,13 @@ class TestConsistency:
         assert "medians_decreasing" in names
         assert "slope_window" in names
         assert rep.provenance["config_hash"] == config_hash(small_plan())
+
+    def test_cells_count_cap_hits_and_nonconverged_fits(self):
+        # n = 30 with eta0^2 = 20 puts a share of the profile maxima at the cap
+        rep = run_consistency(small_plan(n_grid=(30,), eta0_sq=20.0))
+        cell = rep.cells[0]
+        assert type(cell["cap_hits"]) is int and type(cell["nonconverged"]) is int
+        assert cell["cap_hits"] > 0 and cell["nonconverged"] == 0
 
     def test_constant_spectrum_aborts(self):
         with pytest.raises(NonIdentifiableError):
