@@ -364,7 +364,10 @@ def fit_mle(state: ScoreState, options: FitOptions | None = None) -> FitResult |
     1e-10 (1+eta^2)^2, i.e. 1e-10 in t.  A row that runs out of ``newton_max``
     steps, or whose root lies below its grid maximum (then the grid maximizer
     is returned), has ``converged`` False.  ``score_residual`` is |H_star| at
-    the returned eta^2.
+    the returned eta^2.  Rows are fitted at a power-of-two scale (exact), so
+    the fit is scale-equivariant from tiny to huge y; ``psi_hat`` is None for
+    a non-identifiable or near-singular fit, or when an entry leaves the
+    normal float range.
     """
     opts = options or FitOptions()
     y_check = np.asarray(state.y_check, dtype=np.float64)
@@ -372,7 +375,13 @@ def fit_mle(state: ScoreState, options: FitOptions | None = None) -> FitResult |
     if not np.all(np.any(y_block, axis=1)):
         raise DegenerateDataError("y = 0: error variance degenerates to 0")
     spec = state.spec
-    block, etas, lls, tol = _fit_block(y_block**2, spec.lambdas, opts)
+    # each row is fitted divided by 2^e, its largest |y_i| in [1/2, 1): exact,
+    # and y^2 neither under- nor overflows; sigma^2 and H_star scale by 4^e
+    expo = np.frexp(np.max(np.abs(y_block), axis=1))[1]
+    block, etas, lls, tol = _fit_block(np.ldexp(y_block, -expo[:, None]) ** 2, spec.lambdas, opts)
+    sigma_scaled = block.theta[:, 0].copy()
+    block.theta[:, 0] = np.ldexp(sigma_scaled, 2 * expo)
+    block.score_residual = np.ldexp(block.score_residual, 2 * expo)
     if y_check.ndim == 2:
         return block
 
@@ -381,20 +390,27 @@ def fit_mle(state: ScoreState, options: FitOptions | None = None) -> FitResult |
     ident_flag = eigvar(spec) < IDENT_FLOOR * (spec.lambda_1 + 1.0) ** 2
     psi_hat = None
     if not ident_flag:
-        fisher = gaussian_fisher(theta_hat, spec)
+        fisher = gaussian_fisher(ModelParams(float(sigma_scaled[0]), eta_hat), spec)
         det = float(np.linalg.det(fisher))
         if det > 1e-12 * max(1.0, float(np.max(np.abs(fisher))) ** 2):
-            psi_hat = np.linalg.inv(fisher)
+            # sigma^2 entries scale by 4^e, its variance by 16^e; an entry that
+            # leaves the normal float range is not reported as inf or 0
+            psi_scaled, e2 = np.linalg.inv(fisher), 2 * int(expo[0])
+            with np.errstate(over="ignore", under="ignore"):
+                psi = np.ldexp(psi_scaled, [[2 * e2, e2], [e2, 0]])
+            if np.all((np.abs(psi) >= np.finfo(float).tiny) & np.isfinite(psi) | (psi_scaled == 0.0)):
+                psi_hat = psi
 
     return FitResult(
         theta_hat=theta_hat,
-        eta_grid_trace=list(zip(etas.tolist(), lls[0].tolist())) if opts.trace else [],
+        eta_grid_trace=list(zip(etas.tolist(), (lls[0] - expo[0] * math.log(2.0)).tolist()))
+        if opts.trace else [],
         boundary_flag=bool(block.boundary[0]),
         identifiability_flag=bool(ident_flag),
         newton_iters=block.newton_iters,
         psi_hat=psi_hat,
         cap_hit=bool(block.cap_hit[0]),
-        tol_score=float(tol[0]),
+        tol_score=float(np.ldexp(tol[0], 2 * expo[0])),
         converged=bool(block.converged[0]),
         score_residual=float(block.score_residual[0]),
     )

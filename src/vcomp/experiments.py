@@ -7,9 +7,9 @@ experiment tests shapes (monotonicity, log-linearity, slope windows) rather
 than bound values; each report header restates this.
 
 Determinism contract: replicate r of cell c draws from the Philox stream
-(master_seed, c << 32 | r); fits run on fixed blocks of 64 replicates and each
-worker chunk is a union of whole blocks, so no arithmetic depends on the worker
-count; reductions are order-independent.  Reports are therefore byte-identical
+(master_seed, c << 32 | r); replicates are stacked and processed in fixed
+blocks of 64 and each worker chunk is a union of whole blocks, so no
+arithmetic depends on the worker count; reductions are order-independent.  Reports are therefore byte-identical
 across reruns and across any worker count (wall-clock time is deliberately
 kept out of the serialized report).
 """
@@ -32,16 +32,8 @@ from scipy import integrate, stats
 
 from . import estimator as est
 from .errors import NonIdentifiableError, TailGridError
-from .laws import SeedSpec, law_by_name, rng_for
-from .model import (
-    CouplingSpec,
-    DesignSpec,
-    ModelParams,
-    gen_coupled,
-    gen_design,
-    gen_independent,
-    haar_orthogonal,
-)
+from .laws import SeedSpec, law_by_name, rng_for, sample_rows, shared_rng
+from .model import CouplingSpec, DesignSpec, ModelParams, draw_effects, gen_design, haar_orthogonal
 from .qform import QuadraticForm, build_w, napprox_rate, sigma_k_sq
 from .spectrum import decompose_gram, eigvar
 
@@ -55,8 +47,8 @@ KINDS = ("consistency", "tail_envelope", "normality", "coupling", "stein_discrep
 _X_STREAM = (1 << 32) - 1
 _AUX_STREAM = (1 << 32) - 2
 _CTRL_STREAM = (1 << 32) - 3
-# replicates fitted together; chunks are unions of whole blocks, so no block
-# boundary depends on the worker count
+# replicates drawn and fitted together; chunks are unions of whole blocks, so
+# no block boundary depends on the worker count
 _FIT_BLOCK = 64
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 _CHI2_2_95 = float(stats.chi2.ppf(0.95, 2))
@@ -341,8 +333,7 @@ def gaussian_expectation(
         val, err = integrate.dblquad(integrand, -8.5, 8.5, -8.5, 8.5, epsabs=epsabs)
         return float(val), float(err)
 
-    rng = rng_for(seed)
-    z = rng.standard_normal((draws, dim))
+    z = shared_rng(seed).standard_normal((draws, dim))
     vals = 0.5 * (fn.evaluator(z @ root.T) + fn.evaluator(-(z @ root.T)))
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(draws))
 
@@ -398,20 +389,22 @@ def _gather_chunks(fn, plan: ExperimentPlan, cell_args: tuple, total: int) -> np
     return np.concatenate(parts, axis=0)
 
 
+def _block_seeds(plan: ExperimentPlan, cell_index: int, lo: int, hi: int):
+    """The replicate seeds of each fit block of replicates [lo, hi)."""
+    for b in range(lo, hi, _FIT_BLOCK):
+        yield [SeedSpec(plan.master_seed, _stream(cell_index, r)) for r in range(b, min(b + _FIT_BLOCK, hi))]
+
+
 def _rotated_blocks(plan: ExperimentPlan, cell_index: int, X, spec, lo: int, hi: int,
                     coupling: CouplingSpec | None = None):
-    """Per fit block of replicates [lo, hi): the datasets, each drawn from its
-    own replicate stream, and their outcomes rotated together, (block, n)."""
+    """Per fit block of replicates [lo, hi): the stacked effects, noise and
+    effects in y, each row drawn from its own replicate stream, and the
+    rotated outcomes y_check = (B X' + E) U, (block, n)."""
     params = plan.params()
     beta_law, eps_law = plan.laws()
-    for b in range(lo, hi, _FIT_BLOCK):
-        block = range(b, min(b + _FIT_BLOCK, hi))
-        seeds = [SeedSpec(plan.master_seed, _stream(cell_index, r)) for r in block]
-        if coupling is None:
-            sets = [gen_independent(X, params, beta_law, eps_law, seed) for seed in seeds]
-        else:
-            sets = [gen_coupled(X, params, beta_law, eps_law, coupling, seed) for seed in seeds]
-        yield sets, np.stack([ds.y for ds in sets]) @ spec.U
+    for seeds in _block_seeds(plan, cell_index, lo, hi):
+        beta, eps, beta_y = draw_effects(*X.shape, params, beta_law, eps_law, seeds, coupling)
+        yield beta, eps, beta_y, (beta_y @ X.T + eps) @ spec.U
 
 
 def _fit_rows(spec, y_check: np.ndarray) -> np.ndarray:
@@ -431,10 +424,13 @@ def _fit_counts(rows: np.ndarray) -> dict:
 
 
 def _chunk_theta(task) -> np.ndarray:
-    """Fit replicates [lo, hi) of one cell; rows as in ``_fit_rows``."""
-    plan, cell_index, X, spec, lo, hi = task
-    blocks = _rotated_blocks(plan, cell_index, X, spec, lo, hi)
-    return np.concatenate([_fit_rows(spec, y_check) for _, y_check in blocks])
+    """Fit replicates [lo, hi) of one cell under a coupling (None: independent
+    effects); rows are the ``_fit_rows`` columns, then the coupling distance."""
+    plan, cell_index, X, spec, coupling, lo, hi = task
+    return np.concatenate([
+        np.column_stack([_fit_rows(spec, y_check), np.linalg.norm(beta_y - beta, axis=1)])
+        for beta, _, beta_y, y_check in _rotated_blocks(plan, cell_index, X, spec, lo, hi, coupling)
+    ])
 
 
 def _expansion_controls(
@@ -498,7 +494,7 @@ def _chunk_theta_lin(task) -> np.ndarray:
     j0 = est.expected_hessian(params, params, spec)
     return np.concatenate([
         np.hstack([_fit_rows(spec, y_check), _expansion_controls(y_check**2, params, spec, j0)])
-        for _, y_check in _rotated_blocks(plan, cell_index, X, spec, lo, hi)
+        for *_, y_check in _rotated_blocks(plan, cell_index, X, spec, lo, hi)
     ])
 
 
@@ -581,46 +577,25 @@ def _chunk_tail(task) -> np.ndarray:
     """Rows are (sup deviation over the eta grid, ||z||^2) per replicate."""
     plan, cell_index, X, spec, lo, hi = task
     params = plan.params()
-    beta_law, eps_law = plan.laws()
     etas = np.linspace(0.0, plan.eta_box, plan.eta_grid_points)
-    resolvent = 1.0 / (etas[:, None] * spec.lambdas[None, :] + 1.0)  # grid x n
-    target = np.array([est.sigma0_sq_of(e, params, spec) for e in etas])
-    out = np.empty((hi - lo, 2))
-    for i, r in enumerate(range(lo, hi)):
-        ds = gen_independent(
-            X, params, beta_law, eps_law, SeedSpec(plan.master_seed, _stream(cell_index, r))
-        )
-        ych2 = (spec.U.T @ ds.y) ** 2
-        sstar = resolvent @ ych2 / spec.n
-        out[i, 0] = float(np.max(np.abs(sstar - target)))
-        out[i, 1] = spec.p * float(ds.beta_true @ ds.beta_true) + float(
-            ds.eps_true @ ds.eps_true
-        )
-    return out
-
-
-def _chunk_coupled(task) -> np.ndarray:
-    """Rows are the ``_fit_rows`` columns, then the coupling distance."""
-    plan, cell_index, X, spec, delta, fraction, lo, hi = task
-    coupling = CouplingSpec(scheme=plan.coupling_scheme, delta=delta, fraction=fraction)
+    resolvent = 1.0 / (np.multiply.outer(spec.lambdas, etas) + 1.0) / spec.n  # n x grid
+    target = params.sigma_sq * ((params.eta_sq * spec.lambdas + 1.0) @ resolvent)
     return np.concatenate([
-        np.column_stack([_fit_rows(spec, y_check), [ds.coupling.coupling_distance for ds in sets]])
-        for sets, y_check in _rotated_blocks(plan, cell_index, X, spec, lo, hi, coupling)
+        np.column_stack([
+            np.max(np.abs(y_check**2 @ resolvent - target), axis=1),
+            spec.p * np.einsum("ij,ij->i", beta, beta) + np.einsum("ij,ij->i", eps, eps),
+        ])
+        for beta, eps, _, y_check in _rotated_blocks(plan, cell_index, X, spec, lo, hi)
     ])
 
 
 def _chunk_wvec(task) -> np.ndarray:
-    """Rows are the 2K centered quadratic-form vector per replicate."""
-    plan, cell_index, d, lo, hi = task
-    from .laws import sample_vector
-
+    """Rows are the 2K centered quadratic-form vector ``wv`` per replicate."""
+    plan, cell_index, wv, lo, hi = task
     law = law_by_name(plan.beta_law)
-    wv = _stein_wvector(plan, cell_index, d)
-    out = np.empty((hi - lo, 2 * wv.k))
-    for i, r in enumerate(range(lo, hi)):
-        z = sample_vector(law, d, SeedSpec(plan.master_seed, _stream(cell_index, r)))
-        out[i] = wv.evaluate(z)
-    return out
+    return np.concatenate([
+        wv.evaluate(sample_rows(law, wv.dim, seeds)) for seeds in _block_seeds(plan, cell_index, lo, hi)
+    ])
 
 
 def _stein_qforms(plan: ExperimentPlan, cell_index: int, d: int) -> list[QuadraticForm]:
@@ -637,11 +612,6 @@ def _stein_qforms(plan: ExperimentPlan, cell_index: int, d: int) -> list[Quadrat
     return qforms
 
 
-def _stein_wvector(plan: ExperimentPlan, cell_index: int, d: int):
-    law = law_by_name(plan.beta_law)
-    return build_w(_stein_qforms(plan, cell_index, d), law)
-
-
 # ---------------------------------------------------------------------------
 # Gate helpers
 # ---------------------------------------------------------------------------
@@ -656,12 +626,16 @@ def _gate(name: str, passed: bool, strict: bool, **extra) -> dict:
 def _decreasing_gates(values: np.ndarray, stderrs: np.ndarray) -> tuple[bool, bool]:
     """(noise-band pass, strict pass) for 'strictly decreasing along the grid'."""
     strict = bool(np.all(np.diff(values) < 0))
-    noise_ok = True
-    for i in range(len(values) - 1):
-        # fail only when an increase is established beyond the 2-stderr band
-        if values[i + 1] - 2 * stderrs[i + 1] > values[i] + 2 * stderrs[i]:
-            noise_ok = False
-    return noise_ok, strict
+    # fail only when an increase is established beyond the 2-stderr band
+    noise_ok = not np.any(values[1:] - 2 * stderrs[1:] > values[:-1] + 2 * stderrs[:-1])
+    return bool(noise_ok), strict
+
+
+def _trend_gate(name: str, values, stderrs) -> dict:
+    """``name``: values decreasing along the grid, see ``_decreasing_gates``."""
+    noise_ok, strict = _decreasing_gates(np.array(values), np.array(stderrs))
+    return _gate(name, noise_ok, strict, values=[float(v) for v in values],
+                 stderrs=[float(v) for v in stderrs])
 
 
 def _endpoint_drop_gate(discs: list[float], ses: list[float]) -> dict:
@@ -698,10 +672,12 @@ def run_consistency(plan: ExperimentPlan) -> ExperimentReport:
             raise NonIdentifiableError(
                 f"cell n={n}: eigenvalue variance below the identifiability floor"
             )
-        rows = _gather_chunks(_chunk_theta, plan, (ci, X, spec), plan.replicates)
+        rows = _gather_chunks(_chunk_theta, plan, (ci, X, spec, None), plan.replicates)
         thetas = rows[:, :2]
         errs = np.linalg.norm(thetas - theta0, axis=1)
         med, se = median_with_stderr(errs)
+        # a capped fit's error is the distance to the cap, about 1e6
+        uncapped = errs[rows[:, 2] == 0.0]
         medians.append(med)
         stderrs.append(se)
         cells.append(
@@ -711,24 +687,15 @@ def run_consistency(plan: ExperimentPlan) -> ExperimentReport:
                 "p": _cell_p(plan, n),
                 "estimate": med,
                 "stderr": se,
-                "mean_error": float(np.mean(errs)),
+                "mean_error_uncapped": float(np.mean(uncapped)) if uncapped.size else math.nan,
                 "boundary_fraction": float(np.mean(thetas[:, 1] == 0.0)),
                 **_fit_counts(rows),
             }
         )
 
-    med_arr, se_arr = np.array(medians), np.array(stderrs)
-    gates = []
-    noise_ok, strict = _decreasing_gates(med_arr, se_arr)
-    gates.append(
-        _gate(
-            "medians_decreasing", noise_ok, strict,
-            values=[float(v) for v in med_arr],
-            stderrs=[float(v) for v in se_arr],
-        )
-    )
+    gates = [_trend_gate("medians_decreasing", medians, stderrs)]
     if len(plan.n_grid) >= 2:
-        fitres = ols_loglog(np.array(plan.n_grid, float), med_arr)
+        fitres = ols_loglog(np.array(plan.n_grid, float), np.array(medians))
         lo_w, hi_w = -0.7, -0.3
         in_window = lo_w <= fitres["slope"] <= hi_w
         band_overlaps = fitres["slope"] - 2 * fitres["stderr"] <= hi_w and (
@@ -918,14 +885,7 @@ def run_normality(plan: ExperimentPlan) -> ExperimentReport:
             }
         )
 
-    gates = [_endpoint_drop_gate(discs, disc_ses)]
-    noise_ok, strict = _decreasing_gates(np.array(discs), np.array(disc_ses))
-    gates.append(
-        _gate(
-            "discrepancy_trend", noise_ok, strict,
-            values=[float(v) for v in discs], stderrs=[float(v) for v in disc_ses],
-        )
-    )
+    gates = [_endpoint_drop_gate(discs, disc_ses), _trend_gate("discrepancy_trend", discs, disc_ses)]
     last = cells[-1]
     cov, cov_se = last["coverage95"], last["coverage95_stderr"]
     in_win = 0.92 <= cov <= 0.975
@@ -956,7 +916,7 @@ def run_coupling(plan: ExperimentPlan, delta_grid: tuple[float, ...] | None = No
     for ci, n in enumerate(plan.n_grid):
         X = _cell_design(plan, ci, n)
         spec = decompose_gram(X)
-        ind_rows = _gather_chunks(_chunk_theta, plan, (ci, X, spec), plan.replicates)
+        ind_rows = _gather_chunks(_chunk_theta, plan, (ci, X, spec, None), plan.replicates)
         ind = ind_rows[:, :2]
         ind_err = np.linalg.norm(ind - theta0, axis=1)
         med_ind, se_ind = median_with_stderr(ind_err)
@@ -968,9 +928,8 @@ def run_coupling(plan: ExperimentPlan, delta_grid: tuple[float, ...] | None = No
         for delta in deltas:
             delta_eff = delta / n if plan.delta_scale == "inverse_n" else delta
             fraction = plan.sparse_fraction if plan.coupling_scheme == "sparse_zero" else 0.0
-            coup = _gather_chunks(
-                _chunk_coupled, plan, (ci, X, spec, delta_eff, fraction), plan.replicates
-            )
+            coupling = CouplingSpec(plan.coupling_scheme, delta=delta_eff, fraction=fraction)
+            coup = _gather_chunks(_chunk_theta, plan, (ci, X, spec, coupling), plan.replicates)
             errs = np.linalg.norm(coup[:, :2] - theta0, axis=1)
             med, se = median_with_stderr(errs)
             med_dist = float(np.median(coup[:, 4]))
@@ -996,10 +955,8 @@ def run_coupling(plan: ExperimentPlan, delta_grid: tuple[float, ...] | None = No
         if len(deltas) > 1:
             mono_dist = all(b >= a for a, b in zip(dist_by_delta, dist_by_delta[1:]))
             gates.append(_gate(f"distance_nondecreasing_n={n}", mono_dist, mono_dist, n=n))
-            trend_noise = True
-            for i in range(len(deltas) - 1):
-                if med_by_delta[i + 1] + 2 * se_by_delta[i + 1] < med_by_delta[i] - 2 * se_by_delta[i]:
-                    trend_noise = False
+            # a decrease fails only when established beyond the 2-stderr band
+            trend_noise = _decreasing_gates(-np.array(med_by_delta), np.array(se_by_delta))[0]
             strict_trend = all(b >= a for a, b in zip(med_by_delta, med_by_delta[1:]))
             gates.append(_gate(f"error_nondecreasing_in_delta_n={n}", trend_noise, strict_trend, n=n))
 
@@ -1034,11 +991,12 @@ def run_stein(plan: ExperimentPlan) -> ExperimentReport:
     any_degenerate = False
     for ci, d in enumerate(plan.n_grid):
         qforms = _stein_qforms(plan, ci, d)
+        wv = build_w(qforms, law)
         sigmas = [sigma_k_sq(qf, law.excess_kurtosis) for qf in qforms]
         scale = max(qf.trace_sq for qf in qforms)
         degenerate = any(s <= 1e-12 * max(scale, 1e-300) for s in sigmas)
         rate = napprox_rate(qforms, d, law.gamma, fn.norm_bounds[2:4])
-        wvals = _gather_chunks(_chunk_wvec, plan, (ci, d), plan.replicates)
+        wvals = _gather_chunks(_chunk_wvec, plan, (ci, wv), plan.replicates)
         if degenerate:
             any_degenerate = True
             max_w = float(np.max(np.abs(wvals)))
@@ -1055,7 +1013,6 @@ def run_stein(plan: ExperimentPlan) -> ExperimentReport:
                 }
             )
             continue
-        wv = _stein_wvector(plan, ci, d)
         target, target_err = gaussian_expectation(
             fn, wv.v_cov, SeedSpec(plan.master_seed, _stream(ci, _AUX_STREAM)),
             draws=plan.surrogate_draws,
@@ -1088,14 +1045,7 @@ def run_stein(plan: ExperimentPlan) -> ExperimentReport:
         strict_rate = all(b < a for a, b in zip(rates, rates[1:]))
         gates.append(_gate("rate_quantity_decreasing", strict_rate, strict_rate))
     if len(discs) >= 2:
-        gates.append(_endpoint_drop_gate(discs, disc_ses))
-        noise_ok, strict = _decreasing_gates(np.array(discs), np.array(disc_ses))
-        gates.append(
-            _gate(
-                "discrepancy_trend", noise_ok, strict,
-                values=[float(v) for v in discs], stderrs=[float(v) for v in disc_ses],
-            )
-        )
+        gates += [_endpoint_drop_gate(discs, disc_ses), _trend_gate("discrepancy_trend", discs, disc_ses)]
     return _report(plan, cells, gates, t0)
 
 

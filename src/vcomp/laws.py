@@ -93,10 +93,12 @@ class SeedSpec:
 
 
 def rng_for(seed: SeedSpec, substream: int = 0) -> np.random.Generator:
-    """Generator for a seed spec; ``substream`` jumps to a disjoint stream.
+    """A new generator for a seed spec; ``substream`` jumps to a disjoint stream.
 
     Substreams let one logical seed feed several independent draws (effects,
-    noise, perturbations) without any risk of overlap.
+    noise, perturbations) without any risk of overlap.  This is for callers
+    that hold a generator across other draws, since the cheaper
+    ``shared_rng`` (same numbers) must never be held across another draw.
     """
     bitgen = np.random.Philox(key=seed.key())
     if substream:
@@ -104,10 +106,39 @@ def rng_for(seed: SeedSpec, substream: int = 0) -> np.random.Generator:
     return np.random.Generator(bitgen)
 
 
-def sample_vector(
-    law: SubGaussianLaw, d: int, seed: SeedSpec, substream: int = 0
-) -> np.ndarray:
-    """Draw ``d`` independent coordinates from ``law``, deterministically in ``seed``."""
+_SHARED = np.random.Generator(np.random.Philox(0))  # one per process
+
+
+def shared_rng(seed: SeedSpec, substream: int = 0) -> np.random.Generator:
+    """The process's one generator, reset to the start of ``rng_for(seed, substream)``.
+
+    A Philox jump by ``substream`` adds it to the third counter word, so
+    setting the counter to ``[0, 0, substream, 0]`` under the key, with an
+    empty buffer, gives bitwise the draws of ``rng_for`` without building a
+    generator.  Never hold it across another draw, nor share it between
+    threads: the next reset replaces its state.
+    """
+    _SHARED.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.array([0, 0, substream, 0], dtype=np.uint64), "key": seed.key()},
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return _SHARED
+
+
+def sample_vector(law: SubGaussianLaw, d: int, seed: SeedSpec, substream: int = 0) -> np.ndarray:
+    """Draw ``d`` independent coordinates from ``law``, deterministically in ``seed``.
+
+    Draws through ``shared_rng``; never hold that generator across this call.
+    """
+    return sample_rows(law, d, [seed], substream)[0]
+
+
+def sample_rows(law: SubGaussianLaw, d: int, seeds, substream: int = 0) -> np.ndarray:
+    """A (len(seeds), d) block; row i is ``sample_vector(law, d, seeds[i], substream)``."""
     if d < 1:
         raise ValueError(f"need at least one coordinate, got d={d}")
-    return law.sample(rng_for(seed, substream), d)
+    out = np.empty((len(seeds), d))
+    for row, seed in zip(out, seeds):
+        row[:] = law.sample(shared_rng(seed, substream), d)
+    return out

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .laws import SeedSpec, SubGaussianLaw, rng_for, sample_vector
+from .laws import SeedSpec, SubGaussianLaw, rng_for, sample_rows, shared_rng
 from .matio import save_matrix_csv
 
 # substream tags for the per-replicate Philox stream
@@ -136,6 +136,33 @@ def gen_design(n: int, p: int, design: DesignSpec, seed: SeedSpec) -> np.ndarray
     return (U[:, :m] * s) @ W
 
 
+def draw_effects(n: int, p: int, params: ModelParams, beta_law: SubGaussianLaw,
+                 eps_law: SubGaussianLaw, seeds, coupling: CouplingSpec | None = None):
+    """Effects beta (k, p), noise eps (k, n) and the effects that enter y (k, p),
+    stacked by row; row i is drawn from the replicate stream of ``seeds[i]``.
+
+    Beta and eps come from rescaled unit-variance laws on their own
+    substreams.  Without coupling (or with scheme ``none``) y uses beta
+    itself, otherwise the coupled effects beta_tilde.
+    """
+    beta = math.sqrt(params.beta_variance(p)) * sample_rows(beta_law, p, seeds, _SUB_BETA)
+    eps = math.sqrt(params.sigma_sq) * sample_rows(eps_law, n, seeds, _SUB_EPS)
+    if coupling is None or coupling.scheme == "none":
+        return beta, eps, beta
+    if coupling.scheme == "sparse_zero":
+        k = int(round(coupling.fraction * p))
+        beta_tilde = beta.copy()
+        if k > 0:
+            for row, seed in zip(beta_tilde, seeds):
+                row[shared_rng(seed, _SUB_SPARSE).choice(p, size=k, replace=False)] = 0.0
+        return beta, eps, beta_tilde
+    # additive_perturb: unit directions so each distance equals delta exactly
+    direction = sample_rows(beta_law, p, seeds, _SUB_PERTURB)
+    for row in direction:
+        row /= np.linalg.norm(row)
+    return beta, eps, beta + coupling.delta * direction
+
+
 def gen_independent(
     X: np.ndarray,
     params: ModelParams,
@@ -144,15 +171,7 @@ def gen_independent(
     seed: SeedSpec,
 ) -> Dataset:
     """Draw beta and eps from rescaled unit-variance laws and form y = X beta + eps."""
-    X = np.asarray(X, dtype=np.float64)
-    n, p = X.shape
-    beta = math.sqrt(params.beta_variance(p)) * sample_vector(beta_law, p, seed, _SUB_BETA)
-    eps = math.sqrt(params.sigma_sq) * sample_vector(eps_law, n, seed, _SUB_EPS)
-    y = X @ beta + eps
-    return Dataset(
-        X=X, y=y, beta_true=beta, eps_true=eps, params=params,
-        beta_law=beta_law, eps_law=eps_law, seed=seed,
-    )
+    return gen_coupled(X, params, beta_law, eps_law, None, seed)
 
 
 def gen_coupled(
@@ -160,43 +179,22 @@ def gen_coupled(
     params: ModelParams,
     beta_law: SubGaussianLaw,
     eps_law: SubGaussianLaw,
-    coupling: CouplingSpec,
+    coupling: CouplingSpec | None,
     seed: SeedSpec,
 ) -> Dataset:
     """As gen_independent, but y uses the coupled effects beta_tilde.
 
     The independent partner beta (same substreams as gen_independent, so the
     ``none`` scheme reproduces it bitwise) and the realized coupling distance
-    are retained on the returned dataset.
+    are retained on the returned dataset; ``coupling`` None is gen_independent.
     """
     X = np.asarray(X, dtype=np.float64)
-    n, p = X.shape
-    beta = math.sqrt(params.beta_variance(p)) * sample_vector(beta_law, p, seed, _SUB_BETA)
-    eps = math.sqrt(params.sigma_sq) * sample_vector(eps_law, n, seed, _SUB_EPS)
-
-    if coupling.scheme == "none":
-        beta_tilde = beta
-    elif coupling.scheme == "sparse_zero":
-        k = int(round(coupling.fraction * p))
-        beta_tilde = beta.copy()
-        if k > 0:
-            idx = rng_for(seed, _SUB_SPARSE).choice(p, size=k, replace=False)
-            beta_tilde[idx] = 0.0
-    else:  # additive_perturb: unit direction so the distance equals delta exactly
-        direction = sample_vector(beta_law, p, seed, _SUB_PERTURB)
-        direction = direction / np.linalg.norm(direction)
-        beta_tilde = beta + coupling.delta * direction
-
-    realized = CouplingSpec(
-        scheme=coupling.scheme,
-        delta=coupling.delta,
-        fraction=coupling.fraction,
-        beta_tilde=beta_tilde,
-        coupling_distance=float(np.linalg.norm(beta_tilde - beta)),
+    (beta,), (eps,), (beta_y,) = draw_effects(*X.shape, params, beta_law, eps_law, [seed], coupling)
+    realized = None if coupling is None else replace(
+        coupling, beta_tilde=beta_y, coupling_distance=float(np.linalg.norm(beta_y - beta))
     )
-    y = X @ beta_tilde + eps
     return Dataset(
-        X=X, y=y, beta_true=beta, eps_true=eps, params=params,
+        X=X, y=X @ beta_y + eps, beta_true=beta, eps_true=eps, params=params,
         beta_law=beta_law, eps_law=eps_law, seed=seed, coupling=realized,
     )
 

@@ -183,16 +183,17 @@ class WVector:
         return self.qforms[0].dim
 
     def evaluate(self, z: np.ndarray) -> np.ndarray:
+        """The 2K vector at z, or one such row per row of a (reps, d) block."""
         z = np.asarray(z, dtype=np.float64)
-        if z.shape != (self.dim,):
-            raise ValueError(f"dimension mismatch: forms are {self.dim}, vector is {z.shape}")
-        z_sq = z * z
-        out = np.empty(2 * self.k)
+        if z.ndim not in (1, 2) or z.shape[-1] != self.dim:
+            raise ValueError(f"dimension mismatch: forms are {self.dim}, vectors are {z.shape}")
+        # centered termwise, z_i (Qz)_i - Q_ii and Q_ii (z_i^2 - 1), so a form that
+        # is constant in the draw (identity Q, Rademacher z) gives exactly 0
+        z_sq_m1 = z * z - 1.0
+        out = np.empty(z.shape[:-1] + (2 * self.k,))
         for i, qf in enumerate(self.qforms):
-            full = float((qf.matrix @ z) @ z)
-            diag_part = float(qf.diag @ z_sq)
-            out[2 * i] = full - qf.trace
-            out[2 * i + 1] = diag_part - qf.trace
+            out[..., 2 * i] = np.sum(z * (z @ qf.matrix) - qf.diag, axis=-1)
+            out[..., 2 * i + 1] = z_sq_m1 @ qf.diag
         return out
 
 

@@ -42,6 +42,27 @@ class TestFit:
         assert fit["converged"] is True and fit["cap_hit"] is False
         assert 0.0 <= fit["score_residual"] < 1e-8
 
+    @pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e100, 1e150])
+    def test_extreme_scales_exit_zero(self, tmp_path, scale):
+        # sigma2-hat far from 1 must not reach the covariance formulas, whose
+        # powers of sigma^2 under- or overflow at these scales
+        rng = np.random.default_rng(30)
+        X = rng.standard_normal((30, 60))
+        y = X @ rng.standard_normal(60) / math.sqrt(60) + rng.standard_normal(30)
+        save_matrix_csv(tmp_path / "X.csv", X)
+        fits = {}
+        for name, factor in (("base", 1.0), ("scaled", scale)):
+            save_matrix_csv(tmp_path / f"{name}.csv", (factor * y).reshape(-1, 1))
+            cfg = write_config(tmp_path / f"{name}.cfg", {"x": "X.csv", "y": f"{name}.csv"})
+            assert main(["fit", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+            fits[name] = json.loads((tmp_path / name / "fit.json").read_text())
+        base, fit = fits["base"], fits["scaled"]
+        assert fit["converged"] is True and fit["identifiable"] is True
+        assert fit["sigma2_hat"] == pytest.approx(scale * scale * base["sigma2_hat"], rel=1e-10)
+        assert fit["eta2_hat"] == pytest.approx(base["eta2_hat"], rel=1e-8)
+        # Var(sigma2_hat) scales by scale^4, beyond the float range here
+        assert base["psi"] is not None and fit["psi"] is None
+
     def test_constant_spectrum_exit_two(self, tmp_path):
         n = 8
         X = math.sqrt(n) * np.eye(n)

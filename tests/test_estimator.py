@@ -28,7 +28,8 @@ from vcomp.estimator import (
     sigma_star_sq,
 )
 from vcomp.laws import GAUSSIAN, RADEMACHER, UNIFORM, SeedSpec, sample_vector
-from vcomp.model import DesignSpec, ModelParams, gen_design, gen_independent
+from vcomp.experiments import ExperimentPlan, run_consistency
+from vcomp.model import DesignSpec, ModelParams, gen_design, gen_independent, haar_orthogonal
 from vcomp.qform import QuadraticForm, eval_qf
 from vcomp.spectrum import GramSpectrum, decompose_gram, eigvar
 
@@ -806,7 +807,10 @@ class TestBatchedFitProperties:
             assert abs(t_block - eta / (1.0 + eta)) <= 1e-7 + slack / (1.0 + eta) ** 2
 
     @PROPERTY
-    @given(spectra_and_blocks(), st.sampled_from([1e-3, 0.1, 7.0, 1e3]))
+    @given(spectra_and_blocks(), st.one_of(
+        st.sampled_from([1e-150, 1e-100, 1e-3, 0.1, 7.0, 1e3, 1e100, 1e150]),
+        st.floats(1e-150, 1e150),
+    ))
     def test_scale_equivariance(self, case, c):
         spec, y_check = case
         base, scaled = block_fit(spec, y_check), block_fit(spec, c * y_check)
@@ -814,6 +818,13 @@ class TestBatchedFitProperties:
         t = lambda e: e / (1.0 + e)  # noqa: E731
         np.testing.assert_allclose(t(scaled.theta[:, 1]), t(base.theta[:, 1]), rtol=0, atol=1e-9)
         assert np.array_equal(scaled.cap_hit, base.cap_hit)
+        # one row alone also computes psi-hat, whose sigma^2 entries scale by c^4
+        alone = fit_mle(ScoreState(y_check=c * y_check[0], spec=spec), FitOptions(trace=False))
+        assert alone.theta_hat.sigma_sq == pytest.approx(scaled.theta[0, 0], rel=1e-10)
+        ref = fit_mle(ScoreState(y_check=y_check[0], spec=spec), FitOptions(trace=False))
+        if alone.psi_hat is not None and ref.psi_hat is not None:
+            np.testing.assert_allclose(alone.psi_hat, ref.psi_hat * [[c**4, c * c], [c * c, 1.0]],
+                                       rtol=1e-6)
 
     @PROPERTY
     @given(spectra_and_blocks(), st.integers(0, 63))
@@ -882,3 +893,98 @@ class TestBatchedFit:
         assert np.all(fit.converged)
         single = fit_mle(ScoreState.from_observations(spec, ys[int(np.argmax(fit.cap_hit))]))
         assert single.cap_hit and single.converged
+
+
+# ---------------------------------------------------------------------------
+# Adversarial spectra and designs
+# ---------------------------------------------------------------------------
+
+
+def fit_design(X, y):
+    return fit_mle(ScoreState.from_observations(decompose_gram(X), y))
+
+
+def rank_one_eta(spec, y):
+    """Closed-form MLE for a rank-1 Gram matrix: with u = 1/(eta^2 lam_1 + 1)
+    the profile likelihood is -1/2 log(y1^2 u + b) + log(u)/(2n), maximized
+    at u = b / ((n-1) y1^2) when that is below 1, else at eta^2 = 0."""
+    y_check = spec.U.T @ y
+    k = int(np.argmax(spec.lambdas))
+    y1_sq, b = y_check[k] ** 2, float(np.sum(y_check**2)) - y_check[k] ** 2
+    return max(0.0, ((spec.n - 1) * y1_sq / b - 1.0) / spec.lambdas[k])
+
+
+class TestAdversarialSpectra:
+    @pytest.mark.parametrize("n, p", [(2, 1), (10, 20), (40, 5)])
+    def test_rank_one_design_fits_at_the_boundary(self, n, p):
+        rng = np.random.default_rng(n + p)
+        X = np.outer(rng.standard_normal(n), rng.standard_normal(p))
+        # y orthogonal to the column space: no signal along the one direction
+        col = X[:, 0] / np.linalg.norm(X[:, 0])
+        y = rng.standard_normal(n)
+        y -= (col @ y) * col
+        fit = fit_design(X, y)
+        assert fit.boundary_flag and fit.theta_hat.eta_sq == 0.0 and fit.converged
+        assert not fit.identifiability_flag
+
+    @pytest.mark.parametrize("n, p", [(2, 1), (10, 20), (40, 5)])
+    def test_rank_one_design_matches_closed_form(self, n, p):
+        rng = np.random.default_rng(100 + n)
+        interior = 0
+        for _ in range(20):
+            X = np.outer(rng.standard_normal(n), rng.standard_normal(p))
+            y = X @ rng.standard_normal(p) + rng.standard_normal(n)
+            spec = decompose_gram(X)
+            fit = fit_design(X, y)
+            want = rank_one_eta(spec, y)
+            if fit.cap_hit:
+                continue
+            interior += want > 0
+            assert fit.converged and fit.boundary_flag == (want == 0.0)
+            t = lambda e: e / (1.0 + e)  # noqa: E731
+            assert t(fit.theta_hat.eta_sq) == pytest.approx(t(want), abs=1e-9)
+        assert interior > 0
+
+    def test_constant_spectrum_is_not_identifiable(self):
+        n, p = 8, 12
+        X = gen_design(n, p, DesignSpec("fixed_spectrum", (2.0,) * n), SeedSpec(5))
+        spec = decompose_gram(X)
+        np.testing.assert_allclose(spec.lambdas, 2.0, rtol=1e-12)
+        params = ModelParams(1.0, 1.0)
+        with pytest.raises(NonIdentifiableError):
+            asymptotic_cov(params, spec, X, (GAUSSIAN, GAUSSIAN))
+        fit = fit_design(X, gen_independent(X, params, GAUSSIAN, GAUSSIAN, SeedSpec(6)).y)
+        assert fit.identifiability_flag and fit.psi_hat is None
+        plan = ExperimentPlan(kind="consistency", n_grid=(n,), replicates=100, p_ratio=1.5,
+                              design="fixed_spectrum", design_lambdas=(2.0,) * n)
+        with pytest.raises(NonIdentifiableError):
+            run_consistency(plan)
+
+    def test_near_duplicate_columns_fit_normally(self):
+        rng = np.random.default_rng(31)
+        base = rng.standard_normal((40, 30))
+        exact = np.hstack([base, base])
+        near = np.hstack([base, base + 1e-9 * rng.standard_normal(base.shape)])
+        y = gen_independent(exact, ModelParams(1.0, 1.0), GAUSSIAN, GAUSSIAN, SeedSpec(2)).y
+        fit, ref = fit_design(near, y), fit_design(exact, y)
+        assert fit.converged and not fit.identifiability_flag and fit.psi_hat is not None
+        assert fit.theta_hat.sigma_sq == pytest.approx(ref.theta_hat.sigma_sq, rel=1e-6)
+        assert fit.theta_hat.eta_sq == pytest.approx(ref.theta_hat.eta_sq, rel=1e-6)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(5, 40), p_ratio=st.sampled_from([0.5, 1.0, 2.0]),
+           seed=st.integers(0, 2**32 - 1), rotate=st.booleans())
+    def test_column_permutation_and_rotation_leave_the_fit(self, n, p_ratio, seed, rotate):
+        # the model sees X only through XX'/p, which both leave unchanged
+        rng = np.random.default_rng(seed)
+        p = max(1, int(p_ratio * n))
+        X = rng.standard_normal((n, p))
+        y = gen_independent(X, ModelParams(1.0, 2.0), GAUSSIAN, GAUSSIAN, SeedSpec(seed % 1000)).y
+        mixed = X @ haar_orthogonal(p, rng) if rotate else X[:, rng.permutation(p)]
+        base, fit = fit_design(X, y), fit_design(mixed, y)
+        assert (fit.boundary_flag, fit.cap_hit, fit.converged) == (
+            base.boundary_flag, base.cap_hit, base.converged
+        )
+        assert fit.theta_hat.sigma_sq == pytest.approx(base.theta_hat.sigma_sq, rel=1e-8)
+        t = lambda e: e / (1.0 + e)  # noqa: E731
+        assert t(fit.theta_hat.eta_sq) == pytest.approx(t(base.theta_hat.eta_sq), abs=1e-8)

@@ -15,6 +15,7 @@ from vcomp.experiments import (
     _chunk_tail,
     _endpoint_drop_gate,
     _expansion_controls,
+    _rotated_blocks,
     _stream,
     ExperimentPlan,
     config_hash,
@@ -207,6 +208,25 @@ class TestConsistency:
         assert type(cell["cap_hits"]) is int and type(cell["nonconverged"]) is int
         assert cell["cap_hits"] > 0 and cell["nonconverged"] == 0
 
+    def test_mean_error_leaves_out_capped_fits(self):
+        rep = run_consistency(small_plan(n_grid=(30,), eta0_sq=20.0))
+        cell = rep.cells[0]
+        assert "mean_error" not in cell and cell["cap_hits"] > 0
+        # a capped fit's error is about 1e6; the uncapped ones stay near eta0^2
+        assert 0.0 < cell["mean_error_uncapped"] < 1e3
+
+    def test_rotated_blocks_match_single_replicates(self):
+        plan = small_plan(n_grid=(20,), replicates=100, beta_law="rademacher")
+        X = _cell_design(plan, 0, 20)
+        spec = decompose_gram(X)
+        blocks = list(_rotated_blocks(plan, 0, X, spec, 10, 90))
+        assert [len(b[3]) for b in blocks] == [64, 16]
+        y_check = np.concatenate([b[3] for b in blocks])
+        params, (beta_law, eps_law) = plan.params(), plan.laws()
+        for row, r in zip(y_check, range(10, 90)):
+            ds = gen_independent(X, params, beta_law, eps_law, SeedSpec(plan.master_seed, _stream(0, r)))
+            np.testing.assert_allclose(row, spec.U.T @ ds.y, rtol=0, atol=1e-12 * np.abs(ds.y).max())
+
     def test_constant_spectrum_aborts(self):
         with pytest.raises(NonIdentifiableError):
             run_consistency(small_plan(design="identity", n_grid=(16, 32)))
@@ -265,6 +285,30 @@ class TestTail:
             znorm = spec.p * float(ds.beta_true @ ds.beta_true) + float(
                 ds.eps_true @ ds.eps_true
             )
+            assert row[1] == pytest.approx(znorm, rel=1e-12)
+
+    @pytest.mark.parametrize("lo, hi", [(3, 150), (64, 193)])
+    def test_chunk_rows_match_scalar_supremum_across_blocks(self, lo, hi):
+        # more than one 64-row block and a partial final block, on Gaussian
+        # effects with uniform noise; same oracle as above
+        plan = small_plan(kind="tail_envelope", n_grid=(24,), replicates=200,
+                          r_grid=(0.2,), sigma0_sq=0.8, eta0_sq=2.0,
+                          eps_law="uniform", master_seed=3)
+        X = _cell_design(plan, 0, 24)
+        spec = decompose_gram(X)
+        rows = _chunk_tail((plan, 0, X, spec, lo, hi))
+        assert rows.shape == (hi - lo, 2)
+        params = plan.params()
+        beta_law, eps_law = plan.laws()
+        etas = np.linspace(0.0, plan.eta_box, plan.eta_grid_points)
+        target = [sigma0_sq_of(float(e), params, spec) for e in etas]
+        for row, r in zip(rows, range(lo, hi)):
+            ds = gen_independent(X, params, beta_law, eps_law,
+                                 SeedSpec(plan.master_seed, _stream(0, r)))
+            state = ScoreState.from_observations(spec, ds.y)
+            sup = max(abs(sigma_star_sq(state, float(e)) - t) for e, t in zip(etas, target))
+            assert row[0] == pytest.approx(sup, rel=1e-12)
+            znorm = spec.p * float(ds.beta_true @ ds.beta_true) + float(ds.eps_true @ ds.eps_true)
             assert row[1] == pytest.approx(znorm, rel=1e-12)
 
     def test_widen_grid_error(self):
@@ -473,6 +517,22 @@ class TestStein:
         rep = run_stein(plan)
         assert len(rep.cells) == 2
         assert all(len(c["sigma_k_sq"]) == 2 for c in rep.cells)
+
+
+class TestExtremeSignalRatios:
+    @pytest.mark.parametrize("eta0_sq", [1e-4, 1e4])
+    @pytest.mark.parametrize("kind, extra", [
+        ("consistency", {}),
+        ("tail_envelope", {"r_grid": (0.3,)}),
+        ("normality", {"p_ratio": 0.5, "surrogate_draws": 20_000, "control_draws": 5_000}),
+        ("coupling", {"delta_grid": (0.0, 0.5)}),
+    ], ids=lambda v: v if isinstance(v, str) else "")
+    def test_plan_runs_to_completion(self, eta0_sq, kind, extra):
+        plan = small_plan(kind=kind, n_grid=(30, 60), eta0_sq=eta0_sq, master_seed=4, **extra)
+        rep = run_experiment(plan)
+        assert len(rep.cells) >= 2 and rep.gates
+        assert all(np.isfinite(c["estimate"]) and np.isfinite(c["stderr"]) for c in rep.cells)
+        assert all(c.get("nonconverged", 0) == 0 for c in rep.cells)
 
 
 class TestReportSerialization:

@@ -13,7 +13,9 @@ from vcomp.laws import (
     SubGaussianLaw,
     law_by_name,
     rng_for,
+    sample_rows,
     sample_vector,
+    shared_rng,
 )
 
 N_BIG = 1_000_000
@@ -139,3 +141,64 @@ def test_cross_stream_correlation():
     b = sample_vector(GAUSSIAN, n, SeedSpec(7, 1))
     rho = float(np.corrcoef(a, b)[0, 1])
     assert abs(rho) < 5 / math.sqrt(n)
+
+
+# stream ids as the experiments address them: cell c, replicate or reserved
+# stream r, up to the control stream 2^32 - 3
+STREAM_IDS = [0, 1, 7, (1 << 32) | 5, (5 << 32) | (2**32 - 3), (9 << 32) | (2**32 - 1)]
+DRAWS = {
+    "standard_normal": lambda rng: rng.standard_normal(11),
+    "integers": lambda rng: rng.integers(0, 2, size=13),
+    "uniform": lambda rng: rng.uniform(-1.0, 1.0, size=5),
+    "random": lambda rng: rng.random(3),
+    "choice": lambda rng: rng.choice(40, size=7, replace=False),
+}
+
+
+class TestSharedStreamReset:
+    @pytest.mark.parametrize("substream", [0, 1, 2, 3, 4, 9])
+    @pytest.mark.parametrize("stream_id", STREAM_IDS)
+    def test_draws_equal_a_new_generator_bitwise(self, stream_id, substream):
+        seed = SeedSpec(123, stream_id)
+        for name, draw in DRAWS.items():
+            assert np.array_equal(draw(shared_rng(seed, substream)), draw(rng_for(seed, substream))), name
+
+    @pytest.mark.parametrize("law", [GAUSSIAN, RADEMACHER, UNIFORM], ids=lambda l: l.name)
+    @pytest.mark.parametrize("substream", [0, 1, 2, 3, 4, 9])
+    def test_every_law_bitwise(self, law, substream):
+        for stream_id in STREAM_IDS:
+            seed = SeedSpec(2**63 + 5, stream_id)
+            want = name_switch_sample(law, rng_for(seed, substream), (17,))
+            assert np.array_equal(sample_vector(law, 17, seed, substream), want)
+
+    def test_reset_drops_a_partly_used_buffer(self):
+        # an odd count of Rademacher coordinates leaves half a 64-bit word
+        # cached; the next reset must not hand it on
+        a, b = SeedSpec(1, 2), SeedSpec(1, 3)
+        sample_vector(RADEMACHER, 3, a)
+        shared_rng(a).random(1)
+        assert np.array_equal(sample_vector(RADEMACHER, 5, b), name_switch_sample(RADEMACHER, rng_for(b), (5,)))
+
+    def test_new_generator_between_reset_draws_changes_neither(self):
+        seed, other = SeedSpec(8, 1), SeedSpec(8, 2)
+        first = sample_vector(UNIFORM, 9, seed, 2)
+        held = rng_for(other, 1)
+        between = held.standard_normal(4)
+        second = sample_vector(GAUSSIAN, 9, other, 3)
+        assert np.array_equal(first, name_switch_sample(UNIFORM, rng_for(seed, 2), (9,)))
+        assert np.array_equal(second, name_switch_sample(GAUSSIAN, rng_for(other, 3), (9,)))
+        # the held generator continues its own stream, untouched by the resets
+        assert np.array_equal(np.concatenate([between, held.standard_normal(4)]),
+                              rng_for(other, 1).standard_normal(8))
+
+    @pytest.mark.parametrize("law", [GAUSSIAN, RADEMACHER, UNIFORM], ids=lambda l: l.name)
+    def test_rows_are_the_seeds_vectors(self, law):
+        seeds = [SeedSpec(4, (3 << 32) | r) for r in range(70)]
+        rows = sample_rows(law, 6, seeds, 1)
+        assert rows.shape == (70, 6)
+        for row, seed in zip(rows, seeds):
+            assert np.array_equal(row, sample_vector(law, 6, seed, 1))
+
+    def test_rows_need_a_coordinate(self):
+        with pytest.raises(ValueError):
+            sample_rows(GAUSSIAN, 0, [SeedSpec(0, 0)])

@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from vcomp.laws import GAUSSIAN, RADEMACHER, SeedSpec
+from vcomp.laws import GAUSSIAN, RADEMACHER, UNIFORM, SeedSpec, rng_for
 from vcomp.matio import load_matrix, load_vector
 from vcomp.model import (
     CouplingSpec,
     DesignSpec,
     ModelParams,
+    draw_effects,
     gen_coupled,
     gen_design,
     gen_independent,
@@ -189,6 +190,56 @@ class TestGenCoupled:
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
             CouplingSpec(scheme="swap")
+
+
+class TestDrawEffects:
+    """The one effect-drawing helper, as a block and as the single-replicate case."""
+
+    X = np.random.default_rng(7).standard_normal((9, 13))
+    params = ModelParams(2.0, 0.7)
+    seeds = [SeedSpec(3, (2 << 32) | r) for r in range(5)]
+
+    def test_stream_layout(self):
+        # effects on substream 1, noise on substream 2 of each replicate stream
+        beta, eps, beta_y = draw_effects(9, 13, self.params, UNIFORM, RADEMACHER, self.seeds)
+        assert beta_y is beta
+        for b, e, seed in zip(beta, eps, self.seeds):
+            want_b = math.sqrt(self.params.beta_variance(13)) * rng_for(seed, 1).uniform(
+                -math.sqrt(3.0), math.sqrt(3.0), size=13
+            )
+            want_e = math.sqrt(2.0) * (2.0 * rng_for(seed, 2).integers(0, 2, size=9) - 1.0)
+            assert np.array_equal(b, want_b) and np.array_equal(e, want_e)
+
+    @pytest.mark.parametrize("coupling", [
+        None,
+        CouplingSpec(scheme="none"),
+        CouplingSpec(scheme="additive_perturb", delta=0.4),
+        CouplingSpec(scheme="sparse_zero", fraction=0.4),
+    ], ids=lambda c: "independent" if c is None else c.scheme)
+    def test_block_rows_equal_single_draws(self, coupling):
+        beta, eps, beta_y = draw_effects(
+            9, 13, self.params, GAUSSIAN, UNIFORM, self.seeds, coupling
+        )
+        for i, seed in enumerate(self.seeds):
+            if coupling is None:
+                ds = gen_independent(self.X, self.params, GAUSSIAN, UNIFORM, seed)
+                tilde = ds.beta_true
+            else:
+                ds = gen_coupled(self.X, self.params, GAUSSIAN, UNIFORM, coupling, seed)
+                tilde = ds.coupling.beta_tilde
+            assert np.array_equal(beta[i], ds.beta_true)
+            assert np.array_equal(eps[i], ds.eps_true)
+            assert np.array_equal(beta_y[i], tilde)
+            assert np.array_equal(ds.y, self.X @ tilde + ds.eps_true)
+
+    def test_sparse_rows_zero_their_own_coordinates(self):
+        _, _, beta_y = draw_effects(
+            9, 13, self.params, GAUSSIAN, GAUSSIAN, self.seeds,
+            CouplingSpec(scheme="sparse_zero", fraction=0.5),
+        )
+        zeros = [frozenset(np.flatnonzero(row == 0.0)) for row in beta_y]
+        assert all(len(z) == 6 for z in zeros)  # round(0.5 * 13)
+        assert len(set(zeros)) > 1
 
 
 def test_save_dataset_roundtrip(tmp_path):

@@ -186,6 +186,26 @@ class TestWVector:
             w = wv.evaluate(z)
             assert w[0] == pytest.approx(w[1], abs=1e-12)
 
+    def test_block_rows_match_the_vector_formula(self):
+        # reference: z'Qz - tr(Q) and z'diag(Q)z - tr(Q), one vector at a time
+        rng = np.random.default_rng(10)
+        qforms = [QuadraticForm(np.eye(7) * 0.3), QuadraticForm(np.cov(rng.standard_normal((7, 30))))]
+        wv = build_w(qforms, GAUSSIAN)
+        Z = rng.standard_normal((65, 7))
+        block = wv.evaluate(Z)
+        assert block.shape == (65, 4)
+        for z, row in zip(Z, block):
+            want = [v for qf in qforms for v in ((qf.matrix @ z) @ z - qf.trace, qf.diag @ (z * z) - qf.trace)]
+            np.testing.assert_allclose(row, want, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(wv.evaluate(z), row, rtol=1e-12, atol=1e-12)
+        with pytest.raises(ValueError):
+            wv.evaluate(Z[:, :6])
+
+    def test_rademacher_identity_block_is_exactly_zero(self):
+        wv = build_w([QuadraticForm(np.eye(16) / 4.0)], RADEMACHER)
+        z = 2.0 * np.random.default_rng(11).integers(0, 2, (64, 16)) - 1.0
+        assert np.all(wv.evaluate(z) == 0.0)
+
     def test_rademacher_identity_w_is_zero(self):
         wv = build_w([QuadraticForm(np.eye(6))], RADEMACHER)
         rng = np.random.default_rng(9)
