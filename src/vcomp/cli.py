@@ -19,7 +19,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from . import estimator as est
@@ -127,6 +126,8 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _manifest(outdir: Path, command: str, cfg_digest: str, seed: int) -> None:
+    import scipy  # only for its version; imported here to keep start-up fast
+
     _write_json(
         outdir / "manifest.json",
         {

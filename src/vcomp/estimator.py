@@ -50,7 +50,9 @@ class ScoreState:
         if y.size != spec.n:
             raise ValueError(f"y has length {y.size}, expected n={spec.n}")
         y_check = spec.U.T @ y
-        ny, nyc = np.linalg.norm(y), np.linalg.norm(y_check)
+        # both norms at y / 2^e, |y| < 2^e: exact, and neither over- nor underflows
+        e = np.frexp(np.max(np.abs(y)))[1]
+        ny, nyc = np.linalg.norm(np.ldexp(y, -e)), np.linalg.norm(np.ldexp(y_check, -e))
         if abs(ny - nyc) > 1e-10 * max(1.0, ny):
             raise NumericalError("eigenvector basis is not orthogonal (norm not preserved)")
         return cls(y_check=y_check, spec=spec)
@@ -391,8 +393,9 @@ def fit_mle(state: ScoreState, options: FitOptions | None = None) -> FitResult |
     psi_hat = None
     if not ident_flag:
         fisher = gaussian_fisher(ModelParams(float(sigma_scaled[0]), eta_hat), spec)
-        det = float(np.linalg.det(fisher))
-        if det > 1e-12 * max(1.0, float(np.max(np.abs(fisher))) ** 2):
+        # near-singular when the two scores are almost perfectly correlated;
+        # unlike det F, the correlation does not depend on the scale of y
+        if fisher[0, 1] ** 2 < (1.0 - 1e-12) * fisher[0, 0] * fisher[1, 1]:
             # sigma^2 entries scale by 4^e, its variance by 16^e; an entry that
             # leaves the normal float range is not reported as inf or 0
             psi_scaled, e2 = np.linalg.inv(fisher), 2 * int(expo[0])

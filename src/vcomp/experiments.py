@@ -22,13 +22,12 @@ import io
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, stats
 
 from . import estimator as est
 from .errors import NonIdentifiableError, TailGridError
@@ -50,8 +49,12 @@ _CTRL_STREAM = (1 << 32) - 3
 # replicates drawn and fitted together; chunks are unions of whole blocks, so
 # no block boundary depends on the worker count
 _FIT_BLOCK = 64
+# control-variate draws: rows per block drawn from the control stream, and
+# rows per slice of a block that the expansion core reduces at once
+_CTRL_BLOCK = 4096
+_CTRL_SLICE = 512
 _WILSON_Z = 1.959963984540054  # two-sided 95%
-_CHI2_2_95 = float(stats.chi2.ppf(0.95, 2))
+_CHI2_2_95 = 5.991464547107979  # scipy.stats.chi2.ppf(0.95, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +328,8 @@ def gaussian_expectation(
     root = cov_sqrt(V)
     dim = root.shape[0]
     if dim == 2:
+        from scipy import integrate  # imported here: scipy is slow to import
+
         def integrand(y: float, x: float) -> float:
             z = np.array([x, y])
             val = float(fn.evaluator(root @ z))
@@ -433,6 +438,14 @@ def _chunk_theta(task) -> np.ndarray:
     ])
 
 
+def _slices(rows: int):
+    """Row ranges of a block for the expansion core: ``_CTRL_SLICE`` rows each,
+    the short remainder folded into the last, so a slice is shorter only when
+    its whole block is."""
+    bounds = list(range(0, rows - _CTRL_SLICE + 1, _CTRL_SLICE)) or [0]
+    return zip(bounds, bounds[1:] + [rows])
+
+
 def _expansion_controls(
     y_check_sq: np.ndarray, params: ModelParams, spec, j0: np.ndarray
 ) -> np.ndarray:
@@ -446,9 +459,12 @@ def _expansion_controls(
     local curvature has the wrong sign fall back to the population curvature.
 
     The resolvent at eta_0^2 is the same for every row, so the score and the
-    first Newton step come from one (reps, n) @ (n, 3) product; the second
-    step uses the batched fit's row helper, and the profiled variance one
-    more (reps, n) resolvent.
+    first Newton step come from one (reps, n) @ (n, 3) product over the whole
+    block.  The second step uses the batched fit's row helper, and the
+    profiled variance one more resolvent; both run on ``_slices`` of the
+    block, so their (rows, n) temporaries stay small.  Only row-wise
+    arithmetic runs on slices, so each row's result is the same whatever the
+    block size.
     """
     lam = spec.lambdas
     n = spec.n
@@ -475,13 +491,15 @@ def _expansion_controls(
     scores = np.stack([ss / (2.0 * s2 * s2) - 1.0 / (2.0 * s2), quad / (2.0 * s2) - 0.5 * mlr0], axis=-1)
     u_lin = -math.sqrt(n) * scores @ np.linalg.inv(j0).T
 
-    e = newton(e0, *est._score_terms(ss, quad, cube, mlr0, ml2r2_0))
-    e = newton(e, *est._score_rows(y_check_sq, lam, e)[1:])
-
-    res = np.multiply(e[:, None], lam)
-    res += 1.0
-    np.reciprocal(res, out=res)
-    sig = np.einsum("ij,ij->i", y_check_sq, res) / n
+    e1 = newton(e0, *est._score_terms(ss, quad, cube, mlr0, ml2r2_0))
+    e, sig = np.empty_like(e1), np.empty_like(e1)
+    for lo, hi in _slices(e1.size):
+        y_sq = y_check_sq[lo:hi]
+        e[lo:hi] = newton(e1[lo:hi], *est._score_rows(y_sq, lam, e1[lo:hi])[1:])
+        res = np.multiply(e[lo:hi, None], lam)
+        res += 1.0
+        np.reciprocal(res, out=res)
+        sig[lo:hi] = np.einsum("ij,ij->i", y_sq, res) / n
     u_step = math.sqrt(n) * np.stack([sig - s2, e - e0], axis=-1)
     return np.concatenate([u_lin, u_step], axis=-1)
 
@@ -499,12 +517,19 @@ def _chunk_theta_lin(task) -> np.ndarray:
 
 
 def _chunk_control(task) -> np.ndarray:
-    """E f of both expansion surrogates from cheap auxiliary draws (fixed blocks);
-    rows are the two means and their stderrs.
+    """E f of both expansion surrogates from cheap auxiliary draws; rows are
+    the two means and their stderrs.
 
-    All draws come in order from the cell's one control stream, so the result
-    does not depend on which process runs the task.  The test function is
-    rebuilt from the plan because its evaluator does not pickle.
+    All draws come in order from the cell's one control stream, in blocks of
+    ``_CTRL_BLOCK`` rows, so the result does not depend on which process runs
+    the task.  A one-thread drawer fills block k + 1 while this thread reduces
+    block k (the normal fill and the core's ufuncs and BLAS calls release the
+    GIL).  Only the drawer touches the generator, and it is joined before
+    returning, so no thread outlives the task.  The previous block is released
+    before the next draw is submitted, so at most two blocks are alive; the
+    core works on slices of a block, and the sums run over whole blocks.  The
+    test function is rebuilt from the plan because its evaluator does not
+    pickle.
 
     With Gaussian effects and noise the rotated outcome has exactly independent
     N(0, sigma0^2 (eta0^2 lam_i + 1)) coordinates, so no design products are
@@ -522,29 +547,33 @@ def _chunk_control(task) -> np.ndarray:
     if not gaussian:
         C = est.standardized_map(params, spec, X)
     scale = params.sigma_sq * (params.eta_sq * spec.lambdas + 1.0)
-    total, total_sq, count = np.zeros(2), np.zeros(2), 0
-    block = 4096
-    while count < draws:
-        b = min(block, draws - count)
+
+    def draw(b: int) -> np.ndarray:
+        """The next b rows of y_check^2 from the stream; runs on the drawer."""
         if gaussian:
             y_check_sq = rng.standard_normal((b, n))
             np.square(y_check_sq, out=y_check_sq)
             y_check_sq *= scale
-        else:
-            zb = np.empty((b, n + p))
-            zb[:, :p] = beta_law.sample(rng, (b, p))
-            zb[:, p:] = eps_law.sample(rng, (b, n))
-            y_check_sq = (zb @ C.T) ** 2
-        u_both = _expansion_controls(y_check_sq, params, spec, j0)
-        vals = np.stack(
-            [fn.evaluator(u_both[:, :2]), fn.evaluator(u_both[:, 2:])], axis=-1
-        )
-        total += np.sum(vals, axis=0)
-        total_sq += np.sum(vals * vals, axis=0)
-        count += b
-    mean = total / count
-    var = np.maximum(total_sq / count - mean * mean, 0.0)
-    return np.stack([mean, np.sqrt(var / count)])
+            return y_check_sq
+        zb = np.empty((b, n + p))
+        zb[:, :p] = beta_law.sample(rng, (b, p))
+        zb[:, p:] = eps_law.sample(rng, (b, n))
+        return (zb @ C.T) ** 2
+
+    sizes = [min(_CTRL_BLOCK, draws - lo) for lo in range(0, draws, _CTRL_BLOCK)]
+    total, total_sq = np.zeros(2), np.zeros(2)
+    with ThreadPoolExecutor(max_workers=1) as drawer:
+        pending = drawer.submit(draw, sizes[0])
+        for k in range(len(sizes)):
+            y_check_sq = pending.result()
+            pending = drawer.submit(draw, sizes[k + 1]) if k + 1 < len(sizes) else None
+            u_both = _expansion_controls(y_check_sq, params, spec, j0)
+            vals = np.stack([fn.evaluator(u_both[:, :2]), fn.evaluator(u_both[:, 2:])], axis=-1)
+            total += np.sum(vals, axis=0)
+            total_sq += np.sum(vals * vals, axis=0)
+    mean = total / draws
+    var = np.maximum(total_sq / draws - mean * mean, 0.0)
+    return np.stack([mean, np.sqrt(var / draws)])
 
 
 def _regression_adjusted_mean(
@@ -805,7 +834,10 @@ def run_normality(plan: ExperimentPlan) -> ExperimentReport:
     The auxiliary draws of cell c come, in order, from the one Philox stream
     (master_seed, c << 32 | 2^32 - 3).  Their whole computation is one pool
     task, sent first in the same scatter as the cell's fit chunks, so it runs
-    beside the fits and its result does not depend on the worker count.  The
+    beside the fits and its result does not depend on the worker count.
+    Inside the task a one-thread drawer draws the next block while the task
+    reduces the current one; only the drawer touches the stream, at most two
+    blocks are alive, and the drawer is joined before the task returns.  The
     stream is deliberately not split into per-block substreams: that changes
     the auxiliary sample, and the endpoint-drop gate fails on any increase;
     with one such split (block k from jumped substream k + 1) the

@@ -1,10 +1,15 @@
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vcomp
 from vcomp.cli import main
 from vcomp.matio import save_matrix_csv
 from vcomp.model import ModelParams
@@ -26,6 +31,16 @@ def write_recovery_fixture(tmp_path, params=ModelParams(1.3, 0.8), n=12, p=20, s
     save_matrix_csv(tmp_path / "X.csv", X)
     save_matrix_csv(tmp_path / "y.csv", y.reshape(-1, 1))
     return params
+
+
+def test_import_leaves_slow_scipy_modules_unloaded():
+    # scipy.stats and scipy.integrate take about a second to import; only the
+    # 2-d surrogate quadrature needs integrate, and nothing needs stats
+    code = "import sys, vcomp, vcomp.cli; print(sorted(m for m in sys.modules if m in ('scipy.stats', 'scipy.integrate')))"
+    src = str(Path(vcomp.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 class TestFit:

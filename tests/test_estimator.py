@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vcomp.estimator as est
-from vcomp.errors import DegenerateDataError, NonIdentifiableError
+from vcomp.errors import DegenerateDataError, NonIdentifiableError, NumericalError
 from vcomp.estimator import (
     FitOptions,
     ScoreState,
@@ -346,6 +347,39 @@ class TestFitMLE:
             assert fit.theta_hat.sigma_sq == pytest.approx(
                 c * c * base.theta_hat.sigma_sq, rel=1e-6
             )
+
+    def test_psi_presence_does_not_depend_on_scale(self):
+        # a spectrum just above the identifiability floor: the scores are
+        # nearly collinear, and a det F cut relative to max|F|^2 kept psi-hat
+        # for y * 1e50 but dropped it for y * 1e-50
+        n = 40
+        lam = 1.0 + 3.6e-5 * np.linspace(1.0, -1.0, n)
+        spec = GramSpectrum(n=n, p=n, lambdas=lam, U=np.eye(n), n0=n)
+        y = np.random.default_rng(7).standard_normal(n)
+        present = []
+        for c in (2.0**40, 2.0**-40, 1e100, 1e-100):
+            # psi-hat's sigma^2 variance scales by c^4, so y sits at c^(-1/2)
+            # to keep the entries of both fits in the float range
+            y0 = c**-0.5 * y
+            pair = [fit_mle(ScoreState(y_check=v, spec=spec)).psi_hat is not None for v in (y0, c * y0)]
+            assert pair[0] == pair[1], c
+            present.append(pair[0])
+        assert all(present)
+
+    def test_norm_check_at_extreme_scales(self):
+        # above about 1e154 the norm overflowed, and inf - inf passed the check
+        n = 30
+        rng = np.random.default_rng(24)
+        Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        lam = np.linspace(2.0, 0.0, n)
+        y = rng.standard_normal(n)
+        for c in (1e-160, 1e160):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                state = ScoreState.from_observations(GramSpectrum(n=n, p=n, lambdas=lam, U=Q, n0=n - 1), c * y)
+                np.testing.assert_allclose(state.y_check, Q.T @ (c * y), rtol=1e-12)
+                with pytest.raises(NumericalError):
+                    ScoreState.from_observations(GramSpectrum(n=n, p=n, lambdas=lam, U=1.01 * Q, n0=n - 1), c * y)
 
     def test_profile_reduction_matches_2d_grid(self):
         _, _, state = make_state(21, n=15, p=25)

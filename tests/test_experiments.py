@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -6,16 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vcomp.errors import NonIdentifiableError, TailGridError
-from vcomp.estimator import ScoreState, expected_hessian, sigma0_sq_of, sigma_star_sq
+from vcomp import experiments
+from vcomp.estimator import ScoreState, expected_hessian, sigma0_sq_of, sigma_star_sq, standardized_map
 from vcomp.experiments import (
+    _CHI2_2_95,
+    _CTRL_SLICE,
+    _CTRL_STREAM,
     _FIT_BLOCK,
     REPORT_HEADER,
     _cell_design,
+    _chunk_control,
     _chunks,
     _chunk_tail,
     _endpoint_drop_gate,
     _expansion_controls,
     _rotated_blocks,
+    _slices,
     _stream,
     ExperimentPlan,
     config_hash,
@@ -35,7 +42,7 @@ from vcomp.experiments import (
     wilson_interval,
     with_workers,
 )
-from vcomp.laws import SeedSpec
+from vcomp.laws import SeedSpec, rng_for
 from vcomp.model import ModelParams, gen_independent
 from vcomp.spectrum import GramSpectrum, decompose_gram
 
@@ -120,6 +127,12 @@ class TestTestFns:
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
             resolve_test_fn("sigmoid", (1.0,))
+
+
+def test_chi2_literal_matches_scipy():
+    from scipy import stats
+
+    assert _CHI2_2_95 == float(stats.chi2.ppf(0.95, 2))
 
 
 class TestGaussianExpectation:
@@ -436,6 +449,93 @@ class TestExpansionControls:
         )
         assert np.all(ref[:3, 3] == -math.sqrt(n) * params.eta_sq)  # clipped at 0
         np.testing.assert_allclose(fused, ref, rtol=1e-10, atol=1e-10)
+
+
+    @pytest.mark.parametrize("rows", [_CTRL_SLICE - 1, _CTRL_SLICE, 2 * _CTRL_SLICE + 77])
+    def test_sliced_core_matches_reference(self, rows):
+        rng = np.random.default_rng(rows)
+        n = 20
+        lam = np.sort(rng.uniform(0.0, 4.0, n))[::-1]
+        spec = GramSpectrum(n=n, p=n, lambdas=lam, U=np.eye(n), n0=n)
+        params = ModelParams(1.3, 0.7)
+        y2 = params.sigma_sq * (params.eta_sq * lam + 1.0) * rng.standard_normal((rows, n)) ** 2
+        j0 = expected_hessian(params, params, spec)
+        ref = np.concatenate(
+            [_linear_u(y2, params, spec, j0), _profile_newton_u(y2, params, spec)], axis=-1
+        )
+        np.testing.assert_allclose(_expansion_controls(y2, params, spec, j0), ref, rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("rows", [1, 300, 511, 512, 1023, 1024, 1696, 4096])
+    def test_slices_fold_the_remainder(self, rows):
+        bounds = list(_slices(rows))
+        assert bounds[0][0] == 0 and bounds[-1][1] == rows
+        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+        sizes = [hi - lo for lo, hi in bounds]
+        if rows < _CTRL_SLICE:
+            assert sizes == [rows]
+        else:
+            assert all(_CTRL_SLICE <= s < 2 * _CTRL_SLICE for s in sizes)
+
+
+def _serial_control(task):
+    """The control task as one serial loop over whole 4096-row blocks, without
+    a drawer thread: the oracle for ``_chunk_control``."""
+    plan, cell_index, X, spec = task
+    fn = resolve_test_fn(plan.test_fn, plan.test_scales)
+    params = plan.params()
+    j0 = expected_hessian(params, params, spec)
+    beta_law, eps_law = plan.laws()
+    rng = rng_for(SeedSpec(plan.master_seed, _stream(cell_index, _CTRL_STREAM)))
+    n, p = X.shape
+    gaussian = beta_law.name == "gaussian" and eps_law.name == "gaussian"
+    C = None if gaussian else standardized_map(params, spec, X)
+    scale = params.sigma_sq * (params.eta_sq * spec.lambdas + 1.0)
+    total, total_sq, count = np.zeros(2), np.zeros(2), 0
+    while count < plan.control_draws:
+        b = min(4096, plan.control_draws - count)
+        if gaussian:
+            y_check_sq = rng.standard_normal((b, n)) ** 2 * scale
+        else:
+            zb = np.empty((b, n + p))
+            zb[:, :p] = beta_law.sample(rng, (b, p))
+            zb[:, p:] = eps_law.sample(rng, (b, n))
+            y_check_sq = (zb @ C.T) ** 2
+        u_both = _expansion_controls(y_check_sq, params, spec, j0)
+        vals = np.stack([fn.evaluator(u_both[:, :2]), fn.evaluator(u_both[:, 2:])], axis=-1)
+        total += np.sum(vals, axis=0)
+        total_sq += np.sum(vals * vals, axis=0)
+        count += b
+    mean = total / count
+    return np.stack([mean, np.sqrt(np.maximum(total_sq / count - mean * mean, 0.0) / count)])
+
+
+class TestPrefetchedControl:
+    DRAWS = 2 * 4096 + 300  # two whole blocks and a short one
+
+    @pytest.mark.parametrize("law", ["gaussian", "rademacher"])
+    def test_matches_serial_unsliced_loop(self, law, monkeypatch):
+        plan = small_plan(
+            kind="normality", n_grid=(100,), p_ratio=0.75, test_fn="tanh_sum", test_scales=(1.0,),
+            beta_law=law, eps_law=law, control_draws=self.DRAWS,
+        )
+        X = _cell_design(plan, 0, 100)
+        task = (plan, 0, X, decompose_gram(X))
+        threads = threading.active_count()
+        got = _chunk_control(task)
+        assert threading.active_count() == threads  # the drawer is joined
+        monkeypatch.setattr(experiments, "_CTRL_SLICE", 1 << 30)  # one slice per block
+        oracle = _serial_control(task)
+        np.testing.assert_allclose(got, oracle, rtol=1e-15, atol=0)
+        # slices run only row-wise arithmetic, so the sums are bit-equal too
+        assert np.array_equal(got, oracle)
+
+    def test_rademacher_report_worker_invariant(self):
+        plan = small_plan(
+            kind="normality", n_grid=(30, 60), replicates=100, p_ratio=0.5,
+            beta_law="rademacher", eps_law="rademacher", surrogate_draws=20_000,
+            control_draws=self.DRAWS,
+        )
+        assert run_normality(plan).to_json() == run_normality(with_workers(plan, 3)).to_json()
 
 
 class TestEndpointDropGate:
