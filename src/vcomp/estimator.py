@@ -36,6 +36,11 @@ from .spectrum import GramSpectrum, eigvar
 #: eigenvalue-variance floor (relative to (lambda_1+1)^2) below which the
 #: components are flagged non-identifiable
 IDENT_FLOOR = 1e-10
+#: the MLE search: GRID_POINTS values of t = eta^2/(1+eta^2) on [0, T_CAP],
+#: then at most NEWTON_MAX Newton or bisection steps per row
+GRID_POINTS = 64
+T_CAP = 1.0 - 1e-6
+NEWTON_MAX = 50
 
 @dataclass
 class ScoreState:
@@ -64,9 +69,6 @@ class ScoreState:
 
 @dataclass(frozen=True)
 class FitOptions:
-    grid_points: int = 64
-    newton_max: int = 50
-    t_cap: float = 1.0 - 1e-6
     trace: bool = True
 
 
@@ -86,68 +88,87 @@ class FitResult:
     score_residual: float = 0.0
 
 
+def _pop_sq(params: ModelParams, spec: GramSpectrum) -> np.ndarray:
+    """The population row E{y_check_i^2 | X} = sigma0^2 (eta0^2 lam_i + 1)."""
+    return params.sigma_sq * (params.eta_sq * spec.lambdas + 1.0)
+
+
+def _resolvent_sums(y_sq: np.ndarray, lam: np.ndarray, etas):
+    """The eigenbasis sums behind every likelihood quantity, on a grid of eta^2.
+
+    With r_i = 1/(eta^2 lam_i + 1), each row of the (rows, n) block ``y_sq``
+    (sampled y_check^2, or the population row ``_pop_sq``) gives the (rows, G)
+    means sstar = (1/n) sum y^2 r, quad = (1/n) sum lam y^2 r^2 and
+    cube = (1/n) sum lam^2 y^2 r^3, all from one (rows, n) @ (n, 3G) product.
+    The row-free (G,) means of lam r, lam^2 r^2 and log(eta^2 lam + 1) follow.
+    """
+    etas = np.asarray(etas, dtype=np.float64)
+    if (etas < 0).any():
+        raise ValueError("eta_sq must be nonnegative")
+    n, g = lam.size, etas.size
+    shifted = np.multiply.outer(lam, etas) + 1.0  # (n, G), the same for every row
+    res = 1.0 / shifted
+    lres = lam[:, None] * res
+    l2r2 = lres * lres
+    sums = y_sq @ (np.concatenate([res, lres * res, l2r2 * res], axis=1) / n)
+    # sum / n is bitwise the mean, without np.mean's per-call overhead
+    return (sums[:, :g], sums[:, g:2 * g], sums[:, 2 * g:], lres.sum(axis=0) / n,
+            l2r2.sum(axis=0) / n, np.log(shifted).sum(axis=0) / n)
+
+
+def _sums_at(y_sq: np.ndarray, spec: GramSpectrum, eta_sq: float) -> list[float]:
+    """``_resolvent_sums`` of one row at one eta^2, as six floats."""
+    return [v.item(0) for v in _resolvent_sums(y_sq[None], spec.lambdas, [eta_sq])]
+
+
+def _score_terms(ss, quad, cube, mlr, ml2r2):
+    """(H_star, H_star') from the means of y^2 r, lam y^2 r^2, lam^2 y^2 r^3,
+    lam r and lam^2 r^2, where r = 1/(eta^2 lam + 1)."""
+    return quad - ss * mlr, -2.0 * cube + quad * mlr + ss * ml2r2
+
+
 def sigma_star_sq(state: ScoreState, eta_sq: float) -> float:
     """Profiled-out error variance (1/n) sum y_check_i^2 / (eta^2 lam_i + 1)."""
-    if eta_sq < 0:
-        raise ValueError("eta_sq must be nonnegative")
-    lam = state.spec.lambdas
-    return float(np.mean(state.y_check**2 / (eta_sq * lam + 1.0)))
+    return _sums_at(state.y_check**2, state.spec, eta_sq)[0]
 
 
 def sigma0_sq_of(eta_sq: float, params: ModelParams, spec: GramSpectrum) -> float:
     """Population counterpart (sigma0^2/n) sum (eta0^2 lam_i + 1)/(eta^2 lam_i + 1)."""
-    if eta_sq < 0:
-        raise ValueError("eta_sq must be nonnegative")
-    lam = spec.lambdas
-    return float(
-        params.sigma_sq * np.mean((params.eta_sq * lam + 1.0) / (eta_sq * lam + 1.0))
-    )
+    return _sums_at(_pop_sq(params, spec), spec, eta_sq)[0]
 
 
 def loglik(state: ScoreState, theta: ModelParams) -> float:
     """Gaussian log-likelihood (per observation) at theta = (sigma^2, eta^2)."""
-    lam = state.spec.lambdas
-    logdet = float(np.mean(np.log(theta.eta_sq * lam + 1.0)))
-    return (
-        -0.5 * math.log(theta.sigma_sq)
-        - 0.5 * logdet
-        - sigma_star_sq(state, theta.eta_sq) / (2.0 * theta.sigma_sq)
-    )
+    ss, *_, logdet = _sums_at(state.y_check**2, state.spec, theta.eta_sq)
+    return -0.5 * math.log(theta.sigma_sq) - 0.5 * logdet - ss / (2.0 * theta.sigma_sq)
+
+
+def _profile_loglik(y_sq: np.ndarray, spec: GramSpectrum, eta_sq: float) -> float:
+    """-1/2 log sstar - 1/(2n) sum log(eta^2 lam + 1) - 1/2 on one row."""
+    ss, *_, logdet = _sums_at(y_sq, spec, eta_sq)
+    if ss <= 0.0:
+        raise DegenerateDataError("profiled variance vanished (y = 0?)")
+    return -0.5 * math.log(ss) - 0.5 * logdet - 0.5
 
 
 def profile_loglik(state: ScoreState, eta_sq: float) -> float:
     """ell evaluated at the profiled sigma^2: -1/2 log sstar - 1/(2n) sum log(.) - 1/2."""
-    lam = state.spec.lambdas
-    ss = sigma_star_sq(state, eta_sq)
-    if ss <= 0.0:
-        raise DegenerateDataError("profiled variance vanished (y = 0?)")
-    logdet = float(np.mean(np.log(eta_sq * lam + 1.0)))
-    return -0.5 * math.log(ss) - 0.5 * logdet - 0.5
+    return _profile_loglik(state.y_check**2, state.spec, eta_sq)
 
 
 def pop_profile_loglik(eta_sq: float, params: ModelParams, spec: GramSpectrum) -> float:
     """Population profile likelihood (additive constants included as displayed)."""
-    lam = spec.lambdas
-    logdet = float(np.mean(np.log(eta_sq * lam + 1.0)))
-    return (
-        -0.5 * math.log(sigma0_sq_of(eta_sq, params, spec))
-        - 0.5 * logdet
-        - 0.5 * math.log(params.sigma_sq)
-        - 0.5
-    )
+    return _profile_loglik(_pop_sq(params, spec), spec, eta_sq) - 0.5 * math.log(params.sigma_sq)
 
 
 def profile_score(state: ScoreState, eta_sq: float) -> float:
     """H_star(eta^2) = 2 sstar(eta^2) d(ell_star)/d(eta^2), in closed form."""
-    if eta_sq < 0:
-        raise ValueError("eta_sq must be nonnegative")
-    lam = state.spec.lambdas
-    r = 1.0 / (eta_sq * lam + 1.0)
-    ych2 = state.y_check**2
-    quad = float(np.mean(lam * ych2 * r * r))
-    return quad - float(np.mean(ych2 * r)) * float(np.mean(lam * r))
+    return _score_terms(*_sums_at(state.y_check**2, state.spec, eta_sq)[:5])[0]
 
 
+# The pairwise forms (pop_profile_score, expected_hessian_det) do not go
+# through _resolvent_sums: they are the independent route that the moment
+# forms are checked against.
 def _pair_spread(lam: np.ndarray, w: np.ndarray) -> float:
     """sum_ij (lam_i - lam_j)^2 w_i w_j = 2[(sum w)(sum w lam^2) - (sum w lam)^2],
     in O(n) and in the centered form 2 (sum w) sum w (lam - lam_w)^2, where
@@ -175,55 +196,39 @@ def pop_profile_score_moment(
     eta_sq: float, params: ModelParams, spec: GramSpectrum
 ) -> float:
     """H_0(eta^2) from its definition E{H_star | X}: first moments plugged in."""
-    if eta_sq < 0:
-        raise ValueError("eta_sq must be nonnegative")
-    lam = spec.lambdas
-    r = 1.0 / (eta_sq * lam + 1.0)
-    ey2 = params.sigma_sq * (params.eta_sq * lam + 1.0)  # E y_check_i^2
-    quad = float(np.mean(lam * ey2 * r * r))
-    return quad - sigma0_sq_of(eta_sq, params, spec) * float(np.mean(lam * r))
+    return _score_terms(*_sums_at(_pop_sq(params, spec), spec, eta_sq)[:5])[0]
+
+
+def _theta_score(ss, quad, mlr, s2):
+    """(d/d sigma^2, d/d eta^2) of loglik from the kernel's sums, on the last axis."""
+    return np.stack([ss / (2.0 * s2 * s2) - 1.0 / (2.0 * s2), quad / (2.0 * s2) - 0.5 * mlr], axis=-1)
 
 
 def score(state: ScoreState, theta: ModelParams) -> np.ndarray:
     """Gradient of loglik at theta: (d/d sigma^2, d/d eta^2)."""
-    lam = state.spec.lambdas
-    s2, e2 = theta.sigma_sq, theta.eta_sq
-    r = 1.0 / (e2 * lam + 1.0)
-    ych2 = state.y_check**2
-    s1 = float(np.mean(ych2 * r)) / (2.0 * s2 * s2) - 1.0 / (2.0 * s2)
-    s2_comp = float(np.mean(lam * ych2 * r * r)) / (2.0 * s2) - 0.5 * float(
-        np.mean(lam * r)
-    )
-    return np.array([s1, s2_comp])
+    ss, quad, _, mlr, *_ = _sums_at(state.y_check**2, state.spec, theta.eta_sq)
+    return _theta_score(ss, quad, mlr, theta.sigma_sq)
+
+
+def _hessian(y_sq: np.ndarray, spec: GramSpectrum, theta: ModelParams) -> np.ndarray:
+    """J(theta) on a sample row; on the population row, its expectation J_0(theta)."""
+    s2 = theta.sigma_sq
+    ss, quad, cube, _, ml2r2, _ = _sums_at(y_sq, spec, theta.eta_sq)
+    j11 = 1.0 / (2.0 * s2 * s2) - ss / s2**3
+    j12 = -quad / (2.0 * s2 * s2)
+    return np.array([[j11, j12], [j12, 0.5 * ml2r2 - cube / s2]])
 
 
 def hessian(state: ScoreState, theta: ModelParams) -> np.ndarray:
     """Observed second-derivative matrix J(theta) of loglik, in closed form."""
-    lam = state.spec.lambdas
-    s2, e2 = theta.sigma_sq, theta.eta_sq
-    r = 1.0 / (e2 * lam + 1.0)
-    ych2 = state.y_check**2
-    j11 = 1.0 / (2.0 * s2 * s2) - float(np.mean(ych2 * r)) / s2**3
-    j12 = -float(np.mean(lam * ych2 * r * r)) / (2.0 * s2 * s2)
-    j22 = 0.5 * float(np.mean(lam**2 * r * r)) - float(np.mean(lam**2 * ych2 * r**3)) / s2
-    return np.array([[j11, j12], [j12, j22]])
+    return _hessian(state.y_check**2, state.spec, theta)
 
 
 def expected_hessian(
     theta: ModelParams, params: ModelParams, spec: GramSpectrum
 ) -> np.ndarray:
     """J_0(theta) = E{J(theta) | X} under truth ``params``; E y_check_i^2 is plugged in."""
-    lam = spec.lambdas
-    s2, e2 = theta.sigma_sq, theta.eta_sq
-    s02, e02 = params.sigma_sq, params.eta_sq
-    r = 1.0 / (e2 * lam + 1.0)
-    g = (e02 * lam + 1.0) * r  # E y_check_i^2 / sigma0^2 times the resolvent
-    j11 = 1.0 / (2.0 * s2 * s2) - s02 * float(np.mean(g)) / s2**3
-    j12 = -s02 * float(np.mean(lam * g * r)) / (2.0 * s2 * s2)
-    j22 = 0.5 * float(np.mean(lam**2 * r * r)) - s02 * float(
-        np.mean(lam**2 * g * r * r)
-    ) / s2
-    return np.array([[j11, j12], [j12, j22]])
+    return _hessian(_pop_sq(params, spec), spec, theta)
 
 
 def expected_hessian_det(params: ModelParams, spec: GramSpectrum) -> float:
@@ -239,15 +244,10 @@ def expected_hessian_det(params: ModelParams, spec: GramSpectrum) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _score_terms(ss, quad, cube, mlr, ml2r2):
-    """(H_star, H_star') from the means of y^2 r, lam y^2 r^2, lam^2 y^2 r^3,
-    lam r and lam^2 r^2, where r = 1/(eta^2 lam + 1)."""
-    return quad - ss * mlr, -2.0 * cube + quad * mlr + ss * ml2r2
-
-
 def _score_rows(y_check_sq: np.ndarray, lam: np.ndarray, eta: np.ndarray):
     """(sstar, H_star, H_star') on each row of a (reps, n) block of y_check^2,
-    each row at its own eta^2; one reused resolvent buffer."""
+    each row at its own eta^2; one reused resolvent buffer.  Kept apart from
+    ``_resolvent_sums``, whose grid is shared by every row."""
     n = lam.size
     res = np.multiply(eta[:, None], lam)
     res += 1.0
@@ -274,25 +274,19 @@ class FitBlock:
     score_residual: np.ndarray  # |H_star| at eta-hat
 
 
-def _fit_block(y_check_sq: np.ndarray, lam: np.ndarray, opts: FitOptions):
+def _fit_block(y_check_sq: np.ndarray, lam: np.ndarray):
     """The batched search; returns the block, the eta grid and its (reps, G)
     profile log-likelihood, and each row's score tolerance."""
-    reps, n = y_check_sq.shape
-    last = opts.grid_points - 1
-    ts = np.linspace(0.0, opts.t_cap, opts.grid_points)
+    reps = y_check_sq.shape[0]
+    last = GRID_POINTS - 1
+    ts = np.linspace(0.0, T_CAP, GRID_POINTS)
     etas = ts / (1.0 - ts)
-    shifted = np.multiply.outer(lam, etas) + 1.0  # (n, G), the same for every row
-    res = 1.0 / shifted
-    lres = lam[:, None] * res
-    # sstar, lam y^2 r^2 and lam^2 y^2 r^3 at every grid point of every row
-    ss, quad, cube = np.split(
-        y_check_sq @ (np.hstack([res, lres * res, lres * lres * res]) / n), 3, axis=1
-    )
+    ss, quad, cube, mlr, ml2r2, logdet = _resolvent_sums(y_check_sq, lam, etas)
     with np.errstate(divide="ignore", invalid="ignore"):
-        lls = -0.5 * np.log(ss) - 0.5 * np.log(shifted).mean(axis=0) - 0.5
+        lls = -0.5 * np.log(ss) - 0.5 * logdet - 0.5
     if not np.all(np.isfinite(lls)):
         raise NumericalError("profile likelihood is non-finite on the search grid")
-    h, hp = _score_terms(ss, quad, cube, lres.mean(axis=0), (lres * lres).mean(axis=0))
+    h, hp = _score_terms(ss, quad, cube, mlr, ml2r2)
 
     rows = np.arange(reps)
     tol = 1e-8 * (1.0 + np.abs(h[:, 0]))
@@ -311,7 +305,7 @@ def _fit_block(y_check_sq: np.ndarray, lam: np.ndarray, opts: FitOptions):
     converged = at_zero | at_cap
     iters = np.zeros(reps, dtype=np.int64)
     active = np.flatnonzero(~converged)
-    for _ in range(opts.newton_max):
+    for _ in range(NEWTON_MAX):
         if active.size == 0:
             break
         e, hh, dd = eta[active], cur_h[active], cur_hp[active]
@@ -334,6 +328,7 @@ def _fit_block(y_check_sq: np.ndarray, lam: np.ndarray, opts: FitOptions):
         eta[active] = e
         iters[active] += 1
 
+    # the log-determinant at each row's own eta^2, as in _score_rows
     ll = -0.5 * np.log(sigma) - 0.5 * np.log(np.multiply.outer(eta, lam) + 1.0).mean(axis=1) - 0.5
     # a root the search found below the grid maximum is a local optimum only:
     # fall back to the grid maximizer, unconverged
@@ -363,7 +358,7 @@ def fit_mle(state: ScoreState, options: FitOptions | None = None) -> FitResult |
     Newton steps on H_star stay inside the neighbouring grid cells and fall
     back to bisecting a sign-changing bracket (or to the cell midpoint); a row
     converges when |H_star| < tol_score and the step or the bracket is below
-    1e-10 (1+eta^2)^2, i.e. 1e-10 in t.  A row that runs out of ``newton_max``
+    1e-10 (1+eta^2)^2, i.e. 1e-10 in t.  A row that runs out of ``NEWTON_MAX``
     steps, or whose root lies below its grid maximum (then the grid maximizer
     is returned), has ``converged`` False.  ``score_residual`` is |H_star| at
     the returned eta^2.  Rows are fitted at a power-of-two scale (exact), so
@@ -380,7 +375,7 @@ def fit_mle(state: ScoreState, options: FitOptions | None = None) -> FitResult |
     # each row is fitted divided by 2^e, its largest |y_i| in [1/2, 1): exact,
     # and y^2 neither under- nor overflows; sigma^2 and H_star scale by 4^e
     expo = np.frexp(np.max(np.abs(y_block), axis=1))[1]
-    block, etas, lls, tol = _fit_block(np.ldexp(y_block, -expo[:, None]) ** 2, spec.lambdas, opts)
+    block, etas, lls, tol = _fit_block(np.ldexp(y_block, -expo[:, None]) ** 2, spec.lambdas)
     sigma_scaled = block.theta[:, 0].copy()
     block.theta[:, 0] = np.ldexp(sigma_scaled, 2 * expo)
     block.score_residual = np.ldexp(block.score_residual, 2 * expo)
@@ -475,14 +470,15 @@ def score_covariance(
 
     lam = spec.lambdas
     C = standardized_map(params, spec, X)
+    # the score's weights over i, M_k = C' diag(w_k) C; vectors, not the kernel's sums
     w1 = 1.0 / (2.0 * params.sigma_sq**2 * n * (params.eta_sq * lam + 1.0))
     w2 = lam / (2.0 * params.sigma_sq * n * (params.eta_sq * lam + 1.0) ** 2)
 
     C_sq = C * C
     diag1 = w1 @ C_sq  # diag of M1, length n+p
     diag2 = w2 @ C_sq
-    # C C' = sigma0^2 diag(eta0^2 lam + 1) makes tr(M_k M_l) an O(n) sum
-    cc = params.sigma_sq * (params.eta_sq * lam + 1.0)
+    # C C' = diag(E y_check^2) makes tr(M_k M_l) an O(n) sum
+    cc = _pop_sq(params, spec)
     kurt = mu4 - 3.0
     info = np.empty((2, 2))
     for i, (wi, di) in enumerate(((w1, diag1), (w2, diag2))):

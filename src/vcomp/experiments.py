@@ -88,6 +88,8 @@ def tanh_product(scales: tuple[float, ...]) -> SmoothTestFn:
 def tanh_sum(scales: tuple[float, ...]) -> SmoothTestFn:
     """f(x) = tanh(sum_j x_j / a); unlike the product of odd factors it keeps a
     third-order response, so skewness differences register.  |f|_j <= 2 / a^j."""
+    if not scales:
+        raise ValueError("tanh_sum needs a scale")
     a = float(scales[0])
     if a <= 0:
         raise ValueError("tanh_sum scale must be positive")
@@ -168,6 +170,10 @@ class ExperimentPlan:
             raise ValueError(f"unknown delta_scale {self.delta_scale!r}")
         if self.qspec not in ("equispaced", "identity"):
             raise ValueError(f"unknown qspec {self.qspec!r}")
+        if self.eta_box < 0:
+            raise ValueError(f"eta_box must be nonnegative, got {self.eta_box}")
+        if self.eta_grid_points < 1:
+            raise ValueError(f"eta_grid_points must be at least 1, got {self.eta_grid_points}")
         if self.kind == "stein_discrepancy" and self.k_forms not in (1, 2):
             raise ValueError("stein experiment supports K in {1, 2}")
 
@@ -415,7 +421,7 @@ def _rotated_blocks(plan: ExperimentPlan, cell_index: int, X, spec, lo: int, hi:
 def _fit_rows(spec, y_check: np.ndarray) -> np.ndarray:
     """Fit one block of rotated outcomes together; rows are
     (sigma2_hat, eta2_hat, cap_hit, nonconverged)."""
-    fit = est.fit_mle(est.ScoreState(y_check=y_check, spec=spec), est.FitOptions(trace=False))
+    fit = est.fit_mle(est.ScoreState(y_check=y_check, spec=spec))
     return np.column_stack([fit.theta, fit.cap_hit, ~fit.converged])
 
 
@@ -459,27 +465,19 @@ def _expansion_controls(
     local curvature has the wrong sign fall back to the population curvature.
 
     The resolvent at eta_0^2 is the same for every row, so the score and the
-    first Newton step come from one (reps, n) @ (n, 3) product over the whole
-    block.  The second step uses the batched fit's row helper, and the
-    profiled variance one more resolvent; both run on ``_slices`` of the
-    block, so their (rows, n) temporaries stay small.  Only row-wise
-    arithmetic runs on slices, so each row's result is the same whatever the
-    block size.
+    first Newton step come from one ``est._resolvent_sums`` call on the whole
+    block, and the fallback slope from one on the population row.  The second
+    step and the profiled variance are at each row's own eta^2, so they do not
+    use the kernel: the step uses the batched fit's row helper, the profiled
+    variance one more resolvent.  Both run on ``_slices`` of the block, so
+    their (rows, n) temporaries stay small.  Only row-wise arithmetic runs on
+    slices, so each row's result is the same whatever the block size.
     """
     lam = spec.lambdas
     n = spec.n
     s2, e0 = params.sigma_sq, params.eta_sq
-    r0 = 1.0 / (e0 * lam + 1.0)
-    lr0 = lam * r0
-    mlr0 = float(np.mean(lr0))
-    ml2r2_0 = float(np.mean(lr0 * lr0))
-    # population curvature at eta_0^2 as the fallback Newton slope
-    ey2 = s2 * (e0 * lam + 1.0)
-    fallback = (
-        -2.0 * float(np.mean(lam * lam * ey2 * r0**3))
-        + float(np.mean(lam * ey2 * r0 * r0)) * mlr0
-        + float(np.mean(ey2 * r0)) * ml2r2_0
-    )
+    pop = est._resolvent_sums(est._pop_sq(params, spec)[None], lam, [e0])
+    fallback = est._score_terms(*pop[:5])[1].item()
     if not fallback < 0:
         fallback = -1e-8
 
@@ -487,15 +485,15 @@ def _expansion_controls(
         slope = np.where(hp < -1e-300, hp, fallback)
         return np.clip(e - h / slope, 0.0, 1e6)
 
-    ss, quad, cube = (y_check_sq @ (np.stack([r0, lr0 * r0, lr0 * lr0 * r0], axis=1) / n)).T
-    scores = np.stack([ss / (2.0 * s2 * s2) - 1.0 / (2.0 * s2), quad / (2.0 * s2) - 0.5 * mlr0], axis=-1)
-    u_lin = -math.sqrt(n) * scores @ np.linalg.inv(j0).T
+    ss, quad, cube, mlr0, ml2r2_0, _ = (v[..., 0] for v in est._resolvent_sums(y_check_sq, lam, [e0]))
+    u_lin = -math.sqrt(n) * est._theta_score(ss, quad, mlr0, s2) @ np.linalg.inv(j0).T
 
     e1 = newton(e0, *est._score_terms(ss, quad, cube, mlr0, ml2r2_0))
     e, sig = np.empty_like(e1), np.empty_like(e1)
     for lo, hi in _slices(e1.size):
         y_sq = y_check_sq[lo:hi]
         e[lo:hi] = newton(e1[lo:hi], *est._score_rows(y_sq, lam, e1[lo:hi])[1:])
+        # sstar at each row's own eta^2, so not the shared-grid kernel
         res = np.multiply(e[lo:hi, None], lam)
         res += 1.0
         np.reciprocal(res, out=res)
@@ -546,7 +544,7 @@ def _chunk_control(task) -> np.ndarray:
     gaussian = beta_law.name == "gaussian" and eps_law.name == "gaussian"
     if not gaussian:
         C = est.standardized_map(params, spec, X)
-    scale = params.sigma_sq * (params.eta_sq * spec.lambdas + 1.0)
+    scale = est._pop_sq(params, spec)
 
     def draw(b: int) -> np.ndarray:
         """The next b rows of y_check^2 from the stream; runs on the drawer."""
@@ -607,8 +605,10 @@ def _chunk_tail(task) -> np.ndarray:
     plan, cell_index, X, spec, lo, hi = task
     params = plan.params()
     etas = np.linspace(0.0, plan.eta_box, plan.eta_grid_points)
+    # sstar alone, so one column per grid point: the three-column
+    # est._resolvent_sums would triple the product on every replicate block
     resolvent = 1.0 / (np.multiply.outer(spec.lambdas, etas) + 1.0) / spec.n  # n x grid
-    target = params.sigma_sq * ((params.eta_sq * spec.lambdas + 1.0) @ resolvent)
+    target = est._pop_sq(params, spec) @ resolvent
     return np.concatenate([
         np.column_stack([
             np.max(np.abs(y_check**2 @ resolvent - target), axis=1),

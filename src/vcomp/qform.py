@@ -21,35 +21,17 @@ import numpy as np
 from .errors import UnsupportedLawError
 from .laws import SubGaussianLaw
 
-#: dimension above which the operator norm switches to power iteration
-_EIG_DIM_LIMIT = 2048
 #: tolerance on the smallest eigenvalue, relative to the operator norm
 PSD_RTOL = 1e-8
 
 
-def operator_norm(M: np.ndarray) -> float:
-    """Spectral norm of a symmetric matrix.
-
-    Dense symmetric eigensolve up to dimension 2048; deterministic power
-    iteration (tol 1e-10, at most 1e4 iterations) above that.
-    """
-    d = M.shape[0]
-    if d <= _EIG_DIM_LIMIT:
-        w = np.linalg.eigvalsh(M)
-        return float(max(abs(w[0]), abs(w[-1])))
-    rng = np.random.Generator(np.random.Philox(key=np.array([0, 0], dtype=np.uint64)))
-    v = rng.standard_normal(d)
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    for _ in range(10_000):
-        w = M @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        if abs(norm - prev) <= 1e-10 * max(1.0, norm):
-            break
-        prev = norm
+def _psd_norm(M: np.ndarray, what: str) -> float:
+    """Spectral norm of a symmetric matrix, from the one eigensolve that also
+    checks that it is positive semidefinite."""
+    w = np.linalg.eigvalsh(M)
+    norm = float(max(abs(w[0]), abs(w[-1])))
+    if w[0] < -PSD_RTOL * max(norm, 1e-300):
+        raise ValueError(f"{what} is not positive semidefinite (min eigenvalue {w[0]:.3e})")
     return norm
 
 
@@ -76,24 +58,8 @@ class QuadraticForm:
         self.diag = np.ascontiguousarray(np.diag(Q))
         self.trace = float(np.trace(Q))
         self.trace_sq = float(np.sum(Q * Q))  # tr(Q^2) for symmetric Q
-        self.op_norm = operator_norm(Q)
+        self.op_norm = _psd_norm(Q, "matrix")
         self.hs_norm = float(np.linalg.norm(Q, "fro"))
-        self._check_psd()
-
-    def _check_psd(self) -> None:
-        d = self.dim
-        if d <= _EIG_DIM_LIMIT:
-            min_eig = float(np.linalg.eigvalsh(self.matrix)[0])
-            if min_eig < -PSD_RTOL * max(self.op_norm, 1e-300):
-                raise ValueError(
-                    f"matrix is not positive semidefinite (min eigenvalue {min_eig:.3e})"
-                )
-        else:
-            shift = PSD_RTOL * max(self.op_norm, 1e-300)
-            try:
-                np.linalg.cholesky(self.matrix + shift * np.eye(d))
-            except np.linalg.LinAlgError:
-                raise ValueError("matrix is not positive semidefinite") from None
 
     @property
     def dim(self) -> int:
@@ -230,10 +196,7 @@ def build_w(
         v_cov[2 * i + 1, 2 * j + 1] = (mu4 - 1.0) * dd
     v_cov = 0.5 * (v_cov + v_cov.T)
 
-    scale = operator_norm(v_cov)
-    min_eig = float(np.linalg.eigvalsh(v_cov)[0])
-    if min_eig < -PSD_RTOL * max(scale, 1e-300):
-        raise ValueError(f"covariance not PSD (min eigenvalue {min_eig:.3e})")
+    _psd_norm(v_cov, "covariance")
     return WVector(qforms=list(qforms), v_cov=v_cov, mu4=float(mu4))
 
 

@@ -432,6 +432,21 @@ class TestConfigValidation:
         assert main(["experiment", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
         assert f"vcomp: error: {path[-1]}: expected a list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, name",
+        [
+            ({"eta_box": -1}, "eta_box"),
+            ({"eta_grid_points": 0}, "eta_grid_points"),
+            ({"kind": "normality", "test_fn": {"name": "tanh_sum", "scales": []}}, "tanh_sum"),
+        ],
+    )
+    def test_out_of_range_value_is_named(self, tmp_path, capsys, edit, name):
+        cfg = {**EXP_CFG, "kind": "tail_envelope", "replicates": 100, "r_grid": [0.1], **edit}
+        cfg_path = write_config(tmp_path / "c.cfg", cfg)
+        assert main(["experiment", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("vcomp: error: ") and name in err
+
     @pytest.mark.parametrize("value", ["abc", "3.7", "", "1_000"])
     def test_bad_env_seed_names_the_variable(self, tmp_path, capsys, monkeypatch, value):
         monkeypatch.setenv("VCOMP_SEED", value)

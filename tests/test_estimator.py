@@ -55,6 +55,42 @@ def spec_from_lambdas(lambdas):
     return GramSpectrum(n=n, p=n, lambdas=lam, U=np.eye(n), n0=int(np.sum(lam > 0)))
 
 
+class TestResolventSums:
+    """The one kernel against elementwise means, on sampled rows and the population row."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_elementwise_means(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        n = int(rng.integers(5, 60))
+        lam = rng.exponential(1.0, n) * (rng.random(n) > 0.2)  # some zero eigenvalues
+        spec = spec_from_lambdas(lam)
+        params = ModelParams(float(rng.uniform(0.2, 3.0)), float(rng.uniform(0.0, 5.0)))
+        pop = est._pop_sq(params, spec)
+        np.testing.assert_allclose(pop, params.sigma_sq * (params.eta_sq * lam + 1.0), rtol=1e-15)
+        block = np.vstack([rng.uniform(0.1, 10.0) * rng.standard_normal((7, n)) ** 2, pop])
+        etas = np.concatenate([[0.0], rng.exponential(2.0, 6)])
+        ss, quad, cube, mlr, ml2r2, logdet = est._resolvent_sums(block, lam, etas)
+        assert ss.shape == quad.shape == cube.shape == (8, 7)
+        assert mlr.shape == ml2r2.shape == logdet.shape == (7,)
+        for g, eta in enumerate(etas):
+            r = 1.0 / (eta * lam + 1.0)
+            for k, y_sq in enumerate(block):
+                np.testing.assert_allclose(
+                    [ss[k, g], quad[k, g], cube[k, g]],
+                    [np.mean(y_sq * r), np.mean(lam * y_sq * r**2), np.mean(lam**2 * y_sq * r**3)],
+                    rtol=1e-12,
+                )
+            np.testing.assert_allclose(
+                [mlr[g], ml2r2[g], logdet[g]],
+                [np.mean(lam * r), np.mean((lam * r) ** 2), np.mean(np.log(eta * lam + 1.0))],
+                rtol=1e-12,
+            )
+
+    def test_negative_eta_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            est._resolvent_sums(np.ones((2, 3)), np.ones(3), [0.5, -1e-3])
+
+
 class TestSigmaStar:
     def test_eta_zero(self):
         _, _, state = make_state(1)
@@ -702,7 +738,7 @@ class TestFisherAndSandwich:
 # ---------------------------------------------------------------------------
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-T_CAP = FitOptions().t_cap
+T_CAP = est.T_CAP
 
 
 def _profile_score_deriv(state, eta_sq):
