@@ -394,6 +394,7 @@ def fit_mle(state: ScoreState, options: FitOptions | None = None) -> FitResult |
             # sigma^2 entries scale by 4^e, its variance by 16^e; an entry that
             # leaves the normal float range is not reported as inf or 0
             psi_scaled, e2 = np.linalg.inv(fisher), 2 * int(expo[0])
+            psi_scaled = 0.5 * (psi_scaled + psi_scaled.T)
             with np.errstate(over="ignore", under="ignore"):
                 psi = np.ldexp(psi_scaled, [[2 * e2, e2], [e2, 0]])
             if np.all((np.abs(psi) >= np.finfo(float).tiny) & np.isfinite(psi) | (psi_scaled == 0.0)):

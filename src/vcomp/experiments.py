@@ -74,6 +74,8 @@ class SmoothTestFn:
 def tanh_product(scales: tuple[float, ...]) -> SmoothTestFn:
     """f(x) = prod_j tanh(x_j / a_j); bounded with |f|_j <= 2 / min(a)^j."""
     a = np.asarray(scales, dtype=np.float64)
+    if a.size == 0:
+        raise ValueError("tanh_product needs at least one scale, got empty scales")
     if np.any(a <= 0):
         raise ValueError("tanh_product scales must be positive")
     amin = float(np.min(a))

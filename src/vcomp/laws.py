@@ -40,14 +40,31 @@ class SubGaussianLaw:
         return self.mu4 - 3.0
 
     def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
-        """Independent coordinates of the given shape, drawn from ``rng``."""
+        """Independent coordinates of the given shape, drawn from ``rng``.  A
+        bounded law takes whole raw words, so an odd Rademacher count drops
+        the high half of its last word: two odd-sized calls on one generator
+        are not one call of their total size."""
+        count = int(np.prod(shape))
+        return self._coords(self._raw(rng, count), count).reshape(shape)
+
+    def _raw(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """Standard normals for the Gaussian law, raw Philox words for a bounded law."""
         if self.name == "gaussian":
-            return rng.standard_normal(shape)
+            return rng.standard_normal(count)
         if self.name == "rademacher":
-            return 2.0 * rng.integers(0, 2, size=shape).astype(np.float64) - 1.0
+            return rng.bit_generator.random_raw((count + 1) // 2)
         if self.name == "uniform":
-            return rng.uniform(-_SQRT3, _SQRT3, size=shape)
+            return rng.bit_generator.random_raw(count)
         raise UnsupportedLawError(f"no sampler for law {self.name!r}")
+
+    def _coords(self, raw: np.ndarray, count: int) -> np.ndarray:
+        """The first ``count`` coordinates along the last axis of ``_raw`` output;
+        bitwise numpy's ``integers(0, 2)`` and ``uniform`` on a fresh stream."""
+        if self.name == "rademacher":  # Lemire at range 2: bit 31 of each half-word, low first
+            return 2.0 * (raw.astype("<u8", copy=False).view("<u4")[..., :count] >> 31) - 1.0
+        if self.name == "uniform":  # low + (high - low) * (w >> 11) * 2^-53
+            return -_SQRT3 + 2.0 * _SQRT3 * ((raw >> 11) * 2.0**-53)
+        return raw
 
 
 # gamma bounds: bounded laws satisfy ||zeta||_psi2 <= sup|zeta| (attained at
@@ -86,10 +103,8 @@ class SeedSpec:
     master_seed: int
     stream_id: int = 0
 
-    def key(self) -> np.ndarray:
-        return np.array(
-            [self.master_seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64
-        )
+    def key(self) -> tuple[int, int]:
+        return self.master_seed & _MASK64, self.stream_id & _MASK64
 
 
 def rng_for(seed: SeedSpec, substream: int = 0) -> np.random.Generator:
@@ -100,13 +115,18 @@ def rng_for(seed: SeedSpec, substream: int = 0) -> np.random.Generator:
     that hold a generator across other draws, since the cheaper
     ``shared_rng`` (same numbers) must never be held across another draw.
     """
-    bitgen = np.random.Philox(key=seed.key())
+    bitgen = np.random.Philox(key=np.array(seed.key(), dtype=np.uint64))
     if substream:
         bitgen = bitgen.jumped(substream)
     return np.random.Generator(bitgen)
 
 
 _SHARED = np.random.Generator(np.random.Philox(0))  # one per process
+# its reset state, written in place; lists set faster than arrays
+_RESET = {
+    "bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+    "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+}
 
 
 def shared_rng(seed: SeedSpec, substream: int = 0) -> np.random.Generator:
@@ -118,11 +138,10 @@ def shared_rng(seed: SeedSpec, substream: int = 0) -> np.random.Generator:
     generator.  Never hold it across another draw, nor share it between
     threads: the next reset replaces its state.
     """
-    _SHARED.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.array([0, 0, substream, 0], dtype=np.uint64), "key": seed.key()},
-        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-    }
+    state = _RESET["state"]
+    state["counter"][2] = substream
+    state["key"][:] = seed.key()
+    _SHARED.bit_generator.state = _RESET
     return _SHARED
 
 
@@ -135,10 +154,9 @@ def sample_vector(law: SubGaussianLaw, d: int, seed: SeedSpec, substream: int = 
 
 
 def sample_rows(law: SubGaussianLaw, d: int, seeds, substream: int = 0) -> np.ndarray:
-    """A (len(seeds), d) block; row i is ``sample_vector(law, d, seeds[i], substream)``."""
+    """A (len(seeds), d) block; row i is ``sample_vector(law, d, seeds[i], substream)``.
+    Each row's raw draw comes from its own stream, then one pass maps the block."""
     if d < 1:
         raise ValueError(f"need at least one coordinate, got d={d}")
-    out = np.empty((len(seeds), d))
-    for row, seed in zip(out, seeds):
-        row[:] = law.sample(shared_rng(seed, substream), d)
-    return out
+    raw = np.concatenate([law._raw(shared_rng(seed, substream), d) for seed in seeds])
+    return law._coords(raw.reshape(len(seeds), -1), d)

@@ -78,6 +78,18 @@ class TestFit:
         # Var(sigma2_hat) scales by scale^4, beyond the float range here
         assert base["psi"] is not None and fit["psi"] is None
 
+    def test_psi_is_symmetric(self, tmp_path):
+        # inv(F) of a symmetric F can differ across the diagonal in its last bit
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((30, 60))
+        save_matrix_csv(tmp_path / "X.csv", X)
+        save_matrix_csv(tmp_path / "y.csv", (X @ rng.standard_normal(60) / math.sqrt(60)
+                                             + rng.standard_normal(30)).reshape(-1, 1))
+        cfg = write_config(tmp_path / "c.cfg", {"x": "X.csv", "y": "y.csv"})
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        psi = json.loads((tmp_path / "out" / "fit.json").read_text())["psi"]
+        assert psi is not None and psi[1] == psi[2]
+
     def test_constant_spectrum_exit_two(self, tmp_path):
         n = 8
         X = math.sqrt(n) * np.eye(n)
@@ -438,6 +450,7 @@ class TestConfigValidation:
             ({"eta_box": -1}, "eta_box"),
             ({"eta_grid_points": 0}, "eta_grid_points"),
             ({"kind": "normality", "test_fn": {"name": "tanh_sum", "scales": []}}, "tanh_sum"),
+            ({"kind": "normality", "test_fn": {"name": "tanh_product", "scales": []}}, "tanh_product"),
         ],
     )
     def test_out_of_range_value_is_named(self, tmp_path, capsys, edit, name):

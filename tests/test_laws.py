@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from vcomp.errors import UnsupportedLawError
@@ -202,3 +204,67 @@ class TestSharedStreamReset:
     def test_rows_need_a_coordinate(self):
         with pytest.raises(ValueError):
             sample_rows(GAUSSIAN, 0, [SeedSpec(0, 0)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    law=st.sampled_from([GAUSSIAN, RADEMACHER, UNIFORM]),
+    d=st.integers(1, 1024),
+    master=st.sampled_from([0, 7, 2**63 + 5]),
+    stream_ids=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+    substream=st.integers(0, 9),
+)
+@example(law=RADEMACHER, d=1, master=2**63 + 5, stream_ids=[2**64 - 1], substream=9)
+@example(law=RADEMACHER, d=999, master=2**63 + 5, stream_ids=[0, 1], substream=0)
+@example(law=UNIFORM, d=1000, master=2**63 + 5, stream_ids=[(9 << 32) | (2**32 - 3)], substream=4)
+def test_rows_match_the_name_switch_bitwise(law, d, master, stream_ids, substream):
+    seeds = [SeedSpec(master, s) for s in stream_ids]
+    rows = sample_rows(law, d, seeds, substream)
+    assert rows.shape == (len(seeds), d) and rows.dtype == np.float64
+    for row, seed in zip(rows, seeds):
+        assert np.array_equal(row, name_switch_sample(law, rng_for(seed, substream), (d,)))
+
+
+class TestHeldGenerator:
+    # a single odd-sized call is checked by test_sample_matches_name_switch_bitwise
+    @pytest.mark.parametrize("law", [GAUSSIAN, RADEMACHER, UNIFORM], ids=lambda l: l.name)
+    @pytest.mark.parametrize("count", [4, 5])
+    def test_next_draw_starts_where_the_name_switch_left_off(self, law, count):
+        seed = SeedSpec(2**63 + 5, 13)
+        held, oracle = rng_for(seed, 3), rng_for(seed, 3)
+        assert np.array_equal(law.sample(held, (count,)), name_switch_sample(law, oracle, (count,)))
+        assert np.array_equal(held.standard_normal(3), oracle.standard_normal(3))
+
+    def test_odd_rademacher_calls_take_whole_words(self):
+        # each call takes ceil(count / 2) raw words, so the high half of the
+        # first call's last word is dropped; numpy's integers would keep it
+        # for the next call
+        seed = SeedSpec(11, 4)
+        held = rng_for(seed, 2)
+        first, second = RADEMACHER.sample(held, (3,)), RADEMACHER.sample(held, (5,))
+        oracle = rng_for(seed, 2)
+        assert np.array_equal(first, name_switch_sample(RADEMACHER, oracle, (3,)))
+        buffered = name_switch_sample(RADEMACHER, oracle, (5,))
+        skipped = rng_for(seed, 2)
+        skipped.bit_generator.random_raw(2)
+        assert np.array_equal(second, name_switch_sample(RADEMACHER, skipped, (5,)))
+        assert not np.array_equal(second, buffered)
+        # the next draw of any kind starts after the five whole words
+        after = rng_for(seed, 2)
+        after.bit_generator.random_raw(5)
+        assert np.array_equal(held.standard_normal(4), after.standard_normal(4))
+
+    def test_resets_between_held_draws_change_neither(self):
+        seed, other = SeedSpec(3, 5), SeedSpec(3, 6)
+        held = rng_for(seed, 1)
+        parts = [RADEMACHER.sample(held, (5,))]
+        rows = sample_rows(UNIFORM, 9, [other, seed], 1)
+        parts.append(UNIFORM.sample(held, (3,)))
+        shared_rng(other).integers(0, 2, size=3)  # leaves half a word cached
+        again = sample_rows(RADEMACHER, 5, [seed], 1)
+        assert np.array_equal(again[0], parts[0])
+        assert np.array_equal(rows[1], name_switch_sample(UNIFORM, rng_for(seed, 1), (9,)))
+        oracle = rng_for(seed, 1)
+        assert np.array_equal(parts[0], name_switch_sample(RADEMACHER, oracle, (5,)))
+        # numpy's integers took three words as well, the third's high half cached
+        assert np.array_equal(parts[1], name_switch_sample(UNIFORM, oracle, (3,)))
