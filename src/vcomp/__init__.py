@@ -30,7 +30,6 @@ from .qform import (
     QuadraticForm,
     WVector,
     build_w,
-    eval_qf,
     napprox_rate,
     qf_covariance,
     qf_variance,

@@ -78,6 +78,13 @@ def _integer(value, key: str) -> int:
     return value
 
 
+def _number(value, key: str) -> float:
+    # float() would accept a numeric string and fail on others without the key
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key}: expected a number, got {value!r}")
+    return float(value)
+
+
 def _listed(value, key: str):
     # a scalar would be iterated (a string) or fail deep inside as a TypeError
     if not isinstance(value, (list, tuple)):
@@ -148,7 +155,7 @@ def _design_from_cfg(cfg: dict) -> tuple[DesignSpec, float]:
     _check_keys(cfg, _DESIGN_KEYS, "design")
     kind = cfg.get("kind", "gaussian_iid")
     lambdas = cfg.get("lambdas")
-    p_ratio = float(cfg.get("p_ratio", 2.0))
+    p_ratio = _number(cfg.get("p_ratio", 2.0), "design.p_ratio")
     spec = DesignSpec(kind=kind, lambdas=None if lambdas is None else tuple(lambdas))
     return spec, p_ratio
 
@@ -156,8 +163,8 @@ def _design_from_cfg(cfg: dict) -> tuple[DesignSpec, float]:
 def _params_from_cfg(cfg: dict) -> ModelParams:
     _check_keys(cfg, _PARAMS_KEYS, "params")
     return ModelParams(
-        sigma_sq=float(_required(cfg, "sigma2", "params")),
-        eta_sq=float(_required(cfg, "eta2", "params")),
+        sigma_sq=_number(_required(cfg, "sigma2", "params"), "params.sigma2"),
+        eta_sq=_number(_required(cfg, "eta2", "params"), "params.eta2"),
     )
 
 
@@ -180,8 +187,8 @@ def cmd_generate(args) -> int:
         _check_keys(cfg["coupling"], _COUPLING_KEYS, "coupling")
         coupling = CouplingSpec(
             scheme=_required(cfg["coupling"], "scheme", "coupling"),
-            delta=float(cfg["coupling"].get("delta", 0.0)),
-            fraction=float(cfg["coupling"].get("fraction", 0.0)),
+            delta=_number(cfg["coupling"].get("delta", 0.0), "coupling.delta"),
+            fraction=_number(cfg["coupling"].get("fraction", 0.0), "coupling.fraction"),
         )
         ds = gen_coupled(X, params, beta_law, eps_law, coupling, seed)
     else:
@@ -198,15 +205,18 @@ def cmd_fit(args) -> int:
     _check_keys(cfg, _FIT_KEYS, "fit config")
     x_path = base / _required(cfg, "x", "fit config")
     y_path = base / _required(cfg, "y", "fit config")
+    trace = cfg.get("trace", False)
+    if not isinstance(trace, bool):  # bool("false") is True
+        raise ConfigError(f"trace: expected true or false, got {trace!r}")
     X = load_matrix(x_path)
     y = load_vector(y_path)
 
     spec = decompose_gram(X)
     state = est.ScoreState.from_observations(spec, y)
-    fit = est.fit_mle(state, est.FitOptions(trace=bool(cfg.get("trace", False))))
+    fit = est.fit_mle(state, est.FitOptions(trace=trace))
 
     out = est.fit_result_to_dict(fit)
-    if cfg.get("trace", False):
+    if trace:
         out["trace"] = [[e, ll] for e, ll in fit.eta_grid_trace]
     outdir = Path(args.out)
     _write_json(outdir / "fit.json", out)
@@ -234,8 +244,8 @@ def _plan_from_cfg(cfg: dict, seed: int, workers: int) -> ExperimentPlan:
             for v in _listed(_required(cfg, "n_grid", "experiment config"), "n_grid")
         ),
         replicates=_integer(_required(cfg, "replicates", "experiment config"), "replicates"),
-        sigma0_sq=float(_required(params_cfg, "sigma2", "params")),
-        eta0_sq=float(_required(params_cfg, "eta2", "params")),
+        sigma0_sq=_number(_required(params_cfg, "sigma2", "params"), "params.sigma2"),
+        eta0_sq=_number(_required(params_cfg, "eta2", "params"), "params.eta2"),
         beta_law=_required(laws_cfg, "beta", "laws"),
         eps_law=_required(laws_cfg, "eps", "laws"),
         design=design.kind,
@@ -243,15 +253,15 @@ def _plan_from_cfg(cfg: dict, seed: int, workers: int) -> ExperimentPlan:
         design_lambdas=design.lambdas,
         master_seed=seed,
         workers=workers,
-        r_grid=tuple(float(v) for v in _listed(cfg.get("r_grid", ()), "r_grid")),
-        eta_box=float(cfg.get("eta_box", 8.0)),
+        r_grid=tuple(_number(v, "r_grid") for v in _listed(cfg.get("r_grid", ()), "r_grid")),
+        eta_box=_number(cfg.get("eta_box", 8.0), "eta_box"),
         eta_grid_points=_integer(cfg.get("eta_grid_points", 129), "eta_grid_points"),
         test_fn=fn_cfg.get("name", "tanh_product"),
-        test_scales=tuple(float(v) for v in _listed(fn_cfg.get("scales", (3.0, 3.0)), "scales")),
+        test_scales=tuple(_number(v, "scales") for v in _listed(fn_cfg.get("scales", (3.0, 3.0)), "scales")),
         coupling_scheme=coup_cfg.get("scheme", "additive_perturb"),
-        delta_grid=tuple(float(v) for v in _listed(coup_cfg.get("delta_grid", ()), "delta_grid")),
+        delta_grid=tuple(_number(v, "delta_grid") for v in _listed(coup_cfg.get("delta_grid", ()), "delta_grid")),
         delta_scale=coup_cfg.get("delta_scale", "absolute"),
-        sparse_fraction=float(coup_cfg.get("fraction", 0.5)),
+        sparse_fraction=_number(coup_cfg.get("fraction", 0.5), "coupling.fraction"),
         k_forms=_integer(cfg.get("k_forms", 1), "k_forms"),
         qspec=cfg.get("qspec", "equispaced"),
         surrogate_draws=_integer(cfg.get("surrogate_draws", 1_000_000), "surrogate_draws"),

@@ -362,7 +362,8 @@ def fit_mle(state: ScoreState, options: FitOptions | None = None) -> FitResult |
     steps, or whose root lies below its grid maximum (then the grid maximizer
     is returned), has ``converged`` False.  ``score_residual`` is |H_star| at
     the returned eta^2.  Rows are fitted at a power-of-two scale (exact), so
-    the fit is scale-equivariant from tiny to huge y; ``psi_hat`` is None for
+    the fit is scale-equivariant from tiny to huge y (a sigma^2 beyond the
+    float range raises ``NumericalError``); ``psi_hat`` is None for
     a non-identifiable or near-singular fit, or when an entry leaves the
     normal float range.
     """
@@ -377,8 +378,11 @@ def fit_mle(state: ScoreState, options: FitOptions | None = None) -> FitResult |
     expo = np.frexp(np.max(np.abs(y_block), axis=1))[1]
     block, etas, lls, tol = _fit_block(np.ldexp(y_block, -expo[:, None]) ** 2, spec.lambdas)
     sigma_scaled = block.theta[:, 0].copy()
-    block.theta[:, 0] = np.ldexp(sigma_scaled, 2 * expo)
-    block.score_residual = np.ldexp(block.score_residual, 2 * expo)
+    with np.errstate(over="ignore"):  # an overflow is raised below, not warned
+        block.theta[:, 0] = np.ldexp(sigma_scaled, 2 * expo)
+        block.score_residual = np.ldexp(block.score_residual, 2 * expo)
+    if not np.all(np.isfinite(block.theta[:, 0])):
+        raise NumericalError("sigma^2 estimate overflows the float range; rescale y")
     if y_check.ndim == 2:
         return block
 

@@ -107,18 +107,10 @@ class SeedSpec:
         return self.master_seed & _MASK64, self.stream_id & _MASK64
 
 
-def rng_for(seed: SeedSpec, substream: int = 0) -> np.random.Generator:
-    """A new generator for a seed spec; ``substream`` jumps to a disjoint stream.
-
-    Substreams let one logical seed feed several independent draws (effects,
-    noise, perturbations) without any risk of overlap.  This is for callers
-    that hold a generator across other draws, since the cheaper
-    ``shared_rng`` (same numbers) must never be held across another draw.
-    """
-    bitgen = np.random.Philox(key=np.array(seed.key(), dtype=np.uint64))
-    if substream:
-        bitgen = bitgen.jumped(substream)
-    return np.random.Generator(bitgen)
+def rng_for(seed: SeedSpec) -> np.random.Generator:
+    """A new generator for a seed spec, for callers that hold it across other
+    draws: the cheaper ``shared_rng`` (same numbers) must never be held so."""
+    return np.random.Generator(np.random.Philox(key=np.array(seed.key(), dtype=np.uint64)))
 
 
 _SHARED = np.random.Generator(np.random.Philox(0))  # one per process
@@ -130,13 +122,16 @@ _RESET = {
 
 
 def shared_rng(seed: SeedSpec, substream: int = 0) -> np.random.Generator:
-    """The process's one generator, reset to the start of ``rng_for(seed, substream)``.
+    """The process's one generator, reset to the start of ``seed``'s substream.
 
-    A Philox jump by ``substream`` adds it to the third counter word, so
+    Substreams let one seed feed several independent draws (effects, noise)
+    without overlap: substream k is the seed's Philox stream jumped k times
+    (k * 2^128 draws), and a jump adds k to the third counter word.  So
     setting the counter to ``[0, 0, substream, 0]`` under the key, with an
-    empty buffer, gives bitwise the draws of ``rng_for`` without building a
-    generator.  Never hold it across another draw, nor share it between
-    threads: the next reset replaces its state.
+    empty buffer, gives bitwise the jumped stream without building a
+    generator; substream 0 is ``rng_for(seed)``.  Never hold it across
+    another draw, nor share it between threads: the next reset replaces its
+    state.
     """
     state = _RESET["state"]
     state["counter"][2] = substream

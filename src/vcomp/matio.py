@@ -1,4 +1,4 @@
-"""Matrix I/O: dense CSV and a small binary container.
+"""Matrix I/O: dense CSV out; CSV or a small binary container in.
 
 The binary container has a 16-byte header: 4-byte magic ``VCM1``, then
 little-endian uint32 fields n (rows), p (columns), and element width in bytes
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,16 +25,6 @@ def save_matrix_csv(path: str | Path, X: np.ndarray) -> None:
     np.savetxt(path, X, delimiter=",", fmt="%.17g")
 
 
-def save_matrix_bin(path: str | Path, X: np.ndarray, width: int = 8) -> None:
-    if width not in _WIDTH_DTYPES:
-        raise ValueError(f"unsupported element width {width}; use 8 or 4")
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    n, p = X.shape
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, n, p, width))
-        fh.write(np.ascontiguousarray(X, dtype=_WIDTH_DTYPES[width]).tobytes())
-
-
 def load_matrix(path: str | Path) -> np.ndarray:
     """Load a matrix from CSV or the binary container (sniffed by magic)."""
     path = Path(path)
@@ -41,7 +32,11 @@ def load_matrix(path: str | Path) -> np.ndarray:
         head = fh.read(4)
     if head == MAGIC:
         return _load_bin(path)
-    X = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    with warnings.catch_warnings():  # loadtxt warns on a file with no data; raised below
+        warnings.simplefilter("ignore", UserWarning)
+        X = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    if X.size == 0:
+        raise ValueError(f"{path}: matrix file holds no data")
     return X
 
 

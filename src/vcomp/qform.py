@@ -44,7 +44,6 @@ class QuadraticForm:
     trace: float = field(init=False)
     trace_sq: float = field(init=False)
     op_norm: float = field(init=False)
-    hs_norm: float = field(init=False)
 
     def __post_init__(self) -> None:
         Q = np.asarray(self.matrix, dtype=np.float64)
@@ -59,19 +58,10 @@ class QuadraticForm:
         self.trace = float(np.trace(Q))
         self.trace_sq = float(np.sum(Q * Q))  # tr(Q^2) for symmetric Q
         self.op_norm = _psd_norm(Q, "matrix")
-        self.hs_norm = float(np.linalg.norm(Q, "fro"))
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-def eval_qf(qf: QuadraticForm, z: np.ndarray) -> float:
-    """z'Qz, computed as (Qz).z."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (qf.dim,):
-        raise ValueError(f"dimension mismatch: form is {qf.dim}, vector is {z.shape}")
-    return float((qf.matrix @ z) @ z)
 
 
 def _resolve_mu(
@@ -138,7 +128,6 @@ class WVector:
 
     qforms: list[QuadraticForm]
     v_cov: np.ndarray
-    mu4: float
 
     @property
     def k(self) -> int:
@@ -197,7 +186,7 @@ def build_w(
     v_cov = 0.5 * (v_cov + v_cov.T)
 
     _psd_norm(v_cov, "covariance")
-    return WVector(qforms=list(qforms), v_cov=v_cov, mu4=float(mu4))
+    return WVector(qforms=list(qforms), v_cov=v_cov)
 
 
 def sigma_k_sq(qf: QuadraticForm, gamma2: float) -> float:

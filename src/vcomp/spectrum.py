@@ -14,17 +14,12 @@ import numpy as np
 
 @dataclass
 class GramSpectrum:
-    """Spectrum of G = XX^T / p: eigenvalues (descending), eigenvectors, numeric rank.
-
-    ``n0`` counts eigenvalues above the numerical-rank threshold
-    ``max(n, p) * eps * lambda_1``.
-    """
+    """Spectrum of G = XX^T / p: eigenvalues (descending) and eigenvectors."""
 
     n: int
     p: int
     lambdas: np.ndarray
     U: np.ndarray
-    n0: int
 
     @property
     def lambda_1(self) -> float:
@@ -40,9 +35,11 @@ def _rank_threshold(n: int, p: int, lam_max: float) -> float:
 def decompose_gram(X: np.ndarray) -> GramSpectrum:
     """Eigendecomposition of XX^T / p for an n x p design matrix.
 
-    Uses an SVD of X when p <= n and a symmetric eigendecomposition of the
-    n x n Gram matrix when p > n; either way the result reconstructs the Gram
-    matrix to high relative accuracy and U is orthogonal.
+    One route for every shape: a symmetric eigendecomposition of the
+    symmetrized n x n Gram matrix, sorted descending.  Eigenvalues at or below
+    the numerical-rank threshold ``max(n, p) * eps * lambda_1`` are set to
+    exactly 0, so a rank-deficient design (any p < n, or a wide design of low
+    rank) has exact zero eigenvalues rather than rounding noise.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -53,23 +50,13 @@ def decompose_gram(X: np.ndarray) -> GramSpectrum:
     if not np.all(np.isfinite(X)):
         raise ValueError("design matrix contains non-finite entries")
 
-    if p <= n:
-        U, s, _ = np.linalg.svd(X, full_matrices=True)
-        lambdas = np.zeros(n)
-        lambdas[: s.size] = s**2 / p
-    else:
-        G = (X @ X.T) / p
-        G = 0.5 * (G + G.T)
-        w, V = np.linalg.eigh(G)
-        order = np.argsort(w)[::-1]
-        lambdas = w[order]
-        U = V[:, order]
-
-    np.maximum(lambdas, 0.0, out=lambdas)
-    thresh = _rank_threshold(n, p, float(lambdas[0]))
-    n0 = int(np.count_nonzero(lambdas > thresh))
-    n0 = min(n0, min(n, p))
-    return GramSpectrum(n=n, p=p, lambdas=lambdas, U=U, n0=n0)
+    G = (X @ X.T) / p
+    G = 0.5 * (G + G.T)
+    w, V = np.linalg.eigh(G)
+    order = np.argsort(w)[::-1]
+    lambdas = w[order]
+    lambdas[lambdas <= _rank_threshold(n, p, float(lambdas[0]))] = 0.0
+    return GramSpectrum(n=n, p=p, lambdas=lambdas, U=V[:, order])
 
 
 def eigvar(spec: GramSpectrum) -> float:

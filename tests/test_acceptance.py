@@ -42,7 +42,7 @@ def report(line: str) -> None:
 def random_spectrum(rng, n_min=3, n_max=12):
     n = int(rng.integers(n_min, n_max))
     lam = np.sort(rng.uniform(0.0, 4.0, n))[::-1]
-    return GramSpectrum(n=n, p=n, lambdas=lam, U=np.eye(n), n0=int(np.sum(lam > 0)))
+    return GramSpectrum(n=n, p=n, lambdas=lam, U=np.eye(n))
 
 
 def random_params(rng):

@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +122,30 @@ class TestFit:
         assert main(["fit", "--config", cfg, "--out", str(out)]) == 0
         fit = json.loads((out / "fit.json").read_text())
         assert len(fit["trace"]) == 64
+
+
+    def test_huge_y_overflow_is_typed_without_warnings(self, tmp_path, capsys):
+        # sigma2-hat ~ 1e400 leaves the float range
+        write_recovery_fixture(tmp_path)
+        y = np.loadtxt(tmp_path / "y.csv")
+        save_matrix_csv(tmp_path / "y.csv", (1e200 * y).reshape(-1, 1))
+        cfg = write_config(tmp_path / "c.cfg", {"x": "X.csv", "y": "y.csv"})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fit", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "vcomp: error: sigma^2 estimate overflows the float range; rescale y\n"
+        )
+
+    def test_empty_design_file_is_named(self, tmp_path, capsys):
+        write_recovery_fixture(tmp_path)
+        (tmp_path / "X.csv").write_text("")
+        cfg = write_config(tmp_path / "c.cfg", {"x": "X.csv", "y": "y.csv"})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fit", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("vcomp: error: ") and "X.csv: matrix file holds no data" in err
 
 
 class TestGenerate:
@@ -414,6 +439,32 @@ class TestConfigValidation:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         key = next(k for k in reversed(path) if isinstance(k, str))
         assert f"vcomp: error: {key}: expected an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["x", "1.0", None, True], ids=["word", "numeric-string", "null", "bool"])
+    @pytest.mark.parametrize(
+        "command, path, key",
+        [
+            ("generate", ("params", "sigma2"), "params.sigma2"),
+            ("generate", ("params", "eta2"), "params.eta2"),
+            ("generate", ("coupling", "delta"), "coupling.delta"),
+            ("experiment", ("params", "sigma2"), "params.sigma2"),
+            ("experiment", ("params", "eta2"), "params.eta2"),
+            ("experiment", ("eta_box",), "eta_box"),
+        ],
+    )
+    def test_ill_typed_number_is_named(self, tmp_path, capsys, command, path, key, bad):
+        cfg = write_config(tmp_path / "c.cfg", edited_config(command, path, bad))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert f"vcomp: error: {key}: expected a number, got {bad!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["false", 0, 1, None], ids=["string", "zero", "one", "null"])
+    def test_trace_must_be_a_boolean(self, tmp_path, capsys, bad):
+        # bool("false") is True: a string once switched the trace on
+        write_recovery_fixture(tmp_path)
+        cfg = write_config(tmp_path / "c.cfg", {**FIT_CFG, "trace": bad})
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert f"vcomp: error: trace: expected true or false, got {bad!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "fit.json").exists()
 
     def test_huge_matrix_header_exit_one(self, tmp_path, capsys):
         write_recovery_fixture(tmp_path)

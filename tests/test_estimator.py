@@ -28,10 +28,10 @@ from vcomp.estimator import (
     sigma0_sq_of,
     sigma_star_sq,
 )
-from vcomp.laws import GAUSSIAN, RADEMACHER, UNIFORM, SeedSpec, sample_vector
+from vcomp.laws import GAUSSIAN, RADEMACHER, UNIFORM, SeedSpec, sample_rows
 from vcomp.experiments import ExperimentPlan, run_consistency
 from vcomp.model import DesignSpec, ModelParams, gen_design, gen_independent, haar_orthogonal
-from vcomp.qform import QuadraticForm, eval_qf
+from vcomp.qform import QuadraticForm
 from vcomp.spectrum import GramSpectrum, decompose_gram, eigvar
 
 
@@ -44,15 +44,13 @@ def make_state(seed=0, n=12, p=20, params=ModelParams(1.0, 1.0)):
 
 
 def flat_spec(n=6, lam=1.0):
-    return GramSpectrum(
-        n=n, p=n, lambdas=np.full(n, lam), U=np.eye(n), n0=n if lam > 0 else 0
-    )
+    return GramSpectrum(n=n, p=n, lambdas=np.full(n, lam), U=np.eye(n))
 
 
 def spec_from_lambdas(lambdas):
     lam = np.asarray(lambdas, dtype=float)
     n = lam.size
-    return GramSpectrum(n=n, p=n, lambdas=lam, U=np.eye(n), n0=int(np.sum(lam > 0)))
+    return GramSpectrum(n=n, p=n, lambdas=lam, U=np.eye(n))
 
 
 class TestResolventSums:
@@ -97,14 +95,19 @@ class TestSigmaStar:
         y_norm_sq = float(state.y_check @ state.y_check)
         assert sigma_star_sq(state, 0.0) == pytest.approx(y_norm_sq / state.n)
 
-    def test_large_eta_limit_rank_deficient(self):
-        # p < n leaves n - p zero eigenvalues; the limit keeps only those terms
+    @pytest.mark.parametrize("wide", [False, True], ids=["tall", "wide"])
+    def test_large_eta_limit_rank_deficient(self, wide):
+        # a rank-4 design leaves n - 4 zero eigenvalues, p < n (tall) or
+        # X = A B (wide); the limit keeps only those terms, so rounding noise
+        # left in a zero eigenvalue would move it
         rng = np.random.default_rng(2)
         X = rng.standard_normal((10, 4))
+        if wide:
+            X = X @ rng.standard_normal((4, 20))
         spec = decompose_gram(X)
         y = rng.standard_normal(10)
         state = ScoreState.from_observations(spec, y)
-        tail = float(np.sum(state.y_check[spec.n0 :] ** 2)) / spec.n
+        tail = float(np.sum(state.y_check[4:] ** 2)) / spec.n
         assert sigma_star_sq(state, 1e12) == pytest.approx(tail, rel=1e-6)
 
     def test_dense_solve_oracle(self):
@@ -190,16 +193,16 @@ class TestPopProfile:
         assert max(vals) - min(vals) < 1e-12
 
     def test_curvature_lower_bound_full_rank(self):
-        # n0 = n instance: separation of the population profile from its max
+        # full-rank instance: separation of the population profile from its max
         # dominates the curvature-factor bound on a grid
         rng = np.random.default_rng(9)
         X = rng.standard_normal((8, 16))
         spec = decompose_gram(X)
-        assert spec.n0 == spec.n
+        assert np.all(spec.lambdas > 0)
         params = ModelParams(1.3, 0.7)
         v = eigvar(spec)
         # curvature factor 1 / (2 (eta0^2+1)^4 (lambda_1+1)^4 (1/lambda_n0+1)^2);
-        # lambda_n0 is the smallest eigenvalue because n0 = n
+        # lambda_n0, the smallest nonzero eigenvalue, is the smallest at full rank
         lam_n0 = float(np.min(spec.lambdas))
         c = 1.0 / (
             2.0
@@ -390,7 +393,7 @@ class TestFitMLE:
         # for y * 1e50 but dropped it for y * 1e-50
         n = 40
         lam = 1.0 + 3.6e-5 * np.linspace(1.0, -1.0, n)
-        spec = GramSpectrum(n=n, p=n, lambdas=lam, U=np.eye(n), n0=n)
+        spec = GramSpectrum(n=n, p=n, lambdas=lam, U=np.eye(n))
         y = np.random.default_rng(7).standard_normal(n)
         present = []
         for c in (2.0**40, 2.0**-40, 1e100, 1e-100):
@@ -412,10 +415,10 @@ class TestFitMLE:
         for c in (1e-160, 1e160):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                state = ScoreState.from_observations(GramSpectrum(n=n, p=n, lambdas=lam, U=Q, n0=n - 1), c * y)
+                state = ScoreState.from_observations(GramSpectrum(n=n, p=n, lambdas=lam, U=Q), c * y)
                 np.testing.assert_allclose(state.y_check, Q.T @ (c * y), rtol=1e-12)
                 with pytest.raises(NumericalError):
-                    ScoreState.from_observations(GramSpectrum(n=n, p=n, lambdas=lam, U=1.01 * Q, n0=n - 1), c * y)
+                    ScoreState.from_observations(GramSpectrum(n=n, p=n, lambdas=lam, U=1.01 * Q), c * y)
 
     def test_profile_reduction_matches_2d_grid(self):
         _, _, state = make_state(21, n=15, p=25)
@@ -599,8 +602,8 @@ class TestScoreQF:
             eps = s0 * z[self.p :]
             state = ScoreState.from_observations(self.spec, self.X @ beta + eps)
             s = score(state, self.params)
-            assert eval_qf(M1, z) - c1 == pytest.approx(s[0], abs=1e-8)
-            assert eval_qf(M2, z) - c2 == pytest.approx(s[1], abs=1e-8)
+            assert (M1.matrix @ z) @ z - c1 == pytest.approx(s[0], abs=1e-8)
+            assert (M2.matrix @ z) @ z - c2 == pytest.approx(s[1], abs=1e-8)
 
     def test_offsets_center_the_score(self):
         M1, M2, (c1, c2) = score_qf_matrices(self.params, self.spec, self.X)
@@ -642,11 +645,14 @@ class TestScoreCovariance:
         reps = 100_000
         scores = np.empty((reps, 2))
         root = math.sqrt(self.params.sigma_sq * self.params.eta_sq / self.p)
-        for r in range(reps):
-            beta = root * sample_vector(UNIFORM, self.p, SeedSpec(36, r))
-            eps = sample_vector(RADEMACHER, self.n, SeedSpec(37, r))
-            state = ScoreState.from_observations(self.spec, self.X @ beta + eps)
-            scores[r] = score(state, self.params)
+        # row r of a sample_rows block is bitwise sample_vector(law, d, SeedSpec(seed, r))
+        for lo in range(0, reps, 10_000):
+            rs = range(lo, lo + 10_000)
+            betas = root * sample_rows(UNIFORM, self.p, [SeedSpec(36, r) for r in rs])
+            epss = sample_rows(RADEMACHER, self.n, [SeedSpec(37, r) for r in rs])
+            for r, beta, eps in zip(rs, betas, epss):
+                state = ScoreState.from_observations(self.spec, self.X @ beta + eps)
+                scores[r] = score(state, self.params)
         emp = self.n * np.cov(scores.T)
         for i in range(2):
             for j in range(2):
@@ -837,7 +843,7 @@ def spectra_and_blocks(draw):
     lam = np.sort(rng.uniform(0.0, 4.0, n))[::-1]
     if zeros:
         lam[-zeros:] = 0.0
-    spec = GramSpectrum(n=n, p=n, lambdas=lam, U=np.eye(n), n0=n - zeros)
+    spec = GramSpectrum(n=n, p=n, lambdas=lam, U=np.eye(n))
     sigma0 = float(rng.uniform(0.2, 5.0))
     y_check = np.sqrt(sigma0 * (eta0 * lam + 1.0)) * rng.standard_normal((12, n))
     return spec, y_check

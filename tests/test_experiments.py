@@ -428,7 +428,7 @@ class TestExpansionControls:
         n = int(rng.integers(5, 60))
         lam = np.sort(rng.uniform(0.0, 4.0, n))[::-1]
         lam[-1] = 0.0
-        spec = GramSpectrum(n=n, p=n, lambdas=lam, U=np.eye(n), n0=n - 1)
+        spec = GramSpectrum(n=n, p=n, lambdas=lam, U=np.eye(n))
         params = ModelParams(float(rng.uniform(0.3, 2.5)), float(rng.uniform(0.05, 2.5)))
         y2 = params.sigma_sq * (params.eta_sq * lam + 1.0) * rng.standard_normal((40, n)) ** 2
         # all mass on the zero eigenvalue: the local curvature at eta_0^2 is
@@ -456,7 +456,7 @@ class TestExpansionControls:
         rng = np.random.default_rng(rows)
         n = 20
         lam = np.sort(rng.uniform(0.0, 4.0, n))[::-1]
-        spec = GramSpectrum(n=n, p=n, lambdas=lam, U=np.eye(n), n0=n)
+        spec = GramSpectrum(n=n, p=n, lambdas=lam, U=np.eye(n))
         params = ModelParams(1.3, 0.7)
         y2 = params.sigma_sq * (params.eta_sq * lam + 1.0) * rng.standard_normal((rows, n)) ** 2
         j0 = expected_hessian(params, params, spec)

@@ -23,6 +23,12 @@ from vcomp.laws import (
 N_BIG = 1_000_000
 
 
+def jumped_rng(seed, substream):
+    """The reference substream: the seed's Philox stream jumped ``substream``
+    times, which ``shared_rng(seed, substream)`` resets to."""
+    return np.random.Generator(rng_for(seed).bit_generator.jumped(substream))
+
+
 def raw_moments(law):
     return (law.mu3, law.mu4, law.mu6, law.mu8)
 
@@ -81,8 +87,8 @@ def name_switch_sample(law, rng, shape):
 @pytest.mark.parametrize("shape", [(7,), (3, 5)])
 def test_sample_matches_name_switch_bitwise(law, shape):
     seed = SeedSpec(11, 4)
-    got = law.sample(rng_for(seed, 2), shape)
-    want = name_switch_sample(law, rng_for(seed, 2), shape)
+    got = law.sample(jumped_rng(seed, 2), shape)
+    want = name_switch_sample(law, jumped_rng(seed, 2), shape)
     assert got.shape == shape
     assert np.array_equal(got, want)
     if len(shape) == 1:
@@ -163,14 +169,14 @@ class TestSharedStreamReset:
     def test_draws_equal_a_new_generator_bitwise(self, stream_id, substream):
         seed = SeedSpec(123, stream_id)
         for name, draw in DRAWS.items():
-            assert np.array_equal(draw(shared_rng(seed, substream)), draw(rng_for(seed, substream))), name
+            assert np.array_equal(draw(shared_rng(seed, substream)), draw(jumped_rng(seed, substream))), name
 
     @pytest.mark.parametrize("law", [GAUSSIAN, RADEMACHER, UNIFORM], ids=lambda l: l.name)
     @pytest.mark.parametrize("substream", [0, 1, 2, 3, 4, 9])
     def test_every_law_bitwise(self, law, substream):
         for stream_id in STREAM_IDS:
             seed = SeedSpec(2**63 + 5, stream_id)
-            want = name_switch_sample(law, rng_for(seed, substream), (17,))
+            want = name_switch_sample(law, jumped_rng(seed, substream), (17,))
             assert np.array_equal(sample_vector(law, 17, seed, substream), want)
 
     def test_reset_drops_a_partly_used_buffer(self):
@@ -184,14 +190,14 @@ class TestSharedStreamReset:
     def test_new_generator_between_reset_draws_changes_neither(self):
         seed, other = SeedSpec(8, 1), SeedSpec(8, 2)
         first = sample_vector(UNIFORM, 9, seed, 2)
-        held = rng_for(other, 1)
+        held = jumped_rng(other, 1)
         between = held.standard_normal(4)
         second = sample_vector(GAUSSIAN, 9, other, 3)
-        assert np.array_equal(first, name_switch_sample(UNIFORM, rng_for(seed, 2), (9,)))
-        assert np.array_equal(second, name_switch_sample(GAUSSIAN, rng_for(other, 3), (9,)))
+        assert np.array_equal(first, name_switch_sample(UNIFORM, jumped_rng(seed, 2), (9,)))
+        assert np.array_equal(second, name_switch_sample(GAUSSIAN, jumped_rng(other, 3), (9,)))
         # the held generator continues its own stream, untouched by the resets
         assert np.array_equal(np.concatenate([between, held.standard_normal(4)]),
-                              rng_for(other, 1).standard_normal(8))
+                              jumped_rng(other, 1).standard_normal(8))
 
     @pytest.mark.parametrize("law", [GAUSSIAN, RADEMACHER, UNIFORM], ids=lambda l: l.name)
     def test_rows_are_the_seeds_vectors(self, law):
@@ -222,7 +228,7 @@ def test_rows_match_the_name_switch_bitwise(law, d, master, stream_ids, substrea
     rows = sample_rows(law, d, seeds, substream)
     assert rows.shape == (len(seeds), d) and rows.dtype == np.float64
     for row, seed in zip(rows, seeds):
-        assert np.array_equal(row, name_switch_sample(law, rng_for(seed, substream), (d,)))
+        assert np.array_equal(row, name_switch_sample(law, jumped_rng(seed, substream), (d,)))
 
 
 class TestHeldGenerator:
@@ -231,7 +237,7 @@ class TestHeldGenerator:
     @pytest.mark.parametrize("count", [4, 5])
     def test_next_draw_starts_where_the_name_switch_left_off(self, law, count):
         seed = SeedSpec(2**63 + 5, 13)
-        held, oracle = rng_for(seed, 3), rng_for(seed, 3)
+        held, oracle = jumped_rng(seed, 3), jumped_rng(seed, 3)
         assert np.array_equal(law.sample(held, (count,)), name_switch_sample(law, oracle, (count,)))
         assert np.array_equal(held.standard_normal(3), oracle.standard_normal(3))
 
@@ -240,31 +246,31 @@ class TestHeldGenerator:
         # first call's last word is dropped; numpy's integers would keep it
         # for the next call
         seed = SeedSpec(11, 4)
-        held = rng_for(seed, 2)
+        held = jumped_rng(seed, 2)
         first, second = RADEMACHER.sample(held, (3,)), RADEMACHER.sample(held, (5,))
-        oracle = rng_for(seed, 2)
+        oracle = jumped_rng(seed, 2)
         assert np.array_equal(first, name_switch_sample(RADEMACHER, oracle, (3,)))
         buffered = name_switch_sample(RADEMACHER, oracle, (5,))
-        skipped = rng_for(seed, 2)
+        skipped = jumped_rng(seed, 2)
         skipped.bit_generator.random_raw(2)
         assert np.array_equal(second, name_switch_sample(RADEMACHER, skipped, (5,)))
         assert not np.array_equal(second, buffered)
         # the next draw of any kind starts after the five whole words
-        after = rng_for(seed, 2)
+        after = jumped_rng(seed, 2)
         after.bit_generator.random_raw(5)
         assert np.array_equal(held.standard_normal(4), after.standard_normal(4))
 
     def test_resets_between_held_draws_change_neither(self):
         seed, other = SeedSpec(3, 5), SeedSpec(3, 6)
-        held = rng_for(seed, 1)
+        held = jumped_rng(seed, 1)
         parts = [RADEMACHER.sample(held, (5,))]
         rows = sample_rows(UNIFORM, 9, [other, seed], 1)
         parts.append(UNIFORM.sample(held, (3,)))
         shared_rng(other).integers(0, 2, size=3)  # leaves half a word cached
         again = sample_rows(RADEMACHER, 5, [seed], 1)
         assert np.array_equal(again[0], parts[0])
-        assert np.array_equal(rows[1], name_switch_sample(UNIFORM, rng_for(seed, 1), (9,)))
-        oracle = rng_for(seed, 1)
+        assert np.array_equal(rows[1], name_switch_sample(UNIFORM, jumped_rng(seed, 1), (9,)))
+        oracle = jumped_rng(seed, 1)
         assert np.array_equal(parts[0], name_switch_sample(RADEMACHER, oracle, (5,)))
         # numpy's integers took three words as well, the third's high half cached
         assert np.array_equal(parts[1], name_switch_sample(UNIFORM, oracle, (3,)))

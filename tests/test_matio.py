@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -6,9 +7,16 @@ import pytest
 from vcomp.matio import (
     load_matrix,
     load_vector,
-    save_matrix_bin,
     save_matrix_csv,
 )
+
+
+def save_matrix_bin(path, X, width=8):
+    """Write the VCM1 container that ``load_matrix`` reads: the reference writer."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<4sIII", b"VCM1", *X.shape, width))
+        fh.write(np.ascontiguousarray(X, dtype=f"<f{width}").tobytes())
 
 
 def test_csv_roundtrip_exact(tmp_path):
@@ -73,3 +81,13 @@ def test_load_vector(tmp_path):
     path = tmp_path / "y.csv"
     save_matrix_csv(path, y.reshape(-1, 1))
     np.testing.assert_array_equal(load_vector(path), y)
+
+
+@pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-lines"])
+def test_csv_without_data_names_the_file(tmp_path, text):
+    path = tmp_path / "X.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"X\.csv: matrix file holds no data"):
+            load_matrix(path)

@@ -65,7 +65,7 @@ class TestGenDesign:
     def test_gaussian_full_rank(self):
         X = gen_design(100, 200, DesignSpec(kind="gaussian_iid"), SeedSpec(1))
         spec = decompose_gram(X)
-        assert spec.n0 == 100
+        assert np.all(spec.lambdas > 0)
         assert np.isfinite(spec.lambda_1)
 
 
@@ -204,10 +204,11 @@ class TestDrawEffects:
         beta, eps, beta_y = draw_effects(9, 13, self.params, UNIFORM, RADEMACHER, self.seeds)
         assert beta_y is beta
         for b, e, seed in zip(beta, eps, self.seeds):
-            want_b = math.sqrt(self.params.beta_variance(13)) * rng_for(seed, 1).uniform(
+            beta_rng, eps_rng = (np.random.Generator(rng_for(seed).bit_generator.jumped(k)) for k in (1, 2))
+            want_b = math.sqrt(self.params.beta_variance(13)) * beta_rng.uniform(
                 -math.sqrt(3.0), math.sqrt(3.0), size=13
             )
-            want_e = math.sqrt(2.0) * (2.0 * rng_for(seed, 2).integers(0, 2, size=9) - 1.0)
+            want_e = math.sqrt(2.0) * (2.0 * eps_rng.integers(0, 2, size=9) - 1.0)
             assert np.array_equal(b, want_b) and np.array_equal(e, want_e)
 
     @pytest.mark.parametrize("coupling", [

@@ -9,7 +9,6 @@ from vcomp.laws import GAUSSIAN, RADEMACHER, UNIFORM, SeedSpec, sample_vector
 from vcomp.qform import (
     QuadraticForm,
     build_w,
-    eval_qf,
     napprox_rate,
     qf_covariance,
     qf_variance,
@@ -36,7 +35,6 @@ class TestQuadraticForm:
         Q = qf.matrix
         assert qf.trace == pytest.approx(np.trace(Q), rel=1e-10)
         assert qf.trace_sq == pytest.approx(np.trace(Q @ Q), rel=1e-10)
-        assert qf.hs_norm == pytest.approx(np.linalg.norm(Q, "fro"), rel=1e-10)
         assert qf.op_norm == pytest.approx(np.max(np.linalg.eigvalsh(Q)), rel=1e-10)
 
     def test_rejects_asymmetric(self):
@@ -53,14 +51,19 @@ class TestQuadraticForm:
         assert qf.dim == 2
 
 
+def centered_qf(qf, z):
+    """z'Qz - tr(Q), the first entry of the centered-form vector at z."""
+    return build_w([qf], GAUSSIAN).evaluate(z)[0]
+
+
 class TestEvalQF:
     def test_identity(self):
         qf = QuadraticForm(np.eye(2))
-        assert eval_qf(qf, np.array([1.0, 2.0])) == 5.0
+        assert centered_qf(qf, np.array([1.0, 2.0])) == 5.0 - 2.0
 
     def test_zero(self):
         qf = QuadraticForm(np.zeros((3, 3)))
-        assert eval_qf(qf, np.ones(3)) == 0.0
+        assert centered_qf(qf, np.ones(3)) == 0.0
 
     def test_double_loop_oracle(self):
         rng = np.random.default_rng(1)
@@ -69,11 +72,11 @@ class TestEvalQF:
         direct = sum(
             qf.matrix[i, j] * z[i] * z[j] for i in range(6) for j in range(6)
         )
-        assert eval_qf(qf, z) == pytest.approx(direct, abs=1e-12)
+        assert centered_qf(qf, z) == pytest.approx(direct - qf.trace, abs=1e-12)
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            eval_qf(QuadraticForm(np.eye(3)), np.ones(4))
+            centered_qf(QuadraticForm(np.eye(3)), np.ones(4))
 
 
 class TestVariance:

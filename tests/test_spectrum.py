@@ -6,12 +6,9 @@ import pytest
 from vcomp.spectrum import GramSpectrum, decompose_gram, eigvar
 
 
-def make_spec(lambdas, n0=None):
+def make_spec(lambdas):
     lam = np.asarray(lambdas, dtype=float)
-    n = lam.size
-    if n0 is None:
-        n0 = int(np.count_nonzero(lam > 0))
-    return GramSpectrum(n=n, p=n, lambdas=lam, U=np.eye(n), n0=n0)
+    return GramSpectrum(n=lam.size, p=lam.size, lambdas=lam, U=np.eye(lam.size))
 
 
 class TestDecomposeGram:
@@ -20,12 +17,10 @@ class TestDecomposeGram:
         X = math.sqrt(p) * np.eye(p)
         spec = decompose_gram(X)
         np.testing.assert_allclose(spec.lambdas, np.ones(p), atol=1e-12)
-        assert spec.n0 == p
 
     def test_zero_design(self):
         spec = decompose_gram(np.zeros((4, 3)))
         assert np.all(spec.lambdas == 0)
-        assert spec.n0 == 0
 
     @pytest.mark.parametrize("shape", [(5, 8), (8, 5), (6, 6)])
     def test_reconstruction(self, shape):
@@ -38,14 +33,23 @@ class TestDecomposeGram:
         assert rel < 1e-8
         assert np.max(np.abs(spec.U.T @ spec.U - np.eye(shape[0]))) < 1e-8
         assert np.all(np.diff(spec.lambdas) <= 0)
-        assert spec.n0 <= min(shape)
+        # the n - min(n, p) zero eigenvalues of a tall design are exact
+        assert np.count_nonzero(spec.lambdas) == min(shape)
 
-    def test_svd_route_matches_eigh_oracle(self):
+    def test_tall_design_matches_eigvalsh_oracle(self):
         rng = np.random.default_rng(9)
-        X = rng.standard_normal((8, 5))  # p <= n triggers the SVD route
+        X = rng.standard_normal((8, 5))
         spec = decompose_gram(X)
         w = np.linalg.eigvalsh(X @ X.T / 5)[::-1]
         np.testing.assert_allclose(spec.lambdas, np.maximum(w, 0), atol=1e-10)
+
+    @pytest.mark.parametrize("shape", [(10, 4, 20), (12, 3, 7)], ids=["wide", "tall"])
+    def test_low_rank_zeros_are_exact(self, shape):
+        n, rank, p = shape
+        rng = np.random.default_rng(2)
+        X = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, p))
+        lam = decompose_gram(X).lambdas
+        assert np.all(lam[:rank] > 1e-3) and np.all(lam[rank:] == 0.0)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -56,7 +60,7 @@ class TestDecomposeGram:
     def test_gaussian_wide_full_rank(self):
         rng = np.random.default_rng(11)
         spec = decompose_gram(rng.standard_normal((100, 200)))
-        assert spec.n0 == 100
+        assert np.all(spec.lambdas > 0)
         assert np.isfinite(spec.lambda_1)
 
 
