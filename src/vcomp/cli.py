@@ -16,6 +16,7 @@ import os
 import platform
 import re
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,7 @@ from .model import (
 from .spectrum import decompose_gram
 
 _GENERATE_KEYS = {"n", "p", "design", "params", "laws", "coupling", "seed", "stream"}
-_DESIGN_KEYS = {"kind", "lambdas", "p_ratio"}
+_DESIGN_KEYS = {"kind", "lambdas"}
 _PARAMS_KEYS = {"sigma2", "eta2"}
 _LAWS_KEYS = {"beta", "eps"}
 _COUPLING_KEYS = {"scheme", "delta", "fraction"}
@@ -89,6 +90,13 @@ def _listed(value, key: str):
     # a scalar would be iterated (a string) or fail deep inside as a TypeError
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{key}: expected a list, got {value!r}")
+    return value
+
+
+def _law_name(value, key: str) -> str:
+    # law_by_name would fail on a non-string with an AttributeError
+    if not isinstance(value, str):
+        raise ConfigError(f"{key}: expected a law name, got {value!r}")
     return value
 
 
@@ -151,13 +159,15 @@ def _manifest(outdir: Path, command: str, cfg_digest: str, seed: int) -> None:
     )
 
 
-def _design_from_cfg(cfg: dict) -> tuple[DesignSpec, float]:
-    _check_keys(cfg, _DESIGN_KEYS, "design")
-    kind = cfg.get("kind", "gaussian_iid")
+def _design_from_cfg(cfg: dict, keys: set[str]) -> DesignSpec:
+    _check_keys(cfg, keys, "design")
     lambdas = cfg.get("lambdas")
-    p_ratio = _number(cfg.get("p_ratio", 2.0), "design.p_ratio")
-    spec = DesignSpec(kind=kind, lambdas=None if lambdas is None else tuple(lambdas))
-    return spec, p_ratio
+    if lambdas is not None:
+        # checked, not converted: the values go into the report's plan as given
+        lambdas = tuple(_listed(lambdas, "lambdas"))
+        for value in lambdas:
+            _number(value, "lambdas")
+    return DesignSpec(kind=cfg.get("kind", "gaussian_iid"), lambdas=lambdas)
 
 
 def _params_from_cfg(cfg: dict) -> ModelParams:
@@ -175,12 +185,12 @@ def cmd_generate(args) -> int:
     seed = SeedSpec(master_seed=seed_val, stream_id=_integer(cfg.get("stream", 0), "stream"))
     n = _integer(_required(cfg, "n", "generate config"), "n")
     p = _integer(_required(cfg, "p", "generate config"), "p")
-    design, _ = _design_from_cfg(cfg.get("design", {"kind": "gaussian_iid"}))
+    design = _design_from_cfg(cfg.get("design", {"kind": "gaussian_iid"}), _DESIGN_KEYS)
     params = _params_from_cfg(_required(cfg, "params", "generate config"))
     laws_cfg = cfg.get("laws", {"beta": "gaussian", "eps": "gaussian"})
     _check_keys(laws_cfg, _LAWS_KEYS, "laws")
-    beta_law = law_by_name(_required(laws_cfg, "beta", "laws"))
-    eps_law = law_by_name(_required(laws_cfg, "eps", "laws"))
+    beta_law = law_by_name(_law_name(_required(laws_cfg, "beta", "laws"), "laws.beta"))
+    eps_law = law_by_name(_law_name(_required(laws_cfg, "eps", "laws"), "laws.eps"))
 
     X = gen_design(n, p, design, seed)
     if "coupling" in cfg and cfg["coupling"] is not None:
@@ -231,7 +241,7 @@ def _plan_from_cfg(cfg: dict, seed: int, workers: int) -> ExperimentPlan:
     laws_cfg = cfg.get("laws", {"beta": "gaussian", "eps": "gaussian"})
     _check_keys(laws_cfg, _LAWS_KEYS, "laws")
     design_cfg = cfg.get("design", {"kind": "gaussian_iid"})
-    design, p_ratio = _design_from_cfg(design_cfg)
+    design = _design_from_cfg(design_cfg, _DESIGN_KEYS | {"p_ratio"})
     fn_cfg = cfg.get("test_fn", {"name": "tanh_product", "scales": [3.0, 3.0]})
     _check_keys(fn_cfg, _TEST_FN_KEYS, "test_fn")
     coup_cfg = cfg.get("coupling", {})
@@ -246,10 +256,10 @@ def _plan_from_cfg(cfg: dict, seed: int, workers: int) -> ExperimentPlan:
         replicates=_integer(_required(cfg, "replicates", "experiment config"), "replicates"),
         sigma0_sq=_number(_required(params_cfg, "sigma2", "params"), "params.sigma2"),
         eta0_sq=_number(_required(params_cfg, "eta2", "params"), "params.eta2"),
-        beta_law=_required(laws_cfg, "beta", "laws"),
-        eps_law=_required(laws_cfg, "eps", "laws"),
+        beta_law=_law_name(_required(laws_cfg, "beta", "laws"), "laws.beta"),
+        eps_law=_law_name(_required(laws_cfg, "eps", "laws"), "laws.eps"),
         design=design.kind,
-        p_ratio=p_ratio,
+        p_ratio=_number(design_cfg.get("p_ratio", 2.0), "design.p_ratio"),
         design_lambdas=design.lambdas,
         master_seed=seed,
         workers=workers,
@@ -273,12 +283,13 @@ def cmd_experiment(args) -> int:
     cfg, _ = _load_config(args.config)
     seed = _resolve_seed(args, cfg)
     plan = _plan_from_cfg(cfg, seed, args.workers)
+    t0 = time.perf_counter()
     report = run_experiment(plan)
+    seconds = time.perf_counter() - t0
     outdir = Path(args.out)
     report.write(outdir)
     _manifest(outdir, "experiment", _config_digest(cfg), seed)
-    if report.runtime_seconds is not None:
-        print(f"experiment {plan.kind}: {report.runtime_seconds:.1f}s", file=sys.stderr)
+    print(f"experiment {plan.kind}: {seconds:.1f}s", file=sys.stderr)
     degenerate = any(cell.get("degenerate") for cell in report.cells)
     return 2 if degenerate else 0
 

@@ -54,6 +54,8 @@ class ScoreState:
         y = np.asarray(y, dtype=np.float64).reshape(-1)
         if y.size != spec.n:
             raise ValueError(f"y has length {y.size}, expected n={spec.n}")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("y has non-finite entries")
         y_check = spec.U.T @ y
         # both norms at y / 2^e, |y| < 2^e: exact, and neither over- nor underflows
         e = np.frexp(np.max(np.abs(y)))[1]

@@ -21,9 +21,8 @@ import hashlib
 import io
 import json
 import math
-import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -176,6 +175,10 @@ class ExperimentPlan:
             raise ValueError(f"eta_box must be nonnegative, got {self.eta_box}")
         if self.eta_grid_points < 1:
             raise ValueError(f"eta_grid_points must be at least 1, got {self.eta_grid_points}")
+        if self.surrogate_draws < 1:
+            raise ValueError(f"surrogate_draws must be at least 1, got {self.surrogate_draws}")
+        if self.control_draws < 0:
+            raise ValueError(f"control_draws must be nonnegative, got {self.control_draws}")
         if self.kind == "stein_discrepancy" and self.k_forms not in (1, 2):
             raise ValueError("stein experiment supports K in {1, 2}")
 
@@ -187,7 +190,9 @@ class ExperimentPlan:
 
 
 def plan_to_dict(plan: ExperimentPlan) -> dict:
+    """The plan without ``workers``: reports are byte-identical at any count."""
     d = asdict(plan)
+    del d["workers"]
     d["design_lambdas"] = None if plan.design_lambdas is None else list(plan.design_lambdas)
     for key in ("n_grid", "r_grid", "test_scales", "delta_grid"):
         d[key] = list(d[key])
@@ -195,10 +200,7 @@ def plan_to_dict(plan: ExperimentPlan) -> dict:
 
 
 def config_hash(plan: ExperimentPlan) -> str:
-    """Hash of the plan excluding worker count (reports are worker-invariant)."""
-    d = plan_to_dict(plan)
-    d.pop("workers")
-    blob = json.dumps(d, sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(plan_to_dict(plan), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -209,21 +211,9 @@ class ExperimentReport:
     provenance: dict
     cells: list[dict]
     gates: list[dict]
-    runtime_seconds: float | None = field(default=None, compare=False)
-
-    def to_dict(self) -> dict:
-        # runtime is intentionally excluded: serialized reports must be
-        # byte-identical across reruns
-        return {
-            "kind": self.kind,
-            "header": self.header,
-            "provenance": self.provenance,
-            "cells": self.cells,
-            "gates": self.gates,
-        }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
     def cells_csv(self) -> str:
         buf = io.StringIO()
@@ -244,22 +234,15 @@ class ExperimentReport:
         (outdir / "cells.csv").write_text(self.cells_csv(), encoding="utf-8")
 
 
-def _report(plan: ExperimentPlan, cells: list, gates: list, t0: float) -> ExperimentReport:
-    return ExperimentReport(
-        kind=plan.kind, header=REPORT_HEADER, provenance=_provenance(plan),
-        cells=cells, gates=gates, runtime_seconds=time.perf_counter() - t0,
-    )
-
-
-def _provenance(plan: ExperimentPlan) -> dict:
-    # workers is omitted: serialized reports are byte-identical at any count
-    d = plan_to_dict(plan)
-    d.pop("workers")
-    return {
+def _report(plan: ExperimentPlan, cells: list, gates: list) -> ExperimentReport:
+    provenance = {
         "master_seed": plan.master_seed,
         "config_hash": config_hash(plan),
-        "plan": d,
+        "plan": plan_to_dict(plan),
     }
+    return ExperimentReport(
+        kind=plan.kind, header=REPORT_HEADER, provenance=provenance, cells=cells, gates=gates,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -692,7 +675,6 @@ def _endpoint_drop_gate(discs: list[float], ses: list[float]) -> dict:
 
 def run_consistency(plan: ExperimentPlan) -> ExperimentReport:
     """Median estimation error per n and the log-log decay slope."""
-    t0 = time.perf_counter()
     theta0 = plan.params().as_array()
     cells = []
     medians, stderrs = [], []
@@ -743,13 +725,12 @@ def run_consistency(plan: ExperimentPlan) -> ExperimentReport:
                 r2=fitres["r2"],
             )
         )
-    return _report(plan, cells, gates, t0)
+    return _report(plan, cells, gates)
 
 
-def run_tail(plan: ExperimentPlan, r_grid: tuple[float, ...] | None = None) -> ExperimentReport:
+def run_tail(plan: ExperimentPlan) -> ExperimentReport:
     """Empirical tail of the uniform profile-variance deviation, per (n, r)."""
-    t0 = time.perf_counter()
-    rs = tuple(r_grid if r_grid is not None else plan.r_grid)
+    rs = plan.r_grid
     if not rs:
         raise ValueError("tail experiment needs a nonempty r grid")
     cells = []
@@ -819,7 +800,7 @@ def run_tail(plan: ExperimentPlan, r_grid: tuple[float, ...] | None = None) -> E
                 r2=fitres["r2"],
             )
         )
-    return _report(plan, cells, gates, t0)
+    return _report(plan, cells, gates)
 
 
 def run_normality(plan: ExperimentPlan) -> ExperimentReport:
@@ -845,7 +826,6 @@ def run_normality(plan: ExperimentPlan) -> ExperimentReport:
     with one such split (block k from jumped substream k + 1) the
     benchmark's tiny normality plan at seed 1 failed it.
     """
-    t0 = time.perf_counter()
     params = plan.params()
     theta0 = params.as_array()
     fn = resolve_test_fn(plan.test_fn, plan.test_scales)
@@ -928,18 +908,17 @@ def run_normality(plan: ExperimentPlan) -> ExperimentReport:
         _gate("wald_coverage_window", band, in_win, value=cov, stderr=cov_se,
               window=[0.92, 0.975], n=last["n"])
     )
-    return _report(plan, cells, gates, t0)
+    return _report(plan, cells, gates)
 
 
-def run_coupling(plan: ExperimentPlan, delta_grid: tuple[float, ...] | None = None) -> ExperimentReport:
+def run_coupling(plan: ExperimentPlan) -> ExperimentReport:
     """Estimation error under coupled effects versus the independent baseline.
 
     All delta cells at one n share the baseline's replicate streams, so
     delta = 0 reproduces the independent estimates bitwise.
     """
-    t0 = time.perf_counter()
     theta0 = plan.params().as_array()
-    deltas = tuple(delta_grid if delta_grid is not None else plan.delta_grid)
+    deltas = plan.delta_grid
     if plan.coupling_scheme == "sparse_zero":
         deltas = (0.0,)
     if not deltas:
@@ -1008,13 +987,12 @@ def run_coupling(plan: ExperimentPlan, delta_grid: tuple[float, ...] | None = No
         gates.append(
             _gate("error_ratio_within_2x", worst <= 2.0, worst <= 2.0, value=worst, n=big_n)
         )
-    return _report(plan, cells, gates, t0)
+    return _report(plan, cells, gates)
 
 
 def run_stein(plan: ExperimentPlan) -> ExperimentReport:
     """Normal-approximation discrepancy for centered quadratic-form vectors,
     against the d grid, together with the constant-free rate quantity."""
-    t0 = time.perf_counter()
     law = law_by_name(plan.beta_law)
     scales = plan.test_scales
     if len(scales) != 2 * plan.k_forms:
@@ -1080,7 +1058,7 @@ def run_stein(plan: ExperimentPlan) -> ExperimentReport:
         gates.append(_gate("rate_quantity_decreasing", strict_rate, strict_rate))
     if len(discs) >= 2:
         gates += [_endpoint_drop_gate(discs, disc_ses), _trend_gate("discrepancy_trend", discs, disc_ses)]
-    return _report(plan, cells, gates, t0)
+    return _report(plan, cells, gates)
 
 
 _RUNNERS = {

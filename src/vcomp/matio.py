@@ -34,7 +34,11 @@ def load_matrix(path: str | Path) -> np.ndarray:
         return _load_bin(path)
     with warnings.catch_warnings():  # loadtxt warns on a file with no data; raised below
         warnings.simplefilter("ignore", UserWarning)
-        X = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        try:
+            X = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        except ValueError as exc:
+            # numpy's message names no file, and after a ';' cites loadtxt options
+            raise ValueError(f"{path}: {str(exc).split(';')[0]}") from None
     if X.size == 0:
         raise ValueError(f"{path}: matrix file holds no data")
     return X

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -147,6 +148,16 @@ class TestFit:
         err = capsys.readouterr().err
         assert err.startswith("vcomp: error: ") and "X.csv: matrix file holds no data" in err
 
+    def test_non_finite_y_is_named(self, tmp_path, capsys):
+        # a nan once reached the search and was reported as a non-finite likelihood
+        write_recovery_fixture(tmp_path)
+        y = np.loadtxt(tmp_path / "y.csv")
+        y[3] = np.nan
+        save_matrix_csv(tmp_path / "y.csv", y.reshape(-1, 1))
+        cfg = write_config(tmp_path / "c.cfg", {"x": "X.csv", "y": "y.csv"})
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "vcomp: error: y has non-finite entries\n"
+
 
 class TestGenerate:
     def test_generate_fit_roundtrip(self, tmp_path):
@@ -232,7 +243,7 @@ class TestGenerate:
 
 
 class TestExperimentCommand:
-    def test_consistency_outputs(self, tmp_path):
+    def test_consistency_outputs(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "exp.cfg",
             {
@@ -246,6 +257,7 @@ class TestExperimentCommand:
         )
         out = tmp_path / "out"
         assert main(["experiment", "--config", cfg, "--out", str(out)]) == 0
+        assert re.fullmatch(r"experiment consistency: \d+\.\ds\n", capsys.readouterr().err)
         lines = (out / "cells.csv").read_text().splitlines()
         assert lines[0] == "n,cell,estimate,stderr,gate,pass"
         assert len([l for l in lines if l.startswith(("30,", "60,"))]) == 2
@@ -483,6 +495,7 @@ class TestConfigValidation:
             (("r_grid",), 0.3),
             (("test_fn", "scales"), 3.0),
             (("coupling", "delta_grid"), 0.5),
+            (("design", "lambdas"), 5),
         ],
     )
     def test_scalar_where_list_belongs(self, tmp_path, capsys, path, value):
@@ -502,6 +515,8 @@ class TestConfigValidation:
             ({"eta_grid_points": 0}, "eta_grid_points"),
             ({"kind": "normality", "test_fn": {"name": "tanh_sum", "scales": []}}, "tanh_sum"),
             ({"kind": "normality", "test_fn": {"name": "tanh_product", "scales": []}}, "tanh_product"),
+            ({"surrogate_draws": 0}, "surrogate_draws"),
+            ({"control_draws": -5}, "control_draws"),
         ],
     )
     def test_out_of_range_value_is_named(self, tmp_path, capsys, edit, name):
@@ -510,6 +525,26 @@ class TestConfigValidation:
         assert main(["experiment", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("vcomp: error: ") and name in err
+
+    @pytest.mark.parametrize(
+        "command, edit, message",
+        [
+            ("generate", {"laws": {"beta": 3, "eps": "gaussian"}}, "laws.beta: expected a law name, got 3"),
+            ("experiment", {"laws": {"beta": "gaussian", "eps": None}}, "laws.eps: expected a law name, got None"),
+            ("generate", {"design": {"kind": "fixed_spectrum", "lambdas": ["a", 1.0]}},
+             "lambdas: expected a number, got 'a'"),
+            ("experiment", {"design": {"kind": "fixed_spectrum", "lambdas": [1.0, "a"]}},
+             "lambdas: expected a number, got 'a'"),
+            # generate takes p itself; p_ratio was once accepted and ignored
+            ("generate", {"design": {"kind": "gaussian_iid", "p_ratio": 2.0}},
+             "design: unknown keys ['p_ratio']"),
+        ],
+        ids=["generate-law", "experiment-law", "generate-lambdas", "experiment-lambdas", "generate-p_ratio"],
+    )
+    def test_bad_law_or_design_entry_is_named(self, tmp_path, capsys, command, edit, message):
+        cfg = write_config(tmp_path / "c.cfg", {**BASE_CFGS[command], **edit})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert f"vcomp: error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["abc", "3.7", "", "1_000"])
     def test_bad_env_seed_names_the_variable(self, tmp_path, capsys, monkeypatch, value):

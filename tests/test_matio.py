@@ -91,3 +91,20 @@ def test_csv_without_data_names_the_file(tmp_path, text):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"X\.csv: matrix file holds no data"):
             load_matrix(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1,2,3\n4,5\n", "the number of columns changed from 3 to 2 at row 2"),
+        ("1,abc\n", "could not convert string 'abc' to float64"),
+    ],
+    ids=["ragged", "non-numeric"],
+)
+def test_csv_parse_error_names_the_file(tmp_path, text, message):
+    path = tmp_path / "X.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        load_matrix(path)
+    assert str(info.value).startswith(f"{path}: {message}")
+    assert "usecols" not in str(info.value)
