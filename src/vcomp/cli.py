@@ -54,8 +54,6 @@ _EXPERIMENT_KEYS = {
     "r_grid", "eta_box", "eta_grid_points", "test_fn", "coupling",
     "k_forms", "qspec", "surrogate_draws", "control_draws",
 }
-_TEST_FN_KEYS = {"name", "scales"}
-_EXP_COUPLING_KEYS = {"scheme", "delta_grid", "delta_scale", "fraction"}
 
 
 def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
@@ -90,13 +88,6 @@ def _listed(value, key: str):
     # a scalar would be iterated (a string) or fail deep inside as a TypeError
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{key}: expected a list, got {value!r}")
-    return value
-
-
-def _law_name(value, key: str) -> str:
-    # law_by_name would fail on a non-string with an AttributeError
-    if not isinstance(value, str):
-        raise ConfigError(f"{key}: expected a law name, got {value!r}")
     return value
 
 
@@ -170,12 +161,24 @@ def _design_from_cfg(cfg: dict, keys: set[str]) -> DesignSpec:
     return DesignSpec(kind=cfg.get("kind", "gaussian_iid"), lambdas=lambdas)
 
 
-def _params_from_cfg(cfg: dict) -> ModelParams:
+def _params_from_cfg(cfg: dict) -> tuple[float, float]:
+    """(sigma2, eta2) from a ``params`` section."""
     _check_keys(cfg, _PARAMS_KEYS, "params")
-    return ModelParams(
-        sigma_sq=_number(_required(cfg, "sigma2", "params"), "params.sigma2"),
-        eta_sq=_number(_required(cfg, "eta2", "params"), "params.eta2"),
-    )
+    return tuple(_number(_required(cfg, key, "params"), f"params.{key}") for key in ("sigma2", "eta2"))
+
+
+def _laws_from_cfg(cfg: dict) -> tuple[str, str]:
+    """(beta, eps) from a ``laws`` section, as given, each a supported law's name."""
+    _check_keys(cfg, _LAWS_KEYS, "laws")
+    for key in ("beta", "eps"):
+        name = _required(cfg, key, "laws")
+        if not isinstance(name, str):  # law_by_name would fail with an AttributeError
+            raise ConfigError(f"laws.{key}: expected a law name, got {name!r}")
+        try:
+            law_by_name(name)
+        except VcompError as exc:  # an unknown name
+            raise ConfigError(f"laws.{key}: {exc}") from None
+    return cfg["beta"], cfg["eps"]
 
 
 def cmd_generate(args) -> int:
@@ -186,11 +189,9 @@ def cmd_generate(args) -> int:
     n = _integer(_required(cfg, "n", "generate config"), "n")
     p = _integer(_required(cfg, "p", "generate config"), "p")
     design = _design_from_cfg(cfg.get("design", {"kind": "gaussian_iid"}), _DESIGN_KEYS)
-    params = _params_from_cfg(_required(cfg, "params", "generate config"))
+    params = ModelParams(*_params_from_cfg(_required(cfg, "params", "generate config")))
     laws_cfg = cfg.get("laws", {"beta": "gaussian", "eps": "gaussian"})
-    _check_keys(laws_cfg, _LAWS_KEYS, "laws")
-    beta_law = law_by_name(_law_name(_required(laws_cfg, "beta", "laws"), "laws.beta"))
-    eps_law = law_by_name(_law_name(_required(laws_cfg, "eps", "laws"), "laws.eps"))
+    beta_law, eps_law = (law_by_name(name) for name in _laws_from_cfg(laws_cfg))
 
     X = gen_design(n, p, design, seed)
     if "coupling" in cfg and cfg["coupling"] is not None:
@@ -234,49 +235,48 @@ def cmd_fit(args) -> int:
     return 2 if fit.identifiability_flag else 0
 
 
-def _plan_from_cfg(cfg: dict, seed: int, workers: int) -> ExperimentPlan:
-    _check_keys(cfg, _EXPERIMENT_KEYS, "experiment config")
-    params_cfg = cfg.get("params", {"sigma2": 1.0, "eta2": 1.0})
-    _check_keys(params_cfg, _PARAMS_KEYS, "params")
-    laws_cfg = cfg.get("laws", {"beta": "gaussian", "eps": "gaussian"})
-    _check_keys(laws_cfg, _LAWS_KEYS, "laws")
-    design_cfg = cfg.get("design", {"kind": "gaussian_iid"})
-    design = _design_from_cfg(design_cfg, _DESIGN_KEYS | {"p_ratio"})
-    fn_cfg = cfg.get("test_fn", {"name": "tanh_product", "scales": [3.0, 3.0]})
-    _check_keys(fn_cfg, _TEST_FN_KEYS, "test_fn")
-    coup_cfg = cfg.get("coupling", {})
-    _check_keys(coup_cfg, _EXP_COUPLING_KEYS, "coupling")
+def _numbers(value, key: str) -> tuple[float, ...]:
+    return tuple(_number(v, key) for v in _listed(value, key))
 
-    return ExperimentPlan(
-        kind=_required(cfg, "kind", "experiment config"),
-        n_grid=tuple(
-            _integer(v, "n_grid")
-            for v in _listed(_required(cfg, "n_grid", "experiment config"), "n_grid")
-        ),
-        replicates=_integer(_required(cfg, "replicates", "experiment config"), "replicates"),
-        sigma0_sq=_number(_required(params_cfg, "sigma2", "params"), "params.sigma2"),
-        eta0_sq=_number(_required(params_cfg, "eta2", "params"), "params.eta2"),
-        beta_law=_law_name(_required(laws_cfg, "beta", "laws"), "laws.beta"),
-        eps_law=_law_name(_required(laws_cfg, "eps", "laws"), "laws.eps"),
-        design=design.kind,
-        p_ratio=_number(design_cfg.get("p_ratio", 2.0), "design.p_ratio"),
-        design_lambdas=design.lambdas,
-        master_seed=seed,
-        workers=workers,
-        r_grid=tuple(_number(v, "r_grid") for v in _listed(cfg.get("r_grid", ()), "r_grid")),
-        eta_box=_number(cfg.get("eta_box", 8.0), "eta_box"),
-        eta_grid_points=_integer(cfg.get("eta_grid_points", 129), "eta_grid_points"),
-        test_fn=fn_cfg.get("name", "tanh_product"),
-        test_scales=tuple(_number(v, "scales") for v in _listed(fn_cfg.get("scales", (3.0, 3.0)), "scales")),
-        coupling_scheme=coup_cfg.get("scheme", "additive_perturb"),
-        delta_grid=tuple(_number(v, "delta_grid") for v in _listed(coup_cfg.get("delta_grid", ()), "delta_grid")),
-        delta_scale=coup_cfg.get("delta_scale", "absolute"),
-        sparse_fraction=_number(coup_cfg.get("fraction", 0.5), "coupling.fraction"),
-        k_forms=_integer(cfg.get("k_forms", 1), "k_forms"),
-        qspec=cfg.get("qspec", "equispaced"),
-        surrogate_draws=_integer(cfg.get("surrogate_draws", 1_000_000), "surrogate_draws"),
-        control_draws=_integer(cfg.get("control_draws", 200_000), "control_draws"),
-    )
+
+def _plan_from_cfg(cfg: dict, seed: int, workers: int) -> ExperimentPlan:
+    """The plan a config asks for; a key it leaves out keeps the plan's default."""
+    where = "experiment config"
+    _check_keys(cfg, _EXPERIMENT_KEYS, where)
+    kw = {
+        "kind": _required(cfg, "kind", where),
+        "n_grid": tuple(_integer(v, "n_grid") for v in _listed(_required(cfg, "n_grid", where), "n_grid")),
+        "replicates": _integer(_required(cfg, "replicates", where), "replicates"),
+        "master_seed": seed,
+        "workers": workers,
+    }
+
+    def take(values: dict, key: str, check=None, field: str | None = None, label: str | None = None):
+        if key in values:  # without a check, the plan checks the value
+            kw[field or key] = check(values[key], label or key) if check else values[key]
+
+    if "params" in cfg:
+        kw["sigma0_sq"], kw["eta0_sq"] = _params_from_cfg(cfg["params"])
+    if "laws" in cfg:
+        kw["beta_law"], kw["eps_law"] = _laws_from_cfg(cfg["laws"])
+    if "design" in cfg:
+        design = _design_from_cfg(cfg["design"], _DESIGN_KEYS | {"p_ratio"})
+        kw["design"], kw["design_lambdas"] = design.kind, design.lambdas
+        take(cfg["design"], "p_ratio", _number, label="design.p_ratio")
+    for key, check in (("r_grid", _numbers), ("eta_box", _number), ("eta_grid_points", _integer),
+                       ("k_forms", _integer), ("qspec", None),
+                       ("surrogate_draws", _integer), ("control_draws", _integer)):
+        take(cfg, key, check)
+    fn_cfg, coup_cfg = cfg.get("test_fn", {}), cfg.get("coupling", {})
+    _check_keys(fn_cfg, {"name", "scales"}, "test_fn")
+    take(fn_cfg, "name", field="test_fn")
+    take(fn_cfg, "scales", _numbers, "test_scales")
+    _check_keys(coup_cfg, {"scheme", "delta_grid", "delta_scale", "fraction"}, "coupling")
+    take(coup_cfg, "scheme", field="coupling_scheme")
+    take(coup_cfg, "delta_grid", _numbers)
+    take(coup_cfg, "delta_scale")
+    take(coup_cfg, "fraction", _number, "sparse_fraction", "coupling.fraction")
+    return ExperimentPlan(**kw)
 
 
 def cmd_experiment(args) -> int:

@@ -23,6 +23,7 @@ the grid's cap.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -30,7 +31,8 @@ import numpy as np
 
 from .errors import DegenerateDataError, NonIdentifiableError, NumericalError
 from .model import ModelParams
-from .qform import _resolve_mu
+from .laws import SubGaussianLaw
+from .qform import qf_cov_terms
 from .spectrum import GramSpectrum, eigvar
 
 #: eigenvalue-variance floor (relative to (lambda_1+1)^2) below which the
@@ -41,6 +43,12 @@ IDENT_FLOOR = 1e-10
 GRID_POINTS = 64
 T_CAP = 1.0 - 1e-6
 NEWTON_MAX = 50
+
+
+def not_identifiable(spec: GramSpectrum) -> bool:
+    """Whether the eigenvalues spread too little to separate the components."""
+    return eigvar(spec) < IDENT_FLOOR * (spec.lambda_1 + 1.0) ** 2
+
 
 @dataclass
 class ScoreState:
@@ -390,7 +398,7 @@ def fit_mle(state: ScoreState, options: FitOptions | None = None) -> FitResult |
 
     sigma_hat, eta_hat = (float(v) for v in block.theta[0])
     theta_hat = ModelParams(sigma_sq=sigma_hat, eta_sq=eta_hat)
-    ident_flag = eigvar(spec) < IDENT_FLOOR * (spec.lambda_1 + 1.0) ** 2
+    ident_flag = not_identifiable(spec)
     psi_hat = None
     if not ident_flag:
         fisher = gaussian_fisher(ModelParams(float(sigma_scaled[0]), eta_hat), spec)
@@ -438,42 +446,26 @@ def standardized_map(params: ModelParams, spec: GramSpectrum, X: np.ndarray) -> 
     return np.hstack([(tau0 / math.sqrt(p)) * (spec.U.T @ X), s0 * spec.U.T])
 
 
-def _standardized_mu(
-    laws: tuple, p: int, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-coordinate (mu3, mu4) for z = (effects block, noise block)."""
-    beta_m, eps_m = laws
-    mu3b, mu4b = _resolve_mu(beta_m, p)
-    mu3e, mu4e = _resolve_mu(eps_m, n)
-    mu3 = np.concatenate([np.full(p, 0.0 if mu3b is None else mu3b),
-                          np.full(n, 0.0 if mu3e is None else mu3e)])
-    mu4 = np.concatenate([np.full(p, float(mu4b)), np.full(n, float(mu4e))])
-    return mu3, mu4
-
-
 def score_covariance(
     params: ModelParams,
     spec: GramSpectrum,
     X: np.ndarray,
-    laws: tuple,
+    laws: tuple[SubGaussianLaw, SubGaussianLaw],
 ) -> np.ndarray:
     """Exact conditional covariance of the sqrt(n)-scaled score at theta_0.
 
-    ``laws`` is a pair (effects, noise) of laws or moment tuples.  The score
-    components are S_k = z'M_k z - tr(M_k) with M_k = C' diag(w_k) C and C the
-    standardized map; the covariance is computed without materializing the
-    (n+p) x (n+p) matrices M_k, and equals the Gaussian Fisher information when
-    both laws are Gaussian.
+    ``laws`` is the pair (effects law, noise law).  The score components are
+    S_k = z'M_k z - tr(M_k) with M_k = C' diag(w_k) C and C the standardized
+    map; each entry is ``qf_cov_terms`` of diag(M_k), diag(M_l) and tr(M_k M_l),
+    found without the (n+p) x (n+p) matrices M_k.  It equals the Gaussian
+    Fisher information when both laws are Gaussian.
     """
-    from .errors import UnsupportedLawError
-
     if params.eta_sq <= 0:
         raise ValueError("score covariance needs eta0^2 > 0")
     X = np.asarray(X, dtype=np.float64)
     n, p = X.shape
-    mu3, mu4 = _standardized_mu(laws, p, n)
-    if np.any(mu3 != 0.0):
-        raise UnsupportedLawError("score covariance requires symmetric laws (mu3 = 0)")
+    # one kurtosis per coordinate of z = (effects block, noise block)
+    kurt = np.concatenate([np.full(p, laws[0].excess_kurtosis), np.full(n, laws[1].excess_kurtosis)])
 
     lam = spec.lambdas
     C = standardized_map(params, spec, X)
@@ -482,18 +474,13 @@ def score_covariance(
     w2 = lam / (2.0 * params.sigma_sq * n * (params.eta_sq * lam + 1.0) ** 2)
 
     C_sq = C * C
-    diag1 = w1 @ C_sq  # diag of M1, length n+p
-    diag2 = w2 @ C_sq
+    terms = ((w1, w1 @ C_sq), (w2, w2 @ C_sq))  # each weight vector with diag(M_k)
     # C C' = diag(E y_check^2) makes tr(M_k M_l) an O(n) sum
     cc = _pop_sq(params, spec)
-    kurt = mu4 - 3.0
     info = np.empty((2, 2))
-    for i, (wi, di) in enumerate(((w1, diag1), (w2, diag2))):
-        for j, (wj, dj) in enumerate(((w1, diag1), (w2, diag2))):
-            if j < i:
-                continue
-            tr_ij = float(np.sum(wi * wj * cc * cc))
-            info[i, j] = info[j, i] = n * (float(np.sum(kurt * di * dj)) + 2.0 * tr_ij)
+    for (i, (wi, di)), (j, (wj, dj)) in itertools.combinations_with_replacement(enumerate(terms), 2):
+        tr_ij = float(np.sum(wi * wj * cc * cc))
+        info[i, j] = info[j, i] = n * qf_cov_terms(di, dj, tr_ij, kurt)
     return info
 
 

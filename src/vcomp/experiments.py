@@ -33,7 +33,7 @@ from .errors import NonIdentifiableError, TailGridError
 from .laws import SeedSpec, law_by_name, rng_for, sample_rows, shared_rng
 from .model import CouplingSpec, DesignSpec, ModelParams, draw_effects, gen_design, haar_orthogonal
 from .qform import QuadraticForm, build_w, napprox_rate, sigma_k_sq
-from .spectrum import decompose_gram, eigvar
+from .spectrum import decompose_gram
 
 REPORT_HEADER = (
     "Absolute constants in the underlying finite-sample bounds are unknown; "
@@ -681,7 +681,7 @@ def run_consistency(plan: ExperimentPlan) -> ExperimentReport:
     for ci, n in enumerate(plan.n_grid):
         X = _cell_design(plan, ci, n)
         spec = decompose_gram(X)
-        if eigvar(spec) < est.IDENT_FLOOR * (spec.lambda_1 + 1.0) ** 2:
+        if est.not_identifiable(spec):
             raise NonIdentifiableError(
                 f"cell n={n}: eigenvalue variance below the identifiability floor"
             )

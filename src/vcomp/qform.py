@@ -1,13 +1,14 @@
-"""Quadratic forms in independent coordinates: evaluation, exact moment algebra,
-and centered-form vectors with their exact covariance.
+"""Quadratic forms in independent coordinates: exact moment algebra and
+centered-form vectors with their exact covariance.
 
-For a symmetric Q and independent mean-0 variance-1 coordinates with fourth
-moments mu4_i, the exact second-moment identities used throughout are
+For symmetric A, B and independent mean-0 variance-1 coordinates with fourth
+moments mu4_i, every second moment here comes from one identity,
 
-    Var(z'Qz)        = sum_i mu4_i q_ii^2 - 3 sum_i q_ii^2 + 2 tr(Q^2)
-    Cov(z'Az, z'Bz)  = sum_i (mu4_i - 3) a_ii b_ii + 2 tr(AB)
+    Cov(z'Az, z'Bz) = sum_i (mu4_i - 3) a_ii b_ii + 2 tr(AB),
 
-(the third-moment contributions cancel for independent coordinates).
+computed only by ``qf_cov_terms``; Var(z'Qz) is the case A = B.  The moments
+are a ``SubGaussianLaw``, which must be symmetric (mu3 = 0), or a length-d
+array of per-coordinate fourth moments.
 """
 
 from __future__ import annotations
@@ -18,19 +19,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import UnsupportedLawError
 from .laws import SubGaussianLaw
 
-#: tolerance on the smallest eigenvalue, relative to the operator norm
+#: tolerance on the smallest eigenvalue, relative to the operator norm or the terms' size
 PSD_RTOL = 1e-8
 
 
-def _psd_norm(M: np.ndarray, what: str) -> float:
+def _psd_norm(M: np.ndarray, what: str, scale: float = 0.0) -> float:
     """Spectral norm of a symmetric matrix, from the one eigensolve that also
-    checks that it is positive semidefinite."""
+    checks that it is positive semidefinite.  ``scale`` is the size of the terms
+    behind M: the norm of an M that is 0 up to their rounding is only noise."""
     w = np.linalg.eigvalsh(M)
     norm = float(max(abs(w[0]), abs(w[-1])))
-    if w[0] < -PSD_RTOL * max(norm, 1e-300):
+    if w[0] < -PSD_RTOL * max(norm, scale, 1e-300):
         raise ValueError(f"{what} is not positive semidefinite (min eigenvalue {w[0]:.3e})")
     return norm
 
@@ -41,7 +42,6 @@ class QuadraticForm:
 
     matrix: np.ndarray
     diag: np.ndarray = field(init=False)
-    trace: float = field(init=False)
     trace_sq: float = field(init=False)
     op_norm: float = field(init=False)
 
@@ -55,7 +55,6 @@ class QuadraticForm:
         Q = 0.5 * (Q + Q.T)
         self.matrix = Q
         self.diag = np.ascontiguousarray(np.diag(Q))
-        self.trace = float(np.trace(Q))
         self.trace_sq = float(np.sum(Q * Q))  # tr(Q^2) for symmetric Q
         self.op_norm = _psd_norm(Q, "matrix")
 
@@ -64,57 +63,41 @@ class QuadraticForm:
         return self.matrix.shape[0]
 
 
-def _resolve_mu(
-    moments: SubGaussianLaw | Sequence[float] | np.ndarray, d: int
-) -> tuple[float | None, np.ndarray | float]:
-    """Normalize a moments argument to (mu3 or None, scalar or per-coordinate mu4)."""
+def _kurtosis(moments: SubGaussianLaw | np.ndarray, d: int) -> float | np.ndarray:
+    """mu4 - 3 of the coordinates: a scalar for a law, one per coordinate for
+    a length-d array of fourth moments."""
     if isinstance(moments, SubGaussianLaw):
-        mu3, mu4 = moments.mu3, moments.mu4
-    elif isinstance(moments, np.ndarray) and moments.ndim == 1 and moments.size == d:
-        mu3, mu4 = None, np.asarray(moments, dtype=np.float64)
-    else:
-        seq = tuple(float(x) for x in moments)
-        if len(seq) < 2:
-            raise ValueError("moments must provide at least (mu3, mu4)")
-        mu3, mu4 = seq[0], seq[1]
-    if np.any(np.asarray(mu4) < 1.0):
+        return moments.excess_kurtosis
+    mu4 = np.asarray(moments, dtype=np.float64)
+    if mu4.shape != (d,):
+        raise ValueError(f"moments must be a law or {d} fourth moments, got shape {mu4.shape}")
+    if np.any(mu4 < 1.0):
         raise ValueError("fourth moment below 1 is impossible for a variance-1 law")
-    return mu3, mu4
+    return mu4 - 3.0
 
 
-def qf_variance(
-    qf: QuadraticForm, moments: SubGaussianLaw | Sequence[float] | np.ndarray
+def qf_cov_terms(
+    a_diag: np.ndarray, b_diag: np.ndarray, tr_ab: float, kurt: float | np.ndarray
 ) -> float:
-    """Exact Var(z'Qz) for independent mean-0 variance-1 coordinates.
+    """Cov(z'Az, z'Bz) = sum_i kurt_i a_ii b_ii + 2 tr(AB), from the two
+    diagonals, tr(AB) and the excess kurtosis kurt = mu4 - 3 (a scalar, or
+    one per coordinate): the module's one copy of the identity."""
+    return float(np.sum(kurt * a_diag * b_diag)) + 2.0 * tr_ab
 
-    ``moments`` is a law, a (mu3, mu4, ...) tuple, or a length-d array of
-    per-coordinate fourth moments.
-    """
-    _, mu4 = _resolve_mu(moments, qf.dim)
-    q = qf.diag
-    return float(np.sum(mu4 * q * q) - 3.0 * np.sum(q * q) + 2.0 * qf.trace_sq)
+
+def qf_variance(qf: QuadraticForm, moments: SubGaussianLaw | np.ndarray) -> float:
+    """Exact Var(z'Qz); ``moments`` is a law or a length-d array of fourth moments."""
+    return qf_cov_terms(qf.diag, qf.diag, qf.trace_sq, _kurtosis(moments, qf.dim))
 
 
 def qf_covariance(
-    qfA: QuadraticForm,
-    qfB: QuadraticForm,
-    moments: SubGaussianLaw | Sequence[float] | np.ndarray,
+    qfA: QuadraticForm, qfB: QuadraticForm, moments: SubGaussianLaw | np.ndarray
 ) -> float:
-    """Exact Cov(z'Az, z'Bz) for independent symmetric-third-moment coordinates.
-
-    Restricted to mu3 = 0 laws (all shipped families); per-coordinate fourth
-    moments are accepted as an array.
-    """
+    """Exact Cov(z'Az, z'Bz); ``moments`` is a law or a length-d array of fourth moments."""
     if qfA.dim != qfB.dim:
         raise ValueError(f"dimension mismatch: {qfA.dim} vs {qfB.dim}")
-    mu3, mu4 = _resolve_mu(moments, qfA.dim)
-    if mu3 is not None and mu3 != 0.0:
-        raise UnsupportedLawError(
-            f"qf_covariance requires a symmetric law (mu3 = 0), got mu3 = {mu3}"
-        )
-    a, b = qfA.diag, qfB.diag
     tr_ab = float(np.sum(qfA.matrix * qfB.matrix))
-    return float(np.sum((mu4 - 3.0) * a * b) + 2.0 * tr_ab)
+    return qf_cov_terms(qfA.diag, qfB.diag, tr_ab, _kurtosis(moments, qfA.dim))
 
 
 @dataclass
@@ -130,10 +113,6 @@ class WVector:
     v_cov: np.ndarray
 
     @property
-    def k(self) -> int:
-        return len(self.qforms)
-
-    @property
     def dim(self) -> int:
         return self.qforms[0].dim
 
@@ -145,7 +124,7 @@ class WVector:
         # centered termwise, z_i (Qz)_i - Q_ii and Q_ii (z_i^2 - 1), so a form that
         # is constant in the draw (identity Q, Rademacher z) gives exactly 0
         z_sq_m1 = z * z - 1.0
-        out = np.empty(z.shape[:-1] + (2 * self.k,))
+        out = np.empty(z.shape[:-1] + (2 * len(self.qforms),))
         for i, qf in enumerate(self.qforms):
             out[..., 2 * i] = np.sum(z * (z @ qf.matrix) - qf.diag, axis=-1)
             out[..., 2 * i + 1] = z_sq_m1 @ qf.diag
@@ -153,45 +132,43 @@ class WVector:
 
 
 def build_w(
-    qforms: Sequence[QuadraticForm],
-    moments: SubGaussianLaw | Sequence[float],
+    qforms: Sequence[QuadraticForm], moments: SubGaussianLaw | np.ndarray
 ) -> WVector:
     """Assemble the 2K centered-form vector and its exact covariance.
 
-    Block entries, for gamma2-free independent coordinates with common mu4:
-    Cov(w_k, w_l) = (mu4-3) d_k.d_l + 2 tr(Q_k Q_l), and every entry touching
-    a diagonal part reduces to (mu4-1) d_k.d_l.
+    ``moments`` is a law or a length-d array of fourth moments.  Every entry
+    is the module's covariance identity; one that touches a diagonal part
+    diag(Q_l) has tr(Q_k diag(Q_l)) = d_k.d_l and so is (mu4 - 1) d_k.d_l.
     """
     if not qforms:
         raise ValueError("need at least one quadratic form")
     d = qforms[0].dim
     if any(qf.dim != d for qf in qforms):
         raise ValueError("all quadratic forms must share one dimension")
-    mu3, mu4 = _resolve_mu(moments, d)
-    if isinstance(mu4, np.ndarray):
-        raise ValueError("build_w expects a common scalar fourth moment")
-    if mu3 is not None and mu3 != 0.0:
-        raise UnsupportedLawError("build_w requires a symmetric law (mu3 = 0)")
+    kurt = _kurtosis(moments, d)
 
     kk = len(qforms)
     v_cov = np.empty((2 * kk, 2 * kk))
     diags = [qf.diag for qf in qforms]
     for i, j in itertools.product(range(kk), range(kk)):
-        dd = float(diags[i] @ diags[j])
+        # d_k.d_l summed as the kurtosis term is, so a Rademacher entry
+        # (kurt = -2) cancels to exactly 0
+        dd = float(np.sum(diags[i] * diags[j]))
         tr_ij = float(np.sum(qforms[i].matrix * qforms[j].matrix))
-        v_cov[2 * i, 2 * j] = (mu4 - 3.0) * dd + 2.0 * tr_ij
-        v_cov[2 * i, 2 * j + 1] = (mu4 - 1.0) * dd
-        v_cov[2 * i + 1, 2 * j] = (mu4 - 1.0) * dd
-        v_cov[2 * i + 1, 2 * j + 1] = (mu4 - 1.0) * dd
+        v_cov[2 * i, 2 * j] = qf_cov_terms(diags[i], diags[j], tr_ij, kurt)
+        v_cov[2 * i, 2 * j + 1] = v_cov[2 * i + 1, 2 * j] = v_cov[2 * i + 1, 2 * j + 1] = (
+            qf_cov_terms(diags[i], diags[j], dd, kurt)
+        )
     v_cov = 0.5 * (v_cov + v_cov.T)
 
-    _psd_norm(v_cov, "covariance")
+    # judged against the terms' size: a degenerate v_cov is 0 up to rounding
+    _psd_norm(v_cov, "covariance", max(qf.trace_sq for qf in qforms))
     return WVector(qforms=list(qforms), v_cov=v_cov)
 
 
 def sigma_k_sq(qf: QuadraticForm, gamma2: float) -> float:
-    """Var(z'Qz) written through the excess kurtosis: 2 tr(Q^2) + gamma2 tr(diag(Q)^2)."""
-    return float(2.0 * qf.trace_sq + gamma2 * (qf.diag @ qf.diag))
+    """Var(z'Qz) written through the excess kurtosis gamma2 = mu4 - 3."""
+    return qf_cov_terms(qf.diag, qf.diag, qf.trace_sq, gamma2)
 
 
 def napprox_rate(

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import vcomp
-from vcomp.cli import main
+from vcomp.cli import _plan_from_cfg, main
+from vcomp.experiments import ExperimentPlan
 from vcomp.matio import save_matrix_csv
 from vcomp.model import ModelParams
 from vcomp.spectrum import decompose_gram
@@ -299,20 +300,27 @@ class TestExperimentCommand:
         assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
     def test_degenerate_stein_exit_two(self, tmp_path):
-        cfg = write_config(
-            tmp_path / "exp.cfg",
-            {
-                "kind": "stein_discrepancy",
-                "n_grid": [16, 32],
-                "replicates": 120,
-                "laws": {"beta": "rademacher", "eps": "rademacher"},
-                "qspec": "identity",
-                "seed": 4,
-            },
-        )
-        out = tmp_path / "o"
-        assert main(["experiment", "--config", cfg, "--out", str(out)]) == 2
-        assert (out / "report.json").exists()
+        # at d = 25 and 100 the zero covariance's rounding once made it exit 1
+        for n_grid in ([16, 32], [25, 100]):
+            cfg = write_config(
+                tmp_path / "exp.cfg",
+                {
+                    "kind": "stein_discrepancy",
+                    "n_grid": n_grid,
+                    "replicates": 120,
+                    "laws": {"beta": "rademacher", "eps": "rademacher"},
+                    "qspec": "identity",
+                    "seed": 4,
+                },
+            )
+            out = tmp_path / f"o{n_grid[0]}"
+            assert main(["experiment", "--config", cfg, "--out", str(out)]) == 2
+            assert (out / "report.json").exists()
+
+    def test_omitted_keys_keep_the_plan_defaults(self):
+        cfg = {"kind": "normality", "n_grid": [30, 60], "replicates": 100}
+        want = ExperimentPlan(kind="normality", n_grid=(30, 60), replicates=100, master_seed=9)
+        assert _plan_from_cfg(cfg, seed=9, workers=1) == want
 
     def test_normality_config_roundtrip(self, tmp_path):
         cfg = write_config(
@@ -538,8 +546,13 @@ class TestConfigValidation:
             # generate takes p itself; p_ratio was once accepted and ignored
             ("generate", {"design": {"kind": "gaussian_iid", "p_ratio": 2.0}},
              "design: unknown keys ['p_ratio']"),
+            ("generate", {"laws": {"beta": "gaussian", "eps": "cauchy"}},
+             "laws.eps: unknown law 'cauchy'; supported: ["),
+            ("experiment", {"laws": {"beta": "cauchy", "eps": "gaussian"}},
+             "laws.beta: unknown law 'cauchy'; supported: ["),
         ],
-        ids=["generate-law", "experiment-law", "generate-lambdas", "experiment-lambdas", "generate-p_ratio"],
+        ids=["generate-law", "experiment-law", "generate-lambdas", "experiment-lambdas", "generate-p_ratio",
+             "generate-unknown-law", "experiment-unknown-law"],
     )
     def test_bad_law_or_design_entry_is_named(self, tmp_path, capsys, command, edit, message):
         cfg = write_config(tmp_path / "c.cfg", {**BASE_CFGS[command], **edit})

@@ -580,7 +580,7 @@ def score_qf_matrices(params, spec, X):
     w2 = lam / (2.0 * params.sigma_sq * n * (params.eta_sq * lam + 1.0) ** 2)
     M1 = QuadraticForm(C.T @ (w1[:, None] * C))
     M2 = QuadraticForm(C.T @ (w2[:, None] * C))
-    return M1, M2, (M1.trace, M2.trace)
+    return M1, M2, (float(np.trace(M1.matrix)), float(np.trace(M2.matrix)))
 
 
 class TestScoreQF:
@@ -607,8 +607,8 @@ class TestScoreQF:
 
     def test_offsets_center_the_score(self):
         M1, M2, (c1, c2) = score_qf_matrices(self.params, self.spec, self.X)
-        assert c1 == pytest.approx(M1.trace, rel=1e-12)
-        assert c2 == pytest.approx(M2.trace, rel=1e-12)
+        assert c1 == pytest.approx(np.sum(M1.diag), rel=1e-12)
+        assert c2 == pytest.approx(np.sum(M2.diag), rel=1e-12)
         assert c1 == pytest.approx(1.0 / (2.0 * self.params.sigma_sq), rel=1e-10)
 
     def test_operator_norm_bound(self):

@@ -587,12 +587,14 @@ class TestCoupling:
 
 class TestStein:
     def test_rademacher_identity_degenerate(self):
-        plan = small_plan(kind="stein_discrepancy", n_grid=(16, 32), replicates=150,
-                          beta_law="rademacher", qspec="identity", master_seed=13)
-        rep = run_stein(plan)
-        assert all(c["degenerate"] for c in rep.cells)
-        assert all(c["max_abs_w"] == 0.0 for c in rep.cells)
-        assert any(g["gate"] == "degenerate_cells_reported" for g in rep.gates)
+        # at d = 25 and 100 the zero covariance's rounding once failed its PSD check
+        for n_grid in ((16, 32), (25, 100)):
+            plan = small_plan(kind="stein_discrepancy", n_grid=n_grid, replicates=150,
+                              beta_law="rademacher", qspec="identity", master_seed=13)
+            rep = run_stein(plan)
+            assert all(c["degenerate"] for c in rep.cells)
+            assert all(c["max_abs_w"] == 0.0 for c in rep.cells)
+            assert any(g["gate"] == "degenerate_cells_reported" for g in rep.gates)
 
     def test_rate_quantity_decreasing(self):
         plan = small_plan(kind="stein_discrepancy", n_grid=(20, 80, 320),

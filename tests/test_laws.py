@@ -30,19 +30,19 @@ def jumped_rng(seed, substream):
 
 
 def raw_moments(law):
-    return (law.mu3, law.mu4, law.mu6, law.mu8)
+    return (law.mu3, law.mu4)
 
 
 def test_closed_form_moments():
-    assert raw_moments(GAUSSIAN) == (0.0, 3.0, 15.0, 105.0)
-    assert raw_moments(RADEMACHER) == (0.0, 1.0, 1.0, 1.0)
-    assert raw_moments(UNIFORM) == (0.0, 9 / 5, 27 / 7, 9.0)
+    assert raw_moments(GAUSSIAN) == (0.0, 3.0)
+    assert raw_moments(RADEMACHER) == (0.0, 1.0)
+    assert raw_moments(UNIFORM) == (0.0, 9 / 5)
 
 
 def test_uniform_moments_match_quadrature():
     # independent oracle: integrate x^k / (2 sqrt(3)) over [-sqrt(3), sqrt(3)]
     s = math.sqrt(3.0)
-    for k, expected in ((2, 1.0), (3, 0.0), (4, 9 / 5), (6, 27 / 7), (8, 9.0)):
+    for k, expected in ((2, 1.0), (3, 0.0), (4, 9 / 5)):
         val, _ = integrate.quad(lambda x, k=k: x**k / (2 * s), -s, s)
         assert val == pytest.approx(expected, abs=1e-12)
 
@@ -96,7 +96,7 @@ def test_sample_matches_name_switch_bitwise(law, shape):
 
 
 def test_sample_unknown_law_rejected():
-    law = SubGaussianLaw("cauchy", gamma=1.0, mu3=0.0, mu4=3.0, mu6=15.0, mu8=105.0)
+    law = SubGaussianLaw("cauchy", gamma=1.0, mu3=0.0, mu4=3.0)
     with pytest.raises(UnsupportedLawError):
         law.sample(rng_for(SeedSpec(0, 0)), (3,))
 
@@ -134,12 +134,12 @@ def test_mean_and_variance(law):
 
 
 @pytest.mark.parametrize("law", [GAUSSIAN, RADEMACHER, UNIFORM], ids=lambda l: l.name)
-@pytest.mark.parametrize("k", [3, 4, 6, 8])
+@pytest.mark.parametrize("k", [3, 4])
 def test_empirical_moments_match(law, k):
     x = sample_vector(law, N_BIG, SeedSpec(99, k))
     xk = x**k
     se = xk.std(ddof=1) / math.sqrt(N_BIG)
-    expected = dict(zip((3, 4, 6, 8), raw_moments(law)))[k]
+    expected = dict(zip((3, 4), raw_moments(law)))[k]
     assert abs(xk.mean() - expected) <= 5 * se + 1e-12
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from vcomp.errors import UnsupportedLawError
-from vcomp.laws import GAUSSIAN, RADEMACHER, UNIFORM, SeedSpec, sample_vector
+from vcomp.laws import GAUSSIAN, RADEMACHER, UNIFORM, SeedSpec, SubGaussianLaw, sample_vector
 from vcomp.qform import (
     QuadraticForm,
     build_w,
@@ -33,7 +33,6 @@ class TestQuadraticForm:
         rng = np.random.default_rng(0)
         qf = random_psd(rng, 6)
         Q = qf.matrix
-        assert qf.trace == pytest.approx(np.trace(Q), rel=1e-10)
         assert qf.trace_sq == pytest.approx(np.trace(Q @ Q), rel=1e-10)
         assert qf.op_norm == pytest.approx(np.max(np.linalg.eigvalsh(Q)), rel=1e-10)
 
@@ -72,7 +71,7 @@ class TestEvalQF:
         direct = sum(
             qf.matrix[i, j] * z[i] * z[j] for i in range(6) for j in range(6)
         )
-        assert centered_qf(qf, z) == pytest.approx(direct - qf.trace, abs=1e-12)
+        assert centered_qf(qf, z) == pytest.approx(direct - np.trace(qf.matrix), abs=1e-12)
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
@@ -129,8 +128,14 @@ class TestVariance:
         assert qf_variance(qf, mu4) == pytest.approx(2.0)
 
     def test_rejects_impossible_mu4(self):
-        with pytest.raises(ValueError):
-            qf_variance(QuadraticForm(np.eye(2)), (0.0, 0.5))
+        with pytest.raises(ValueError, match="below 1"):
+            qf_variance(QuadraticForm(np.eye(2)), np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("mu4", [(0.0, 3.0), np.full(4, 3.0), 3.0], ids=["mu3-mu4-tuple", "long", "scalar"])
+    def test_rejects_moments_of_another_length(self, mu4):
+        # a law or one fourth moment per coordinate; a (mu3, mu4, ...) tuple is gone
+        with pytest.raises(ValueError, match="3 fourth moments"):
+            qf_variance(QuadraticForm(np.eye(3)), mu4)
 
     def test_nonnegative_for_all_laws(self):
         rng = np.random.default_rng(4)
@@ -171,8 +176,11 @@ class TestCovariance:
 
     def test_rejects_asymmetric_law(self):
         qa = QuadraticForm(np.eye(2))
+        skewed = SubGaussianLaw("skewed", gamma=1.0, mu3=0.5, mu4=3.0)
         with pytest.raises(UnsupportedLawError):
-            qf_covariance(qa, qa, (0.5, 3.0))
+            qf_covariance(qa, qa, skewed)
+        with pytest.raises(UnsupportedLawError):
+            build_w([qa], skewed)
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
@@ -198,7 +206,7 @@ class TestWVector:
         block = wv.evaluate(Z)
         assert block.shape == (65, 4)
         for z, row in zip(Z, block):
-            want = [v for qf in qforms for v in ((qf.matrix @ z) @ z - qf.trace, qf.diag @ (z * z) - qf.trace)]
+            want = [v for qf in qforms for v in ((qf.matrix @ z) @ z - qf.diag.sum(), qf.diag @ (z * z) - qf.diag.sum())]
             np.testing.assert_allclose(row, want, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(wv.evaluate(z), row, rtol=1e-12, atol=1e-12)
         with pytest.raises(ValueError):
@@ -217,6 +225,14 @@ class TestWVector:
             np.testing.assert_allclose(wv.evaluate(z), 0.0, atol=1e-12)
         np.testing.assert_allclose(wv.v_cov, 0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_rademacher_identity_is_psd_at_every_dimension(self, k):
+        # the true covariance is 0, so its norm is rounding noise; the PSD check
+        # must be judged against the size of the terms (once raised at d = 8)
+        for d in range(1, 201):
+            wv = build_w([QuadraticForm(np.eye(d) / math.sqrt(d))] * k, RADEMACHER)
+            np.testing.assert_allclose(wv.v_cov, 0.0, atol=1e-12)
+
     def test_gaussian_identity_covariance(self):
         d = 9
         wv = build_w([QuadraticForm(np.eye(d))], GAUSSIAN)
@@ -225,7 +241,8 @@ class TestWVector:
     def test_v_cov_matches_block_covariance_formulas(self):
         rng = np.random.default_rng(10)
         qa, qb = random_psd(rng, 6), random_psd(rng, 6)
-        for law in (GAUSSIAN, UNIFORM, RADEMACHER):
+        per_coordinate = np.array([3.0, 1.0, 1.8, 3.0, 1.0, 1.8])
+        for law in (GAUSSIAN, UNIFORM, RADEMACHER, per_coordinate):
             wv = build_w([qa, qb], law)
             qa_d = QuadraticForm(np.diag(qa.diag))
             qb_d = QuadraticForm(np.diag(qb.diag))
@@ -246,8 +263,8 @@ class TestWVector:
         samples = np.empty((n, 4))
         for k, qf in enumerate((qa, qb)):
             full = np.einsum("ij,jk,ik->i", z, qf.matrix, z)
-            samples[:, 2 * k] = full - qf.trace
-            samples[:, 2 * k + 1] = z_sq @ qf.diag - qf.trace
+            samples[:, 2 * k] = full - np.trace(qf.matrix)
+            samples[:, 2 * k + 1] = z_sq @ qf.diag - np.trace(qf.matrix)
         emp = np.cov(samples.T)
         # stderr of a covariance entry is at most ~ sqrt(Var(prod)/n)
         for i in range(4):
@@ -262,7 +279,7 @@ class TestWVector:
         wv = build_w([qf], GAUSSIAN)
         n = 200_000
         z = sample_vector(GAUSSIAN, n * 5, SeedSpec(78, 0)).reshape(n, 5)
-        w0 = np.einsum("ij,jk,ik->i", z, qf.matrix, z) - qf.trace
+        w0 = np.einsum("ij,jk,ik->i", z, qf.matrix, z) - np.trace(qf.matrix)
         se = w0.std(ddof=1) / math.sqrt(n)
         assert abs(w0.mean()) < 5 * se
 
