@@ -14,7 +14,7 @@ class DegenerateDataError(VcompError):
 
 
 class UnsupportedLawError(VcompError):
-    """Coordinate law outside the supported family set or moment assumptions."""
+    """Coordinate law outside the supported family set."""
 
 
 class NumericalError(VcompError):

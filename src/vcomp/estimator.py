@@ -402,9 +402,7 @@ def fit_mle(state: ScoreState, options: FitOptions | None = None) -> FitResult |
     psi_hat = None
     if not ident_flag:
         fisher = gaussian_fisher(ModelParams(float(sigma_scaled[0]), eta_hat), spec)
-        # near-singular when the two scores are almost perfectly correlated;
-        # unlike det F, the correlation does not depend on the scale of y
-        if fisher[0, 1] ** 2 < (1.0 - 1e-12) * fisher[0, 0] * fisher[1, 1]:
+        if _nonsingular(fisher):
             # sigma^2 entries scale by 4^e, its variance by 16^e; an entry that
             # leaves the normal float range is not reported as inf or 0
             psi_scaled, e2 = np.linalg.inv(fisher), 2 * int(expo[0])
@@ -432,6 +430,14 @@ def fit_mle(state: ScoreState, options: FitOptions | None = None) -> FitResult |
 # ---------------------------------------------------------------------------
 # Score covariance and asymptotic covariance
 # ---------------------------------------------------------------------------
+
+
+def _nonsingular(info: np.ndarray) -> bool:
+    """Whether a 2x2 information (or expected Hessian) is nonsingular: the two
+    scores are not almost perfectly correlated, F01^2 < (1 - 1e-12) F00 F11.
+    Unlike det F, the correlation does not depend on the scale of y or of
+    sigma^2, whose entries are sigma^-4, sigma^-2 and O(1)."""
+    return bool(info[0, 1] ** 2 < (1.0 - 1e-12) * info[0, 0] * info[1, 1])
 
 
 def standardized_map(params: ModelParams, spec: GramSpectrum, X: np.ndarray) -> np.ndarray:
@@ -498,11 +504,9 @@ def asymptotic_cov(
 ) -> np.ndarray:
     """Sandwich covariance of sqrt(n)(theta_hat - theta_0): J0^-1 I J0^-1."""
     j0 = expected_hessian(params, params, spec)
-    det = float(np.linalg.det(j0))
-    scale = float(np.max(np.abs(j0))) ** 2
-    if not det > 1e-12 * max(scale, 1e-300):
+    if not _nonsingular(j0):
         raise NonIdentifiableError(
-            f"expected Hessian is singular (det {det:.3e}); components not identifiable"
+            f"expected Hessian is singular (det {np.linalg.det(j0):.3e}); components not identifiable"
         )
     info = score_covariance(params, spec, X, laws)
     j0_inv = np.linalg.inv(j0)

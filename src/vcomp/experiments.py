@@ -171,6 +171,8 @@ class ExperimentPlan:
             raise ValueError(f"unknown delta_scale {self.delta_scale!r}")
         if self.qspec not in ("equispaced", "identity"):
             raise ValueError(f"unknown qspec {self.qspec!r}")
+        if not self.p_ratio > 0:
+            raise ValueError(f"p_ratio must be positive, got {self.p_ratio}")
         if self.eta_box < 0:
             raise ValueError(f"eta_box must be nonnegative, got {self.eta_box}")
         if self.eta_grid_points < 1:
@@ -193,9 +195,6 @@ def plan_to_dict(plan: ExperimentPlan) -> dict:
     """The plan without ``workers``: reports are byte-identical at any count."""
     d = asdict(plan)
     del d["workers"]
-    d["design_lambdas"] = None if plan.design_lambdas is None else list(plan.design_lambdas)
-    for key in ("n_grid", "r_grid", "test_scales", "delta_grid"):
-        d[key] = list(d[key])
     return d
 
 
@@ -363,26 +362,24 @@ def _chunks(total: int, workers: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
 
 
-def _scatter(fn, tasks: list, workers: int) -> list:
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=1))
-
-
 def _call(job):
-    """Run one ``(fn, task)`` job; lets one ``_scatter`` mix task kinds."""
+    """Run one ``(fn, task)`` job."""
     fn, task = job
     return fn(task)
 
 
-def _chunk_tasks(plan: ExperimentPlan, cell_args: tuple, total: int) -> list:
-    return [(plan, *cell_args, lo, hi) for lo, hi in _chunks(total, plan.workers)]
+def _scatter(jobs: list, workers: int) -> list:
+    """The results of ``(fn, task)`` jobs, in order; a pool runs them when
+    ``workers`` > 1, so one scatter can mix task kinds."""
+    if workers <= 1 or len(jobs) <= 1:
+        return [_call(job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_call, jobs, chunksize=1))
 
 
 def _gather_chunks(fn, plan: ExperimentPlan, cell_args: tuple, total: int) -> np.ndarray:
-    parts = _scatter(fn, _chunk_tasks(plan, cell_args, total), plan.workers)
-    return np.concatenate(parts, axis=0)
+    jobs = [(fn, (plan, *cell_args, lo, hi)) for lo, hi in _chunks(total, plan.workers)]
+    return np.concatenate(_scatter(jobs, plan.workers), axis=0)
 
 
 def _block_seeds(plan: ExperimentPlan, cell_index: int, lo: int, hi: int):
@@ -586,7 +583,7 @@ def _regression_adjusted_mean(
 
 
 def _chunk_tail(task) -> np.ndarray:
-    """Rows are (sup deviation over the eta grid, ||z||^2) per replicate."""
+    """The supremum of the deviation over the eta grid, one per replicate."""
     plan, cell_index, X, spec, lo, hi = task
     params = plan.params()
     etas = np.linspace(0.0, plan.eta_box, plan.eta_grid_points)
@@ -595,11 +592,8 @@ def _chunk_tail(task) -> np.ndarray:
     resolvent = 1.0 / (np.multiply.outer(spec.lambdas, etas) + 1.0) / spec.n  # n x grid
     target = est._pop_sq(params, spec) @ resolvent
     return np.concatenate([
-        np.column_stack([
-            np.max(np.abs(y_check**2 @ resolvent - target), axis=1),
-            spec.p * np.einsum("ij,ij->i", beta, beta) + np.einsum("ij,ij->i", eps, eps),
-        ])
-        for beta, eps, _, y_check in _rotated_blocks(plan, cell_index, X, spec, lo, hi)
+        np.max(np.abs(y_check**2 @ resolvent - target), axis=1)
+        for *_, y_check in _rotated_blocks(plan, cell_index, X, spec, lo, hi)
     ])
 
 
@@ -652,6 +646,14 @@ def _trend_gate(name: str, values, stderrs) -> dict:
                  stderrs=[float(v) for v in stderrs])
 
 
+def _window_gate(name: str, value: float, stderr: float, window: tuple[float, float], **extra) -> dict:
+    """``name``: value inside ``window``.  ``pass`` holds when its 2-stderr
+    band meets the window, ``pass_strict`` when the value itself lies in it."""
+    lo, hi = window
+    band = value - 2 * stderr <= hi and value + 2 * stderr >= lo
+    return _gate(name, band, lo <= value <= hi, value=value, stderr=stderr, window=[lo, hi], **extra)
+
+
 def _endpoint_drop_gate(discs: list[float], ses: list[float]) -> dict:
     """'discrepancy_endpoint_drop' between the first and the last grid cell.
 
@@ -666,6 +668,23 @@ def _endpoint_drop_gate(discs: list[float], ses: list[float]) -> dict:
         "discrepancy_endpoint_drop", d1 <= d0, (d0 - d1) > 2.0 * stderr,
         value=d0 - d1, stderr=stderr,
     )
+
+
+def _discrepancy(plan: ExperimentPlan, cell_index: int, fn: SmoothTestFn, V: np.ndarray,
+                 fmean: float, fse: float) -> dict:
+    """The cell fields of the discrepancy |f_mean - E f(Z)|, Z ~ N(0, V), with
+    stderr ``fse``; E f(Z) is drawn from the cell's auxiliary stream."""
+    target, target_err = gaussian_expectation(
+        fn, V, SeedSpec(plan.master_seed, _stream(cell_index, _AUX_STREAM)), draws=plan.surrogate_draws,
+    )
+    return {"estimate": abs(fmean - target), "stderr": fse, "f_mean": fmean,
+            "surrogate": target, "surrogate_err": target_err}
+
+
+def _discrepancy_gates(cells: list[dict]) -> list[dict]:
+    """The endpoint-drop and trend gates on the cells' discrepancies."""
+    discs, ses = [c["estimate"] for c in cells], [c["stderr"] for c in cells]
+    return [_endpoint_drop_gate(discs, ses), _trend_gate("discrepancy_trend", discs, ses)]
 
 
 # ---------------------------------------------------------------------------
@@ -709,22 +728,8 @@ def run_consistency(plan: ExperimentPlan) -> ExperimentReport:
     gates = [_trend_gate("medians_decreasing", medians, stderrs)]
     if len(plan.n_grid) >= 2:
         fitres = ols_loglog(np.array(plan.n_grid, float), np.array(medians))
-        lo_w, hi_w = -0.7, -0.3
-        in_window = lo_w <= fitres["slope"] <= hi_w
-        band_overlaps = fitres["slope"] - 2 * fitres["stderr"] <= hi_w and (
-            fitres["slope"] + 2 * fitres["stderr"] >= lo_w
-        )
-        gates.append(
-            _gate(
-                "slope_window",
-                band_overlaps,
-                in_window,
-                value=fitres["slope"],
-                stderr=fitres["stderr"],
-                window=[lo_w, hi_w],
-                r2=fitres["r2"],
-            )
-        )
+        gates.append(_window_gate("slope_window", fitres["slope"], fitres["stderr"], (-0.7, -0.3),
+                                  r2=fitres["r2"]))
     return _report(plan, cells, gates)
 
 
@@ -739,13 +744,7 @@ def run_tail(plan: ExperimentPlan) -> ExperimentReport:
     for ci, n in enumerate(plan.n_grid):
         X = _cell_design(plan, ci, n)
         spec = decompose_gram(X)
-        devb = _gather_chunks(_chunk_tail, plan, (ci, X, spec), plan.replicates)
-        devs, znorm = devb[:, 0], devb[:, 1]
-        # what the grid may miss of the true supremum, at the median draw
-        bound = (
-            spec.lambda_1 / spec.n * plan.eta_box / plan.eta_grid_points
-            * (spec.lambda_1 + 1.0) * float(np.median(znorm))
-        )
+        devs = _gather_chunks(_chunk_tail, plan, (ci, X, spec), plan.replicates)
         for r in rs:
             k = int(np.count_nonzero(devs > r))
             total_exceed += k
@@ -766,7 +765,6 @@ def run_tail(plan: ExperimentPlan) -> ExperimentReport:
                     "wilson_low": w_lo,
                     "wilson_high": w_hi,
                     "reliable": reliable,
-                    "grid_error_bound": bound,
                 }
             )
     if total_exceed == 0:
@@ -830,22 +828,16 @@ def run_normality(plan: ExperimentPlan) -> ExperimentReport:
     theta0 = params.as_array()
     fn = resolve_test_fn(plan.test_fn, plan.test_scales)
     cells = []
-    discs, disc_ses = [], []
     for ci, n in enumerate(plan.n_grid):
         X = _cell_design(plan, ci, n)
         spec = decompose_gram(X)
         psi = est.asymptotic_cov(params, spec, X, plan.laws())
-        target, target_err = gaussian_expectation(
-            fn, psi, SeedSpec(plan.master_seed, _stream(ci, _AUX_STREAM)),
-            draws=plan.surrogate_draws,
-        )
         # the control task goes first: it is the longest, and the fit chunks
         # share the remaining workers while it runs
         ctrl_jobs = [(_chunk_control, (plan, ci, X, spec))] if plan.control_draws > 0 else []
-        fit_jobs = [
-            (_chunk_theta_lin, task) for task in _chunk_tasks(plan, (ci, X, spec), plan.replicates)
-        ]
-        parts = _scatter(_call, ctrl_jobs + fit_jobs, plan.workers)
+        fit_jobs = [(_chunk_theta_lin, (plan, ci, X, spec, lo, hi))
+                    for lo, hi in _chunks(plan.replicates, plan.workers)]
+        parts = _scatter(ctrl_jobs + fit_jobs, plan.workers)
         rows = np.concatenate(parts[len(ctrl_jobs):], axis=0)
         thetas = rows[:, :2]
         u = math.sqrt(n) * (thetas - theta0)
@@ -871,26 +863,18 @@ def run_normality(plan: ExperimentPlan) -> ExperimentReport:
             fmean, fse = _regression_adjusted_mean(fvals, controls, ctrl_mean, ctrl_se)
         else:
             fmean, fse = mean_with_stderr(fvals)
-        disc = abs(fmean - target)
-        psi_inv = np.linalg.inv(psi)
-        wald = np.einsum("ij,jk,ik->i", u, psi_inv, u)
-        cover = float(np.mean(wald <= _CHI2_2_95))
+        wald = np.einsum("ij,jk,ik->i", u, np.linalg.inv(psi), u)
         k_cover = int(np.count_nonzero(wald <= _CHI2_2_95))
+        cover = k_cover / plan.replicates
         cover_se = math.sqrt(max(cover * (1 - cover), 1e-300) / plan.replicates)
         err_norm = np.linalg.norm(thetas - theta0, axis=1)
         far = float(np.mean(err_norm > params.sigma_sq * math.log(n) / (2 * math.sqrt(n))))
-        discs.append(disc)
-        disc_ses.append(fse)
         cells.append(
             {
                 "cell": f"n={n}",
                 "n": n,
                 "p": _cell_p(plan, n),
-                "estimate": disc,
-                "stderr": fse,
-                "f_mean": fmean,
-                "surrogate": target,
-                "surrogate_err": target_err,
+                **_discrepancy(plan, ci, fn, psi, fmean, fse),
                 "coverage95": cover,
                 "coverage95_stderr": cover_se,
                 "coverage95_wilson": list(wilson_interval(k_cover, plan.replicates)),
@@ -899,15 +883,10 @@ def run_normality(plan: ExperimentPlan) -> ExperimentReport:
             }
         )
 
-    gates = [_endpoint_drop_gate(discs, disc_ses), _trend_gate("discrepancy_trend", discs, disc_ses)]
     last = cells[-1]
-    cov, cov_se = last["coverage95"], last["coverage95_stderr"]
-    in_win = 0.92 <= cov <= 0.975
-    band = (cov - 2 * cov_se <= 0.975) and (cov + 2 * cov_se >= 0.92)
-    gates.append(
-        _gate("wald_coverage_window", band, in_win, value=cov, stderr=cov_se,
-              window=[0.92, 0.975], n=last["n"])
-    )
+    gates = _discrepancy_gates(cells) + [_window_gate(
+        "wald_coverage_window", last["coverage95"], last["coverage95_stderr"], (0.92, 0.975), n=last["n"],
+    )]
     return _report(plan, cells, gates)
 
 
@@ -999,65 +978,34 @@ def run_stein(plan: ExperimentPlan) -> ExperimentReport:
         scales = tuple(scales[:1] * (2 * plan.k_forms)) if scales else (3.0,) * (2 * plan.k_forms)
     fn = resolve_test_fn(plan.test_fn, scales)
     cells = []
-    discs, disc_ses, rates = [], [], []
-    any_degenerate = False
     for ci, d in enumerate(plan.n_grid):
         qforms = _stein_qforms(plan, ci, d)
         wv = build_w(qforms, law)
         sigmas = [sigma_k_sq(qf, law.excess_kurtosis) for qf in qforms]
         scale = max(qf.trace_sq for qf in qforms)
         degenerate = any(s <= 1e-12 * max(scale, 1e-300) for s in sigmas)
-        rate = napprox_rate(qforms, d, law.gamma, fn.norm_bounds[2:4])
         wvals = _gather_chunks(_chunk_wvec, plan, (ci, wv), plan.replicates)
+        cell = {
+            "cell": f"d={d}",
+            "n": d,
+            "degenerate": degenerate,
+            "sigma_k_sq": sigmas,
+            "rate_quantity": napprox_rate(qforms, d, law.gamma, fn.norm_bounds[2:4]),
+        }
         if degenerate:
-            any_degenerate = True
-            max_w = float(np.max(np.abs(wvals)))
-            cells.append(
-                {
-                    "cell": f"d={d}",
-                    "n": d,
-                    "estimate": float("nan"),
-                    "stderr": float("nan"),
-                    "degenerate": True,
-                    "sigma_k_sq": [float(s) for s in sigmas],
-                    "max_abs_w": max_w,
-                    "rate_quantity": rate,
-                }
-            )
-            continue
-        target, target_err = gaussian_expectation(
-            fn, wv.v_cov, SeedSpec(plan.master_seed, _stream(ci, _AUX_STREAM)),
-            draws=plan.surrogate_draws,
-        )
-        fvals = fn.evaluator(wvals)
-        fmean, fse = mean_with_stderr(fvals)
-        disc = abs(fmean - target)
-        discs.append(disc)
-        disc_ses.append(fse)
-        rates.append(rate)
-        cells.append(
-            {
-                "cell": f"d={d}",
-                "n": d,
-                "estimate": disc,
-                "stderr": fse,
-                "degenerate": False,
-                "f_mean": fmean,
-                "surrogate": target,
-                "surrogate_err": target_err,
-                "sigma_k_sq": [float(s) for s in sigmas],
-                "rate_quantity": rate,
-            }
-        )
+            cell.update(estimate=math.nan, stderr=math.nan, max_abs_w=float(np.max(np.abs(wvals))))
+        else:
+            cell.update(_discrepancy(plan, ci, fn, wv.v_cov, *mean_with_stderr(fn.evaluator(wvals))))
+        cells.append(cell)
 
     gates = []
-    if any_degenerate:
+    if any(c["degenerate"] for c in cells):
         gates.append(_gate("degenerate_cells_reported", True, True))
-    if len(rates) >= 2:
+    live = [c for c in cells if not c["degenerate"]]
+    if len(live) >= 2:
+        rates = [c["rate_quantity"] for c in live]
         strict_rate = all(b < a for a, b in zip(rates, rates[1:]))
-        gates.append(_gate("rate_quantity_decreasing", strict_rate, strict_rate))
-    if len(discs) >= 2:
-        gates += [_endpoint_drop_gate(discs, disc_ses), _trend_gate("discrepancy_trend", discs, disc_ses)]
+        gates += [_gate("rate_quantity_decreasing", strict_rate, strict_rate), *_discrepancy_gates(live)]
     return _report(plan, cells, gates)
 
 

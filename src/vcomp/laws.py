@@ -2,8 +2,8 @@
 
 Three coordinate laws are supported: standard Gaussian, Rademacher (+-1 with
 probability 1/2 each), and the uniform distribution on [-sqrt(3), sqrt(3)].
-All are mean 0 and variance 1 with closed-form third and fourth moments, the
-only ones the quadratic-form identities read.  Their excess kurtoses
+All are mean 0 and variance 1 with a closed-form fourth moment, the only one
+the quadratic-form identities read.  Their excess kurtoses
 (0, -2, -6/5) cover the degenerate Rademacher edge case of quadratic-form
 central limit behaviour.
 """
@@ -26,20 +26,16 @@ class SubGaussianLaw:
 
     ``gamma`` is a documented analytic upper bound on the sub-Gaussian
     (psi_2) norm of one coordinate; only an upper bound is ever needed.
-    ``mu3`` and ``mu4`` are the exact raw moments E zeta^3 and E zeta^4.
+    ``mu4`` is the exact raw moment E zeta^4.
     """
 
     name: str
     gamma: float
-    mu3: float
     mu4: float
 
     @property
     def excess_kurtosis(self) -> float:
-        """mu4 - 3: what the quadratic-form covariances read of a law, which
-        they take to be symmetric."""
-        if self.mu3 != 0.0:
-            raise UnsupportedLawError(f"quadratic-form moments need mu3 = 0; {self.name} has mu3 = {self.mu3}")
+        """mu4 - 3: what the quadratic-form covariances read of a law."""
         return self.mu4 - 3.0
 
     def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
@@ -73,9 +69,9 @@ class SubGaussianLaw:
 # gamma bounds: bounded laws satisfy ||zeta||_psi2 <= sup|zeta| (attained at
 # r = 1 in the defining supremum); for the standard normal the supremum is
 # E|zeta| = sqrt(2/pi) < 1.
-GAUSSIAN = SubGaussianLaw("gaussian", gamma=1.0, mu3=0.0, mu4=3.0)
-RADEMACHER = SubGaussianLaw("rademacher", gamma=1.0, mu3=0.0, mu4=1.0)
-UNIFORM = SubGaussianLaw("uniform", gamma=math.sqrt(3.0), mu3=0.0, mu4=9.0 / 5.0)
+GAUSSIAN = SubGaussianLaw("gaussian", gamma=1.0, mu4=3.0)
+RADEMACHER = SubGaussianLaw("rademacher", gamma=1.0, mu4=1.0)
+UNIFORM = SubGaussianLaw("uniform", gamma=math.sqrt(3.0), mu4=9.0 / 5.0)
 
 _REGISTRY = {law.name: law for law in (GAUSSIAN, RADEMACHER, UNIFORM)}
 

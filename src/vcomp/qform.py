@@ -6,9 +6,9 @@ moments mu4_i, every second moment here comes from one identity,
 
     Cov(z'Az, z'Bz) = sum_i (mu4_i - 3) a_ii b_ii + 2 tr(AB),
 
-computed only by ``qf_cov_terms``; Var(z'Qz) is the case A = B.  The moments
-are a ``SubGaussianLaw``, which must be symmetric (mu3 = 0), or a length-d
-array of per-coordinate fourth moments.
+computed only by ``qf_cov_terms``; Var(z'Qz) is the case A = B.  No third
+moment enters: each such term carries a factor E z_j = 0.  The moments are a
+``SubGaussianLaw`` or a length-d array of per-coordinate fourth moments.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ def qf_cov_terms(
 
 def qf_variance(qf: QuadraticForm, moments: SubGaussianLaw | np.ndarray) -> float:
     """Exact Var(z'Qz); ``moments`` is a law or a length-d array of fourth moments."""
-    return qf_cov_terms(qf.diag, qf.diag, qf.trace_sq, _kurtosis(moments, qf.dim))
+    return sigma_k_sq(qf, _kurtosis(moments, qf.dim))
 
 
 def qf_covariance(
@@ -167,8 +167,10 @@ def build_w(
 
 
 def sigma_k_sq(qf: QuadraticForm, gamma2: float) -> float:
-    """Var(z'Qz) written through the excess kurtosis gamma2 = mu4 - 3."""
-    return qf_cov_terms(qf.diag, qf.diag, qf.trace_sq, gamma2)
+    """Var(z'Qz) written through the excess kurtosis gamma2 = mu4 - 3 (a
+    scalar, or one per coordinate).  Clamped at 0: a variance that cancels
+    exactly, as for identity Q and Rademacher z, can round to just below."""
+    return max(0.0, qf_cov_terms(qf.diag, qf.diag, qf.trace_sq, gamma2))
 
 
 def napprox_rate(

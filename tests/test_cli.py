@@ -286,6 +286,23 @@ class TestExperimentCommand:
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
         assert (a / "cells.csv").read_bytes() == (b / "cells.csv").read_bytes()
 
+    def test_normality_at_large_sigma2_runs(self, tmp_path):
+        # an identifiable design stays identifiable at any scale of sigma0^2
+        cfg = write_config(
+            tmp_path / "exp.cfg",
+            {
+                "kind": "normality",
+                "n_grid": [30, 60],
+                "replicates": 100,
+                "params": {"sigma2": 1e6, "eta2": 1.0},
+                "design": {"kind": "gaussian_iid", "p_ratio": 2.0},
+                "surrogate_draws": 20000,
+                "control_draws": 5000,
+                "seed": 4,
+            },
+        )
+        assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
     def test_identity_design_exit_two(self, tmp_path):
         cfg = write_config(
             tmp_path / "exp.cfg",
@@ -525,6 +542,7 @@ class TestConfigValidation:
             ({"kind": "normality", "test_fn": {"name": "tanh_product", "scales": []}}, "tanh_product"),
             ({"surrogate_draws": 0}, "surrogate_draws"),
             ({"control_draws": -5}, "control_draws"),
+            ({"design": {"kind": "gaussian_iid", "p_ratio": -2}}, "p_ratio"),
         ],
     )
     def test_out_of_range_value_is_named(self, tmp_path, capsys, edit, name):

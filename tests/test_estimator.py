@@ -642,17 +642,29 @@ class TestScoreCovariance:
 
     def test_matches_sample_covariance(self):
         info = score_covariance(self.params, self.spec, self.X, (UNIFORM, RADEMACHER))
-        reps = 100_000
-        scores = np.empty((reps, 2))
-        root = math.sqrt(self.params.sigma_sq * self.params.eta_sq / self.p)
-        # row r of a sample_rows block is bitwise sample_vector(law, d, SeedSpec(seed, r))
-        for lo in range(0, reps, 10_000):
-            rs = range(lo, lo + 10_000)
+        reps, block = 100_000, 10_000
+        s2, e2 = self.params.sigma_sq, self.params.eta_sq
+        lam = self.spec.lambdas
+        res = 1.0 / (e2 * lam + 1.0)
+        root = math.sqrt(s2 * e2 / self.p)
+
+        def draws(rs):
+            # row r of a sample_rows block is bitwise sample_vector(law, d, SeedSpec(seed, r))
             betas = root * sample_rows(UNIFORM, self.p, [SeedSpec(36, r) for r in rs])
-            epss = sample_rows(RADEMACHER, self.n, [SeedSpec(37, r) for r in rs])
-            for r, beta, eps in zip(rs, betas, epss):
-                state = ScoreState.from_observations(self.spec, self.X @ beta + eps)
-                scores[r] = score(state, self.params)
+            return betas @ self.X.T + sample_rows(RADEMACHER, self.n, [SeedSpec(37, r) for r in rs])
+
+        def block_scores(y):
+            # the score in closed form on each row of y_check^2 = (y U)^2
+            y_sq = (y @ self.spec.U) ** 2
+            return np.column_stack([
+                (y_sq @ res) / self.n / (2.0 * s2 * s2) - 1.0 / (2.0 * s2),
+                (y_sq @ (lam * res * res)) / self.n / (2.0 * s2) - 0.5 * np.mean(lam * res),
+            ])
+
+        scores = np.concatenate([block_scores(draws(range(lo, lo + block))) for lo in range(0, reps, block)])
+        ys = draws(range(1000))
+        want = [score(ScoreState.from_observations(self.spec, y), self.params) for y in ys]
+        np.testing.assert_allclose(scores[:1000], want, rtol=0, atol=1e-12)
         emp = self.n * np.cov(scores.T)
         for i in range(2):
             for j in range(2):
@@ -719,6 +731,19 @@ class TestFisherAndSandwich:
         spec = decompose_gram(X)
         with pytest.raises(NonIdentifiableError):
             asymptotic_cov(ModelParams(1.0, 1.0), spec, X, (GAUSSIAN, GAUSSIAN))
+
+    @pytest.mark.parametrize("sigma0_sq", [1e-8, 1e6, 1e8])
+    def test_identifiable_at_any_sigma_scale(self, sigma0_sq):
+        # J0 mixes sigma^-4, sigma^-2 and O(1) entries, so whether it is
+        # singular must be judged by a test that does not see sigma0^2
+        X = np.random.default_rng(41).standard_normal((100, 200))
+        spec = decompose_gram(X)
+        laws = (UNIFORM, RADEMACHER)
+        psi1 = asymptotic_cov(ModelParams(1.0, 0.7), spec, X, laws)
+        psi = asymptotic_cov(ModelParams(sigma0_sq, 0.7), spec, X, laws)
+        # sqrt(n)(sigma2_hat - sigma0^2) scales with sigma0^2, the eta^2 part not at all
+        scale = np.array([[sigma0_sq**2, sigma0_sq], [sigma0_sq, 1.0]])
+        np.testing.assert_allclose(psi / scale, psi1, rtol=1e-9, atol=1e-12 * np.abs(psi1).max())
 
     def test_law_enters_only_through_info(self):
         rng = np.random.default_rng(39)

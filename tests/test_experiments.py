@@ -20,6 +20,7 @@ from vcomp.experiments import (
     _chunks,
     _chunk_tail,
     _endpoint_drop_gate,
+    _window_gate,
     _expansion_controls,
     _rotated_blocks,
     _slices,
@@ -262,8 +263,7 @@ class TestTail:
             )
             vals = [c["estimate"] for c in sub]
             assert all(b <= a for a, b in zip(vals, vals[1:]))
-            for c in sub:
-                assert c["grid_error_bound"] >= 0
+            assert all("grid_error_bound" not in c for c in sub)
         assert any(g["gate"].startswith("log_tail_linear") for g in rep.gates)
 
     def test_unreliable_marking(self):
@@ -282,7 +282,7 @@ class TestTail:
         X = _cell_design(plan, 0, 30)
         spec = decompose_gram(X)
         rows = _chunk_tail((plan, 0, X, spec, 3, 9))
-        assert rows.shape == (6, 2)
+        assert rows.shape == (6,)
         params = plan.params()
         beta_law, eps_law = plan.laws()
         etas = np.linspace(0.0, plan.eta_box, plan.eta_grid_points)
@@ -294,11 +294,7 @@ class TestTail:
                 abs(sigma_star_sq(state, float(e)) - sigma0_sq_of(float(e), params, spec))
                 for e in etas
             )
-            assert row[0] == pytest.approx(sup, rel=1e-12)
-            znorm = spec.p * float(ds.beta_true @ ds.beta_true) + float(
-                ds.eps_true @ ds.eps_true
-            )
-            assert row[1] == pytest.approx(znorm, rel=1e-12)
+            assert row == pytest.approx(sup, rel=1e-12)
 
     @pytest.mark.parametrize("lo, hi", [(3, 150), (64, 193)])
     def test_chunk_rows_match_scalar_supremum_across_blocks(self, lo, hi):
@@ -310,7 +306,7 @@ class TestTail:
         X = _cell_design(plan, 0, 24)
         spec = decompose_gram(X)
         rows = _chunk_tail((plan, 0, X, spec, lo, hi))
-        assert rows.shape == (hi - lo, 2)
+        assert rows.shape == (hi - lo,)
         params = plan.params()
         beta_law, eps_law = plan.laws()
         etas = np.linspace(0.0, plan.eta_box, plan.eta_grid_points)
@@ -320,9 +316,7 @@ class TestTail:
                                  SeedSpec(plan.master_seed, _stream(0, r)))
             state = ScoreState.from_observations(spec, ds.y)
             sup = max(abs(sigma_star_sq(state, float(e)) - t) for e, t in zip(etas, target))
-            assert row[0] == pytest.approx(sup, rel=1e-12)
-            znorm = spec.p * float(ds.beta_true @ ds.beta_true) + float(ds.eps_true @ ds.eps_true)
-            assert row[1] == pytest.approx(znorm, rel=1e-12)
+            assert row == pytest.approx(sup, rel=1e-12)
 
     def test_widen_grid_error(self):
         plan = small_plan(kind="tail_envelope", n_grid=(30,), replicates=120,
@@ -555,6 +549,20 @@ class TestEndpointDropGate:
         assert gate["stderr"] == pytest.approx(math.sqrt(2) * 0.01)
 
 
+class TestWindowGate:
+    @pytest.mark.parametrize("value, stderr, passed, strict", [
+        (0.95, 0.01, True, True),     # inside
+        (0.975, 0.0, True, True),     # on the edge
+        (0.90, 0.011, True, False),   # outside, but the 2-stderr band meets the window
+        (0.99, 0.005, False, False),  # outside beyond the band
+        (0.90, 0.0, False, False),
+    ])
+    def test_band_passes_value_passes_strictly(self, value, stderr, passed, strict):
+        gate = _window_gate("w", value, stderr, (0.92, 0.975), n=7)
+        assert (gate["pass"], gate["pass_strict"]) == (passed, strict)
+        assert gate["window"] == [0.92, 0.975] and gate["n"] == 7 and gate["value"] == value
+
+
 class TestCoupling:
     def test_delta_zero_bitwise_and_monotone(self):
         plan = small_plan(kind="coupling", n_grid=(30, 60), replicates=120,
@@ -594,6 +602,8 @@ class TestStein:
             rep = run_stein(plan)
             assert all(c["degenerate"] for c in rep.cells)
             assert all(c["max_abs_w"] == 0.0 for c in rep.cells)
+            # 2 tr(Q^2) and the kurtosis term cancel; rounding must not leave a negative variance
+            assert all(s == 0.0 for c in rep.cells for s in c["sigma_k_sq"])
             assert any(g["gate"] == "degenerate_cells_reported" for g in rep.gates)
 
     def test_rate_quantity_decreasing(self):

@@ -4,8 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from vcomp.errors import UnsupportedLawError
-from vcomp.laws import GAUSSIAN, RADEMACHER, UNIFORM, SeedSpec, SubGaussianLaw, sample_vector
+from vcomp.laws import GAUSSIAN, RADEMACHER, UNIFORM, SeedSpec, sample_vector
 from vcomp.qform import (
     QuadraticForm,
     build_w,
@@ -93,7 +92,7 @@ class TestVariance:
 
     def test_rademacher_identity_degenerate(self):
         qf = QuadraticForm(np.eye(5))
-        assert qf_variance(qf, RADEMACHER) == pytest.approx(0.0, abs=1e-12)
+        assert qf_variance(qf, RADEMACHER) == 0.0
 
     def test_exhaustive_rademacher(self):
         rng = np.random.default_rng(2)
@@ -174,13 +173,31 @@ class TestCovariance:
         # products of independent chi-squares: Cov = 2 sum a_i b_i
         assert qf_covariance(qa, qb, GAUSSIAN) == pytest.approx(2 * float(a @ b))
 
-    def test_rejects_asymmetric_law(self):
-        qa = QuadraticForm(np.eye(2))
-        skewed = SubGaussianLaw("skewed", gamma=1.0, mu3=0.5, mu4=3.0)
-        with pytest.raises(UnsupportedLawError):
-            qf_covariance(qa, qa, skewed)
-        with pytest.raises(UnsupportedLawError):
-            build_w([qa], skewed)
+    def test_asymmetric_two_point_law_matches_enumeration(self):
+        # z_i is hi_i with probability p_i, else lo_i: mean 0 and variance 1,
+        # with mu3 != 0 unless p_i = 1/2.  No third moment enters the identity,
+        # so the fourth moments are all it reads.
+        rng = np.random.default_rng(9)
+        p = np.array([0.2, 0.5, 0.1])
+        hi, lo = np.sqrt((1 - p) / p), -np.sqrt(p / (1 - p))
+        assert np.count_nonzero(np.abs(p * hi**3 + (1 - p) * lo**3) > 1.0) == 2
+        mu4 = p * hi**4 + (1 - p) * lo**4
+        up = np.array(list(itertools.product((False, True), repeat=3)))
+        z = np.where(up, hi, lo)
+        prob = np.prod(np.where(up, p, 1 - p), axis=1)
+
+        def cov(u, v):
+            return float(prob @ (u * v) - (prob @ u) * (prob @ v))
+
+        for _ in range(5):
+            qa, qb = random_psd(rng, 3), random_psd(rng, 3)
+            va = np.einsum("ij,jk,ik->i", z, qa.matrix, z)
+            vb = np.einsum("ij,jk,ik->i", z, qb.matrix, z)
+            assert qf_covariance(qa, qb, mu4) == pytest.approx(cov(va, vb), abs=1e-12)
+            wv = build_w([qa, qb], mu4)
+            w = wv.evaluate(z)
+            want = [[cov(w[:, i], w[:, j]) for j in range(4)] for i in range(4)]
+            np.testing.assert_allclose(wv.v_cov, want, rtol=0, atol=1e-12)
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
