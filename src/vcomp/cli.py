@@ -219,10 +219,11 @@ def cmd_fit(args) -> int:
     trace = cfg.get("trace", False)
     if not isinstance(trace, bool):  # bool("false") is True
         raise ConfigError(f"trace: expected true or false, got {trace!r}")
-    X = load_matrix(x_path)
+    seed = _resolve_seed(args, cfg)
     y = load_vector(y_path)
-
-    spec = decompose_gram(X)
+    # decompose_gram holds the design's only reference and drops it once the
+    # Gram is formed, so no n x p matrix is resident during the eigensolve
+    spec = decompose_gram(load_matrix(x_path))
     state = est.ScoreState.from_observations(spec, y)
     fit = est.fit_mle(state, est.FitOptions(trace=trace))
 
@@ -231,7 +232,7 @@ def cmd_fit(args) -> int:
         out["trace"] = [[e, ll] for e, ll in fit.eta_grid_trace]
     outdir = Path(args.out)
     _write_json(outdir / "fit.json", out)
-    _manifest(outdir, "fit", _config_digest(cfg), _resolve_seed(args, cfg))
+    _manifest(outdir, "fit", _config_digest(cfg), seed)
     return 2 if fit.identifiability_flag else 0
 
 
@@ -305,8 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="master seed (overrides config and VCOMP_SEED)")
-        p.add_argument("--workers", type=int, default=1, help="worker processes (results are invariant to this)")
         p.set_defaults(handler=fn)
+        if name == "experiment":
+            p.add_argument("--workers", type=int, default=1, help="worker processes (results are invariant to this)")
     return parser
 
 

@@ -3,12 +3,24 @@
 The binary container has a 16-byte header: 4-byte magic ``VCM1``, then
 little-endian uint32 fields n (rows), p (columns), and element width in bytes
 (8 for float64, 4 for float32), followed by the row-major payload.
+
+A CSV file that spans at least two ranges of ``_RANGE_BYTES`` is written and
+parsed in forked worker processes, one per CPU in the process's affinity mask.
+Workers get the matrix, the path and the output buffer through ``fork``; only
+row and byte ranges and shapes go through the pool's queues.  The bytes
+written and the arrays read are those of ``np.savetxt`` and ``np.loadtxt``
+in one call, which is what runs otherwise.
 """
 
 from __future__ import annotations
 
+import io
+import mmap
 import os
+import shutil
 import struct
+import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -19,19 +31,95 @@ _HEADER = struct.Struct("<4sIII")
 
 _WIDTH_DTYPES = {8: np.dtype("<f8"), 4: np.dtype("<f4")}
 
+_RANGE_BYTES = 4 << 20  # the bytes of CSV one reader task parses
+_SCAN_BYTES = 1 << 20  # read size when cutting a file into ranges
+_NUMBER_BYTES = 25  # the longest "%.17g" of a float64 and its delimiter
+
+# what a forked worker got from its parent, set by ``_inherit``
+_inherited: tuple = ()
+
+
+def _cpu_count() -> int:
+    return len(os.sched_getaffinity(0))
+
+
+def _workers(ranges: int) -> int:
+    """Processes to share ``ranges`` ranges: one per CPU in the affinity
+    mask, at most one per range; 1 without fork (workers inherit their data
+    through it) or an affinity mask, and where fork is unsafe: another
+    thread may hold a lock the child needs."""
+    if (ranges < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return min(ranges, _cpu_count())
+
+
+def _pool(workers: int, *state):
+    """Forked workers that see ``state`` as ``_inherited``, never pickled."""
+    # imported here: imported with this module, which loads ahead of the rest
+    # of vcomp, the pool machinery kept about 1.7 MB more resident in every
+    # vcomp process
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(
+        max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_inherit, initargs=state,
+    )
+
+
+def _inherit(*state) -> None:
+    global _inherited
+    _inherited = state
+
 
 def save_matrix_csv(path: str | Path, X: np.ndarray) -> None:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    np.savetxt(path, X, delimiter=",", fmt="%.17g")
+    # at most one worker per range the file can fill, and one per row
+    workers = min(_workers(-(-X.size * _NUMBER_BYTES // _RANGE_BYTES)), len(X))
+    if workers < 2:
+        np.savetxt(path, X, delimiter=",", fmt="%.17g")
+        return
+    path = Path(path)
+    bounds = [len(X) * k // workers for k in range(workers + 1)]
+    parts = []
+    try:
+        for _ in range(workers):
+            fd, part = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".part", dir=path.parent)
+            os.close(fd)
+            parts.append(part)
+        with _pool(workers, X) as pool:
+            list(pool.map(_write_rows, zip(parts, bounds[:-1], bounds[1:])))
+        with open(path, "wb") as out:
+            for part in parts:
+                with open(part, "rb") as src:
+                    shutil.copyfileobj(src, out)
+    finally:
+        for part in parts:
+            os.unlink(part)
+
+
+def _write_rows(task) -> None:
+    """Worker: rows ``lo:hi`` of the inherited matrix into a part file."""
+    part, lo, hi = task
+    (X,) = _inherited
+    np.savetxt(part, X[lo:hi], delimiter=",", fmt="%.17g")
 
 
 def load_matrix(path: str | Path) -> np.ndarray:
-    """Load a matrix from CSV or the binary container (sniffed by magic)."""
+    """Load a matrix from CSV or the binary container (sniffed by magic).
+
+    A CSV file parsed in workers comes back in anonymous shared memory: a
+    process forked later that writes to the array writes to its parent's.
+    """
     path = Path(path)
     with open(path, "rb") as fh:
         head = fh.read(4)
     if head == MAGIC:
         return _load_bin(path)
+    X = _load_split(path)
+    if X is not None:
+        return X
     with warnings.catch_warnings():  # loadtxt warns on a file with no data; raised below
         warnings.simplefilter("ignore", UserWarning)
         try:
@@ -42,6 +130,75 @@ def load_matrix(path: str | Path) -> np.ndarray:
     if X.size == 0:
         raise ValueError(f"{path}: matrix file holds no data")
     return X
+
+
+def _load_split(path: Path) -> np.ndarray | None:
+    """The CSV matrix parsed range by range in forked workers, or None where
+    one ``np.loadtxt`` call must read it: a file of one range, one CPU, or
+    any range that fails, has another column count than the first line, or
+    holds fewer or more rows than newlines (comment or blank lines)."""
+    if os.path.getsize(path) <= _RANGE_BYTES or _workers(2) < 2:
+        return None
+    ranges = _line_ranges(path)
+    workers = _workers(len(ranges))
+    if workers < 2:
+        return None
+    with open(path, "rb") as fh:
+        p = fh.readline().count(b",") + 1
+    starts = np.cumsum([0] + [rows for _, _, rows in ranges]).tolist()
+    tasks = [(start, stop, lo, hi) for (start, stop, _), lo, hi in zip(ranges, starts, starts[1:])]
+    try:
+        # shared with the workers the pool forks; a first line that is not a
+        # row can make the size absurd
+        buffer = mmap.mmap(-1, starts[-1] * p * 8)
+        X = np.frombuffer(buffer, dtype=np.float64).reshape(-1, p)
+        with _pool(workers, path, X) as pool:
+            shapes = list(pool.map(_read_rows, tasks))
+    except Exception:  # the one-call parse raises with the file's own row number
+        return None
+    if shapes != [(hi - lo, p) for _, _, lo, hi in tasks]:
+        return None
+    return X
+
+
+def _read_rows(task) -> tuple[int, ...]:
+    """Worker: parse bytes ``start:stop`` into rows ``lo:hi`` of the inherited
+    output if they hold that many rows of its width; their shape."""
+    start, stop, lo, hi = task
+    path, X = _inherited
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        # decoded as np.loadtxt(path) decodes: locale encoding, universal newlines
+        text = io.TextIOWrapper(io.BytesIO(fh.read(stop - start)))
+    with warnings.catch_warnings():  # a range of comment lines only has no data
+        warnings.simplefilter("ignore", UserWarning)
+        rows = np.loadtxt(text, delimiter=",", dtype=np.float64, ndmin=2)
+    if rows.shape == (hi - lo, X.shape[1]):
+        X[lo:hi] = rows
+    return rows.shape
+
+
+def _line_ranges(path: Path) -> list[tuple[int, int, int]]:
+    """``(start, stop, rows)`` byte ranges of the file, each at least
+    ``_RANGE_BYTES`` long and ending after a newline, except the last, which
+    ends the file; ``rows`` counts its lines."""
+    ranges, start, rows, offset = [], 0, 0, 0
+    buf = bytearray(_SCAN_BYTES)
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(buf):
+            pos = 0
+            while (cut := max(start + _RANGE_BYTES - offset, pos)) < size:
+                end = buf.find(b"\n", cut, size)
+                if end < 0:
+                    break
+                rows += buf.count(b"\n", pos, end + 1)
+                ranges.append((start, offset + end + 1, rows))
+                start, rows, pos = offset + end + 1, 0, end + 1
+            rows += buf.count(b"\n", pos, size)
+            offset, open_line = offset + size, buf[size - 1] != ord("\n")
+    if offset > start:
+        ranges.append((start, offset, rows + open_line))
+    return ranges
 
 
 def load_vector(path: str | Path) -> np.ndarray:

@@ -51,6 +51,7 @@ def decompose_gram(X: np.ndarray) -> GramSpectrum:
         raise ValueError("design matrix contains non-finite entries")
 
     G = (X @ X.T) / p
+    del X  # a caller that passed its last reference frees the design before eigh
     G = 0.5 * (G + G.T)
     w, V = np.linalg.eigh(G)
     order = np.argsort(w)[::-1]

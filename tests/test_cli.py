@@ -149,6 +149,15 @@ class TestFit:
         err = capsys.readouterr().err
         assert err.startswith("vcomp: error: ") and "X.csv: matrix file holds no data" in err
 
+    def test_bad_env_seed_writes_no_output(self, tmp_path, capsys, monkeypatch):
+        # the seed is resolved before the CSV parse and before fit.json is written
+        write_recovery_fixture(tmp_path)
+        monkeypatch.setenv("VCOMP_SEED", "abc")
+        cfg = write_config(tmp_path / "c.cfg", {"x": "X.csv", "y": "y.csv"})
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert "vcomp: error: VCOMP_SEED: expected an integer" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_non_finite_y_is_named(self, tmp_path, capsys):
         # a nan once reached the search and was reported as a non-finite likelihood
         write_recovery_fixture(tmp_path)
@@ -285,6 +294,14 @@ class TestExperimentCommand:
         ) == 0
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
         assert (a / "cells.csv").read_bytes() == (b / "cells.csv").read_bytes()
+
+    @pytest.mark.parametrize("command", ["generate", "fit"])
+    def test_workers_flag_only_on_experiment(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path / "c.cfg", BASE_CFGS[command])
+        with pytest.raises(SystemExit) as info:
+            main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--workers", "2"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
     def test_normality_at_large_sigma2_runs(self, tmp_path):
         # an identifiable design stays identifiable at any scale of sigma0^2

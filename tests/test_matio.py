@@ -1,9 +1,17 @@
+import io
+import mmap
+import os
 import struct
+import subprocess
+import sys
+import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from vcomp import matio
 from vcomp.matio import (
     load_matrix,
     load_vector,
@@ -108,3 +116,170 @@ def test_csv_parse_error_names_the_file(tmp_path, text, message):
         load_matrix(path)
     assert str(info.value).startswith(f"{path}: {message}")
     assert "usecols" not in str(info.value)
+
+
+# -- the split codec: forked workers over row and byte ranges ----------------
+
+
+def _special_matrix(rows=60, cols=40):
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-300, 300, (rows, cols))
+    X[0, :6] = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1.7976931348623157e308]
+    X[-1, -3:] = [np.nan, -0.0, -1.7976931348623157e308]
+    return X
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """Ranges of 2 KiB and three CPUs; the worker counts of the pools started."""
+    pools = []
+    monkeypatch.setattr(matio, "_RANGE_BYTES", 2048)
+    monkeypatch.setattr(matio, "_cpu_count", lambda: 3)
+    pool = matio._pool
+    monkeypatch.setattr(matio, "_pool", lambda workers, *state: pools.append(workers) or pool(workers, *state))
+    return pools
+
+
+def _text(X):
+    buf = io.StringIO()
+    np.savetxt(buf, X, fmt="%.17g", delimiter=",")
+    return buf.getvalue()
+
+
+def _from_workers(X):
+    """Whether ``X`` lies in the shared memory the split reader fills."""
+    while isinstance(X, np.ndarray):
+        X = X.base
+    return isinstance(X, memoryview) and isinstance(X.obj, mmap.mmap)
+
+
+def test_split_writer_bytes_and_reload_exact(tmp_path, split):
+    X = _special_matrix()
+    save_matrix_csv(tmp_path / "X.csv", X)
+    assert split == [3]
+    assert (tmp_path / "X.csv").read_text() == _text(X)
+    Y = load_matrix(tmp_path / "X.csv")
+    assert split == [3, 3] and _from_workers(Y)
+    np.testing.assert_array_equal(Y, X)  # nan positions included
+    np.testing.assert_array_equal(np.signbit(Y), np.signbit(X))
+    assert [p.name for p in tmp_path.iterdir()] == ["X.csv"]
+
+
+def test_split_writer_fewer_rows_than_cpus(tmp_path, split):
+    X = _special_matrix(rows=2, cols=400)
+    save_matrix_csv(tmp_path / "X.csv", X)
+    assert split == [2]
+    assert (tmp_path / "X.csv").read_text() == _text(X)
+
+
+def _failing_rows(task):
+    raise RuntimeError("formatter failed")
+
+
+def test_split_writer_leaves_no_part_file_when_a_worker_raises(tmp_path, split, monkeypatch):
+    monkeypatch.setattr(matio, "_write_rows", _failing_rows)
+    with pytest.raises(RuntimeError, match="formatter failed"):
+        save_matrix_csv(tmp_path / "X.csv", _special_matrix())
+    assert split == [3]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "edit, splits",
+    [
+        (lambda lines: lines[:30] + ["# a comment, with commas"] + lines[30:], False),
+        (lambda lines: ["# leading, comment"] + lines, False),
+        (lambda lines: lines[:45] + [""] + lines[45:], False),
+        (lambda lines: lines + ["", ""], False),
+        (lambda lines: lines, True),
+    ],
+    ids=["comment", "leading-comment", "blank-line", "trailing-blank-line", "no-trailing-newline"],
+)
+def test_split_reader_matches_loadtxt(tmp_path, split, edit, splits):
+    lines = _text(_special_matrix()).splitlines()
+    path = tmp_path / "X.csv"
+    path.write_text("\n".join(edit(lines)))
+    X = load_matrix(path)
+    np.testing.assert_array_equal(X, np.loadtxt(path, delimiter=",", ndmin=2))
+    assert split == [3]  # the workers ran; a file they cannot read is read in one call
+    assert _from_workers(X) == splits
+
+
+@pytest.mark.parametrize(
+    "bad_rows, message",
+    [("1.5,2.5\n", "the number of columns changed from 40 to 2 at row 61"),
+     # the last ranges parse on their own, only to a width other than the first line's
+     ("1.5,2.5\n" * 600, "the number of columns changed from 40 to 2 at row 61"),
+     (",".join(["0.25"] * 39 + ["abc"]) + "\n", "could not convert string 'abc' to float64 at row 60, column 40")],
+    ids=["ragged", "ragged-ranges", "non-numeric"],
+)
+def test_split_reader_errors_name_the_global_row(tmp_path, split, monkeypatch, bad_rows, message):
+    text = _text(_special_matrix())
+    path = tmp_path / "X.csv"
+    path.write_text(text + bad_rows)
+    ranges = matio._line_ranges(path)
+    assert len(ranges) > 3 and ranges[-1][0] <= len(text) + len(bad_rows) - 8  # bad rows in the last range
+    with pytest.raises(ValueError) as split_info:
+        load_matrix(path)
+    assert split == [3]
+    monkeypatch.setattr(matio, "_cpu_count", lambda: 1)
+    with pytest.raises(ValueError) as one_info:
+        load_matrix(path)
+    assert split == [3]
+    assert str(split_info.value) == str(one_info.value)
+    assert str(split_info.value).startswith(f"{path}: {message}")
+
+
+@pytest.mark.parametrize("text", ["1,2\n" * 3000, "1,2\n" * 3000 + "3,4", "12345678" * 1000 + "\n1\n"],
+                         ids=["newline-end", "open-last-line", "long-first-line"])
+def test_line_ranges_cover_the_file(tmp_path, monkeypatch, text):
+    monkeypatch.setattr(matio, "_RANGE_BYTES", 1000)
+    monkeypatch.setattr(matio, "_SCAN_BYTES", 700)
+    path = tmp_path / "X.csv"
+    path.write_text(text)
+    ranges = matio._line_ranges(path)
+    assert [start for start, _, _ in ranges] == [0] + [stop for _, stop, _ in ranges[:-1]]
+    assert ranges[-1][1] == len(text)
+    for start, stop, rows in ranges[:-1]:
+        assert stop - start >= 1000 and text[stop - 1] == "\n"
+        assert rows == text[start:stop].count("\n")
+    assert sum(rows for _, _, rows in ranges) == len(text.splitlines())
+
+
+def test_a_second_thread_keeps_the_one_process_path(tmp_path, split):
+    # fork copies only the calling thread; a lock another thread holds stays held in the child
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(60,))
+    waiter.start()
+    try:
+        X = _special_matrix()
+        save_matrix_csv(tmp_path / "X.csv", X)
+        np.testing.assert_array_equal(load_matrix(tmp_path / "X.csv"), X)
+    finally:
+        release.set()
+        waiter.join(timeout=60)
+    assert not waiter.is_alive()
+    assert split == []
+    assert (tmp_path / "X.csv").read_text() == _text(X)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+def test_one_cpu_takes_the_one_process_path(tmp_path):
+    # the child pins only itself; a pool it started would fail the check
+    script = f"""
+import os, numpy as np
+from vcomp import matio
+os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
+matio._RANGE_BYTES = 2048
+def no_pool(*args):
+    raise AssertionError("a pool was started on one CPU")
+matio._pool = no_pool
+X = np.random.default_rng(5).standard_normal((60, 40))
+matio.save_matrix_csv({str(tmp_path / "X.csv")!r}, X)
+assert np.array_equal(matio.load_matrix({str(tmp_path / "X.csv")!r}), X)
+print("one process")
+"""
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(Path(matio.__file__).parents[1])})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "one process"

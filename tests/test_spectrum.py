@@ -1,4 +1,6 @@
 import math
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -62,6 +64,18 @@ class TestDecomposeGram:
         spec = decompose_gram(rng.standard_normal((100, 200)))
         assert np.all(spec.lambdas > 0)
         assert np.isfinite(spec.lambda_1)
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="the callee owns its arguments from CPython 3.11")
+    def test_design_passed_as_last_reference_is_freed_before_eigh(self, monkeypatch):
+        # vcomp fit passes the loaded design this way; its eigensolve then
+        # runs without an n x p matrix resident
+        box = [np.random.default_rng(2).standard_normal((6, 9))]
+        design = weakref.ref(box[0])
+        alive_at_eigh = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda G: alive_at_eigh.append(design() is not None) or eigh(G))
+        decompose_gram(box.pop())
+        assert alive_at_eigh == [False]
 
 
 class TestEigvar:
