@@ -84,6 +84,13 @@ def _number(value, key: str) -> float:
     return float(value)
 
 
+def _name(value, key: str) -> str:
+    # a list would reach a dict lookup as an unhashable key
+    if not isinstance(value, str):
+        raise ConfigError(f"{key}: expected a name, got {value!r}")
+    return value
+
+
 def _listed(value, key: str):
     # a scalar would be iterated (a string) or fail deep inside as a TypeError
     if not isinstance(value, (list, tuple)):
@@ -132,8 +139,6 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _manifest(outdir: Path, command: str, cfg_digest: str, seed: int) -> None:
-    import scipy  # only for its version; imported here to keep start-up fast
-
     _write_json(
         outdir / "manifest.json",
         {
@@ -143,7 +148,6 @@ def _manifest(outdir: Path, command: str, cfg_digest: str, seed: int) -> None:
             "versions": {
                 "vcomp": __version__,
                 "numpy": np.__version__,
-                "scipy": scipy.__version__,
                 "python": platform.python_version(),
             },
         },
@@ -270,7 +274,7 @@ def _plan_from_cfg(cfg: dict, seed: int, workers: int) -> ExperimentPlan:
         take(cfg, key, check)
     fn_cfg, coup_cfg = cfg.get("test_fn", {}), cfg.get("coupling", {})
     _check_keys(fn_cfg, {"name", "scales"}, "test_fn")
-    take(fn_cfg, "name", field="test_fn")
+    take(fn_cfg, "name", _name, "test_fn", "test_fn.name")
     take(fn_cfg, "scales", _numbers, "test_scales")
     _check_keys(coup_cfg, {"scheme", "delta_grid", "delta_scale", "fraction"}, "coupling")
     take(coup_cfg, "scheme", field="coupling_scheme")

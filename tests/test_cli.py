@@ -36,14 +36,36 @@ def write_recovery_fixture(tmp_path, params=ModelParams(1.3, 0.8), n=12, p=20, s
     return params
 
 
-def test_import_leaves_slow_scipy_modules_unloaded():
-    # scipy.stats and scipy.integrate take about a second to import; only the
-    # 2-d surrogate quadrature needs integrate, and nothing needs stats
-    code = "import sys, vcomp, vcomp.cli; print(sorted(m for m in sys.modules if m in ('scipy.stats', 'scipy.integrate')))"
+def test_commands_run_without_scipy(tmp_path):
+    # scipy is a test oracle only: every command, including the 2-d surrogate
+    # quadrature of normality and K = 1 Stein plans, runs with its import failing
+    gen = {"n": 40, "p": 20, "params": {"sigma2": 1.0, "eta2": 1.0}, "seed": 7}
+    tiny = {"n_grid": [30, 60], "replicates": 100, "seed": 4}
+    configs = {
+        "gen.cfg": gen,
+        "data/fit.cfg": {"x": "X.csv", "y": "y.csv"},
+        "normality.cfg": {**tiny, "kind": "normality", "design": {"kind": "gaussian_iid", "p_ratio": 0.5},
+                          "control_draws": 2000},
+        "stein1.cfg": {**tiny, "kind": "stein_discrepancy", "n_grid": [16, 32]},
+        "stein2.cfg": {**tiny, "kind": "stein_discrepancy", "n_grid": [16, 32], "k_forms": 2,
+                       "surrogate_draws": 20000},
+    }
+    (tmp_path / "data").mkdir()
+    for name, cfg in configs.items():
+        write_config(tmp_path / name, cfg)
+    runs = [["generate", "--config", "gen.cfg", "--out", "data"],
+            ["fit", "--config", "data/fit.cfg", "--out", "fit"],
+            *(["experiment", "--config", name, "--out", name[:-4]]
+              for name in ("normality.cfg", "stein1.cfg", "stein2.cfg"))]
+    code = ("import json, sys; sys.modules['scipy'] = None\n"
+            "from vcomp.cli import main\n"
+            "print([main(argv) for argv in json.loads(sys.argv[1])])")
     src = str(Path(vcomp.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], capture_output=True, text=True,
+                         cwd=tmp_path, timeout=300, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[0, 0, 0, 0, 0]", out.stderr
+    assert "scipy" not in json.loads((tmp_path / "fit" / "manifest.json").read_text())["versions"]
 
 
 class TestFit:
@@ -148,6 +170,14 @@ class TestFit:
             assert main(["fit", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("vcomp: error: ") and "X.csv: matrix file holds no data" in err
+
+    def test_matrix_y_file_is_named(self, tmp_path, capsys):
+        write_recovery_fixture(tmp_path)
+        save_matrix_csv(tmp_path / "y.csv", np.ones((2, 2)))
+        cfg = write_config(tmp_path / "c.cfg", {"x": "X.csv", "y": "y.csv"})
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"vcomp: error: {tmp_path / 'y.csv'}: expected a vector, got shape (2, 2)\n"
 
     def test_bad_env_seed_writes_no_output(self, tmp_path, capsys, monkeypatch):
         # the seed is resolved before the CSV parse and before fit.json is written
@@ -560,6 +590,7 @@ class TestConfigValidation:
             ({"surrogate_draws": 0}, "surrogate_draws"),
             ({"control_draws": -5}, "control_draws"),
             ({"design": {"kind": "gaussian_iid", "p_ratio": -2}}, "p_ratio"),
+            ({"kind": "normality", "test_fn": {"name": ["tanh_sum"]}}, "test_fn.name"),
         ],
     )
     def test_out_of_range_value_is_named(self, tmp_path, capsys, edit, name):

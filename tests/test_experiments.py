@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from vcomp.errors import NonIdentifiableError, TailGridError
 from vcomp import experiments
-from vcomp.estimator import ScoreState, expected_hessian, sigma0_sq_of, sigma_star_sq, standardized_map
+from vcomp.estimator import ScoreState, asymptotic_cov, expected_hessian, sigma0_sq_of, sigma_star_sq, standardized_map
 from vcomp.experiments import (
     _CHI2_2_95,
     _CTRL_SLICE,
@@ -24,9 +24,11 @@ from vcomp.experiments import (
     _expansion_controls,
     _rotated_blocks,
     _slices,
+    _stein_qforms,
     _stream,
     ExperimentPlan,
     config_hash,
+    cov_sqrt,
     gaussian_expectation,
     mean_with_stderr,
     median_with_stderr,
@@ -43,8 +45,9 @@ from vcomp.experiments import (
     wilson_interval,
     with_workers,
 )
-from vcomp.laws import SeedSpec, rng_for
+from vcomp.laws import SeedSpec, law_by_name, rng_for
 from vcomp.model import ModelParams, gen_independent
+from vcomp.qform import build_w
 from vcomp.spectrum import GramSpectrum, decompose_gram
 
 
@@ -151,6 +154,44 @@ class TestGaussianExpectation:
         z = rng.standard_normal((400_000, 2)) @ root.T
         mc = float(np.mean(fn.evaluator(z)))
         assert quad == pytest.approx(mc, abs=5 * 0.3 / math.sqrt(400_000))
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            ExperimentPlan(kind="normality", n_grid=(100, 800), replicates=2000, p_ratio=0.75, master_seed=1),
+            ExperimentPlan(kind="normality", n_grid=(100, 800), replicates=200, p_ratio=0.75, test_fn="tanh_sum",
+                           test_scales=(1.0,), master_seed=1),
+            ExperimentPlan(kind="normality", n_grid=(30, 60), replicates=100, p_ratio=0.5, master_seed=4),
+            ExperimentPlan(kind="stein_discrepancy", n_grid=(16, 32), replicates=150, master_seed=4),
+            None,
+        ],
+        ids=["criterion6", "normality_cv", "criterion10-normality", "criterion10-stein", "zero"],
+    )
+    def test_quadrature_matches_adaptive_oracle(self, plan):
+        from scipy import integrate
+
+        # the surrogate covariance of each cell, as run_normality and run_stein form it
+        if plan is None:
+            fn, covs = tanh_product((3.0, 3.0)), [np.zeros((2, 2))]
+        elif plan.kind == "normality":
+            fn, covs = resolve_test_fn(plan.test_fn, plan.test_scales), []
+            for ci, n in enumerate(plan.n_grid):
+                X = _cell_design(plan, ci, n)
+                covs.append(asymptotic_cov(plan.params(), decompose_gram(X), X, plan.laws()))
+        else:
+            law = law_by_name(plan.beta_law)
+            fn = resolve_test_fn(plan.test_fn, plan.test_scales)
+            covs = [build_w(_stein_qforms(plan, ci, d), law).v_cov for ci, d in enumerate(plan.n_grid)]
+        for V in covs:
+            root = cov_sqrt(V)
+
+            def integrand(y, x):
+                return float(fn.evaluator(root @ np.array([x, y]))) * math.exp(-0.5 * (x * x + y * y)) / (2 * math.pi)
+
+            oracle, _ = integrate.dblquad(integrand, -8.5, 8.5, -8.5, 8.5, epsabs=1e-10)
+            val, err = gaussian_expectation(fn, V, SeedSpec(0))
+            assert abs(val - oracle) <= 1e-9
+            assert err >= abs(val - oracle)
 
     def test_mc_path_for_higher_dims(self):
         fn = tanh_product((3.0, 3.0, 3.0, 3.0))

@@ -1,10 +1,12 @@
 import io
 import mmap
 import os
+import signal
 import struct
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -283,3 +285,46 @@ print("one process")
                          env={**os.environ, "PYTHONPATH": str(Path(matio.__file__).parents[1])})
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "one process"
+
+
+def _gone(pid):
+    """True once ``pid`` has exited: no such process, or a zombie no one reaped."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+@pytest.mark.parametrize("pool", ["experiments", "matio"])
+def test_pool_workers_exit_when_the_parent_is_killed(pool):
+    # each sibling holds the call queue open, so without a watcher the
+    # orphaned workers would wait on it for good
+    script = """
+import os, sys, time
+from vcomp import experiments, matio
+def job(_):
+    os.write(1, f"{os.getpid()}\\n".encode())  # one write: the two lines cannot interleave
+    time.sleep(60)
+if sys.argv[1] == "experiments":
+    experiments._scatter([(job, 0), (job, 1)], 2)
+else:
+    with matio._pool(2) as pool:
+        list(pool.map(job, range(2)))
+"""
+    parent = subprocess.Popen([sys.executable, "-c", script, pool], stdout=subprocess.PIPE, text=True,
+                              env={**os.environ, "PYTHONPATH": str(Path(matio.__file__).parents[1])})
+    try:
+        workers = [int(parent.stdout.readline()) for _ in range(2)]
+    finally:
+        parent.kill()
+        parent.wait(timeout=60)
+        parent.stdout.close()
+    deadline = time.monotonic() + 10
+    while not all(_gone(pid) for pid in workers) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    alive = [pid for pid in workers if not _gone(pid)]
+    for pid in alive:  # leave nothing running when the check fails
+        os.kill(pid, signal.SIGKILL)
+    assert alive == []
