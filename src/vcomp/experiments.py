@@ -17,11 +17,14 @@ kept out of the serialized report).
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
 import hashlib
 import io
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable
@@ -32,7 +35,7 @@ from . import estimator as est
 from .errors import NonIdentifiableError, TailGridError
 from .laws import SeedSpec, law_by_name, rng_for, sample_rows, shared_rng
 from .matio import exit_with_parent
-from .model import CouplingSpec, DesignSpec, ModelParams, draw_effects, gen_design, haar_orthogonal
+from .model import CouplingSpec, DesignSpec, ModelParams, draw_effects, draw_eigenbasis, gen_design, haar_orthogonal
 from .qform import QuadraticForm, build_w, napprox_rate, sigma_k_sq
 from .spectrum import decompose_gram
 
@@ -169,6 +172,10 @@ class ExperimentPlan:
             b <= a for a, b in zip(self.n_grid, self.n_grid[1:])
         ):
             raise ValueError("n_grid must be nonempty and strictly increasing")
+        if not all(math.isfinite(r) and r > 0 for r in self.r_grid) or any(
+            b <= a for a, b in zip(self.r_grid, self.r_grid[1:])
+        ):
+            raise ValueError(f"r_grid must be positive, finite and strictly increasing, got {list(self.r_grid)}")
         if self.delta_scale not in ("absolute", "inverse_n"):
             raise ValueError(f"unknown delta_scale {self.delta_scale!r}")
         if self.qspec not in ("equispaced", "identity"):
@@ -191,6 +198,10 @@ class ExperimentPlan:
 
     def laws(self):
         return law_by_name(self.beta_law), law_by_name(self.eps_law)
+
+    def gaussian(self) -> bool:
+        """Whether effects and noise are both Gaussian."""
+        return all(law.name == "gaussian" for law in self.laws())
 
 
 def plan_to_dict(plan: ExperimentPlan) -> dict:
@@ -356,6 +367,17 @@ def _cell_design(plan: ExperimentPlan, cell_index: int, n: int) -> np.ndarray:
     return gen_design(n, _cell_p(plan, n), design, seed)
 
 
+def _cell_spectrum(plan: ExperimentPlan, cell_index: int, n: int):
+    """The cell's design and its spectrum for an independent-effects runner.
+    With Gaussian laws the replicates are drawn in the eigenbasis
+    (``_outcome_blocks``), so only the eigenvalues are computed and the design
+    is None: neither is needed again, nor shipped to a worker."""
+    X = _cell_design(plan, cell_index, n)
+    if plan.gaussian():
+        return None, decompose_gram(X, vectors=False)
+    return X, decompose_gram(X)
+
+
 def _chunks(total: int, workers: int) -> list[tuple[int, int]]:
     """At most ``workers`` ranges [lo, hi), each a union of whole fit blocks."""
     blocks = -(-total // _FIT_BLOCK)
@@ -376,6 +398,36 @@ def _scatter(jobs: list, workers: int) -> list:
         return [_call(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers, initializer=exit_with_parent) as pool:
         return list(pool.map(_call, jobs, chunksize=1))
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas():
+    """numpy's bundled OpenBLAS (the scipy-openblas wheel build), or None
+    when numpy was built against another BLAS."""
+    root = Path(np.__file__).parent
+    for path in (*root.parent.glob("numpy.libs/*scipy_openblas*"), *root.glob(".dylibs/*scipy_openblas*")):
+        lib = ctypes.CDLL(str(path))  # the loaded library: dlopen returns its handle
+        if hasattr(lib, "scipy_openblas_set_num_threads64_") and hasattr(lib, "scipy_openblas_get_num_threads64_"):
+            return lib
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with numpy's OpenBLAS on one thread, then restore the old
+    count.  A threaded BLAS call can round differently from a serial one, so
+    this makes reports independent of ``OPENBLAS_NUM_THREADS``; forked pool
+    workers inherit the setting.  Under another BLAS it does nothing."""
+    lib = _openblas()
+    if lib is None:
+        yield
+        return
+    old = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(old)
 
 
 def _gather_chunks(fn, plan: ExperimentPlan, cell_args: tuple, total: int) -> np.ndarray:
@@ -401,6 +453,21 @@ def _rotated_blocks(plan: ExperimentPlan, cell_index: int, X, spec, lo: int, hi:
         yield beta, eps, beta_y, (beta_y @ X.T + eps) @ spec.U
 
 
+def _outcome_blocks(plan: ExperimentPlan, cell_index: int, X, spec, lo: int, hi: int):
+    """Per fit block of replicates [lo, hi), the outcomes y_check, (block, n),
+    with independent effects.  With X None (Gaussian laws, ``_cell_spectrum``)
+    each row is drawn directly in the eigenbasis by ``draw_eigenbasis``, from
+    its replicate stream's own substream; otherwise it is ``_rotated_blocks``'
+    rotated outcome."""
+    if X is None:
+        variances = est._pop_sq(plan.params(), spec)
+        for seeds in _block_seeds(plan, cell_index, lo, hi):
+            yield draw_eigenbasis(variances, seeds)
+    else:
+        for *_, y_check in _rotated_blocks(plan, cell_index, X, spec, lo, hi):
+            yield y_check
+
+
 def _fit_rows(spec, y_check: np.ndarray) -> np.ndarray:
     """Fit one block of rotated outcomes together; rows are
     (sigma2_hat, eta2_hat, cap_hit, nonconverged)."""
@@ -418,9 +485,14 @@ def _fit_counts(rows: np.ndarray) -> dict:
 
 
 def _chunk_theta(task) -> np.ndarray:
-    """Fit replicates [lo, hi) of one cell under a coupling (None: independent
-    effects); rows are the ``_fit_rows`` columns, then the coupling distance."""
+    """Fit replicates [lo, hi) of one cell under a coupling; rows are the
+    ``_fit_rows`` columns, then the coupling distance.  With coupling None the
+    effects are independent (``_outcome_blocks``) and the rows have no
+    distance column."""
     plan, cell_index, X, spec, coupling, lo, hi = task
+    if coupling is None:
+        return np.concatenate([_fit_rows(spec, y_check)
+                               for y_check in _outcome_blocks(plan, cell_index, X, spec, lo, hi)])
     return np.concatenate([
         np.column_stack([_fit_rows(spec, y_check), np.linalg.norm(beta_y - beta, axis=1)])
         for beta, _, beta_y, y_check in _rotated_blocks(plan, cell_index, X, spec, lo, hi, coupling)
@@ -512,9 +584,10 @@ def _chunk_control(task) -> np.ndarray:
     test function is rebuilt from the plan because its evaluator does not
     pickle.
 
-    With Gaussian effects and noise the rotated outcome has exactly independent
-    N(0, sigma0^2 (eta0^2 lam_i + 1)) coordinates, so no design products are
-    needed; otherwise draws go through the standardized-coordinate map.
+    With Gaussian effects and noise the rows are y_check^2 by the identity of
+    ``model.draw_eigenbasis`` (from this stream, not the replicate streams),
+    so no design products are needed; otherwise draws go through the
+    standardized-coordinate map.
     """
     plan, cell_index, X, spec = task
     fn = resolve_test_fn(plan.test_fn, plan.test_scales)
@@ -524,7 +597,7 @@ def _chunk_control(task) -> np.ndarray:
     draws = plan.control_draws
     rng = rng_for(SeedSpec(plan.master_seed, _stream(cell_index, _CTRL_STREAM)))
     n, p = X.shape
-    gaussian = beta_law.name == "gaussian" and eps_law.name == "gaussian"
+    gaussian = plan.gaussian()
     if not gaussian:
         C = est.standardized_map(params, spec, X)
     scale = est._pop_sq(params, spec)
@@ -594,7 +667,7 @@ def _chunk_tail(task) -> np.ndarray:
     target = est._pop_sq(params, spec) @ resolvent
     return np.concatenate([
         np.max(np.abs(y_check**2 @ resolvent - target), axis=1)
-        for *_, y_check in _rotated_blocks(plan, cell_index, X, spec, lo, hi)
+        for y_check in _outcome_blocks(plan, cell_index, X, spec, lo, hi)
     ])
 
 
@@ -699,8 +772,7 @@ def run_consistency(plan: ExperimentPlan) -> ExperimentReport:
     cells = []
     medians, stderrs = [], []
     for ci, n in enumerate(plan.n_grid):
-        X = _cell_design(plan, ci, n)
-        spec = decompose_gram(X)
+        X, spec = _cell_spectrum(plan, ci, n)
         if est.not_identifiable(spec):
             raise NonIdentifiableError(
                 f"cell n={n}: eigenvalue variance below the identifiability floor"
@@ -743,8 +815,7 @@ def run_tail(plan: ExperimentPlan) -> ExperimentReport:
     total_exceed = 0
     log_tail: dict[float, list[tuple[int, float, float]]] = {r: [] for r in rs}
     for ci, n in enumerate(plan.n_grid):
-        X = _cell_design(plan, ci, n)
-        spec = decompose_gram(X)
+        X, spec = _cell_spectrum(plan, ci, n)
         devs = _gather_chunks(_chunk_tail, plan, (ci, X, spec), plan.replicates)
         for r in rs:
             k = int(np.count_nonzero(devs > r))
@@ -1020,7 +1091,10 @@ _RUNNERS = {
 
 
 def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
-    return _RUNNERS[plan.kind](plan)
+    """Run a plan with BLAS on one thread, so the report's bytes do not depend
+    on the BLAS thread count."""
+    with _one_blas_thread():
+        return _RUNNERS[plan.kind](plan)
 
 
 def with_workers(plan: ExperimentPlan, workers: int) -> ExperimentPlan:

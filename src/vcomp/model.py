@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .laws import SeedSpec, SubGaussianLaw, rng_for, sample_rows, shared_rng
+from .laws import GAUSSIAN, SeedSpec, SubGaussianLaw, rng_for, sample_rows, shared_rng
 from .matio import save_matrix_csv
 
 # substream tags for the per-replicate Philox stream
@@ -23,6 +23,7 @@ _SUB_BETA = 1
 _SUB_EPS = 2
 _SUB_SPARSE = 3
 _SUB_PERTURB = 4
+_SUB_EIGENBASIS = 5
 
 COUPLING_SCHEMES = ("none", "additive_perturb", "sparse_zero")
 
@@ -161,6 +162,21 @@ def draw_effects(n: int, p: int, params: ModelParams, beta_law: SubGaussianLaw,
     for row in direction:
         row /= np.linalg.norm(row)
     return beta, eps, beta + coupling.delta * direction
+
+
+def draw_eigenbasis(variances: np.ndarray, seeds) -> np.ndarray:
+    """Outcomes already rotated into the Gram eigenbasis, (k, n), for
+    independent Gaussian effects and noise; row i is drawn from the replicate
+    stream of ``seeds[i]``.
+
+    With y = X beta + eps, beta ~ N(0, sigma0^2 eta0^2 / p I) and
+    eps ~ N(0, sigma0^2 I), the rotated outcome y_check = U'y given X is
+    Gaussian with covariance U'(sigma0^2 eta0^2 XX'/p + sigma0^2 I)U =
+    diag(sigma0^2 (eta0^2 lam_i + 1)): its coordinates are exactly
+    independent N(0, ``variances``_i), so sqrt(variances) * z with standard
+    normal z has the law of y_check without X, U or any product with them.
+    """
+    return np.sqrt(variances) * sample_rows(GAUSSIAN, variances.size, seeds, _SUB_EIGENBASIS)
 
 
 def gen_independent(

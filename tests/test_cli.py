@@ -591,6 +591,8 @@ class TestConfigValidation:
             ({"control_draws": -5}, "control_draws"),
             ({"design": {"kind": "gaussian_iid", "p_ratio": -2}}, "p_ratio"),
             ({"kind": "normality", "test_fn": {"name": ["tanh_sum"]}}, "test_fn.name"),
+            ({"r_grid": [0.3, 0.3]}, "r_grid"),
+            ({"r_grid": [-1.0, 0.3]}, "r_grid"),
         ],
     )
     def test_out_of_range_value_is_named(self, tmp_path, capsys, edit, name):

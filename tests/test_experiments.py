@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -8,7 +12,7 @@ from hypothesis import strategies as st
 
 from vcomp.errors import NonIdentifiableError, TailGridError
 from vcomp import experiments
-from vcomp.estimator import ScoreState, asymptotic_cov, expected_hessian, sigma0_sq_of, sigma_star_sq, standardized_map
+from vcomp.estimator import ScoreState, _pop_sq, asymptotic_cov, expected_hessian, sigma0_sq_of, sigma_star_sq, standardized_map
 from vcomp.experiments import (
     _CHI2_2_95,
     _CTRL_SLICE,
@@ -22,6 +26,8 @@ from vcomp.experiments import (
     _endpoint_drop_gate,
     _window_gate,
     _expansion_controls,
+    _openblas,
+    _outcome_blocks,
     _rotated_blocks,
     _slices,
     _stein_qforms,
@@ -70,6 +76,12 @@ class TestPlanValidation:
             small_plan(n_grid=(80, 40))
         with pytest.raises(ValueError):
             small_plan(n_grid=(40, 40))
+
+    @pytest.mark.parametrize("r_grid", [(0.3, 0.3), (0.4, 0.3), (-1.0, 0.3), (0.0,), (math.inf,), (math.nan,)])
+    def test_r_grid_positive_finite_increasing(self, r_grid):
+        # a duplicate r wrote duplicate cells and gates; r <= 0 reported p_hat = 1
+        with pytest.raises(ValueError, match="r_grid"):
+            small_plan(kind="tail_envelope", r_grid=r_grid)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -291,6 +303,72 @@ class TestConsistency:
         hi = run_consistency(small_plan(n_grid=(40,), replicates=400))
         ratio = hi.cells[0]["stderr"] / lo.cells[0]["stderr"]
         assert 0.3 < ratio < 0.9
+
+
+class TestEigenbasisRoute:
+    REPS = 4000
+
+    @pytest.mark.parametrize("route", ["rotated", "eigenbasis"])
+    def test_outcome_moments_match_the_population(self, route):
+        # E y_check_i^2 = sigma0^2 (eta0^2 lam_i + 1) and E y_check_i y_check_j = 0,
+        # each checked to 5 stderrs over the replicates
+        plan = small_plan(n_grid=(8,), replicates=self.REPS, sigma0_sq=1.5, eta0_sq=2.0)
+        X = _cell_design(plan, 0, 8)
+        spec = decompose_gram(X)
+        y = np.concatenate(list(_outcome_blocks(plan, 0, X if route == "rotated" else None, spec, 0, self.REPS)))
+        assert y.shape == (self.REPS, 8)
+        se = lambda v: np.std(v, axis=0, ddof=1) / math.sqrt(self.REPS)  # noqa: E731
+        sq = y * y
+        assert np.all(np.abs(sq.mean(axis=0) - _pop_sq(plan.params(), spec)) <= 5 * se(sq))
+        i, j = np.triu_indices(8, k=1)
+        cross = y[:, i] * y[:, j]
+        assert np.all(np.abs(cross.mean(axis=0)) <= 5 * se(cross))
+
+    @pytest.mark.parametrize("kind, laws, extra, rotates", [
+        ("consistency", "gaussian", {}, False),
+        ("tail_envelope", "gaussian", {"r_grid": (0.2,)}, False),
+        ("tail_envelope", "rademacher", {"r_grid": (0.2,)}, True),
+        ("consistency", "uniform", {}, True),
+        ("normality", "gaussian", {"p_ratio": 0.5, "control_draws": 2_000, "surrogate_draws": 2_000}, True),
+        ("coupling", "gaussian", {"delta_grid": (0.0, 0.5)}, True),
+    ])
+    def test_route_follows_the_plan(self, monkeypatch, kind, laws, extra, rotates):
+        eigh, shapes, rotated = np.linalg.eigh, [], []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
+        monkeypatch.setattr(experiments, "_rotated_blocks",
+                            lambda *args, **kw: rotated.append(args[1]) or _rotated_blocks(*args, **kw))
+        run_experiment(small_plan(kind=kind, n_grid=(30, 60), beta_law=laws, eps_law=laws, **extra))
+        gram_eighs = [s for s in shapes if s[0] > 2]  # normality's 2x2 covariance root aside
+        assert bool(rotated) == rotates
+        assert gram_eighs == ([(30, 30), (60, 60)] if rotates else [])
+
+
+@pytest.mark.skipif(_openblas() is None, reason="numpy is not on its bundled OpenBLAS")
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="on one CPU OpenBLAS starts one thread whatever it is asked for")
+def test_reports_do_not_depend_on_blas_threads():
+    # at n = 200 a threaded BLAS rounds the consistency and normality reports
+    # differently from a serial one unless run_experiment pins one thread
+    child = """if True:
+        import hashlib, json, sys
+        from vcomp.experiments import ExperimentPlan, _openblas, run_experiment
+        print(_openblas().scipy_openblas_get_num_threads64_())
+        for kw in json.loads(sys.argv[1]):
+            print(hashlib.sha256(run_experiment(ExperimentPlan(**kw)).to_json().encode()).hexdigest())
+    """
+    plans = [
+        {"kind": "consistency", "n_grid": [100, 200], "replicates": 100, "master_seed": 4},
+        {"kind": "tail_envelope", "n_grid": [100, 200], "replicates": 100, "r_grid": [0.2], "master_seed": 4},
+        {"kind": "normality", "n_grid": [100, 200], "replicates": 100, "control_draws": 2_000,
+         "surrogate_draws": 2_000, "master_seed": 4, "workers": 2},
+    ]
+    out = {}
+    for threads in (1, 2):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "PYTHONPATH": os.pathsep.join(sys.path)}
+        env.pop("OMP_NUM_THREADS", None)
+        out[threads] = subprocess.run([sys.executable, "-c", child, json.dumps(plans)], env=env, check=True,
+                                      capture_output=True, text=True, timeout=300).stdout.split()
+    assert out[1][0] == "1" and out[2][0] == "2"  # the second child really threads
+    assert out[1][1:] == out[2][1:]
 
 
 class TestTail:
