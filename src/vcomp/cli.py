@@ -29,7 +29,7 @@ from .errors import (
     TailGridError,
     VcompError,
 )
-from .experiments import ExperimentPlan, run_experiment
+from .experiments import ExperimentPlan, one_blas_thread, run_experiment
 from .laws import SeedSpec, law_by_name
 from .matio import load_matrix, load_vector
 from .model import (
@@ -226,10 +226,12 @@ def cmd_fit(args) -> int:
     seed = _resolve_seed(args, cfg)
     y = load_vector(y_path)
     # decompose_gram holds the design's only reference and drops it once the
-    # Gram is formed, so no n x p matrix is resident during the eigensolve
-    spec = decompose_gram(load_matrix(x_path))
-    state = est.ScoreState.from_observations(spec, y)
-    fit = est.fit_mle(state, est.FitOptions(trace=trace))
+    # Gram is formed, so no n x p matrix is resident during the eigensolve;
+    # one BLAS thread, so fit.json does not depend on the thread count
+    with one_blas_thread():
+        spec = decompose_gram(load_matrix(x_path))
+        state = est.ScoreState.from_observations(spec, y)
+        fit = est.fit_mle(state, est.FitOptions(trace=trace))
 
     out = est.fit_result_to_dict(fit)
     if trace:

@@ -103,7 +103,7 @@ def _pop_sq(params: ModelParams, spec: GramSpectrum) -> np.ndarray:
     return params.sigma_sq * (params.eta_sq * spec.lambdas + 1.0)
 
 
-def _resolvent_sums(y_sq: np.ndarray, lam: np.ndarray, etas):
+def _resolvent_sums(y_sq: np.ndarray, lam: np.ndarray, etas, n: int | None = None):
     """The eigenbasis sums behind every likelihood quantity, on a grid of eta^2.
 
     With r_i = 1/(eta^2 lam_i + 1), each row of the (rows, n) block ``y_sq``
@@ -111,11 +111,13 @@ def _resolvent_sums(y_sq: np.ndarray, lam: np.ndarray, etas):
     means sstar = (1/n) sum y^2 r, quad = (1/n) sum lam y^2 r^2 and
     cube = (1/n) sum lam^2 y^2 r^3, all from one (rows, n) @ (n, 3G) product.
     The row-free (G,) means of lam r, lam^2 r^2 and log(eta^2 lam + 1) follow.
+    Every sum divides by ``n``, by default ``lam.size``; a caller that has
+    summed coordinates with lam = 0 into one column passes the true n.
     """
     etas = np.asarray(etas, dtype=np.float64)
     if (etas < 0).any():
         raise ValueError("eta_sq must be nonnegative")
-    n, g = lam.size, etas.size
+    n, g = lam.size if n is None else n, etas.size
     shifted = np.multiply.outer(lam, etas) + 1.0  # (n, G), the same for every row
     res = 1.0 / shifted
     lres = lam[:, None] * res
@@ -254,11 +256,12 @@ def expected_hessian_det(params: ModelParams, spec: GramSpectrum) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _score_rows(y_check_sq: np.ndarray, lam: np.ndarray, eta: np.ndarray):
+def _score_rows(y_check_sq: np.ndarray, lam: np.ndarray, eta: np.ndarray, n: int | None = None):
     """(sstar, H_star, H_star') on each row of a (reps, n) block of y_check^2,
     each row at its own eta^2; one reused resolvent buffer.  Kept apart from
-    ``_resolvent_sums``, whose grid is shared by every row."""
-    n = lam.size
+    ``_resolvent_sums``, whose grid is shared by every row; ``n`` is the
+    normaliser, as there."""
+    n = lam.size if n is None else n
     res = np.multiply(eta[:, None], lam)
     res += 1.0
     np.reciprocal(res, out=res)  # r

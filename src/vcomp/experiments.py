@@ -23,7 +23,7 @@ import hashlib
 import io
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -52,8 +52,9 @@ _CTRL_STREAM = (1 << 32) - 3
 # replicates drawn and fitted together; chunks are unions of whole blocks, so
 # no block boundary depends on the worker count
 _FIT_BLOCK = 64
-# control-variate draws: rows per block drawn from the control stream, and
-# rows per slice of a block that the expansion core reduces at once
+# control-variate draws: rows per block (block k of a cell comes from substream
+# k of its control stream), and rows per slice of a block that the expansion
+# core reduces at once
 _CTRL_BLOCK = 4096
 _CTRL_SLICE = 512
 _WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -378,10 +379,13 @@ def _cell_spectrum(plan: ExperimentPlan, cell_index: int, n: int):
     return X, decompose_gram(X)
 
 
-def _chunks(total: int, workers: int) -> list[tuple[int, int]]:
-    """At most ``workers`` ranges [lo, hi), each a union of whole fit blocks."""
-    blocks = -(-total // _FIT_BLOCK)
-    size = -(-blocks // max(1, min(workers, blocks))) * _FIT_BLOCK
+def _chunks(total: int, workers: int, block: int = _FIT_BLOCK) -> list[tuple[int, int]]:
+    """At most ``workers`` ranges [lo, hi) of ``total`` rows, each a union of
+    whole blocks of ``block`` rows; none when ``total`` is 0."""
+    if total == 0:
+        return []
+    blocks = -(-total // block)
+    size = -(-blocks // max(1, min(workers, blocks))) * block
     return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
 
 
@@ -413,11 +417,12 @@ def _openblas():
 
 
 @contextmanager
-def _one_blas_thread():
+def one_blas_thread():
     """Run the body with numpy's OpenBLAS on one thread, then restore the old
     count.  A threaded BLAS call can round differently from a serial one, so
-    this makes reports independent of ``OPENBLAS_NUM_THREADS``; forked pool
-    workers inherit the setting.  Under another BLAS it does nothing."""
+    this makes reports and ``vcomp fit`` independent of
+    ``OPENBLAS_NUM_THREADS``; forked pool workers inherit the setting.  Under
+    another BLAS it does nothing."""
     lib = _openblas()
     if lib is None:
         yield
@@ -507,11 +512,34 @@ def _slices(rows: int):
     return zip(bounds, bounds[1:] + [rows])
 
 
+def _rank(spec) -> int:
+    """The design's rank: ``decompose_gram`` sets the n - rank null
+    eigenvalues to exactly 0 and sorts them last."""
+    return int(np.count_nonzero(spec.lambdas))
+
+
+def _fold(y_sq: np.ndarray, rank: int) -> np.ndarray:
+    """Rows of y_check^2 with the null-space coordinates, the last n - rank,
+    summed into one column: (rows, rank + 1), or the rows themselves when at
+    most one coordinate is null.  ``_expansion_controls`` sees the null
+    coordinates (lambda = 0) only through that sum."""
+    if rank + 1 >= y_sq.shape[-1]:
+        return y_sq
+    folded = y_sq[..., :rank + 1].copy()
+    folded[..., rank] = y_sq[..., rank:].sum(axis=-1)
+    return folded
+
+
 def _expansion_controls(
     y_check_sq: np.ndarray, params: ModelParams, spec, j0: np.ndarray
 ) -> np.ndarray:
-    """Both expansion surrogates on a (reps, n) block of y_check^2, (reps, 4):
+    """Both expansion surrogates on a (reps, m) block of y_check^2, (reps, 4):
     the linearized u = -sqrt(n) J0^{-1} S(theta_0), then the profile-Newton u.
+
+    The block is folded (``_fold``) or not (m = n).  Every sum of a row is a
+    sum of y_check_i^2 times a function of lambda_i, and that function is the
+    same on every null coordinate, so the first m eigenvalues describe the
+    folded columns; every mean still divides by the true n.
 
     The profile-Newton u is a sqrt(n)-scaled surrogate for the MLE: two
     guarded Newton updates of the profile score from eta_0^2, then the
@@ -525,13 +553,14 @@ def _expansion_controls(
     step and the profiled variance are at each row's own eta^2, so they do not
     use the kernel: the step uses the batched fit's row helper, the profiled
     variance one more resolvent.  Both run on ``_slices`` of the block, so
-    their (rows, n) temporaries stay small.  Only row-wise arithmetic runs on
+    their (rows, m) temporaries stay small.  Only row-wise arithmetic runs on
     slices, so each row's result is the same whatever the block size.
     """
-    lam = spec.lambdas
+    m = y_check_sq.shape[1]
+    lam = spec.lambdas[:m]
     n = spec.n
     s2, e0 = params.sigma_sq, params.eta_sq
-    pop = est._resolvent_sums(est._pop_sq(params, spec)[None], lam, [e0])
+    pop = est._resolvent_sums(_fold(est._pop_sq(params, spec), m - 1)[None], lam, [e0], n)
     fallback = est._score_terms(*pop[:5])[1].item()
     if not fallback < 0:
         fallback = -1e-8
@@ -540,14 +569,14 @@ def _expansion_controls(
         slope = np.where(hp < -1e-300, hp, fallback)
         return np.clip(e - h / slope, 0.0, 1e6)
 
-    ss, quad, cube, mlr0, ml2r2_0, _ = (v[..., 0] for v in est._resolvent_sums(y_check_sq, lam, [e0]))
+    ss, quad, cube, mlr0, ml2r2_0, _ = (v[..., 0] for v in est._resolvent_sums(y_check_sq, lam, [e0], n))
     u_lin = -math.sqrt(n) * est._theta_score(ss, quad, mlr0, s2) @ np.linalg.inv(j0).T
 
     e1 = newton(e0, *est._score_terms(ss, quad, cube, mlr0, ml2r2_0))
     e, sig = np.empty_like(e1), np.empty_like(e1)
     for lo, hi in _slices(e1.size):
         y_sq = y_check_sq[lo:hi]
-        e[lo:hi] = newton(e1[lo:hi], *est._score_rows(y_sq, lam, e1[lo:hi])[1:])
+        e[lo:hi] = newton(e1[lo:hi], *est._score_rows(y_sq, lam, e1[lo:hi], n)[1:])
         # sstar at each row's own eta^2, so not the shared-grid kernel
         res = np.multiply(e[lo:hi, None], lam)
         res += 1.0
@@ -559,75 +588,81 @@ def _expansion_controls(
 
 def _chunk_theta_lin(task) -> np.ndarray:
     """Fit replicates of one cell; rows are the ``_fit_rows`` columns, then
-    the four expansion controls."""
+    the four expansion controls, on the folded rows as the control task has
+    them."""
     plan, cell_index, X, spec, lo, hi = task
     params = plan.params()
     j0 = est.expected_hessian(params, params, spec)
+    rank = _rank(spec)
     return np.concatenate([
-        np.hstack([_fit_rows(spec, y_check), _expansion_controls(y_check**2, params, spec, j0)])
+        np.hstack([_fit_rows(spec, y_check), _expansion_controls(_fold(y_check**2, rank), params, spec, j0)])
         for *_, y_check in _rotated_blocks(plan, cell_index, X, spec, lo, hi)
     ])
 
 
-def _chunk_control(task) -> np.ndarray:
-    """E f of both expansion surrogates from cheap auxiliary draws; rows are
-    the two means and their stderrs.
+def _control_rows(plan: ExperimentPlan, spec, C, seed: SeedSpec, k: int, rows: int) -> np.ndarray:
+    """Block k of a cell's control draws: ``rows`` folded rows of y_check^2
+    (``_fold``), all from substream k of the cell's control stream ``seed``.
 
-    All draws come in order from the cell's one control stream, in blocks of
-    ``_CTRL_BLOCK`` rows, so the result does not depend on which process runs
-    the task.  A one-thread drawer fills block k + 1 while this thread reduces
-    block k (the normal fill and the core's ufuncs and BLAS calls release the
-    GIL).  Only the drawer touches the generator, and it is joined before
-    returning, so no thread outlives the task.  The previous block is released
-    before the next draw is submitted, so at most two blocks are alive; the
-    core works on slices of a block, and the sums run over whole blocks.  The
-    test function is rebuilt from the plan because its evaluator does not
-    pickle.
-
-    With Gaussian effects and noise the rows are y_check^2 by the identity of
-    ``model.draw_eigenbasis`` (from this stream, not the replicate streams),
-    so no design products are needed; otherwise draws go through the
-    standardized-coordinate map.
+    With Gaussian effects and noise (C None) the coordinates of y_check are
+    independent N(0, sigma0^2 (eta0^2 lam_i + 1)) (``model.draw_eigenbasis``),
+    so the n - rank null coordinates' squares sum to sigma0^2 chi^2_{n-rank}:
+    each row is rank + 1 standard normals, squared in place, and the last,
+    one null coordinate, gains a chi^2_{n-rank-1} draw for the others.
+    Otherwise the effects and noise go through the standardized map C.
     """
-    plan, cell_index, X, spec = task
+    rng = shared_rng(seed, k)
+    rank, n = _rank(spec), spec.n
+    if C is not None:
+        beta_law, eps_law = plan.laws()
+        p = C.shape[1] - n
+        zb = np.empty((rows, n + p))
+        zb[:, :p] = beta_law.sample(rng, (rows, p))
+        zb[:, p:] = eps_law.sample(rng, (rows, n))
+        return _fold((zb @ C.T) ** 2, rank)
+    cols = min(rank + 1, n)
+    y_sq = rng.standard_normal((rows, cols))
+    np.square(y_sq, out=y_sq)
+    if cols < n:
+        y_sq[:, -1] += rng.chisquare(n - cols, rows)
+    y_sq *= est._pop_sq(plan.params(), spec)[:cols]
+    return y_sq
+
+
+def _chunk_control(task) -> np.ndarray:
+    """f of both expansion surrogates on control rows [lo, hi) of one cell,
+    a union of whole ``_CTRL_BLOCK``-row blocks; one row per block, holding
+    the block's two sums of f and then its two sums of f^2.
+
+    Block k is drawn from substream k of the cell's one control stream
+    (``_control_rows``), so a block's sums do not depend on which task or
+    process reduces it.  The core works on slices of a block, and the sums
+    run over whole blocks.  The test function is rebuilt from the plan
+    because its evaluator does not pickle; X is used only by non-Gaussian
+    laws.
+    """
+    plan, cell_index, X, spec, lo, hi = task
     fn = resolve_test_fn(plan.test_fn, plan.test_scales)
     params = plan.params()
     j0 = est.expected_hessian(params, params, spec)
-    beta_law, eps_law = plan.laws()
-    draws = plan.control_draws
-    rng = rng_for(SeedSpec(plan.master_seed, _stream(cell_index, _CTRL_STREAM)))
-    n, p = X.shape
-    gaussian = plan.gaussian()
-    if not gaussian:
-        C = est.standardized_map(params, spec, X)
-    scale = est._pop_sq(params, spec)
+    C = None if plan.gaussian() else est.standardized_map(params, spec, X)
+    seed = SeedSpec(plan.master_seed, _stream(cell_index, _CTRL_STREAM))
+    sums = []
+    for b in range(lo, hi, _CTRL_BLOCK):
+        y_check_sq = _control_rows(plan, spec, C, seed, b // _CTRL_BLOCK, min(_CTRL_BLOCK, hi - b))
+        u_both = _expansion_controls(y_check_sq, params, spec, j0)
+        vals = np.stack([fn.evaluator(u_both[:, :2]), fn.evaluator(u_both[:, 2:])], axis=-1)
+        sums.append(np.concatenate([np.sum(vals, axis=0), np.sum(vals * vals, axis=0)]))
+    return np.array(sums)
 
-    def draw(b: int) -> np.ndarray:
-        """The next b rows of y_check^2 from the stream; runs on the drawer."""
-        if gaussian:
-            y_check_sq = rng.standard_normal((b, n))
-            np.square(y_check_sq, out=y_check_sq)
-            y_check_sq *= scale
-            return y_check_sq
-        zb = np.empty((b, n + p))
-        zb[:, :p] = beta_law.sample(rng, (b, p))
-        zb[:, p:] = eps_law.sample(rng, (b, n))
-        return (zb @ C.T) ** 2
 
-    sizes = [min(_CTRL_BLOCK, draws - lo) for lo in range(0, draws, _CTRL_BLOCK)]
-    total, total_sq = np.zeros(2), np.zeros(2)
-    with ThreadPoolExecutor(max_workers=1) as drawer:
-        pending = drawer.submit(draw, sizes[0])
-        for k in range(len(sizes)):
-            y_check_sq = pending.result()
-            pending = drawer.submit(draw, sizes[k + 1]) if k + 1 < len(sizes) else None
-            u_both = _expansion_controls(y_check_sq, params, spec, j0)
-            vals = np.stack([fn.evaluator(u_both[:, :2]), fn.evaluator(u_both[:, 2:])], axis=-1)
-            total += np.sum(vals, axis=0)
-            total_sq += np.sum(vals * vals, axis=0)
-    mean = total / draws
-    var = np.maximum(total_sq / draws - mean * mean, 0.0)
-    return np.stack([mean, np.sqrt(var / draws)])
+def _control_means(block_sums: np.ndarray, draws: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two control means and their stderrs from ``_chunk_control``'s
+    per-block rows, all blocks in block order."""
+    total = np.sum(block_sums, axis=0)
+    mean = total[:2] / draws
+    var = np.maximum(total[2:] / draws - mean * mean, 0.0)
+    return mean, np.sqrt(var / draws)
 
 
 def _regression_adjusted_mean(
@@ -641,7 +676,9 @@ def _regression_adjusted_mean(
     ``controls`` holds the per-replicate control values (reps, k); their true
     means are pinned by ``ctrl_mean`` (+- ``ctrl_se``) from the auxiliary
     sample.  The adjusted estimator's variance is never worse than the plain
-    mean up to O(1/reps) coefficient noise.
+    mean up to O(1/reps) coefficient noise.  Returns the mean, its stderr,
+    and the stderr's two parts in quadrature: the replicates' residual
+    sqrt(var(resid) / reps) and the auxiliary sample's sqrt(sum (coef ctrl_se)^2).
     """
     reps = fvals.size
     c_center = controls - controls.mean(axis=0)
@@ -650,10 +687,9 @@ def _regression_adjusted_mean(
     coef = np.linalg.lstsq(cov_cc, cov_cf, rcond=None)[0]
     resid = fvals - controls @ coef
     fmean = float(np.mean(resid) + coef @ ctrl_mean)
-    se = math.sqrt(
-        float(np.var(resid, ddof=1)) / reps + float((coef * ctrl_se) @ (coef * ctrl_se))
-    )
-    return fmean, se
+    var_reps = float(np.var(resid, ddof=1)) / reps
+    var_ctrl = float((coef * ctrl_se) @ (coef * ctrl_se))
+    return fmean, math.sqrt(var_reps + var_ctrl), math.sqrt(var_reps), math.sqrt(var_ctrl)
 
 
 def _chunk_tail(task) -> np.ndarray:
@@ -882,19 +918,18 @@ def run_normality(plan: ExperimentPlan) -> ExperimentReport:
     profile-Newton u are regressed out replicate-by-replicate and their own
     expectations are added back from a large auxiliary sample, which shrinks
     the Monte Carlo error by an order of magnitude without changing the
-    estimand or the replicate budget.
+    estimand or the replicate budget.  Each cell reports its stderr and that
+    stderr's two parts, ``stderr_replicates`` and ``stderr_control`` (see
+    ``_regression_adjusted_mean``).
 
-    The auxiliary draws of cell c come, in order, from the one Philox stream
-    (master_seed, c << 32 | 2^32 - 3).  Their whole computation is one pool
-    task, sent first in the same scatter as the cell's fit chunks, so it runs
-    beside the fits and its result does not depend on the worker count.
-    Inside the task a one-thread drawer draws the next block while the task
-    reduces the current one; only the drawer touches the stream, at most two
-    blocks are alive, and the drawer is joined before the task returns.  The
-    stream is deliberately not split into per-block substreams: that changes
-    the auxiliary sample, and the endpoint-drop gate fails on any increase;
-    with one such split (block k from jumped substream k + 1) the
-    benchmark's tiny normality plan at seed 1 failed it.
+    The auxiliary draws of cell c come in blocks of ``_CTRL_BLOCK`` rows, block
+    k from substream k of the one Philox stream (master_seed, c << 32 |
+    2^32 - 3).  The blocks are split into ``plan.workers`` contiguous ranges,
+    one pool task each, sent first in the same scatter as the cell's fit
+    chunks; the parent adds the per-block sums in block order, so the result
+    does not depend on the worker count.  The auxiliary rows are folded
+    (``_fold``): the design's null coordinates enter only through their sum,
+    so a Gaussian row is drawn as rank + 1 normals and one chi^2.
     """
     params = plan.params()
     theta0 = params.as_array()
@@ -904,9 +939,12 @@ def run_normality(plan: ExperimentPlan) -> ExperimentReport:
         X = _cell_design(plan, ci, n)
         spec = decompose_gram(X)
         psi = est.asymptotic_cov(params, spec, X, plan.laws())
-        # the control task goes first: it is the longest, and the fit chunks
-        # share the remaining workers while it runs
-        ctrl_jobs = [(_chunk_control, (plan, ci, X, spec))] if plan.control_draws > 0 else []
+        # the control ranges go first: they are the longest jobs, and the
+        # shorter fit chunks then even out the workers' loads; Gaussian laws
+        # need only the eigenvalues
+        ctrl_args = (None, replace(spec, U=None)) if plan.gaussian() else (X, spec)
+        ctrl_jobs = [(_chunk_control, (plan, ci, *ctrl_args, lo, hi))
+                     for lo, hi in _chunks(plan.control_draws, plan.workers, _CTRL_BLOCK)]
         fit_jobs = [(_chunk_theta_lin, (plan, ci, X, spec, lo, hi))
                     for lo, hi in _chunks(plan.replicates, plan.workers)]
         parts = _scatter(ctrl_jobs + fit_jobs, plan.workers)
@@ -915,7 +953,8 @@ def run_normality(plan: ExperimentPlan) -> ExperimentReport:
         u = math.sqrt(n) * (thetas - theta0)
         fvals = fn.evaluator(u)
         if ctrl_jobs:
-            ctrl_mean_aux, ctrl_se_aux = parts[0]
+            ctrl_mean_aux, ctrl_se_aux = _control_means(np.concatenate(parts[:len(ctrl_jobs)]),
+                                                        plan.control_draws)
             u_lin, u_step = rows[:, 4:6], rows[:, 6:8]
             # the linearized expansion's first two moments are exact: mean 0
             # and covariance equal to the sandwich matrix, for every n
@@ -932,9 +971,10 @@ def run_normality(plan: ExperimentPlan) -> ExperimentReport:
             )
             ctrl_mean = np.concatenate([np.zeros(5), ctrl_mean_aux])
             ctrl_se = np.concatenate([np.zeros(5), ctrl_se_aux])
-            fmean, fse = _regression_adjusted_mean(fvals, controls, ctrl_mean, ctrl_se)
+            fmean, fse, se_reps, se_ctrl = _regression_adjusted_mean(fvals, controls, ctrl_mean, ctrl_se)
         else:
             fmean, fse = mean_with_stderr(fvals)
+            se_reps, se_ctrl = fse, 0.0
         wald = np.einsum("ij,jk,ik->i", u, np.linalg.inv(psi), u)
         k_cover = int(np.count_nonzero(wald <= _CHI2_2_95))
         cover = k_cover / plan.replicates
@@ -947,6 +987,8 @@ def run_normality(plan: ExperimentPlan) -> ExperimentReport:
                 "n": n,
                 "p": _cell_p(plan, n),
                 **_discrepancy(plan, ci, fn, psi, fmean, fse),
+                "stderr_replicates": se_reps,
+                "stderr_control": se_ctrl,
                 "coverage95": cover,
                 "coverage95_stderr": cover_se,
                 "coverage95_wilson": list(wilson_interval(k_cover, plan.replicates)),
@@ -1093,7 +1135,7 @@ _RUNNERS = {
 def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
     """Run a plan with BLAS on one thread, so the report's bytes do not depend
     on the BLAS thread count."""
-    with _one_blas_thread():
+    with one_blas_thread():
         return _RUNNERS[plan.kind](plan)
 
 

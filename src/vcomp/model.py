@@ -175,6 +175,8 @@ def draw_eigenbasis(variances: np.ndarray, seeds) -> np.ndarray:
     diag(sigma0^2 (eta0^2 lam_i + 1)): its coordinates are exactly
     independent N(0, ``variances``_i), so sqrt(variances) * z with standard
     normal z has the law of y_check without X, U or any product with them.
+    On the n - r null coordinates of a rank-r design (lam_i = 0) the
+    variance is sigma0^2, so their squares sum to sigma0^2 chi^2_{n-r}.
     """
     return np.sqrt(variances) * sample_rows(GAUSSIAN, variances.size, seeds, _SUB_EIGENBASIS)
 

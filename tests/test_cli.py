@@ -13,7 +13,7 @@ import pytest
 
 import vcomp
 from vcomp.cli import _plan_from_cfg, main
-from vcomp.experiments import ExperimentPlan
+from vcomp.experiments import ExperimentPlan, _openblas
 from vcomp.matio import save_matrix_csv
 from vcomp.model import ModelParams
 from vcomp.spectrum import decompose_gram
@@ -102,6 +102,24 @@ class TestFit:
         assert fit["eta2_hat"] == pytest.approx(base["eta2_hat"], rel=1e-8)
         # Var(sigma2_hat) scales by scale^4, beyond the float range here
         assert base["psi"] is not None and fit["psi"] is None
+
+    @pytest.mark.skipif(_openblas() is None, reason="numpy is not on its bundled OpenBLAS")
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="on one CPU OpenBLAS starts one thread whatever it is asked for")
+    def test_fit_does_not_depend_on_blas_threads(self, tmp_path):
+        # at 400 x 800 a threaded eigh rounds eta2_hat differently in its last bits
+        gen = write_config(tmp_path / "gen.cfg", {"n": 400, "p": 800, "params": {"sigma2": 1.0, "eta2": 1.0}, "seed": 7})
+        assert main(["generate", "--config", gen, "--out", str(tmp_path)]) == 0
+        cfg = write_config(tmp_path / "fit.cfg", {"x": "X.csv", "y": "y.csv"})
+        src = str(Path(vcomp.__file__).resolve().parents[1])
+        fits = []
+        for threads in (1, 2):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "PYTHONPATH": src}
+            env.pop("OMP_NUM_THREADS", None)
+            out = tmp_path / f"fit{threads}"
+            subprocess.run([sys.executable, "-m", "vcomp.cli", "fit", "--config", cfg, "--out", str(out)],
+                           env=env, check=True, capture_output=True, timeout=300)
+            fits.append((out / "fit.json").read_bytes())
+        assert fits[0] == fits[1]
 
     def test_psi_is_symmetric(self, tmp_path):
         # inv(F) of a symmetric F can differ across the diagonal in its last bit

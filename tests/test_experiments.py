@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ from vcomp import experiments
 from vcomp.estimator import ScoreState, _pop_sq, asymptotic_cov, expected_hessian, sigma0_sq_of, sigma_star_sq, standardized_map
 from vcomp.experiments import (
     _CHI2_2_95,
+    _CTRL_BLOCK,
     _CTRL_SLICE,
     _CTRL_STREAM,
     _FIT_BLOCK,
@@ -22,12 +22,16 @@ from vcomp.experiments import (
     _cell_design,
     _chunk_control,
     _chunks,
+    _control_means,
+    _control_rows,
     _chunk_tail,
     _endpoint_drop_gate,
     _window_gate,
     _expansion_controls,
+    _fold,
     _openblas,
     _outcome_blocks,
+    _rank,
     _rotated_blocks,
     _slices,
     _stein_qforms,
@@ -51,7 +55,7 @@ from vcomp.experiments import (
     wilson_interval,
     with_workers,
 )
-from vcomp.laws import SeedSpec, law_by_name, rng_for
+from vcomp.laws import SeedSpec, law_by_name
 from vcomp.model import ModelParams, gen_independent
 from vcomp.qform import build_w
 from vcomp.spectrum import GramSpectrum, decompose_gram
@@ -578,6 +582,32 @@ class TestExpansionControls:
         )
         np.testing.assert_allclose(_expansion_controls(y2, params, spec, j0), ref, rtol=1e-10, atol=1e-10)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_folded_rows_match_unfolded_oracles(self, seed):
+        # a rank-deficient spectrum as decompose_gram leaves it: exact zeros last
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(8, 60))
+        rank = int(rng.integers(1, n - 1))
+        lam = np.zeros(n)
+        lam[:rank] = np.sort(rng.uniform(0.05, 4.0, rank))[::-1]
+        spec = GramSpectrum(n=n, p=rank, lambdas=lam, U=None)
+        assert _rank(spec) == rank
+        params = ModelParams(float(rng.uniform(0.3, 2.5)), float(rng.uniform(0.05, 2.5)))
+        y2 = _pop_sq(params, spec) * rng.standard_normal((40, n)) ** 2
+        y2[:2, :rank] = 0.0  # all mass in the null space: fallback slope, clipped step
+        folded = _fold(y2, rank)
+        assert folded.shape == (40, rank + 1)
+        j0 = expected_hessian(params, params, spec)
+        ref = np.concatenate(
+            [_linear_u(y2, params, spec, j0), _profile_newton_u(y2, params, spec)], axis=-1
+        )
+        np.testing.assert_allclose(_expansion_controls(folded, params, spec, j0), ref, rtol=1e-10, atol=1e-10)
+
+    def test_fold_keeps_rows_with_at_most_one_null_coordinate(self):
+        y2 = np.arange(12.0).reshape(3, 4)
+        assert _fold(y2, 3) is y2 and _fold(y2, 4) is y2
+        np.testing.assert_array_equal(_fold(y2, 1), [[0, 6], [4, 18], [8, 30]])
+
     @pytest.mark.parametrize("rows", [1, 300, 511, 512, 1023, 1024, 1696, 4096])
     def test_slices_fold_the_remainder(self, rows):
         bounds = list(_slices(rows))
@@ -590,57 +620,82 @@ class TestExpansionControls:
             assert all(_CTRL_SLICE <= s < 2 * _CTRL_SLICE for s in sizes)
 
 
-def _serial_control(task):
-    """The control task as one serial loop over whole 4096-row blocks, without
-    a drawer thread: the oracle for ``_chunk_control``."""
-    plan, cell_index, X, spec = task
+def _serial_control(plan, X, spec, draws):
+    """The control task written out block by block: block k drawn from the
+    control stream's k-th Philox jump, then reduced in one slice; the oracle
+    for ``_chunk_control`` and ``_control_means``."""
     fn = resolve_test_fn(plan.test_fn, plan.test_scales)
     params = plan.params()
     j0 = expected_hessian(params, params, spec)
     beta_law, eps_law = plan.laws()
-    rng = rng_for(SeedSpec(plan.master_seed, _stream(cell_index, _CTRL_STREAM)))
+    key = np.array(SeedSpec(plan.master_seed, _stream(0, _CTRL_STREAM)).key(), dtype=np.uint64)
     n, p = X.shape
-    gaussian = beta_law.name == "gaussian" and eps_law.name == "gaussian"
-    C = None if gaussian else standardized_map(params, spec, X)
-    scale = params.sigma_sq * (params.eta_sq * spec.lambdas + 1.0)
-    total, total_sq, count = np.zeros(2), np.zeros(2), 0
-    while count < plan.control_draws:
-        b = min(4096, plan.control_draws - count)
-        if gaussian:
-            y_check_sq = rng.standard_normal((b, n)) ** 2 * scale
+    rank = int(np.count_nonzero(spec.lambdas))
+    total, total_sq = np.zeros(2), np.zeros(2)
+    for k, lo in enumerate(range(0, draws, 4096)):
+        b = min(4096, draws - lo)
+        rng = np.random.Generator(np.random.Philox(key=key).jumped(k))
+        if plan.gaussian():
+            # rank + 1 squared normals, the last one of the n - rank null coordinates
+            y_check_sq = rng.standard_normal((b, rank + 1)) ** 2
+            y_check_sq[:, -1] += rng.chisquare(n - rank - 1, b)
+            y_check_sq *= params.sigma_sq * (params.eta_sq * spec.lambdas[:rank + 1] + 1.0)
         else:
             zb = np.empty((b, n + p))
             zb[:, :p] = beta_law.sample(rng, (b, p))
             zb[:, p:] = eps_law.sample(rng, (b, n))
-            y_check_sq = (zb @ C.T) ** 2
+            full = (zb @ standardized_map(params, spec, X).T) ** 2
+            y_check_sq = np.column_stack([full[:, :rank], full[:, rank:].sum(axis=1)])
         u_both = _expansion_controls(y_check_sq, params, spec, j0)
         vals = np.stack([fn.evaluator(u_both[:, :2]), fn.evaluator(u_both[:, 2:])], axis=-1)
         total += np.sum(vals, axis=0)
         total_sq += np.sum(vals * vals, axis=0)
-        count += b
-    mean = total / count
-    return np.stack([mean, np.sqrt(np.maximum(total_sq / count - mean * mean, 0.0) / count)])
+    mean = total / draws
+    return np.stack([mean, np.sqrt(np.maximum(total_sq / draws - mean * mean, 0.0) / draws)])
 
 
 class TestPrefetchedControl:
     DRAWS = 2 * 4096 + 300  # two whole blocks and a short one
 
-    @pytest.mark.parametrize("law", ["gaussian", "rademacher"])
-    def test_matches_serial_unsliced_loop(self, law, monkeypatch):
+    @staticmethod
+    def cell(law, **kw):
         plan = small_plan(
             kind="normality", n_grid=(100,), p_ratio=0.75, test_fn="tanh_sum", test_scales=(1.0,),
-            beta_law=law, eps_law=law, control_draws=self.DRAWS,
+            beta_law=law, eps_law=law, **kw,
         )
         X = _cell_design(plan, 0, 100)
-        task = (plan, 0, X, decompose_gram(X))
-        threads = threading.active_count()
-        got = _chunk_control(task)
-        assert threading.active_count() == threads  # the drawer is joined
+        return plan, X, decompose_gram(X)
+
+    @pytest.mark.parametrize("law", ["gaussian", "rademacher"])
+    def test_matches_serial_unsliced_loop(self, law, monkeypatch):
+        plan, X, spec = self.cell(law)
+        assert _rank(spec) == 75  # p_ratio 0.75: 25 null coordinates folded
+        got = np.stack(_control_means(_chunk_control((plan, 0, X, spec, 0, self.DRAWS)), self.DRAWS))
         monkeypatch.setattr(experiments, "_CTRL_SLICE", 1 << 30)  # one slice per block
-        oracle = _serial_control(task)
+        oracle = _serial_control(plan, X, spec, self.DRAWS)
         np.testing.assert_allclose(got, oracle, rtol=1e-15, atol=0)
         # slices run only row-wise arithmetic, so the sums are bit-equal too
         assert np.array_equal(got, oracle)
+
+    @pytest.mark.parametrize("law", ["gaussian", "rademacher"])
+    def test_one_task_equals_per_block_tasks(self, law):
+        plan, X, spec = self.cell(law)
+        whole = _chunk_control((plan, 0, X, spec, 0, self.DRAWS))
+        blocks = [_chunk_control((plan, 0, X, spec, lo, min(lo + _CTRL_BLOCK, self.DRAWS)))
+                  for lo in range(0, self.DRAWS, _CTRL_BLOCK)]
+        assert whole.shape == (3, 4)
+        assert np.array_equal(whole, np.concatenate(blocks))
+
+    def test_folded_gaussian_null_column_is_scaled_chi2(self):
+        plan, _, spec = self.cell("gaussian", sigma0_sq=1.7)
+        n, rank, s2 = spec.n, _rank(spec), 1.7
+        seed = SeedSpec(plan.master_seed, _stream(0, _CTRL_STREAM))
+        null = np.concatenate([_control_rows(plan, spec, None, seed, k, 4096)[:, -1] for k in range(5)])
+        df, rows = n - rank, null.size
+        mean, var = np.mean(null), np.var(null, ddof=1)
+        # chi^2_df: variance 2 df, fourth central moment 12 df (df + 4)
+        assert abs(mean - s2 * df) <= 5 * s2 * math.sqrt(2 * df / rows)
+        assert abs(var - 2 * s2**2 * df) <= 5 * s2**2 * math.sqrt((12 * df * (df + 4) - 4 * df * df) / rows)
 
     def test_rademacher_report_worker_invariant(self):
         plan = small_plan(
@@ -649,6 +704,24 @@ class TestPrefetchedControl:
             control_draws=self.DRAWS,
         )
         assert run_normality(plan).to_json() == run_normality(with_workers(plan, 3)).to_json()
+
+    def test_gaussian_report_worker_invariant(self):
+        # four control blocks: one task, two ranges of two, or 2 + 1 + 1
+        plan = small_plan(
+            kind="normality", n_grid=(30, 60), replicates=100, p_ratio=0.5,
+            surrogate_draws=20_000, control_draws=3 * 4096 + 300,
+        )
+        serial = run_normality(plan).to_json()
+        assert all(run_normality(with_workers(plan, w)).to_json() == serial for w in (2, 3))
+
+    @pytest.mark.parametrize("control_draws", [0, 5_000])
+    def test_stderr_parts_add_in_quadrature(self, control_draws):
+        plan = small_plan(kind="normality", n_grid=(30, 60), replicates=100, p_ratio=0.5,
+                          surrogate_draws=20_000, control_draws=control_draws)
+        for cell in run_normality(plan).cells:
+            parts = math.hypot(cell["stderr_replicates"], cell["stderr_control"])
+            assert parts == pytest.approx(cell["stderr"], rel=1e-14, abs=0)
+            assert (cell["stderr_control"] > 0) == (control_draws > 0)
 
 
 class TestEndpointDropGate:
