@@ -706,10 +706,10 @@ class TestPrefetchedControl:
         assert run_normality(plan).to_json() == run_normality(with_workers(plan, 3)).to_json()
 
     def test_gaussian_report_worker_invariant(self):
-        # four control blocks: one task, two ranges of two, or 2 + 1 + 1
+        # five control blocks: one task, ranges of 3 + 2, or of 2 + 2 + 1
         plan = small_plan(
             kind="normality", n_grid=(30, 60), replicates=100, p_ratio=0.5,
-            surrogate_draws=20_000, control_draws=3 * 4096 + 300,
+            surrogate_draws=20_000, control_draws=4 * 4096 + 300,
         )
         serial = run_normality(plan).to_json()
         assert all(run_normality(with_workers(plan, w)).to_json() == serial for w in (2, 3))
