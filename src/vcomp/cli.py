@@ -197,17 +197,19 @@ def cmd_generate(args) -> int:
     laws_cfg = cfg.get("laws", {"beta": "gaussian", "eps": "gaussian"})
     beta_law, eps_law = (law_by_name(name) for name in _laws_from_cfg(laws_cfg))
 
-    X = gen_design(n, p, design, seed)
-    if "coupling" in cfg and cfg["coupling"] is not None:
-        _check_keys(cfg["coupling"], _COUPLING_KEYS, "coupling")
-        coupling = CouplingSpec(
-            scheme=_required(cfg["coupling"], "scheme", "coupling"),
-            delta=_number(cfg["coupling"].get("delta", 0.0), "coupling.delta"),
-            fraction=_number(cfg["coupling"].get("fraction", 0.0), "coupling.fraction"),
-        )
-        ds = gen_coupled(X, params, beta_law, eps_law, coupling, seed)
-    else:
-        ds = gen_independent(X, params, beta_law, eps_law, seed)
+    # one BLAS thread, so X.csv and y.csv do not depend on the thread count
+    with one_blas_thread():
+        X = gen_design(n, p, design, seed)
+        if "coupling" in cfg and cfg["coupling"] is not None:
+            _check_keys(cfg["coupling"], _COUPLING_KEYS, "coupling")
+            coupling = CouplingSpec(
+                scheme=_required(cfg["coupling"], "scheme", "coupling"),
+                delta=_number(cfg["coupling"].get("delta", 0.0), "coupling.delta"),
+                fraction=_number(cfg["coupling"].get("fraction", 0.0), "coupling.fraction"),
+            )
+            ds = gen_coupled(X, params, beta_law, eps_law, coupling, seed)
+        else:
+            ds = gen_independent(X, params, beta_law, eps_law, seed)
 
     outdir = Path(args.out)
     save_dataset(ds, outdir)

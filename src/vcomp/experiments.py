@@ -52,11 +52,9 @@ _CTRL_STREAM = (1 << 32) - 3
 # replicates drawn and fitted together; chunks are unions of whole blocks, so
 # no block boundary depends on the worker count
 _FIT_BLOCK = 64
-# control-variate draws: rows per block (block k of a cell comes from substream
-# k of its control stream), and rows per slice of a block that the expansion
-# core reduces at once
-_CTRL_BLOCK = 4096
-_CTRL_SLICE = 512
+# control-variate draws: rows per block, which the expansion core reduces in
+# one pass (block k of a cell comes from substream k of its control stream)
+_CTRL_BLOCK = 512
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 _CHI2_2_95 = 5.991464547107979  # scipy.stats.chi2.ppf(0.95, 2)
 _GH_NODES = 128  # per axis: 64 came within 1.2e-9 of adaptive quadrature; 512 give NaN weights
@@ -167,6 +165,8 @@ class ExperimentPlan:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
         if self.replicates < 100:
             raise ValueError("need at least 100 replicates for reported stderrs")
         if not self.n_grid or any(
@@ -385,7 +385,7 @@ def _chunks(total: int, workers: int, block: int = _FIT_BLOCK) -> list[tuple[int
     if total == 0:
         return []
     blocks = -(-total // block)
-    size = -(-blocks // max(1, min(workers, blocks))) * block
+    size = -(-blocks // min(workers, blocks)) * block
     return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
 
 
@@ -397,10 +397,12 @@ def _call(job):
 
 def _scatter(jobs: list, workers: int) -> list:
     """The results of ``(fn, task)`` jobs, in order; a pool runs them when
-    ``workers`` > 1, so one scatter can mix task kinds."""
+    ``workers`` > 1, so one scatter can mix task kinds.  The pool has at most
+    one process per job: a forked pool starts all of its processes at the
+    first submit."""
     if workers <= 1 or len(jobs) <= 1:
         return [_call(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers, initializer=exit_with_parent) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(jobs)), initializer=exit_with_parent) as pool:
         return list(pool.map(_call, jobs, chunksize=1))
 
 
@@ -504,14 +506,6 @@ def _chunk_theta(task) -> np.ndarray:
     ])
 
 
-def _slices(rows: int):
-    """Row ranges of a block for the expansion core: ``_CTRL_SLICE`` rows each,
-    the short remainder folded into the last, so a slice is shorter only when
-    its whole block is."""
-    bounds = list(range(0, rows - _CTRL_SLICE + 1, _CTRL_SLICE)) or [0]
-    return zip(bounds, bounds[1:] + [rows])
-
-
 def _rank(spec) -> int:
     """The design's rank: ``decompose_gram`` sets the n - rank null
     eigenvalues to exactly 0 and sorts them last."""
@@ -552,9 +546,9 @@ def _expansion_controls(
     block, and the fallback slope from one on the population row.  The second
     step and the profiled variance are at each row's own eta^2, so they do not
     use the kernel: the step uses the batched fit's row helper, the profiled
-    variance one more resolvent.  Both run on ``_slices`` of the block, so
-    their (rows, m) temporaries stay small.  Only row-wise arithmetic runs on
-    slices, so each row's result is the same whatever the block size.
+    variance one more resolvent.  Callers pass blocks of at most
+    ``_CTRL_BLOCK`` or ``_FIT_BLOCK`` rows, so the (rows, m) temporaries stay
+    small.
     """
     m = y_check_sq.shape[1]
     lam = spec.lambdas[:m]
@@ -573,15 +567,12 @@ def _expansion_controls(
     u_lin = -math.sqrt(n) * est._theta_score(ss, quad, mlr0, s2) @ np.linalg.inv(j0).T
 
     e1 = newton(e0, *est._score_terms(ss, quad, cube, mlr0, ml2r2_0))
-    e, sig = np.empty_like(e1), np.empty_like(e1)
-    for lo, hi in _slices(e1.size):
-        y_sq = y_check_sq[lo:hi]
-        e[lo:hi] = newton(e1[lo:hi], *est._score_rows(y_sq, lam, e1[lo:hi], n)[1:])
-        # sstar at each row's own eta^2, so not the shared-grid kernel
-        res = np.multiply(e[lo:hi, None], lam)
-        res += 1.0
-        np.reciprocal(res, out=res)
-        sig[lo:hi] = np.einsum("ij,ij->i", y_sq, res) / n
+    e = newton(e1, *est._score_rows(y_check_sq, lam, e1, n)[1:])
+    # sstar at each row's own eta^2, so not the shared-grid kernel
+    res = np.multiply(e[:, None], lam)
+    res += 1.0
+    np.reciprocal(res, out=res)
+    sig = np.einsum("ij,ij->i", y_check_sq, res) / n
     u_step = math.sqrt(n) * np.stack([sig - s2, e - e0], axis=-1)
     return np.concatenate([u_lin, u_step], axis=-1)
 
@@ -635,11 +626,10 @@ def _chunk_control(task) -> np.ndarray:
     the block's two sums of f and then its two sums of f^2.
 
     Block k is drawn from substream k of the cell's one control stream
-    (``_control_rows``), so a block's sums do not depend on which task or
-    process reduces it.  The core works on slices of a block, and the sums
-    run over whole blocks.  The test function is rebuilt from the plan
-    because its evaluator does not pickle; X is used only by non-Gaussian
-    laws.
+    (``_control_rows``) and reduced by the expansion core in one pass, so a
+    block's sums do not depend on which task or process reduces it.  The test
+    function is rebuilt from the plan because its evaluator does not pickle;
+    X is used only by non-Gaussian laws.
     """
     plan, cell_index, X, spec, lo, hi = task
     fn = resolve_test_fn(plan.test_fn, plan.test_scales)
@@ -670,7 +660,7 @@ def _regression_adjusted_mean(
     controls: np.ndarray,
     ctrl_mean: np.ndarray,
     ctrl_se: np.ndarray,
-) -> tuple[float, float]:
+) -> tuple[float, float, float, float]:
     """Control-variate mean of f with regression coefficients fit in-sample.
 
     ``controls`` holds the per-replicate control values (reps, k); their true
@@ -922,9 +912,10 @@ def run_normality(plan: ExperimentPlan) -> ExperimentReport:
     stderr's two parts, ``stderr_replicates`` and ``stderr_control`` (see
     ``_regression_adjusted_mean``).
 
-    The auxiliary draws of cell c come in blocks of ``_CTRL_BLOCK`` rows, block
-    k from substream k of the one Philox stream (master_seed, c << 32 |
-    2^32 - 3).  The blocks are split into ``plan.workers`` contiguous ranges,
+    The auxiliary draws of cell c come in blocks of ``_CTRL_BLOCK`` (512)
+    rows, block k from substream k of the one Philox stream (master_seed,
+    c << 32 | 2^32 - 3), and the expansion core reduces each block in one
+    pass.  The blocks are split into ``plan.workers`` contiguous ranges,
     one pool task each, sent first in the same scatter as the cell's fit
     chunks; the parent adds the per-block sums in block order, so the result
     does not depend on the worker count.  The auxiliary rows are folded

@@ -299,6 +299,27 @@ class TestGenerate:
         truth = json.loads((out / "truth.json").read_text())
         assert truth["coupling"]["scheme"] == "sparse_zero"
 
+    @pytest.mark.skipif(_openblas() is None, reason="numpy is not on its bundled OpenBLAS")
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="on one CPU OpenBLAS starts one thread whatever it is asked for")
+    def test_generate_does_not_depend_on_blas_threads(self, tmp_path):
+        # a fixed-spectrum design at 400 x 800 comes out of threaded BLAS
+        # products with different last bits
+        cfg = write_config(tmp_path / "gen.cfg", {
+            "n": 400, "p": 800, "design": {"kind": "fixed_spectrum", "lambdas": list(range(1, 401))},
+            "params": {"sigma2": 1.0, "eta2": 1.0}, "seed": 7,
+        })
+        src = str(Path(vcomp.__file__).resolve().parents[1])
+        outs = []
+        for threads in (1, 2):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "PYTHONPATH": src}
+            env.pop("OMP_NUM_THREADS", None)
+            out = tmp_path / f"gen{threads}"
+            subprocess.run([sys.executable, "-m", "vcomp.cli", "generate", "--config", cfg, "--out", str(out)],
+                           env=env, check=True, capture_output=True, timeout=300)
+            outs.append(out)
+        for name in ("X.csv", "y.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
 
 class TestExperimentCommand:
     def test_consistency_outputs(self, tmp_path, capsys):
@@ -342,6 +363,14 @@ class TestExperimentCommand:
         ) == 0
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
         assert (a / "cells.csv").read_bytes() == (b / "cells.csv").read_bytes()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_one(self, tmp_path, capsys, workers):
+        cfg = write_config(tmp_path / "exp.cfg", {"kind": "consistency", "n_grid": [30, 60], "replicates": 100})
+        out = tmp_path / "o"
+        assert main(["experiment", "--config", cfg, "--out", str(out), "--workers", workers]) == 1
+        assert f"vcomp: error: workers must be at least 1, got {workers}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["generate", "fit"])
     def test_workers_flag_only_on_experiment(self, tmp_path, capsys, command):

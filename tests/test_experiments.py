@@ -15,7 +15,6 @@ from vcomp.estimator import ScoreState, _pop_sq, asymptotic_cov, expected_hessia
 from vcomp.experiments import (
     _CHI2_2_95,
     _CTRL_BLOCK,
-    _CTRL_SLICE,
     _CTRL_STREAM,
     _FIT_BLOCK,
     REPORT_HEADER,
@@ -33,7 +32,6 @@ from vcomp.experiments import (
     _outcome_blocks,
     _rank,
     _rotated_blocks,
-    _slices,
     _stein_qforms,
     _stream,
     ExperimentPlan,
@@ -90,6 +88,11 @@ class TestPlanValidation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             small_plan(kind="bootstrap")
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_at_least_one(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            small_plan(workers=workers)
 
     def test_config_hash_ignores_workers(self):
         a = small_plan(workers=1)
@@ -238,6 +241,20 @@ class TestDeterminism:
         assert chunks[0][0] == 0 and chunks[-1][1] == total
         assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
         assert all(lo % _FIT_BLOCK == 0 for lo, _ in chunks)
+
+    def test_pool_has_at_most_one_process_per_job(self, monkeypatch):
+        # a forked pool starts all max_workers processes at its first submit
+        sizes = []
+
+        class RecordingPool(experiments.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kw):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers, **kw)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        assert experiments._scatter([(abs, -1), (abs, -2)], 3) == [1, 2]
+        assert experiments._scatter([(abs, -1), (abs, -2), (abs, -3)], 2) == [1, 2, 3]
+        assert sizes == [2, 2]
 
     @settings(max_examples=4, deadline=None, derandomize=True, database=None)
     @given(
@@ -538,16 +555,22 @@ def _profile_newton_u(y_check_sq, params, spec, steps=2):
     return math.sqrt(n) * np.stack([sig - params.sigma_sq, e - e0], axis=-1)
 
 
+# (seed, rows): 40-row blocks, then control blocks one row short of, at, and
+# past ``_CTRL_BLOCK``
+CORE_CASES = [*((seed, 40) for seed in range(6)),
+              *((rows, rows) for rows in (_CTRL_BLOCK - 1, _CTRL_BLOCK, 2 * _CTRL_BLOCK + 77))]
+
+
 class TestExpansionControls:
-    @pytest.mark.parametrize("seed", range(6))
-    def test_fused_core_matches_reference(self, seed):
+    @pytest.mark.parametrize("seed, rows", CORE_CASES, ids=[str(seed) for seed, _ in CORE_CASES])
+    def test_fused_core_matches_reference(self, seed, rows):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(5, 60))
         lam = np.sort(rng.uniform(0.0, 4.0, n))[::-1]
         lam[-1] = 0.0
         spec = GramSpectrum(n=n, p=n, lambdas=lam, U=np.eye(n))
         params = ModelParams(float(rng.uniform(0.3, 2.5)), float(rng.uniform(0.05, 2.5)))
-        y2 = params.sigma_sq * (params.eta_sq * lam + 1.0) * rng.standard_normal((40, n)) ** 2
+        y2 = params.sigma_sq * (params.eta_sq * lam + 1.0) * rng.standard_normal((rows, n)) ** 2
         # all mass on the zero eigenvalue: the local curvature at eta_0^2 is
         # positive (fallback slope) and the step lands below 0 (clipped)
         y2[:3] = 0.0
@@ -567,20 +590,6 @@ class TestExpansionControls:
         assert np.all(ref[:3, 3] == -math.sqrt(n) * params.eta_sq)  # clipped at 0
         np.testing.assert_allclose(fused, ref, rtol=1e-10, atol=1e-10)
 
-
-    @pytest.mark.parametrize("rows", [_CTRL_SLICE - 1, _CTRL_SLICE, 2 * _CTRL_SLICE + 77])
-    def test_sliced_core_matches_reference(self, rows):
-        rng = np.random.default_rng(rows)
-        n = 20
-        lam = np.sort(rng.uniform(0.0, 4.0, n))[::-1]
-        spec = GramSpectrum(n=n, p=n, lambdas=lam, U=np.eye(n))
-        params = ModelParams(1.3, 0.7)
-        y2 = params.sigma_sq * (params.eta_sq * lam + 1.0) * rng.standard_normal((rows, n)) ** 2
-        j0 = expected_hessian(params, params, spec)
-        ref = np.concatenate(
-            [_linear_u(y2, params, spec, j0), _profile_newton_u(y2, params, spec)], axis=-1
-        )
-        np.testing.assert_allclose(_expansion_controls(y2, params, spec, j0), ref, rtol=1e-10, atol=1e-10)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_folded_rows_match_unfolded_oracles(self, seed):
@@ -608,22 +617,11 @@ class TestExpansionControls:
         assert _fold(y2, 3) is y2 and _fold(y2, 4) is y2
         np.testing.assert_array_equal(_fold(y2, 1), [[0, 6], [4, 18], [8, 30]])
 
-    @pytest.mark.parametrize("rows", [1, 300, 511, 512, 1023, 1024, 1696, 4096])
-    def test_slices_fold_the_remainder(self, rows):
-        bounds = list(_slices(rows))
-        assert bounds[0][0] == 0 and bounds[-1][1] == rows
-        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
-        sizes = [hi - lo for lo, hi in bounds]
-        if rows < _CTRL_SLICE:
-            assert sizes == [rows]
-        else:
-            assert all(_CTRL_SLICE <= s < 2 * _CTRL_SLICE for s in sizes)
-
 
 def _serial_control(plan, X, spec, draws):
     """The control task written out block by block: block k drawn from the
-    control stream's k-th Philox jump, then reduced in one slice; the oracle
-    for ``_chunk_control`` and ``_control_means``."""
+    control stream's k-th Philox jump, then reduced in one core call; the
+    oracle for ``_chunk_control`` and ``_control_means``."""
     fn = resolve_test_fn(plan.test_fn, plan.test_scales)
     params = plan.params()
     j0 = expected_hessian(params, params, spec)
@@ -632,8 +630,8 @@ def _serial_control(plan, X, spec, draws):
     n, p = X.shape
     rank = int(np.count_nonzero(spec.lambdas))
     total, total_sq = np.zeros(2), np.zeros(2)
-    for k, lo in enumerate(range(0, draws, 4096)):
-        b = min(4096, draws - lo)
+    for k, lo in enumerate(range(0, draws, _CTRL_BLOCK)):
+        b = min(_CTRL_BLOCK, draws - lo)
         rng = np.random.Generator(np.random.Philox(key=key).jumped(k))
         if plan.gaussian():
             # rank + 1 squared normals, the last one of the n - rank null coordinates
@@ -655,7 +653,7 @@ def _serial_control(plan, X, spec, draws):
 
 
 class TestPrefetchedControl:
-    DRAWS = 2 * 4096 + 300  # two whole blocks and a short one
+    DRAWS = 2 * _CTRL_BLOCK + 300  # two whole blocks and a short one
 
     @staticmethod
     def cell(law, **kw):
@@ -667,14 +665,13 @@ class TestPrefetchedControl:
         return plan, X, decompose_gram(X)
 
     @pytest.mark.parametrize("law", ["gaussian", "rademacher"])
-    def test_matches_serial_unsliced_loop(self, law, monkeypatch):
+    def test_matches_serial_unsliced_loop(self, law):
         plan, X, spec = self.cell(law)
         assert _rank(spec) == 75  # p_ratio 0.75: 25 null coordinates folded
         got = np.stack(_control_means(_chunk_control((plan, 0, X, spec, 0, self.DRAWS)), self.DRAWS))
-        monkeypatch.setattr(experiments, "_CTRL_SLICE", 1 << 30)  # one slice per block
         oracle = _serial_control(plan, X, spec, self.DRAWS)
         np.testing.assert_allclose(got, oracle, rtol=1e-15, atol=0)
-        # slices run only row-wise arithmetic, so the sums are bit-equal too
+        # the same blocks through the same core, so the sums are bit-equal too
         assert np.array_equal(got, oracle)
 
     @pytest.mark.parametrize("law", ["gaussian", "rademacher"])
@@ -709,7 +706,7 @@ class TestPrefetchedControl:
         # five control blocks: one task, ranges of 3 + 2, or of 2 + 2 + 1
         plan = small_plan(
             kind="normality", n_grid=(30, 60), replicates=100, p_ratio=0.5,
-            surrogate_draws=20_000, control_draws=4 * 4096 + 300,
+            surrogate_draws=20_000, control_draws=4 * _CTRL_BLOCK + 300,
         )
         serial = run_normality(plan).to_json()
         assert all(run_normality(with_workers(plan, w)).to_json() == serial for w in (2, 3))
