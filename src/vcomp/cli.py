@@ -29,7 +29,7 @@ from .errors import (
     TailGridError,
     VcompError,
 )
-from .experiments import ExperimentPlan, one_blas_thread, run_experiment
+from .experiments import ExperimentPlan, _openblas, one_blas_thread, run_experiment
 from .laws import SeedSpec, law_by_name
 from .matio import load_matrix, load_vector
 from .model import (
@@ -139,9 +139,11 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _manifest(outdir: Path, command: str, cfg_digest: str, seed: int) -> None:
+    blas = _openblas()  # None under another BLAS, where one_blas_thread does nothing
     _write_json(
         outdir / "manifest.json",
         {
+            "blas": {"openblas_threads": blas and blas.scipy_openblas_get_num_threads64_(), "one_thread_pin": bool(blas)},
             "command": command,
             "config_hash": cfg_digest,
             "seed": seed,

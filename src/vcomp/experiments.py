@@ -32,12 +32,13 @@ from typing import Callable
 import numpy as np
 
 from . import estimator as est
-from .errors import NonIdentifiableError, TailGridError
+from .errors import NonIdentifiableError, NumericalError, TailGridError
 from .laws import SeedSpec, law_by_name, rng_for, sample_rows, shared_rng
 from .matio import exit_with_parent
-from .model import CouplingSpec, DesignSpec, ModelParams, draw_effects, draw_eigenbasis, gen_design, haar_orthogonal
+from .model import (CouplingSpec, DesignSpec, ModelParams, design_eigenvalues, draw_effects, draw_eigenbasis,
+                    gen_design, haar_orthogonal)
 from .qform import QuadraticForm, build_w, napprox_rate, sigma_k_sq
-from .spectrum import decompose_gram
+from .spectrum import GramSpectrum, decompose_gram
 
 REPORT_HEADER = (
     "Absolute constants in the underlying finite-sample bounds are unknown; "
@@ -360,23 +361,32 @@ def _cell_p(plan: ExperimentPlan, n: int) -> int:
 
 
 def _cell_design(plan: ExperimentPlan, cell_index: int, n: int) -> np.ndarray:
-    lambdas = plan.design_lambdas
-    design = DesignSpec(kind=plan.design, lambdas=lambdas)
-    if plan.design == "fixed_spectrum" and (lambdas is None or len(lambdas) != n):
-        raise ValueError("fixed_spectrum design requires len(design_lambdas) == n")
     seed = SeedSpec(plan.master_seed, _stream(cell_index, _X_STREAM))
-    return gen_design(n, _cell_p(plan, n), design, seed)
+    return gen_design(n, _cell_p(plan, n), DesignSpec(plan.design, plan.design_lambdas), seed)
 
 
 def _cell_spectrum(plan: ExperimentPlan, cell_index: int, n: int):
     """The cell's design and its spectrum for an independent-effects runner.
     With Gaussian laws the replicates are drawn in the eigenbasis
-    (``_outcome_blocks``), so only the eigenvalues are computed and the design
-    is None: neither is needed again, nor shipped to a worker."""
-    X = _cell_design(plan, cell_index, n)
-    if plan.gaussian():
-        return None, decompose_gram(X, vectors=False)
-    return X, decompose_gram(X)
+    (``_outcome_blocks``): the design is None, and an identity or fixed_spectrum
+    recipe prescribes the eigenvalues.  A gaussian_iid design's first m =
+    min(n, p) have the law of the squared singular values, over p, of the m x m
+    bidiagonal with diagonal chi_k, ..., chi_{k-m+1} and subdiagonal chi_{m-1},
+    ..., chi_1, k = max(n, p) (Dumitriu & Edelman, J. Math. Phys. 43, 2002,
+    beta = 1), drawn diagonal first from the design stream; the rest are 0."""
+    if not plan.gaussian():
+        X = _cell_design(plan, cell_index, n)
+        return X, decompose_gram(X)
+    p = _cell_p(plan, n)
+    if plan.design == "gaussian_iid":
+        rng = rng_for(SeedSpec(plan.master_seed, _stream(cell_index, _X_STREAM)))
+        m, k = min(n, p), max(n, p)
+        diag = np.sqrt(rng.chisquare(np.arange(k, k - m, -1)))
+        sub = np.sqrt(rng.chisquare(np.arange(m - 1, 0, -1)))
+        w = np.concatenate([_bidiagonal_gram_eigenvalues(diag, sub) / p, np.zeros(n - m)])
+    else:
+        w = design_eigenvalues(n, p, DesignSpec(plan.design, plan.design_lambdas))
+    return None, GramSpectrum.from_eigenvalues(n, p, w)
 
 
 def _chunks(total: int, workers: int, block: int = _FIT_BLOCK) -> list[tuple[int, int]]:
@@ -416,6 +426,26 @@ def _openblas():
         if hasattr(lib, "scipy_openblas_set_num_threads64_") and hasattr(lib, "scipy_openblas_get_num_threads64_"):
             return lib
     return None
+
+
+def _bidiagonal_gram_eigenvalues(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The eigenvalues of B B' for the bidiagonal B with diagonal ``d`` and
+    off-diagonal ``e``: in O(m^2) from the bundled OpenBLAS's dqds (``dlasq1``;
+    Fernando & Parlett, Numer. Math. 67, 1994), else ``eigvalsh(B B')``."""
+    dlasq1 = getattr(_openblas(), "scipy_dlasq1_64_", None)
+    if dlasq1 is None:
+        B = np.diag(d) + np.diag(e, -1)
+        return np.linalg.eigvalsh(B @ B.T)
+    # dlasq1 overwrites s with the singular values and takes e in an m-array it uses as scratch
+    m = d.size
+    s, scratch, work, info = np.array(d, dtype=np.float64), np.zeros(m), np.empty(4 * m), ctypes.c_int64(0)
+    scratch[: m - 1] = e
+    i64, f64 = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
+    dlasq1.argtypes, dlasq1.restype = [i64, f64, f64, f64, i64], None
+    dlasq1(ctypes.byref(ctypes.c_int64(m)), *(a.ctypes.data_as(f64) for a in (s, scratch, work)), ctypes.byref(info))
+    if info.value != 0:
+        raise NumericalError(f"dlasq1 failed on a {m} x {m} bidiagonal (info {info.value})")
+    return s * s
 
 
 @contextmanager
@@ -507,8 +537,8 @@ def _chunk_theta(task) -> np.ndarray:
 
 
 def _rank(spec) -> int:
-    """The design's rank: ``decompose_gram`` sets the n - rank null
-    eigenvalues to exactly 0 and sorts them last."""
+    """The design's rank: ``GramSpectrum.from_eigenvalues`` sets the n - rank
+    null eigenvalues to exactly 0 and sorts them last."""
     return int(np.count_nonzero(spec.lambdas))
 
 
@@ -793,7 +823,9 @@ def _discrepancy_gates(cells: list[dict]) -> list[dict]:
 
 
 def run_consistency(plan: ExperimentPlan) -> ExperimentReport:
-    """Median estimation error per n and the log-log decay slope."""
+    """Median estimation error per n and the log-log decay slope.  With Gaussian
+    laws no design is drawn: a gaussian_iid cell's eigenvalues come from the chi
+    bidiagonal of Dumitriu & Edelman (2002) (``_cell_spectrum``)."""
     theta0 = plan.params().as_array()
     cells = []
     medians, stderrs = [], []
@@ -833,7 +865,9 @@ def run_consistency(plan: ExperimentPlan) -> ExperimentReport:
 
 
 def run_tail(plan: ExperimentPlan) -> ExperimentReport:
-    """Empirical tail of the uniform profile-variance deviation, per (n, r)."""
+    """Empirical tail of the uniform profile-variance deviation, per (n, r).  With
+    Gaussian laws no design is drawn: a gaussian_iid cell's eigenvalues come from
+    the chi bidiagonal of Dumitriu & Edelman (2002) (``_cell_spectrum``)."""
     rs = plan.r_grid
     if not rs:
         raise ValueError("tail experiment needs a nonempty r grid")

@@ -113,6 +113,21 @@ def haar_orthogonal(k: int, rng: np.random.Generator) -> np.ndarray:
     return Q * signs
 
 
+def design_eigenvalues(n: int, p: int, design: DesignSpec) -> np.ndarray:
+    """The eigenvalues of XX'/p that an ``identity`` or ``fixed_spectrum`` recipe
+    prescribes, descending: 1 on the first min(n, p) coordinates and 0 elsewhere,
+    or the recipe's n eigenvalues, of which at most min(n, p) may be positive."""
+    m = min(n, p)
+    if design.kind == "identity":
+        return np.concatenate([np.ones(m), np.zeros(n - m)])
+    lam = np.sort(np.asarray(design.lambdas, dtype=np.float64))[::-1]
+    if lam.size != n:
+        raise ValueError(f"fixed_spectrum needs {n} eigenvalues, got {lam.size}")
+    if np.any(lam[m:] > 0):
+        raise ValueError(f"rank of an {n} x {p} design is at most {m}; trailing eigenvalues must be 0")
+    return lam
+
+
 def gen_design(n: int, p: int, design: DesignSpec, seed: SeedSpec) -> np.ndarray:
     """Generate an n x p design matrix per the recipe, deterministically in seed."""
     if n < 1 or p < 1:
@@ -122,14 +137,8 @@ def gen_design(n: int, p: int, design: DesignSpec, seed: SeedSpec) -> np.ndarray
     if design.kind == "gaussian_iid":
         return rng_for(seed).standard_normal((n, p))
 
-    lam = np.sort(np.asarray(design.lambdas, dtype=np.float64))[::-1]
-    if lam.size != n:
-        raise ValueError(f"fixed_spectrum needs {n} eigenvalues, got {lam.size}")
+    lam = design_eigenvalues(n, p, design)
     m = min(n, p)
-    if np.any(lam[m:] > 0):
-        raise ValueError(
-            f"rank of an {n} x {p} design is at most {m}; trailing eigenvalues must be 0"
-        )
     rng = rng_for(seed)
     U = haar_orthogonal(n, rng)
     W = haar_orthogonal(p, rng)[:m, :]  # orthonormal rows of a random p-frame

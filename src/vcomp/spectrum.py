@@ -15,12 +15,25 @@ import numpy as np
 @dataclass
 class GramSpectrum:
     """Spectrum of G = XX^T / p: eigenvalues (descending) and eigenvectors
-    (None when only the eigenvalues were computed)."""
+    (None when only the eigenvalues are known)."""
 
     n: int
     p: int
     lambdas: np.ndarray
     U: np.ndarray | None
+
+    @classmethod
+    def from_eigenvalues(cls, n: int, p: int, w: np.ndarray, V: np.ndarray | None = None) -> GramSpectrum:
+        """The spectrum of an n x p design from the eigenvalues ``w`` of G
+        (and their eigenvectors, the columns of ``V``), sorted descending; those
+        at or below the numerical-rank threshold ``max(n, p) * eps * lambda_1``
+        are set to exactly 0, so a rank-deficient design has exact zeros."""
+        if n < 2 or p < 1:
+            raise ValueError(f"need n >= 2 and p >= 1, got n={n}, p={p}")
+        order = np.argsort(w)[::-1]
+        lambdas = w[order]
+        lambdas[lambdas <= max(n, p) * np.finfo(np.float64).eps * float(lambdas[0])] = 0.0
+        return cls(n=n, p=p, lambdas=lambdas, U=None if V is None else V[:, order])
 
     @property
     def lambda_1(self) -> float:
@@ -29,21 +42,12 @@ class GramSpectrum:
         return float(np.max(self.lambdas))
 
 
-def _rank_threshold(n: int, p: int, lam_max: float) -> float:
-    return max(n, p) * np.finfo(np.float64).eps * lam_max
-
-
-def decompose_gram(X: np.ndarray, vectors: bool = True) -> GramSpectrum:
+def decompose_gram(X: np.ndarray) -> GramSpectrum:
     """Eigendecomposition of XX^T / p for an n x p design matrix.
 
     One route for every shape: a symmetric eigendecomposition of the
-    symmetrized n x n Gram matrix, sorted descending.  Eigenvalues at or below
-    the numerical-rank threshold ``max(n, p) * eps * lambda_1`` are set to
-    exactly 0, so a rank-deficient design (any p < n, or a wide design of low
-    rank) has exact zero eigenvalues rather than rounding noise.  With
-    ``vectors=False`` only the eigenvalues are computed (``eigvalsh``: on one
-    thread of a Xeon core, 0.06-0.09 s against 0.16-0.18 s for ``eigh`` at
-    n = 800) and ``U`` is None.
+    symmetrized n x n Gram matrix, ordered and rank-clamped by
+    ``GramSpectrum.from_eigenvalues``.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -57,11 +61,7 @@ def decompose_gram(X: np.ndarray, vectors: bool = True) -> GramSpectrum:
     G = (X @ X.T) / p
     del X  # a caller that passed its last reference frees the design before eigh
     G = 0.5 * (G + G.T)
-    w, V = np.linalg.eigh(G) if vectors else (np.linalg.eigvalsh(G), None)
-    order = np.argsort(w)[::-1]
-    lambdas = w[order]
-    lambdas[lambdas <= _rank_threshold(n, p, float(lambdas[0]))] = 0.0
-    return GramSpectrum(n=n, p=p, lambdas=lambdas, U=None if V is None else V[:, order])
+    return GramSpectrum.from_eigenvalues(n, p, *np.linalg.eigh(G))
 
 
 def eigvar(spec: GramSpectrum) -> float:

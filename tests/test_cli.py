@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import vcomp
+from vcomp import cli
 from vcomp.cli import _plan_from_cfg, main
 from vcomp.experiments import ExperimentPlan, _openblas
 from vcomp.matio import save_matrix_csv
@@ -319,6 +320,28 @@ class TestGenerate:
             outs.append(out)
         for name in ("X.csv", "y.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    @pytest.mark.skipif(_openblas() is None, reason="numpy is not on its bundled OpenBLAS")
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="on one CPU OpenBLAS starts one thread whatever it is asked for")
+    def test_manifest_records_the_blas_threads_and_the_pin(self, tmp_path):
+        cfg = write_config(tmp_path / "gen.cfg", {"n": 8, "p": 4, "params": {"sigma2": 1.0, "eta2": 1.0}, "seed": 3})
+        src = str(Path(vcomp.__file__).resolve().parents[1])
+        for threads in (1, 2):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "PYTHONPATH": src}
+            env.pop("OMP_NUM_THREADS", None)
+            out = tmp_path / f"gen{threads}"
+            subprocess.run([sys.executable, "-m", "vcomp.cli", "generate", "--config", cfg, "--out", str(out)],
+                           env=env, check=True, capture_output=True, timeout=300)
+            # the count outside the pin: the one the run was started with
+            blas = json.loads((out / "manifest.json").read_text())["blas"]
+            assert blas == {"openblas_threads": threads, "one_thread_pin": True}
+
+    def test_manifest_under_another_blas_records_no_pin(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_openblas", lambda: None)
+        cfg = write_config(tmp_path / "gen.cfg", {"n": 8, "p": 4, "params": {"sigma2": 1.0, "eta2": 1.0}, "seed": 3})
+        assert main(["generate", "--config", cfg, "--out", str(tmp_path / "d")]) == 0
+        blas = json.loads((tmp_path / "d" / "manifest.json").read_text())["blas"]
+        assert blas == {"openblas_threads": None, "one_thread_pin": False}
 
 
 class TestExperimentCommand:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vcomp.errors import NonIdentifiableError, TailGridError
+from vcomp.errors import NonIdentifiableError, NumericalError, TailGridError
 from vcomp import experiments
 from vcomp.estimator import ScoreState, _pop_sq, asymptotic_cov, expected_hessian, sigma0_sq_of, sigma_star_sq, standardized_map
 from vcomp.experiments import (
@@ -18,7 +18,10 @@ from vcomp.experiments import (
     _CTRL_STREAM,
     _FIT_BLOCK,
     REPORT_HEADER,
+    _bidiagonal_gram_eigenvalues,
     _cell_design,
+    _cell_p,
+    _cell_spectrum,
     _chunk_control,
     _chunks,
     _control_means,
@@ -362,6 +365,101 @@ class TestEigenbasisRoute:
         gram_eighs = [s for s in shapes if s[0] > 2]  # normality's 2x2 covariance root aside
         assert bool(rotated) == rotates
         assert gram_eighs == ([(30, 30), (60, 60)] if rotates else [])
+
+
+class TestSpectrumRoute:
+    DRAWS = 2000
+
+    @pytest.mark.parametrize("n, p_ratio", [(40, 0.5), (30, 2.0), (12, 1.0)], ids=["n>p", "n<p", "n=p"])
+    def test_eigenvalue_law_matches_the_designs(self, n, p_ratio):
+        # two-sample KS statistics on lambda_1, a middle and the smallest
+        # positive eigenvalue, route against decompose_gram of drawn designs,
+        # under the 5% critical value
+        from scipy import stats
+
+        plan = small_plan(n_grid=(n,), p_ratio=p_ratio)
+        p = _cell_p(plan, n)
+        m = min(n, p)
+        rng = np.random.default_rng(n)
+        route = np.array([_cell_spectrum(plan, c, n)[1].lambdas for c in range(self.DRAWS)])
+        design = np.array([decompose_gram(rng.standard_normal((n, p))).lambdas for _ in range(self.DRAWS)])
+        assert np.all(route[:, :m] > 0) and np.all(route[:, m:] == 0.0)
+        critical = 1.358 * math.sqrt(2 / self.DRAWS)
+        for j in (0, m // 2, m - 1):
+            assert stats.ks_2samp(route[:, j], design[:, j]).statistic < critical, j
+
+    @pytest.mark.skipif(not hasattr(_openblas(), "scipy_dlasq1_64_"), reason="numpy is not on its bundled OpenBLAS")
+    @pytest.mark.parametrize("m", [1, 2, 7, 100, 400])
+    def test_dqds_matches_the_dense_eigensolve(self, m):
+        rng = np.random.default_rng(m)
+        d, e = rng.standard_normal(m), rng.standard_normal(m - 1)
+        B = np.diag(d) + np.diag(e, -1)
+        want = np.linalg.eigvalsh(B @ B.T)
+        got = np.sort(_bidiagonal_gram_eigenvalues(d, e))
+        assert np.max(np.abs(got - want)) <= 1e-12 * want[-1]
+
+    def test_fallback_under_another_blas(self, monkeypatch):
+        plan = small_plan(n_grid=(30, 60))
+        dqds = [_cell_spectrum(plan, c, n)[1].lambdas for c, n in enumerate(plan.n_grid)]
+        report = run_consistency(plan)
+        monkeypatch.setattr(experiments, "_openblas", lambda: None)
+        dense = [_cell_spectrum(plan, c, n)[1].lambdas for c, n in enumerate(plan.n_grid)]
+        for a, b in zip(dqds, dense):
+            assert np.max(np.abs(a - b)) <= 1e-12 * a[0]
+        fallback = run_consistency(plan)
+        for a, b in zip(report.cells, fallback.cells):
+            assert b["estimate"] == pytest.approx(a["estimate"], rel=1e-8)
+
+    @pytest.mark.parametrize("fallback", [False, True], ids=["dqds", "dense"])
+    @pytest.mark.parametrize("n, p_ratio, zeros", [(5, 0.2, 4), (2, 0.5, 1), (2, 1.0, 0), (2, 2.0, 0)],
+                             ids=["p=1", "n=2,p=1", "n=2,p=2", "n=2,p=4"])
+    def test_edge_shapes_have_exact_zeros(self, monkeypatch, fallback, n, p_ratio, zeros):
+        if fallback:
+            monkeypatch.setattr(experiments, "_openblas", lambda: None)
+        X, spec = _cell_spectrum(small_plan(n_grid=(n,), p_ratio=p_ratio), 0, n)
+        assert X is None and spec.lambdas.shape == (n,)
+        assert np.count_nonzero(spec.lambdas == 0.0) == zeros and np.all(spec.lambdas[: n - zeros] > 0)
+
+    @pytest.mark.parametrize("kind", ["consistency", "tail_envelope"])
+    def test_one_row_cells_are_rejected(self, kind):
+        # as decompose_gram rejects a one-row design
+        with pytest.raises(ValueError, match="need n >= 2"):
+            run_experiment(small_plan(kind=kind, n_grid=(1, 4), r_grid=(0.3,)))
+
+    def test_dqds_failure_raises(self, monkeypatch):
+        class Lib:
+            @staticmethod
+            def scipy_dlasq1_64_(n, d, e, work, info):
+                info._obj.value = 2
+
+        monkeypatch.setattr(experiments, "_openblas", lambda: Lib)
+        with pytest.raises(NumericalError, match="info 2"):
+            _bidiagonal_gram_eigenvalues(np.ones(3), np.ones(2))
+
+    @pytest.mark.parametrize("design, p_ratio, lambdas, want", [
+        ("identity", 0.5, None, [1.0] * 10 + [0.0] * 10),
+        ("fixed_spectrum", 1.0, tuple(range(20, 0, -1)), list(range(20, 0, -1))),
+        ("fixed_spectrum", 0.5, (0.0, 3.0, 1.0) + (0.0,) * 17, [3.0, 1.0] + [0.0] * 18),
+    ])
+    def test_known_spectra_skip_the_design(self, monkeypatch, design, p_ratio, lambdas, want):
+        plan = small_plan(n_grid=(20,), p_ratio=p_ratio, design=design, design_lambdas=lambdas)
+        for name in ("gen_design", "decompose_gram"):
+            monkeypatch.setattr(experiments, name, None)  # any call would raise
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        X, spec = _cell_spectrum(plan, 0, 20)
+        assert X is None and spec.lambdas.tolist() == want
+        run_consistency(plan)
+
+    @pytest.mark.parametrize("lambdas, message", [((1.0,) * 19, "needs 20 eigenvalues, got 19"),
+                                                  ((1.0,) * 20, "at most 10")], ids=["wrong-length", "beyond-rank"])
+    def test_known_spectra_keep_the_design_checks(self, lambdas, message):
+        # n = 20 needs 20 eigenvalues, of which at most p = 10 may be positive
+        with pytest.raises(ValueError, match=message):
+            run_consistency(small_plan(n_grid=(20,), p_ratio=0.5, design="fixed_spectrum", design_lambdas=lambdas))
+
+    def test_flat_known_spectrum_aborts(self):
+        with pytest.raises(NonIdentifiableError):
+            run_consistency(small_plan(n_grid=(20,), p_ratio=1.0, design="fixed_spectrum", design_lambdas=(2.0,) * 20))
 
 
 @pytest.mark.skipif(_openblas() is None, reason="numpy is not on its bundled OpenBLAS")

@@ -65,28 +65,6 @@ class TestDecomposeGram:
         assert np.all(spec.lambdas > 0)
         assert np.isfinite(spec.lambda_1)
 
-    @pytest.mark.parametrize(
-        "factors", [(9, None, 14), (14, None, 9), (10, 4, 20), (12, 3, 7)],
-        ids=["wide", "tall", "wide-rank-4", "tall-rank-3"],
-    )
-    def test_eigenvalues_only_match_full_decomposition(self, factors):
-        n, rank, p = factors
-        rng = np.random.default_rng(5)
-        X = rng.standard_normal((n, p)) if rank is None else (
-            rng.standard_normal((n, rank)) @ rng.standard_normal((rank, p)))
-        full, values = decompose_gram(X), decompose_gram(X, vectors=False)
-        assert values.U is None and (values.n, values.p) == (full.n, full.p)
-        np.testing.assert_allclose(values.lambdas, full.lambdas, rtol=1e-12, atol=0)
-        # the rank clamp leaves the same exact zeros
-        assert np.array_equal(values.lambdas == 0.0, full.lambdas == 0.0)
-        assert np.count_nonzero(values.lambdas) == (min(n, p) if rank is None else rank)
-
-    def test_eigenvalues_only_validates_and_skips_eigh(self, monkeypatch):
-        with pytest.raises(ValueError):
-            decompose_gram(np.array([[1.0, np.inf], [0.0, 1.0]]), vectors=False)
-        monkeypatch.setattr(np.linalg, "eigh", None)  # any call would raise
-        decompose_gram(np.random.default_rng(1).standard_normal((6, 9)), vectors=False)
-
     @pytest.mark.skipif(sys.version_info < (3, 11), reason="the callee owns its arguments from CPython 3.11")
     def test_design_passed_as_last_reference_is_freed_before_eigh(self, monkeypatch):
         # vcomp fit passes the loaded design this way; its eigensolve then
@@ -98,6 +76,22 @@ class TestDecomposeGram:
         monkeypatch.setattr(np.linalg, "eigh", lambda G: alive_at_eigh.append(design() is not None) or eigh(G))
         decompose_gram(box.pop())
         assert alive_at_eigh == [False]
+
+
+class TestFromEigenvalues:
+    def test_orders_and_clamps(self):
+        spec = GramSpectrum.from_eigenvalues(4, 3, np.array([1e-20, 2.0, -1e-17, 0.5]))
+        assert spec.lambdas.tolist() == [2.0, 0.5, 0.0, 0.0]
+        assert (spec.n, spec.p, spec.U) == (4, 3, None)
+
+    def test_decompose_gram_goes_through_it(self):
+        # the same order and clamp, eigenvectors permuted with their eigenvalues
+        X = np.random.default_rng(6).standard_normal((9, 4))
+        G = X @ X.T / 4
+        w, V = np.linalg.eigh(0.5 * (G + G.T))
+        want, spec = GramSpectrum.from_eigenvalues(9, 4, w, V), decompose_gram(X)
+        assert np.array_equal(spec.lambdas, want.lambdas) and np.array_equal(spec.U, want.U)
+        assert np.count_nonzero(spec.lambdas) == 4
 
 
 class TestEigvar:
