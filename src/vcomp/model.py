@@ -64,6 +64,8 @@ class DesignSpec:
                 raise ValueError("fixed_spectrum design needs eigenvalues")
             if any(lam < 0 for lam in self.lambdas):
                 raise ValueError("fixed_spectrum eigenvalues must be nonnegative")
+        elif self.lambdas is not None:
+            raise ValueError(f"eigenvalues are given only with a fixed_spectrum design, not {self.kind!r}")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import vcomp
-from vcomp import cli
+from vcomp import cli, estimator
 from vcomp.cli import _plan_from_cfg, main
 from vcomp.experiments import ExperimentPlan, _openblas
 from vcomp.matio import save_matrix_csv
@@ -696,6 +696,19 @@ class TestConfigValidation:
         cfg = write_config(tmp_path / "c.cfg", {**BASE_CFGS[command], **edit})
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert f"vcomp: error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("design, message", [
+        ({"kind": "fixed_spectrum", "lambdas": [1.0] * 20}, "fixed_spectrum needs 40 eigenvalues, got 20"),
+        ({"kind": "gaussian_iid", "lambdas": [1.0] * 20},
+         "eigenvalues are given only with a fixed_spectrum design, not 'gaussian_iid'"),
+    ], ids=["wrong-length-at-second-n", "lambdas-without-fixed_spectrum"])
+    def test_design_error_exits_one_before_any_fit(self, tmp_path, capsys, monkeypatch, design, message):
+        monkeypatch.setattr(estimator, "fit_mle", lambda *a, **kw: pytest.fail("fit_mle was called"))
+        cfg = write_config(tmp_path / "c.cfg", {"kind": "consistency", "n_grid": [20, 40], "replicates": 100,
+                                                 "design": design})
+        assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert f"vcomp: error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("value", ["abc", "3.7", "", "1_000"])
     def test_bad_env_seed_names_the_variable(self, tmp_path, capsys, monkeypatch, value):

@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vcomp.errors import NonIdentifiableError, NumericalError, TailGridError
-from vcomp import experiments
+from vcomp import estimator, experiments
 from vcomp.estimator import ScoreState, _pop_sq, asymptotic_cov, expected_hessian, sigma0_sq_of, sigma_star_sq, standardized_map
 from vcomp.experiments import (
     _CHI2_2_95,
@@ -22,21 +24,25 @@ from vcomp.experiments import (
     _cell_design,
     _cell_p,
     _cell_spectrum,
-    _chunk_control,
+    _chunk,
     _chunks,
+    _control_block,
     _control_means,
     _control_rows,
-    _chunk_tail,
     _endpoint_drop_gate,
     _window_gate,
     _expansion_controls,
     _fold,
+    _lin_block,
     _openblas,
-    _outcome_blocks,
+    _outcomes,
     _rank,
-    _rotated_blocks,
     _stein_qforms,
     _stream,
+    _tail_block,
+    _tail_context,
+    _theta_block,
+    _wvec_block,
     ExperimentPlan,
     config_hash,
     cov_sqrt,
@@ -57,7 +63,7 @@ from vcomp.experiments import (
     with_workers,
 )
 from vcomp.laws import SeedSpec, law_by_name
-from vcomp.model import ModelParams, gen_independent
+from vcomp.model import CouplingSpec, ModelParams, gen_independent
 from vcomp.qform import build_w
 from vcomp.spectrum import GramSpectrum, decompose_gram
 
@@ -96,6 +102,21 @@ class TestPlanValidation:
     def test_workers_at_least_one(self, workers):
         with pytest.raises(ValueError, match="workers"):
             small_plan(workers=workers)
+
+    @pytest.mark.parametrize("design, p_ratio, lambdas, message", [
+        ("circulant", 2.0, None, "unknown design kind 'circulant'"),
+        ("fixed_spectrum", 2.0, None, "fixed_spectrum design needs eigenvalues"),
+        ("fixed_spectrum", 2.0, (1.0,) * 20, "fixed_spectrum needs 40 eigenvalues, got 20"),
+        ("fixed_spectrum", 0.5, (1.0,) * 20, "rank of an 20 x 10 design is at most 10"),
+        ("gaussian_iid", 2.0, (1.0,) * 20, "only with a fixed_spectrum design, not 'gaussian_iid'"),
+        ("identity", 2.0, (1.0,) * 20, "only with a fixed_spectrum design, not 'identity'"),
+    ], ids=["unknown-kind", "missing", "wrong-length-at-n=40", "beyond-rank", "gaussian_iid", "identity"])
+    def test_design_is_checked_when_the_plan_is_built(self, monkeypatch, design, p_ratio, lambdas, message):
+        # every cell's design is checked before the first fit; a plan that
+        # built would run its fits, and the patched fit_mle fails them
+        monkeypatch.setattr(estimator, "fit_mle", lambda *a, **kw: pytest.fail("fit_mle was called"))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_experiment(small_plan(n_grid=(20, 40), p_ratio=p_ratio, design=design, design_lambdas=lambdas))
 
     def test_config_hash_ignores_workers(self):
         a = small_plan(workers=1)
@@ -245,8 +266,9 @@ class TestDeterminism:
         assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
         assert all(lo % _FIT_BLOCK == 0 for lo, _ in chunks)
 
-    def test_pool_has_at_most_one_process_per_job(self, monkeypatch):
-        # a forked pool starts all max_workers processes at its first submit
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """The max_workers of every pool started, in order."""
         sizes = []
 
         class RecordingPool(experiments.ProcessPoolExecutor):
@@ -255,9 +277,20 @@ class TestDeterminism:
                 super().__init__(max_workers=max_workers, **kw)
 
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        return sizes
+
+    def test_pool_has_at_most_one_process_per_job(self, pool_sizes):
+        # a forked pool starts all max_workers processes at its first submit
         assert experiments._scatter([(abs, -1), (abs, -2)], 3) == [1, 2]
         assert experiments._scatter([(abs, -1), (abs, -2), (abs, -3)], 2) == [1, 2, 3]
-        assert sizes == [2, 2]
+        assert pool_sizes == [2, 2]
+
+    def test_coupling_starts_one_pool_per_cell(self, pool_sizes):
+        # the independent fits and every delta's coupled fits share one scatter
+        plan = small_plan(kind="coupling", n_grid=(30, 60), delta_grid=(0.0, 0.5), workers=2)
+        report = run_coupling(plan)
+        assert pool_sizes == [2, 2]
+        assert report.to_json() == run_coupling(with_workers(plan, 1)).to_json()
 
     @settings(max_examples=4, deadline=None, derandomize=True, database=None)
     @given(
@@ -299,6 +332,18 @@ class TestConsistency:
         assert type(cell["cap_hits"]) is int and type(cell["nonconverged"]) is int
         assert cell["cap_hits"] > 0 and cell["nonconverged"] == 0
 
+    @pytest.mark.parametrize("extra, want", [
+        ({"kind": "consistency"}, [136, 147]),
+        ({"kind": "normality", "p_ratio": 0.5, "control_draws": 2_000, "surrogate_draws": 2_000}, [148, 150]),
+    ], ids=["theta_block", "lin_block"])
+    def test_nonconverged_fits_are_counted_at_any_worker_count(self, monkeypatch, extra, want):
+        # one Newton step leaves most fits unconverged; forked workers inherit the patch
+        monkeypatch.setattr(estimator, "NEWTON_MAX", 1)
+        plan = small_plan(n_grid=(40, 80), replicates=150, master_seed=3, **extra)
+        serial = run_experiment(plan)
+        assert [c["nonconverged"] for c in serial.cells] == want
+        assert serial.to_json() == run_experiment(with_workers(plan, 2)).to_json()
+
     def test_mean_error_leaves_out_capped_fits(self):
         rep = run_consistency(small_plan(n_grid=(30,), eta0_sq=20.0))
         cell = rep.cells[0]
@@ -310,9 +355,14 @@ class TestConsistency:
         plan = small_plan(n_grid=(20,), replicates=100, beta_law="rademacher")
         X = _cell_design(plan, 0, 20)
         spec = decompose_gram(X)
-        blocks = list(_rotated_blocks(plan, 0, X, spec, 10, 90))
-        assert [len(b[3]) for b in blocks] == [64, 16]
-        y_check = np.concatenate([b[3] for b in blocks])
+        blocks = []
+
+        def record(plan, cell_index, ctx, lo, hi):
+            blocks.append(_outcomes(plan, cell_index, *ctx, lo, hi))
+            return blocks[-1]
+
+        y_check = _chunk((record, _FIT_BLOCK, plan, 0, (X, spec), 10, 90))
+        assert [len(b) for b in blocks] == [64, 16]
         params, (beta_law, eps_law) = plan.params(), plan.laws()
         for row, r in zip(y_check, range(10, 90)):
             ds = gen_independent(X, params, beta_law, eps_law, SeedSpec(plan.master_seed, _stream(0, r)))
@@ -339,7 +389,7 @@ class TestEigenbasisRoute:
         plan = small_plan(n_grid=(8,), replicates=self.REPS, sigma0_sq=1.5, eta0_sq=2.0)
         X = _cell_design(plan, 0, 8)
         spec = decompose_gram(X)
-        y = np.concatenate(list(_outcome_blocks(plan, 0, X if route == "rotated" else None, spec, 0, self.REPS)))
+        y = _outcomes(plan, 0, X if route == "rotated" else None, spec, 0, self.REPS)
         assert y.shape == (self.REPS, 8)
         se = lambda v: np.std(v, axis=0, ddof=1) / math.sqrt(self.REPS)  # noqa: E731
         sq = y * y
@@ -359,11 +409,12 @@ class TestEigenbasisRoute:
     def test_route_follows_the_plan(self, monkeypatch, kind, laws, extra, rotates):
         eigh, shapes, rotated = np.linalg.eigh, [], []
         monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
-        monkeypatch.setattr(experiments, "_rotated_blocks",
-                            lambda *args, **kw: rotated.append(args[1]) or _rotated_blocks(*args, **kw))
+        # _outcomes rotates a drawn design's outcomes; with X None it draws in the eigenbasis
+        monkeypatch.setattr(experiments, "_outcomes",
+                            lambda *args, **kw: rotated.append(args[2] is not None) or _outcomes(*args, **kw))
         run_experiment(small_plan(kind=kind, n_grid=(30, 60), beta_law=laws, eps_law=laws, **extra))
         gram_eighs = [s for s in shapes if s[0] > 2]  # normality's 2x2 covariance root aside
-        assert bool(rotated) == rotates
+        assert set(rotated) == {rotates}
         assert gram_eighs == ([(30, 30), (60, 60)] if rotates else [])
 
 
@@ -519,7 +570,7 @@ class TestTail:
                           beta_law="rademacher", eps_law="uniform", master_seed=7)
         X = _cell_design(plan, 0, 30)
         spec = decompose_gram(X)
-        rows = _chunk_tail((plan, 0, X, spec, 3, 9))
+        rows = _chunk((_tail_block, _FIT_BLOCK, plan, 0, _tail_context(plan, X, spec), 3, 9))
         assert rows.shape == (6,)
         params = plan.params()
         beta_law, eps_law = plan.laws()
@@ -543,7 +594,7 @@ class TestTail:
                           eps_law="uniform", master_seed=3)
         X = _cell_design(plan, 0, 24)
         spec = decompose_gram(X)
-        rows = _chunk_tail((plan, 0, X, spec, lo, hi))
+        rows = _chunk((_tail_block, _FIT_BLOCK, plan, 0, _tail_context(plan, X, spec), lo, hi))
         assert rows.shape == (hi - lo,)
         params = plan.params()
         beta_law, eps_law = plan.laws()
@@ -719,7 +770,7 @@ class TestExpansionControls:
 def _serial_control(plan, X, spec, draws):
     """The control task written out block by block: block k drawn from the
     control stream's k-th Philox jump, then reduced in one core call; the
-    oracle for ``_chunk_control`` and ``_control_means``."""
+    oracle for ``_control_block`` and ``_control_means``."""
     fn = resolve_test_fn(plan.test_fn, plan.test_scales)
     params = plan.params()
     j0 = expected_hessian(params, params, spec)
@@ -762,11 +813,19 @@ class TestPrefetchedControl:
         X = _cell_design(plan, 0, 100)
         return plan, X, decompose_gram(X)
 
+    @staticmethod
+    def control_ctx(plan, X, spec):
+        """The control tasks' ctx as run_normality builds it."""
+        params = plan.params()
+        C = None if plan.gaussian() else standardized_map(params, spec, X)
+        return replace(spec, U=None), C, expected_hessian(params, params, spec)
+
     @pytest.mark.parametrize("law", ["gaussian", "rademacher"])
     def test_matches_serial_unsliced_loop(self, law):
         plan, X, spec = self.cell(law)
         assert _rank(spec) == 75  # p_ratio 0.75: 25 null coordinates folded
-        got = np.stack(_control_means(_chunk_control((plan, 0, X, spec, 0, self.DRAWS)), self.DRAWS))
+        task = (_control_block, _CTRL_BLOCK, plan, 0, self.control_ctx(plan, X, spec), 0, self.DRAWS)
+        got = np.stack(_control_means(_chunk(task), self.DRAWS))
         oracle = _serial_control(plan, X, spec, self.DRAWS)
         np.testing.assert_allclose(got, oracle, rtol=1e-15, atol=0)
         # the same blocks through the same core, so the sums are bit-equal too
@@ -774,12 +833,26 @@ class TestPrefetchedControl:
 
     @pytest.mark.parametrize("law", ["gaussian", "rademacher"])
     def test_one_task_equals_per_block_tasks(self, law):
+        # every block function: one _chunk over a range equals its per-block _chunks
         plan, X, spec = self.cell(law)
-        whole = _chunk_control((plan, 0, X, spec, 0, self.DRAWS))
-        blocks = [_chunk_control((plan, 0, X, spec, lo, min(lo + _CTRL_BLOCK, self.DRAWS)))
-                  for lo in range(0, self.DRAWS, _CTRL_BLOCK)]
-        assert whole.shape == (3, 4)
-        assert np.array_equal(whole, np.concatenate(blocks))
+        j0 = expected_hessian(plan.params(), plan.params(), spec)
+        reps = 2 * _FIT_BLOCK + 22
+        coupling = CouplingSpec("additive_perturb", delta=0.5)
+        cases = [
+            (_control_block, _CTRL_BLOCK, self.control_ctx(plan, X, spec), self.DRAWS, (3, 4)),
+            (_theta_block, _FIT_BLOCK, (X, spec, None), reps, (reps, 4)),
+            (_theta_block, _FIT_BLOCK, (None, spec, None), reps, (reps, 4)),
+            (_theta_block, _FIT_BLOCK, (X, spec, coupling), reps, (reps, 5)),
+            (_lin_block, _FIT_BLOCK, (X, spec, j0), reps, (reps, 8)),
+            (_tail_block, _FIT_BLOCK, _tail_context(plan, X, spec), reps, (reps,)),
+            (_tail_block, _FIT_BLOCK, _tail_context(plan, None, spec), reps, (reps,)),
+            (_wvec_block, _FIT_BLOCK, build_w(_stein_qforms(plan, 0, 12), law_by_name(law)), reps, (reps, 2)),
+        ]
+        for fn, block, ctx, total, shape in cases:
+            whole = _chunk((fn, block, plan, 0, ctx, 0, total))
+            blocks = [_chunk((fn, block, plan, 0, ctx, lo, min(lo + block, total))) for lo in range(0, total, block)]
+            assert whole.shape == shape, fn.__name__
+            assert np.array_equal(whole, np.concatenate(blocks)), fn.__name__
 
     def test_folded_gaussian_null_column_is_scaled_chi2(self):
         plan, _, spec = self.cell("gaussian", sigma0_sq=1.7)
