@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import re
@@ -51,7 +52,7 @@ _COUPLING_KEYS = {"scheme", "delta", "fraction"}
 _FIT_KEYS = {"x", "y", "trace", "seed"}
 _EXPERIMENT_KEYS = {
     "kind", "n_grid", "replicates", "params", "laws", "design", "seed",
-    "r_grid", "eta_box", "eta_grid_points", "test_fn", "coupling",
+    "r_grid", "test_fn", "coupling",
     "k_forms", "qspec", "surrogate_draws", "control_draws",
 }
 
@@ -81,6 +82,9 @@ def _number(value, key: str) -> float:
     # float() would accept a numeric string and fail on others without the key
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key}: expected a number, got {value!r}")
+    # json reads NaN and Infinity, and an integer literal beyond the float range as an int
+    if isinstance(value, int) and abs(value) > sys.float_info.max or not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -274,8 +278,7 @@ def _plan_from_cfg(cfg: dict, seed: int, workers: int) -> ExperimentPlan:
         design = _design_from_cfg(cfg["design"], _DESIGN_KEYS | {"p_ratio"})
         kw["design"], kw["design_lambdas"] = design.kind, design.lambdas
         take(cfg["design"], "p_ratio", _number, label="design.p_ratio")
-    for key, check in (("r_grid", _numbers), ("eta_box", _number), ("eta_grid_points", _integer),
-                       ("k_forms", _integer), ("qspec", None),
+    for key, check in (("r_grid", _numbers), ("k_forms", _integer), ("qspec", None),
                        ("surrogate_draws", _integer), ("control_draws", _integer)):
         take(cfg, key, check)
     fn_cfg, coup_cfg = cfg.get("test_fn", {}), cfg.get("coupling", {})

@@ -43,6 +43,9 @@ IDENT_FLOOR = 1e-10
 GRID_POINTS = 64
 T_CAP = 1.0 - 1e-6
 NEWTON_MAX = 50
+#: the one eta^2 grid, 0 to about 1e6: the fit, its trace and the tail's supremum
+ETA_GRID = np.linspace(0.0, T_CAP, GRID_POINTS) / (1.0 - np.linspace(0.0, T_CAP, GRID_POINTS))
+ETA_GRID.flags.writeable = False
 
 
 def not_identifiable(spec: GramSpectrum) -> bool:
@@ -288,13 +291,11 @@ class FitBlock:
 
 
 def _fit_block(y_check_sq: np.ndarray, lam: np.ndarray):
-    """The batched search; returns the block, the eta grid and its (reps, G)
-    profile log-likelihood, and each row's score tolerance."""
+    """The batched search; returns the block, its (reps, G) profile
+    log-likelihood on ``ETA_GRID``, and each row's score tolerance."""
     reps = y_check_sq.shape[0]
     last = GRID_POINTS - 1
-    ts = np.linspace(0.0, T_CAP, GRID_POINTS)
-    etas = ts / (1.0 - ts)
-    ss, quad, cube, mlr, ml2r2, logdet = _resolvent_sums(y_check_sq, lam, etas)
+    ss, quad, cube, mlr, ml2r2, logdet = _resolvent_sums(y_check_sq, lam, ETA_GRID)
     with np.errstate(divide="ignore", invalid="ignore"):
         lls = -0.5 * np.log(ss) - 0.5 * logdet - 0.5
     if not np.all(np.isfinite(lls)):
@@ -308,12 +309,12 @@ def _fit_block(y_check_sq: np.ndarray, lam: np.ndarray):
     ll_floor = ll_max - 1e-12 * (1.0 + np.abs(ll_max))
     best = np.argmax(lls >= ll_floor[:, None], axis=1)
     lo_i, hi_i = np.maximum(best - 1, 0), np.minimum(best + 1, last)
-    lo, hi = etas[lo_i], etas[hi_i]
+    lo, hi = ETA_GRID[lo_i], ETA_GRID[hi_i]
     bracket = (h[rows, lo_i] > 0.0) & (h[rows, hi_i] < 0.0)
     at_zero = (best == 0) & (h[:, 0] <= 0.0)
     at_cap = ~bracket & (best == last) & (h[:, last] >= 0.0)
 
-    eta = etas[best]
+    eta = ETA_GRID[best]
     sigma, cur_h, cur_hp = ss[rows, best], h[rows, best], hp[rows, best]
     converged = at_zero | at_cap
     iters = np.zeros(reps, dtype=np.int64)
@@ -346,18 +347,18 @@ def _fit_block(y_check_sq: np.ndarray, lam: np.ndarray):
     # a root the search found below the grid maximum is a local optimum only:
     # fall back to the grid maximizer, unconverged
     worse = ll < ll_floor
-    eta[worse], sigma[worse] = etas[best[worse]], ss[worse, best[worse]]
+    eta[worse], sigma[worse] = ETA_GRID[best[worse]], ss[worse, best[worse]]
     cur_h[worse] = h[worse, best[worse]]
     converged[worse] = False
     block = FitBlock(
         theta=np.column_stack([sigma, eta]),
         boundary=eta == 0.0,
-        cap_hit=eta >= etas[last] * (1.0 - 1e-12),
+        cap_hit=eta >= ETA_GRID[last] * (1.0 - 1e-12),
         converged=converged,
         newton_iters=int(iters.sum()),
         score_residual=np.abs(cur_h),
     )
-    return block, etas, lls, tol
+    return block, lls, tol
 
 
 def fit_mle(state: ScoreState, options: FitOptions | None = None) -> FitResult | FitBlock:
@@ -389,7 +390,7 @@ def fit_mle(state: ScoreState, options: FitOptions | None = None) -> FitResult |
     # each row is fitted divided by 2^e, its largest |y_i| in [1/2, 1): exact,
     # and y^2 neither under- nor overflows; sigma^2 and H_star scale by 4^e
     expo = np.frexp(np.max(np.abs(y_block), axis=1))[1]
-    block, etas, lls, tol = _fit_block(np.ldexp(y_block, -expo[:, None]) ** 2, spec.lambdas)
+    block, lls, tol = _fit_block(np.ldexp(y_block, -expo[:, None]) ** 2, spec.lambdas)
     sigma_scaled = block.theta[:, 0].copy()
     with np.errstate(over="ignore"):  # an overflow is raised below, not warned
         block.theta[:, 0] = np.ldexp(sigma_scaled, 2 * expo)
@@ -417,7 +418,7 @@ def fit_mle(state: ScoreState, options: FitOptions | None = None) -> FitResult |
 
     return FitResult(
         theta_hat=theta_hat,
-        eta_grid_trace=list(zip(etas.tolist(), (lls[0] - expo[0] * math.log(2.0)).tolist()))
+        eta_grid_trace=list(zip(ETA_GRID.tolist(), (lls[0] - expo[0] * math.log(2.0)).tolist()))
         if opts.trace else [],
         boundary_flag=bool(block.boundary[0]),
         identifiability_flag=bool(ident_flag),

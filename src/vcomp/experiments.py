@@ -82,8 +82,8 @@ def tanh_product(scales: tuple[float, ...]) -> SmoothTestFn:
     a = np.asarray(scales, dtype=np.float64)
     if a.size == 0:
         raise ValueError("tanh_product needs at least one scale, got empty scales")
-    if np.any(a <= 0):
-        raise ValueError("tanh_product scales must be positive")
+    if not np.all(np.isfinite(a) & (a > 0)):
+        raise ValueError(f"tanh_product scales must be positive and finite, got {list(scales)}")
     amin = float(np.min(a))
 
     def evaluator(x: np.ndarray) -> np.ndarray:
@@ -99,8 +99,8 @@ def tanh_sum(scales: tuple[float, ...]) -> SmoothTestFn:
     if not scales:
         raise ValueError("tanh_sum needs a scale")
     a = float(scales[0])
-    if a <= 0:
-        raise ValueError("tanh_sum scale must be positive")
+    if not (math.isfinite(a) and a > 0):
+        raise ValueError(f"tanh_sum scale must be positive and finite, got {a}")
 
     def evaluator(x: np.ndarray) -> np.ndarray:
         return np.tanh(np.sum(np.asarray(x, dtype=np.float64), axis=-1) / a)
@@ -147,8 +147,6 @@ class ExperimentPlan:
     workers: int = 1
     # tail experiment
     r_grid: tuple[float, ...] = ()
-    eta_box: float = 8.0
-    eta_grid_points: int = 129
     # normality / stein test function
     test_fn: str = "tanh_product"
     test_scales: tuple[float, ...] = (3.0, 3.0)
@@ -184,12 +182,10 @@ class ExperimentPlan:
             raise ValueError(f"unknown delta_scale {self.delta_scale!r}")
         if self.qspec not in ("equispaced", "identity"):
             raise ValueError(f"unknown qspec {self.qspec!r}")
-        if not self.p_ratio > 0:
-            raise ValueError(f"p_ratio must be positive, got {self.p_ratio}")
-        if self.eta_box < 0:
-            raise ValueError(f"eta_box must be nonnegative, got {self.eta_box}")
-        if self.eta_grid_points < 1:
-            raise ValueError(f"eta_grid_points must be at least 1, got {self.eta_grid_points}")
+        if not (math.isfinite(self.p_ratio) and self.p_ratio > 0):
+            raise ValueError(f"p_ratio must be positive and finite, got {self.p_ratio}")
+        if not self.p_ratio * self.n_grid[-1] < 2.0**63:  # the largest cell's p must fit an int64
+            raise ValueError(f"p_ratio {self.p_ratio} gives p beyond int64 at n = {self.n_grid[-1]}")
         if self.surrogate_draws < 1:
             raise ValueError(f"surrogate_draws must be at least 1, got {self.surrogate_draws}")
         if self.control_draws < 0:
@@ -709,11 +705,11 @@ def _tail_block(plan: ExperimentPlan, cell_index: int, ctx, lo: int, hi: int) ->
 
 
 def _tail_context(plan: ExperimentPlan, X, spec) -> tuple:
-    """``_tail_block``'s ctx: the n x grid resolvent 1 / (n (eta^2 lam_i + 1))
-    holds sstar alone, as the three-column ``est._resolvent_sums`` would
-    triple the product on every block, and the target is its population row's."""
-    etas = np.linspace(0.0, plan.eta_box, plan.eta_grid_points)
-    resolvent = 1.0 / (np.multiply.outer(spec.lambdas, etas) + 1.0) / spec.n
+    """``_tail_block``'s ctx: the n x G resolvent 1 / (n (eta^2 lam_i + 1)) on
+    the fit's grid ``est.ETA_GRID``, which reaches eta^2 of about 1e6, holds
+    sstar alone, as the three-column ``est._resolvent_sums`` would triple the
+    product on every block, and the target is its population row's."""
+    resolvent = 1.0 / (np.multiply.outer(spec.lambdas, est.ETA_GRID) + 1.0) / spec.n
     return X, spec, resolvent, est._pop_sq(plan.params(), spec) @ resolvent
 
 
@@ -851,15 +847,17 @@ def run_consistency(plan: ExperimentPlan) -> ExperimentReport:
 
 
 def run_tail(plan: ExperimentPlan) -> ExperimentReport:
-    """Empirical tail of the uniform profile-variance deviation, per (n, r).  With
-    Gaussian laws no design is drawn: a gaussian_iid cell's eigenvalues come from
-    the chi bidiagonal of Dumitriu & Edelman (2002) (``_cell_spectrum``)."""
+    """Empirical tail of the uniform profile-variance deviation, per (n, r):
+    sup |sstar - sigma0^2| over every eta^2 >= 0, on the fit's grid, whose far
+    end holds a rank-deficient design's null coordinates at full weight.  With
+    Gaussian laws no design is drawn: a gaussian_iid cell's eigenvalues come
+    from the chi bidiagonal of Dumitriu & Edelman (2002) (``_cell_spectrum``)."""
     rs = plan.r_grid
     if not rs:
         raise ValueError("tail experiment needs a nonempty r grid")
     cells = []
     total_exceed = 0
-    log_tail: dict[float, list[tuple[int, float, float]]] = {r: [] for r in rs}
+    log_tail: dict[float, list[tuple[int, float]]] = {r: [] for r in rs}
     for ci, n in enumerate(plan.n_grid):
         X, spec = _cell_spectrum(plan, ci, n)
         [devs] = _gather([_jobs(_tail_block, plan, ci, _tail_context(plan, X, spec), plan.replicates)],
@@ -872,7 +870,7 @@ def run_tail(plan: ExperimentPlan) -> ExperimentReport:
             se = math.sqrt(max(phat * (1 - phat), 1e-300) / plan.replicates)
             reliable = k >= 5
             if reliable:
-                log_tail[r].append((n, math.log(phat), se / phat))
+                log_tail[r].append((n, math.log(phat)))
             cells.append(
                 {
                     "cell": f"n={n},r={r}",
@@ -896,27 +894,13 @@ def run_tail(plan: ExperimentPlan) -> ExperimentReport:
         mono = all(b <= a for a, b in zip(vals, vals[1:]))
         gates.append(_gate(f"nonincreasing_in_r_n={n}", mono, mono, n=n))
     for r in rs:
-        pts = log_tail[r]
-        if len(pts) < 3:
-            gates.append(
-                _gate(f"log_tail_linear_r={r}", True, False, note="too few reliable cells")
-            )
+        if len(log_tail[r]) < 3:
+            gates.append(_gate(f"log_tail_linear_r={r}", True, False, note="too few reliable cells"))
             continue
-        ns = np.array([p[0] for p in pts], float)
-        ly = np.array([p[1] for p in pts])
-        fitres = _ols(ns, ly)
-        ok = fitres["slope"] < 0 and fitres["r2"] > 0.8
-        noise_ok = fitres["slope"] - 2 * fitres["stderr"] < 0
-        gates.append(
-            _gate(
-                f"log_tail_linear_r={r}",
-                noise_ok and fitres["r2"] > 0.8,
-                ok,
-                value=fitres["slope"],
-                stderr=fitres["stderr"],
-                r2=fitres["r2"],
-            )
-        )
+        fitres = _ols(*(np.array(col, float) for col in zip(*log_tail[r])))
+        slope, stderr, r2 = fitres["slope"], fitres["stderr"], fitres["r2"]
+        gates.append(_gate(f"log_tail_linear_r={r}", slope - 2 * stderr < 0 and r2 > 0.8, slope < 0 and r2 > 0.8,
+                           value=slope, stderr=stderr, r2=r2))
     return _report(plan, cells, gates)
 
 

@@ -85,8 +85,8 @@ class CouplingSpec:
     def __post_init__(self) -> None:
         if self.scheme not in COUPLING_SCHEMES:
             raise ValueError(f"unknown coupling scheme {self.scheme!r}")
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
+        if not (math.isfinite(self.delta) and self.delta >= 0):
+            raise ValueError(f"delta must be finite and nonnegative, got {self.delta}")
         if not (0.0 <= self.fraction <= 1.0):
             raise ValueError(f"fraction must lie in [0, 1], got {self.fraction}")
 

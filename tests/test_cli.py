@@ -581,7 +581,6 @@ class TestConfigValidation:
             ("experiment", ("seed",)),
             ("experiment", ("replicates",)),
             ("experiment", ("n_grid", 0)),
-            ("experiment", ("eta_grid_points",)),
             ("experiment", ("k_forms",)),
             ("experiment", ("surrogate_draws",)),
             ("experiment", ("control_draws",)),
@@ -603,13 +602,41 @@ class TestConfigValidation:
             ("generate", ("coupling", "delta"), "coupling.delta"),
             ("experiment", ("params", "sigma2"), "params.sigma2"),
             ("experiment", ("params", "eta2"), "params.eta2"),
-            ("experiment", ("eta_box",), "eta_box"),
         ],
     )
     def test_ill_typed_number_is_named(self, tmp_path, capsys, command, path, key, bad):
         cfg = write_config(tmp_path / "c.cfg", edited_config(command, path, bad))
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert f"vcomp: error: {key}: expected a number, got {bad!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, edit, key, bad",
+        [
+            ("generate", {"coupling": {"scheme": "additive_perturb", "delta": math.inf}}, "coupling.delta", math.inf),
+            ("generate", {"params": {"sigma2": 10**400, "eta2": 1.0}}, "params.sigma2", 10**400),
+            ("experiment", {"kind": "stein_discrepancy", "test_fn": {"name": "tanh_product", "scales": [math.nan, 3]}},
+             "scales", math.nan),
+            ("experiment", {"kind": "stein_discrepancy", "test_fn": {"name": "tanh_product", "scales": [math.inf]}},
+             "scales", math.inf),
+            ("experiment", {"kind": "coupling", "coupling": {"delta_grid": [0.0, math.nan]}}, "delta_grid", math.nan),
+            ("experiment", {"design": {"kind": "gaussian_iid", "p_ratio": -math.inf}}, "design.p_ratio", -math.inf),
+        ],
+        ids=["delta-inf", "sigma2-huge-integer", "scales-nan", "scales-inf", "delta_grid-nan", "p_ratio-minus-inf"],
+    )
+    def test_non_finite_number_is_named(self, tmp_path, capsys, command, edit, key, bad):
+        # json reads NaN and Infinity: they once wrote NaN data and reports
+        cfg = write_config(tmp_path / "c.cfg", {**BASE_CFGS[command], **edit})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert f"vcomp: error: {key}: expected a finite number, got {bad!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_removed_tail_grid_keys_are_unknown(self, tmp_path, capsys):
+        # the tail takes its supremum on the fit's eta grid; it has no grid of its own
+        cfg = write_config(tmp_path / "c.cfg", {**EXP_CFG, "kind": "tail_envelope", "replicates": 100,
+                                                 "r_grid": [0.1], "eta_box": 8.0, "eta_grid_points": 129})
+        assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert ("vcomp: error: experiment config: unknown keys ['eta_box', 'eta_grid_points']"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("bad", ["false", 0, 1, None], ids=["string", "zero", "one", "null"])
     def test_trace_must_be_a_boolean(self, tmp_path, capsys, bad):
@@ -653,8 +680,9 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "edit, name",
         [
-            ({"eta_box": -1}, "eta_box"),
-            ({"eta_grid_points": 0}, "eta_grid_points"),
+            # an infinite p_ratio once ended in an OverflowError traceback, 1e300 in a TypeError one
+            ({"design": {"kind": "gaussian_iid", "p_ratio": math.inf}}, "p_ratio"),
+            ({"design": {"kind": "gaussian_iid", "p_ratio": 1e300}}, "p_ratio"),
             ({"kind": "normality", "test_fn": {"name": "tanh_sum", "scales": []}}, "tanh_sum"),
             ({"kind": "normality", "test_fn": {"name": "tanh_product", "scales": []}}, "tanh_product"),
             ({"surrogate_draws": 0}, "surrogate_draws"),

@@ -98,6 +98,15 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             small_plan(kind="bootstrap")
 
+    @pytest.mark.parametrize("p_ratio, message", [
+        (math.inf, "positive and finite"), (math.nan, "positive and finite"), (0.0, "positive and finite"),
+        (1e300, "beyond int64 at n = 80"), (2.0**63 / 80, "beyond int64 at n = 80"),
+    ], ids=["inf", "nan", "zero", "1e300", "p-is-2^63"])
+    def test_p_ratio_finite_and_p_fits_int64(self, p_ratio, message):
+        # inf once ended in an OverflowError, 1e300 in a TypeError, inside the first cell
+        with pytest.raises(ValueError, match=f"p_ratio.*{message}"):
+            small_plan(p_ratio=p_ratio)
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_at_least_one(self, workers):
         with pytest.raises(ValueError, match="workers"):
@@ -161,6 +170,15 @@ class TestTestFns:
         x = rng.standard_normal((100, 2)) * 10
         vals = fn.evaluator(x)
         assert np.all(np.abs(vals) <= fn.norm_bounds[0])
+
+    @pytest.mark.parametrize("factory, scales", [
+        (tanh_product, (math.nan, 3.0)), (tanh_product, (math.inf,)), (tanh_product, (3.0, 0.0)),
+        (tanh_sum, (math.nan,)), (tanh_sum, (math.inf,)), (tanh_sum, (-1.0,)),
+    ], ids=["product-nan", "product-inf", "product-zero", "sum-nan", "sum-inf", "sum-negative"])
+    def test_scales_must_be_positive_and_finite(self, factory, scales):
+        # a NaN scale gave NaN estimates, an infinite one a discrepancy of exactly 0
+        with pytest.raises(ValueError, match="positive and finite"):
+            factory(scales)
 
     def test_tanh_sum_shape(self):
         fn = tanh_sum((2.0,))
@@ -574,7 +592,7 @@ class TestTail:
         assert rows.shape == (6,)
         params = plan.params()
         beta_law, eps_law = plan.laws()
-        etas = np.linspace(0.0, plan.eta_box, plan.eta_grid_points)
+        etas = estimator.ETA_GRID
         for row, r in zip(rows, range(3, 9)):
             ds = gen_independent(X, params, beta_law, eps_law,
                                  SeedSpec(plan.master_seed, _stream(0, r)))
@@ -598,7 +616,7 @@ class TestTail:
         assert rows.shape == (hi - lo,)
         params = plan.params()
         beta_law, eps_law = plan.laws()
-        etas = np.linspace(0.0, plan.eta_box, plan.eta_grid_points)
+        etas = estimator.ETA_GRID
         target = [sigma0_sq_of(float(e), params, spec) for e in etas]
         for row, r in zip(rows, range(lo, hi)):
             ds = gen_independent(X, params, beta_law, eps_law,
@@ -606,6 +624,22 @@ class TestTail:
             state = ScoreState.from_observations(spec, ds.y)
             sup = max(abs(sigma_star_sq(state, float(e)) - t) for e, t in zip(etas, target))
             assert row == pytest.approx(sup, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [50, 100])
+    def test_rank_deficient_supremum_matches_dense_oracle(self, n):
+        # p = n / 2: the null coordinates keep weight 1 as eta^2 grows, so the
+        # supremum can sit far beyond a bounded eta^2 box; the oracle is a
+        # dense grid over eta^2 in [0, 1e6], linear in t = eta^2 / (1 + eta^2)
+        plan = small_plan(kind="tail_envelope", n_grid=(n,), replicates=300, r_grid=(0.3,),
+                          p_ratio=0.5, master_seed=7)
+        X, spec = _cell_spectrum(plan, 0, n)
+        assert X is None and _rank(spec) == n // 2
+        rows = _chunk((_tail_block, _FIT_BLOCK, plan, 0, _tail_context(plan, X, spec), 0, plan.replicates))
+        ts = np.linspace(0.0, 1e6 / (1e6 + 1.0), 20_001)
+        resolvent = 1.0 / (np.multiply.outer(spec.lambdas, ts / (1.0 - ts)) + 1.0) / n
+        y_sq = _outcomes(plan, 0, None, spec, 0, plan.replicates) ** 2
+        dense = np.max(np.abs(y_sq @ resolvent - _pop_sq(plan.params(), spec) @ resolvent), axis=1)
+        assert np.max(np.abs(rows - dense)) < 1e-2
 
     def test_widen_grid_error(self):
         plan = small_plan(kind="tail_envelope", n_grid=(30,), replicates=120,

@@ -191,6 +191,12 @@ class TestGenCoupled:
         with pytest.raises(ValueError):
             CouplingSpec(scheme="swap")
 
+    @pytest.mark.parametrize("delta", [math.inf, math.nan, -0.5])
+    def test_delta_must_be_finite_and_nonnegative(self, delta):
+        # an infinite delta once generated an all-NaN y
+        with pytest.raises(ValueError, match="delta must be finite and nonnegative"):
+            CouplingSpec(scheme="additive_perturb", delta=delta)
+
 
 class TestDrawEffects:
     """The one effect-drawing helper, as a block and as the single-replicate case."""
