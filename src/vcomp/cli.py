@@ -1,10 +1,10 @@
 """Config-driven command line: generate datasets, fit the MLE, run experiments.
 
-Exit codes: 0 success, 1 I/O or numeric failure, 2 statistical flag
+Exit codes: 0 success, 1 I/O, numeric or memory failure, 2 statistical flag
 (non-identifiable design or degenerate cell).  Configs are JSON with strict
 key checking; relative paths resolve against the config file's directory.
-The seed is taken from --seed, then the config, then the VCOMP_SEED
-environment variable.
+generate and experiment take the seed from --seed, then the config, then the
+VCOMP_SEED environment variable; fit draws nothing and takes no seed.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ _DESIGN_KEYS = {"kind", "lambdas"}
 _PARAMS_KEYS = {"sigma2", "eta2"}
 _LAWS_KEYS = {"beta", "eps"}
 _COUPLING_KEYS = {"scheme", "delta", "fraction"}
-_FIT_KEYS = {"x", "y", "trace", "seed"}
+_FIT_KEYS = {"x", "y", "trace"}
 _EXPERIMENT_KEYS = {
     "kind", "n_grid", "replicates", "params", "laws", "design", "seed",
     "r_grid", "test_fn", "coupling",
@@ -71,10 +71,12 @@ def _required(obj: dict, key: str, where: str):
     return obj[key]
 
 
-def _integer(value, key: str) -> int:
+def _integer(value, key: str, count: bool = True) -> int:
     # bool is a subclass of int, and int() would silently truncate 3.7
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{key}: expected an integer, got {value!r}")
+    if count and value >= 2**63:  # a seed is masked to 64 bits; a count reaches numpy as an int64
+        raise ConfigError(f"{key}: expected a count below 2**63, got {value}")
     return value
 
 
@@ -120,7 +122,7 @@ def _resolve_seed(args, cfg: dict) -> int:
     if args.seed is not None:
         return args.seed
     if "seed" in cfg:
-        return _integer(cfg["seed"], "seed")
+        return _integer(cfg["seed"], "seed", count=False)
     env = os.environ.get("VCOMP_SEED")
     if env is not None:
         if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", env):
@@ -142,7 +144,7 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def _manifest(outdir: Path, command: str, cfg_digest: str, seed: int) -> None:
+def _manifest(outdir: Path, command: str, cfg_digest: str, seed: int | None) -> None:
     blas = _openblas()  # None under another BLAS, where one_blas_thread does nothing
     _write_json(
         outdir / "manifest.json",
@@ -195,7 +197,7 @@ def cmd_generate(args) -> int:
     cfg, _ = _load_config(args.config)
     _check_keys(cfg, _GENERATE_KEYS, "generate config")
     seed_val = _resolve_seed(args, cfg)
-    seed = SeedSpec(master_seed=seed_val, stream_id=_integer(cfg.get("stream", 0), "stream"))
+    seed = SeedSpec(master_seed=seed_val, stream_id=_integer(cfg.get("stream", 0), "stream", count=False))
     n = _integer(_required(cfg, "n", "generate config"), "n")
     p = _integer(_required(cfg, "p", "generate config"), "p")
     design = _design_from_cfg(cfg.get("design", {"kind": "gaussian_iid"}), _DESIGN_KEYS)
@@ -231,7 +233,6 @@ def cmd_fit(args) -> int:
     trace = cfg.get("trace", False)
     if not isinstance(trace, bool):  # bool("false") is True
         raise ConfigError(f"trace: expected true or false, got {trace!r}")
-    seed = _resolve_seed(args, cfg)
     y = load_vector(y_path)
     # decompose_gram holds the design's only reference and drops it once the
     # Gram is formed, so no n x p matrix is resident during the eigensolve;
@@ -246,7 +247,7 @@ def cmd_fit(args) -> int:
         out["trace"] = [[e, ll] for e, ll in fit.eta_grid_trace]
     outdir = Path(args.out)
     _write_json(outdir / "fit.json", out)
-    _manifest(outdir, "fit", _config_digest(cfg), seed)
+    _manifest(outdir, "fit", _config_digest(cfg), None)
     return 2 if fit.identifiability_flag else 0
 
 
@@ -318,8 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="master seed (overrides config and VCOMP_SEED)")
         p.set_defaults(handler=fn)
+        if name != "fit":
+            p.add_argument("--seed", type=int, default=None, help="master seed (overrides config and VCOMP_SEED)")
         if name == "experiment":
             p.add_argument("--workers", type=int, default=1, help="worker processes (results are invariant to this)")
     return parser
@@ -334,6 +336,9 @@ def main(argv=None) -> int:
         return 2
     except (ConfigError, VcompError, OSError, ValueError, KeyError) as exc:
         print(f"vcomp: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        print(f"vcomp: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

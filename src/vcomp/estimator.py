@@ -158,22 +158,12 @@ def loglik(state: ScoreState, theta: ModelParams) -> float:
     return -0.5 * math.log(theta.sigma_sq) - 0.5 * logdet - ss / (2.0 * theta.sigma_sq)
 
 
-def _profile_loglik(y_sq: np.ndarray, spec: GramSpectrum, eta_sq: float) -> float:
-    """-1/2 log sstar - 1/(2n) sum log(eta^2 lam + 1) - 1/2 on one row."""
-    ss, *_, logdet = _sums_at(y_sq, spec, eta_sq)
+def profile_loglik(state: ScoreState, eta_sq: float) -> float:
+    """ell evaluated at the profiled sigma^2: -1/2 log sstar - 1/(2n) sum log(.) - 1/2."""
+    ss, *_, logdet = _sums_at(state.y_check**2, state.spec, eta_sq)
     if ss <= 0.0:
         raise DegenerateDataError("profiled variance vanished (y = 0?)")
     return -0.5 * math.log(ss) - 0.5 * logdet - 0.5
-
-
-def profile_loglik(state: ScoreState, eta_sq: float) -> float:
-    """ell evaluated at the profiled sigma^2: -1/2 log sstar - 1/(2n) sum log(.) - 1/2."""
-    return _profile_loglik(state.y_check**2, state.spec, eta_sq)
-
-
-def pop_profile_loglik(eta_sq: float, params: ModelParams, spec: GramSpectrum) -> float:
-    """Population profile likelihood (additive constants included as displayed)."""
-    return _profile_loglik(_pop_sq(params, spec), spec, eta_sq) - 0.5 * math.log(params.sigma_sq)
 
 
 def profile_score(state: ScoreState, eta_sq: float) -> float:

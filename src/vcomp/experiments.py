@@ -25,6 +25,8 @@ import hashlib
 import io
 import json
 import math
+import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
@@ -37,8 +39,8 @@ from . import estimator as est
 from .errors import NonIdentifiableError, NumericalError, TailGridError
 from .laws import SeedSpec, law_by_name, rng_for, sample_rows, shared_rng
 from .matio import exit_with_parent
-from .model import (CouplingSpec, DesignSpec, ModelParams, design_eigenvalues, draw_effects, draw_eigenbasis,
-                    gen_design, haar_orthogonal)
+from .model import (COUPLING_SCHEMES, CouplingSpec, DesignSpec, ModelParams, design_eigenvalues, draw_effects,
+                    draw_eigenbasis, gen_design, haar_orthogonal)
 from .qform import QuadraticForm, build_w, napprox_rate, sigma_k_sq
 from .spectrum import GramSpectrum, decompose_gram
 
@@ -72,7 +74,6 @@ _GH_NODES = 128  # per axis: 64 came within 1.2e-9 of adaptive quadrature; 512 g
 class SmoothTestFn:
     """A smooth bounded test function with documented derivative-norm bounds."""
 
-    name: str
     evaluator: Callable[[np.ndarray], np.ndarray]
     norm_bounds: tuple[float, float, float, float]  # |f|_0 .. |f|_3
 
@@ -90,7 +91,7 @@ def tanh_product(scales: tuple[float, ...]) -> SmoothTestFn:
         return np.prod(np.tanh(np.asarray(x, dtype=np.float64) / a), axis=-1)
 
     bounds = (1.0, 1.0 / amin, 1.0 / amin**2, 2.0 / amin**3)
-    return SmoothTestFn(name=f"tanh_product{tuple(float(s) for s in scales)}", evaluator=evaluator, norm_bounds=bounds)
+    return SmoothTestFn(evaluator=evaluator, norm_bounds=bounds)
 
 
 def tanh_sum(scales: tuple[float, ...]) -> SmoothTestFn:
@@ -105,15 +106,11 @@ def tanh_sum(scales: tuple[float, ...]) -> SmoothTestFn:
     def evaluator(x: np.ndarray) -> np.ndarray:
         return np.tanh(np.sum(np.asarray(x, dtype=np.float64), axis=-1) / a)
 
-    return SmoothTestFn(
-        name=f"tanh_sum({a})",
-        evaluator=evaluator,
-        norm_bounds=(1.0, 1.0 / a, 1.0 / a**2, 2.0 / a**3),
-    )
+    return SmoothTestFn(evaluator=evaluator, norm_bounds=(1.0, 1.0 / a, 1.0 / a**2, 2.0 / a**3))
 
 
 def constant_fn(value: float = 1.0) -> SmoothTestFn:
-    return SmoothTestFn(name=f"constant({value})", evaluator=lambda x: np.full(np.asarray(x).shape[:-1], value), norm_bounds=(abs(value), 0.0, 0.0, 0.0))
+    return SmoothTestFn(evaluator=lambda x: np.full(np.asarray(x).shape[:-1], value), norm_bounds=(abs(value), 0.0, 0.0, 0.0))
 
 
 _TEST_FNS = {"tanh_product": tanh_product, "tanh_sum": tanh_sum}
@@ -170,6 +167,8 @@ class ExperimentPlan:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
         if self.replicates < 100:
             raise ValueError("need at least 100 replicates for reported stderrs")
+        if self.replicates > _CTRL_STREAM:  # replicate r draws from stream c << 32 | r, below the reserved ids
+            raise ValueError(f"replicates must be at most {_CTRL_STREAM}, got {self.replicates}")
         if not self.n_grid or any(
             b <= a for a, b in zip(self.n_grid, self.n_grid[1:])
         ):
@@ -178,6 +177,8 @@ class ExperimentPlan:
             b <= a for a, b in zip(self.r_grid, self.r_grid[1:])
         ):
             raise ValueError(f"r_grid must be positive, finite and strictly increasing, got {list(self.r_grid)}")
+        if self.coupling_scheme not in COUPLING_SCHEMES:
+            raise ValueError(f"unknown coupling scheme {self.coupling_scheme!r}")
         if self.delta_scale not in ("absolute", "inverse_n"):
             raise ValueError(f"unknown delta_scale {self.delta_scale!r}")
         if self.qspec not in ("equispaced", "identity"):
@@ -289,13 +290,8 @@ def wilson_interval(k: int, n: int, z: float = _WILSON_Z) -> tuple[float, float]
     return center - half, center + half
 
 
-def ols_loglog(x: np.ndarray, y: np.ndarray) -> dict:
-    """OLS of log(y) on log(x): slope, its stderr, and R^2."""
-    lx, ly = np.log(np.asarray(x, float)), np.log(np.asarray(y, float))
-    return _ols(lx, ly)
-
-
 def _ols(x: np.ndarray, y: np.ndarray) -> dict:
+    """OLS of y on x: slope, intercept, the slope's stderr, and R^2."""
     n = x.size
     xc = x - x.mean()
     sxx = float(xc @ xc)
@@ -401,21 +397,18 @@ def _chunks(total: int, workers: int, block: int = _FIT_BLOCK) -> list[tuple[int
     return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
 
 
-def _call(job):
-    """Run one ``(fn, task)`` job."""
-    fn, task = job
-    return fn(task)
-
-
-def _scatter(jobs: list, workers: int) -> list:
-    """The results of ``(fn, task)`` jobs, in order; a pool runs them when
-    ``workers`` > 1, so one scatter can mix task kinds.  The pool has at most
-    one process per job: a forked pool starts all of its processes at the
-    first submit."""
-    if workers <= 1 or len(jobs) <= 1:
-        return [_call(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=min(workers, len(jobs)), initializer=exit_with_parent) as pool:
-        return list(pool.map(_call, jobs, chunksize=1))
+def _scatter(tasks: list, workers: int) -> list:
+    """The results of ``_chunk`` tasks, in order; a pool runs them when
+    ``workers`` > 1.  The pool has at most one process per task: a forked
+    pool starts all of its processes at the first submit.  Its workers fork
+    wherever fork exists, whatever the default start method, so they inherit
+    the parent's one-thread BLAS pin (``one_blas_thread``)."""
+    if workers <= 1 or len(tasks) <= 1:
+        return [_chunk(task) for task in tasks]
+    context = multiprocessing.get_context("fork") if hasattr(os, "fork") else None
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks)), mp_context=context,
+                             initializer=exit_with_parent) as pool:
+        return list(pool.map(_chunk, tasks, chunksize=1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -478,14 +471,14 @@ def _chunk(task) -> np.ndarray:
 
 
 def _jobs(fn, plan: ExperimentPlan, cell_index: int, ctx, total: int, block: int = _FIT_BLOCK) -> list:
-    """The ``_chunk`` jobs over ``total`` rows of one cell, one per worker range."""
-    return [(_chunk, (fn, block, plan, cell_index, ctx, lo, hi)) for lo, hi in _chunks(total, plan.workers, block)]
+    """The ``_chunk`` tasks over ``total`` rows of one cell, one per worker range."""
+    return [(fn, block, plan, cell_index, ctx, lo, hi) for lo, hi in _chunks(total, plan.workers, block)]
 
 
 def _gather(groups: list[list], workers: int) -> list:
-    """Every group's jobs in one scatter; per group, its rows in order, or
-    None for a group without jobs."""
-    parts = iter(_scatter([job for group in groups for job in group], workers))
+    """Every group's tasks in one scatter; per group, its rows in order, or
+    None for a group without tasks."""
+    parts = iter(_scatter([task for group in groups for task in group], workers))
     return [np.concatenate([next(parts) for _ in group]) if group else None for group in groups]
 
 
@@ -840,7 +833,7 @@ def run_consistency(plan: ExperimentPlan) -> ExperimentReport:
 
     gates = [_trend_gate("medians_decreasing", medians, stderrs)]
     if len(plan.n_grid) >= 2:
-        fitres = ols_loglog(np.array(plan.n_grid, float), np.array(medians))
+        fitres = _ols(np.log(plan.n_grid), np.log(medians))
         gates.append(_window_gate("slope_window", fitres["slope"], fitres["stderr"], (-0.7, -0.3),
                                   r2=fitres["r2"]))
     return _report(plan, cells, gates)

@@ -25,7 +25,7 @@ _SUB_SPARSE = 3
 _SUB_PERTURB = 4
 _SUB_EIGENBASIS = 5
 
-COUPLING_SCHEMES = ("none", "additive_perturb", "sparse_zero")
+COUPLING_SCHEMES = ("additive_perturb", "sparse_zero")
 
 
 @dataclass(frozen=True)
@@ -154,12 +154,12 @@ def draw_effects(n: int, p: int, params: ModelParams, beta_law: SubGaussianLaw,
     stacked by row; row i is drawn from the replicate stream of ``seeds[i]``.
 
     Beta and eps come from rescaled unit-variance laws on their own
-    substreams.  Without coupling (or with scheme ``none``) y uses beta
-    itself, otherwise the coupled effects beta_tilde.
+    substreams.  Without coupling y uses beta itself, otherwise the coupled
+    effects beta_tilde.
     """
     beta = math.sqrt(params.beta_variance(p)) * sample_rows(beta_law, p, seeds, _SUB_BETA)
     eps = math.sqrt(params.sigma_sq) * sample_rows(eps_law, n, seeds, _SUB_EPS)
-    if coupling is None or coupling.scheme == "none":
+    if coupling is None:
         return beta, eps, beta
     if coupling.scheme == "sparse_zero":
         k = int(round(coupling.fraction * p))
@@ -213,9 +213,9 @@ def gen_coupled(
 ) -> Dataset:
     """As gen_independent, but y uses the coupled effects beta_tilde.
 
-    The independent partner beta (same substreams as gen_independent, so the
-    ``none`` scheme reproduces it bitwise) and the realized coupling distance
-    are retained on the returned dataset; ``coupling`` None is gen_independent.
+    The independent partner beta (same substreams as gen_independent) and the
+    realized coupling distance are retained on the returned dataset;
+    ``coupling`` None is gen_independent.
     """
     X = np.asarray(X, dtype=np.float64)
     (beta,), (eps,), (beta_y,) = draw_effects(*X.shape, params, beta_law, eps_law, [seed], coupling)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import vcomp
-from vcomp import cli, estimator
+from vcomp import cli, estimator, experiments
 from vcomp.cli import _plan_from_cfg, main
 from vcomp.experiments import ExperimentPlan, _openblas
 from vcomp.matio import save_matrix_csv
@@ -198,14 +198,20 @@ class TestFit:
         err = capsys.readouterr().err
         assert err == f"vcomp: error: {tmp_path / 'y.csv'}: expected a vector, got shape (2, 2)\n"
 
-    def test_bad_env_seed_writes_no_output(self, tmp_path, capsys, monkeypatch):
-        # the seed is resolved before the CSV parse and before fit.json is written
+    def test_fit_takes_no_seed(self, tmp_path, capsys, monkeypatch):
+        # a fit draws nothing: no seed key or flag, VCOMP_SEED is not read, and the manifest says so
         write_recovery_fixture(tmp_path)
         monkeypatch.setenv("VCOMP_SEED", "abc")
         cfg = write_config(tmp_path / "c.cfg", {"x": "X.csv", "y": "y.csv"})
-        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
-        assert "vcomp: error: VCOMP_SEED: expected an integer" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert json.loads((tmp_path / "out" / "manifest.json").read_text())["seed"] is None
+        seeded = write_config(tmp_path / "s.cfg", {"x": "X.csv", "y": "y.csv", "seed": 3})
+        assert main(["fit", "--config", seeded, "--out", str(tmp_path / "o")]) == 1
+        assert "vcomp: error: fit config: unknown keys ['seed']" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "3"])
+        assert exc.value.code == 2 and "unrecognized arguments: --seed 3" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_non_finite_y_is_named(self, tmp_path, capsys):
         # a nan once reached the search and was reported as a non-finite likelihood
@@ -513,7 +519,7 @@ GEN_CFG = {
     "p": 4,
     "params": {"sigma2": 1.0, "eta2": 1.0},
     "laws": {"beta": "gaussian", "eps": "gaussian"},
-    "coupling": {"scheme": "none"},
+    "coupling": {"scheme": "additive_perturb"},
     "seed": 1,
 }
 FIT_CFG = {"x": "X.csv", "y": "y.csv"}
@@ -577,7 +583,6 @@ class TestConfigValidation:
             ("generate", ("stream",)),
             ("generate", ("n",)),
             ("generate", ("p",)),
-            ("fit", ("seed",)),
             ("experiment", ("seed",)),
             ("experiment", ("replicates",)),
             ("experiment", ("n_grid", 0)),
@@ -656,6 +661,23 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("vcomp: error: ") and "file holds 0 bytes" in err
 
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError("Unable to allocate 6.25 EiB for an array with shape (30, 30000000000000000)"),
+         "Unable to allocate 6.25 EiB for an array with shape (30, 30000000000000000)"),
+        (MemoryError(), "out of memory"),
+    ], ids=["numpy", "bare"])
+    def test_memory_exhaustion_exit_one(self, tmp_path, capsys, monkeypatch, error, message):
+        # a design that cannot be allocated once ended in a traceback
+        def gen_design(*args):
+            raise error
+
+        monkeypatch.setattr(experiments, "gen_design", gen_design)
+        cfg = write_config(tmp_path / "c.cfg", {
+            "kind": "tail_envelope", "n_grid": [30], "replicates": 100, "r_grid": [0.3],
+            "laws": {"beta": "rademacher", "eps": "rademacher"}, "design": {"p_ratio": 1e15}})
+        assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"vcomp: error: {message}\n"
+
     @pytest.mark.parametrize(
         "path, value",
         [
@@ -691,6 +713,10 @@ class TestConfigValidation:
             ({"kind": "normality", "test_fn": {"name": ["tanh_sum"]}}, "test_fn.name"),
             ({"r_grid": [0.3, 0.3]}, "r_grid"),
             ({"r_grid": [-1.0, 0.3]}, "r_grid"),
+            # 10**21 replicates ran past a 60 s timeout; replicate r draws from stream c << 32 | r
+            ({"replicates": 10**21}, "replicates: expected a count below 2**63"),
+            ({"replicates": 2**32 - 2}, "replicates must be at most 4294967293"),
+            ({"n_grid": [10**30]}, "n_grid: expected a count below 2**63"),
         ],
     )
     def test_out_of_range_value_is_named(self, tmp_path, capsys, edit, name):
@@ -716,9 +742,11 @@ class TestConfigValidation:
              "laws.eps: unknown law 'cauchy'; supported: ["),
             ("experiment", {"laws": {"beta": "cauchy", "eps": "gaussian"}},
              "laws.beta: unknown law 'cauchy'; supported: ["),
+            # numpy once said only "Maximum allowed dimension exceeded"
+            ("generate", {"p": 10**30}, f"p: expected a count below 2**63, got {10**30}"),
         ],
         ids=["generate-law", "experiment-law", "generate-lambdas", "experiment-lambdas", "generate-p_ratio",
-             "generate-unknown-law", "experiment-unknown-law"],
+             "generate-unknown-law", "experiment-unknown-law", "generate-p-beyond-int64"],
     )
     def test_bad_law_or_design_entry_is_named(self, tmp_path, capsys, command, edit, message):
         cfg = write_config(tmp_path / "c.cfg", {**BASE_CFGS[command], **edit})

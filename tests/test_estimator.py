@@ -18,7 +18,6 @@ from vcomp.estimator import (
     gaussian_fisher,
     hessian,
     loglik,
-    pop_profile_loglik,
     pop_profile_score,
     pop_profile_score_moment,
     profile_loglik,
@@ -178,18 +177,24 @@ class TestLoglik:
             assert s[1] == pytest.approx(fd2, rel=1e-6, abs=1e-9)
 
 
+def _pop_profile(eta_sq, params, spec):
+    """The population profile likelihood up to a constant: the profile
+    likelihood of the outcome whose squared coordinates are their expectations."""
+    return profile_loglik(ScoreState(y_check=np.sqrt(est._pop_sq(params, spec)), spec=spec), eta_sq)
+
+
 class TestPopProfile:
     def test_population_maximizer(self):
         spec = decompose_gram(np.random.default_rng(8).standard_normal((10, 16)))
         params = ModelParams(1.0, 0.9)
-        base = pop_profile_loglik(params.eta_sq, params, spec)
+        base = _pop_profile(params.eta_sq, params, spec)
         for eta in np.linspace(0.0, 4.0, 41):
-            assert pop_profile_loglik(float(eta), params, spec) <= base + 1e-12
+            assert _pop_profile(float(eta), params, spec) <= base + 1e-12
 
     def test_constant_spectrum_flat(self):
         spec = flat_spec()
         params = ModelParams(1.0, 1.0)
-        vals = [pop_profile_loglik(float(e), params, spec) for e in (0.0, 0.5, 1.5, 4.0)]
+        vals = [_pop_profile(float(e), params, spec) for e in (0.0, 0.5, 1.5, 4.0)]
         assert max(vals) - min(vals) < 1e-12
 
     def test_curvature_lower_bound_full_rank(self):
@@ -210,9 +215,9 @@ class TestPopProfile:
             * (spec.lambda_1 + 1.0) ** 4
             * (1.0 / lam_n0 + 1.0) ** 2
         )
-        base = pop_profile_loglik(params.eta_sq, params, spec)
+        base = _pop_profile(params.eta_sq, params, spec)
         for eta in np.linspace(0.0, 5.0, 26):
-            gap = base - pop_profile_loglik(float(eta), params, spec)
+            gap = base - _pop_profile(float(eta), params, spec)
             d = eta - params.eta_sq
             bound = d * d * c * v / (abs(d) + 1.0) ** 2
             assert gap >= bound - 1e-12

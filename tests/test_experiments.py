@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -20,6 +21,7 @@ from vcomp.experiments import (
     _CTRL_STREAM,
     _FIT_BLOCK,
     REPORT_HEADER,
+    _ols,
     _bidiagonal_gram_eigenvalues,
     _cell_design,
     _cell_p,
@@ -49,7 +51,6 @@ from vcomp.experiments import (
     gaussian_expectation,
     mean_with_stderr,
     median_with_stderr,
-    ols_loglog,
     resolve_test_fn,
     run_consistency,
     run_coupling,
@@ -97,6 +98,18 @@ class TestPlanValidation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             small_plan(kind="bootstrap")
+
+    @pytest.mark.parametrize("scheme", ["none", "swap"])
+    def test_unknown_coupling_scheme(self, scheme):
+        # checked with the plan, not after the first cell's design and eigensolve
+        with pytest.raises(ValueError, match=f"unknown coupling scheme '{scheme}'"):
+            small_plan(kind="coupling", coupling_scheme=scheme, delta_grid=(0.0,))
+
+    def test_replicates_stay_below_the_reserved_streams(self):
+        # replicate r draws from stream c << 32 | r; the top three ids are the cell's own
+        small_plan(replicates=_CTRL_STREAM)
+        with pytest.raises(ValueError, match=f"replicates must be at most {_CTRL_STREAM}"):
+            small_plan(replicates=_CTRL_STREAM + 1)
 
     @pytest.mark.parametrize("p_ratio, message", [
         (math.inf, "positive and finite"), (math.nan, "positive and finite"), (0.0, "positive and finite"),
@@ -158,7 +171,7 @@ class TestStatHelpers:
     def test_ols_loglog_recovers_slope(self):
         x = np.array([100.0, 200.0, 400.0, 800.0])
         y = 3.0 * x**-0.5
-        fit = ols_loglog(x, y)
+        fit = _ols(np.log(x), np.log(y))
         assert fit["slope"] == pytest.approx(-0.5, abs=1e-12)
         assert fit["r2"] == pytest.approx(1.0)
 
@@ -260,6 +273,16 @@ class TestGaussianExpectation:
         assert abs(val) < 5 * err + 1e-3
 
 
+def _rows(plan, cell_index, ctx, lo, hi):
+    """A ``_chunk`` block function (module level, so picklable): its row ids."""
+    return np.arange(lo, hi)
+
+
+def _blas_threads(plan, cell_index, ctx, lo, hi):
+    """A ``_chunk`` block function: the OpenBLAS thread count of the process that runs it."""
+    return np.full(hi - lo, _openblas().scipy_openblas_get_num_threads64_())
+
+
 class TestDeterminism:
     def test_rerun_byte_identical(self):
         plan = small_plan()
@@ -299,9 +322,25 @@ class TestDeterminism:
 
     def test_pool_has_at_most_one_process_per_job(self, pool_sizes):
         # a forked pool starts all max_workers processes at its first submit
-        assert experiments._scatter([(abs, -1), (abs, -2)], 3) == [1, 2]
-        assert experiments._scatter([(abs, -1), (abs, -2), (abs, -3)], 2) == [1, 2, 3]
+        tasks = [(_rows, 1, None, 0, None, lo, lo + 1) for lo in range(3)]
+        assert [t.tolist() for t in experiments._scatter(tasks[:2], 3)] == [[0], [1]]
+        assert [t.tolist() for t in experiments._scatter(tasks, 2)] == [[0], [1], [2]]
         assert pool_sizes == [2, 2]
+
+    @pytest.mark.skipif(_openblas() is None or not hasattr(os, "fork"),
+                        reason="needs numpy's bundled OpenBLAS and fork")
+    def test_pool_workers_fork_under_any_default_start_method(self, monkeypatch):
+        # a spawned worker reads OPENBLAS_NUM_THREADS afresh instead of
+        # inheriting the one-thread pin, and reports then depend on --workers
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        default = multiprocessing.get_start_method(allow_none=True)
+        multiprocessing.set_start_method("spawn", force=True)
+        try:
+            with experiments.one_blas_thread():
+                threads = experiments._scatter([(_blas_threads, 1, None, 0, None, lo, lo + 1) for lo in range(2)], 2)
+        finally:
+            multiprocessing.set_start_method(default, force=True)
+        assert [t.tolist() for t in threads] == [[1], [1]]
 
     def test_coupling_starts_one_pool_per_cell(self, pool_sizes):
         # the independent fits and every delta's coupled fits share one scatter

@@ -304,11 +304,11 @@ def test_pool_workers_exit_when_the_parent_is_killed(pool):
     script = """
 import os, sys, time
 from vcomp import experiments, matio
-def job(_):
+def job(*_):
     os.write(1, f"{os.getpid()}\\n".encode())  # one write: the two lines cannot interleave
     time.sleep(60)
 if sys.argv[1] == "experiments":
-    experiments._scatter([(job, 0), (job, 1)], 2)
+    experiments._scatter([(job, 1, None, 0, None, r, r + 1) for r in range(2)], 2)
 else:
     with matio._pool(2) as pool:
         list(pool.map(job, range(2)))

@@ -138,14 +138,15 @@ class TestGenCoupled:
         self.X = rng.standard_normal((10, 8))
         self.params = ModelParams(1.0, 1.0)
 
-    def test_none_scheme_matches_independent(self):
+    def test_no_coupling_matches_independent(self):
+        # None is the one way to say "no coupling"; a "none" scheme is unknown
         seed = SeedSpec(20, 3)
         ind = gen_independent(self.X, self.params, GAUSSIAN, GAUSSIAN, seed)
-        coup = gen_coupled(
-            self.X, self.params, GAUSSIAN, GAUSSIAN, CouplingSpec(scheme="none"), seed
-        )
+        coup = gen_coupled(self.X, self.params, GAUSSIAN, GAUSSIAN, None, seed)
         assert np.array_equal(ind.y, coup.y)
-        assert coup.coupling.coupling_distance == 0.0
+        assert coup.coupling is None
+        with pytest.raises(ValueError, match="unknown coupling scheme 'none'"):
+            CouplingSpec(scheme="none")
 
     def test_delta_zero_matches_independent_bitwise(self):
         seed = SeedSpec(21, 5)
@@ -219,7 +220,6 @@ class TestDrawEffects:
 
     @pytest.mark.parametrize("coupling", [
         None,
-        CouplingSpec(scheme="none"),
         CouplingSpec(scheme="additive_perturb", delta=0.4),
         CouplingSpec(scheme="sparse_zero", fraction=0.4),
     ], ids=lambda c: "independent" if c is None else c.scheme)
