@@ -575,20 +575,22 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert f"vcomp: error: {where}: missing required key '{path[-1]}'" in err
 
+    # The case ids keep the numbers the cases had while the list also held
+    # a fit seed case (path4), so each case is reported under a stable name.
     @pytest.mark.parametrize("bad", [True, 3.7], ids=["bool", "float"])
     @pytest.mark.parametrize(
         "command, path",
         [
-            ("generate", ("seed",)),
-            ("generate", ("stream",)),
-            ("generate", ("n",)),
-            ("generate", ("p",)),
-            ("experiment", ("seed",)),
-            ("experiment", ("replicates",)),
-            ("experiment", ("n_grid", 0)),
-            ("experiment", ("k_forms",)),
-            ("experiment", ("surrogate_draws",)),
-            ("experiment", ("control_draws",)),
+            pytest.param("generate", ("seed",), id="generate-path0"),
+            pytest.param("generate", ("stream",), id="generate-path1"),
+            pytest.param("generate", ("n",), id="generate-path2"),
+            pytest.param("generate", ("p",), id="generate-path3"),
+            pytest.param("experiment", ("seed",), id="experiment-path5"),
+            pytest.param("experiment", ("replicates",), id="experiment-path6"),
+            pytest.param("experiment", ("n_grid", 0), id="experiment-path7"),
+            pytest.param("experiment", ("k_forms",), id="experiment-path8"),
+            pytest.param("experiment", ("surrogate_draws",), id="experiment-path9"),
+            pytest.param("experiment", ("control_draws",), id="experiment-path10"),
         ],
     )
     def test_ill_typed_integer_is_rejected(self, tmp_path, capsys, command, path, bad):
