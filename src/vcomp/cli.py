@@ -228,8 +228,8 @@ def cmd_generate(args) -> int:
 def cmd_fit(args) -> int:
     cfg, base = _load_config(args.config)
     _check_keys(cfg, _FIT_KEYS, "fit config")
-    x_path = base / _required(cfg, "x", "fit config")
-    y_path = base / _required(cfg, "y", "fit config")
+    x_path = base / _name(_required(cfg, "x", "fit config"), "x")
+    y_path = base / _name(_required(cfg, "y", "fit config"), "y")
     trace = cfg.get("trace", False)
     if not isinstance(trace, bool):  # bool("false") is True
         raise ConfigError(f"trace: expected true or false, got {trace!r}")

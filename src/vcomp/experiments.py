@@ -173,6 +173,9 @@ class ExperimentPlan:
             b <= a for a, b in zip(self.n_grid, self.n_grid[1:])
         ):
             raise ValueError("n_grid must be nonempty and strictly increasing")
+        least = 1 if self.kind == "stein_discrepancy" else 2  # a fit needs two rows; a Stein cell one dimension
+        if self.n_grid[0] < least:
+            raise ValueError(f"n_grid: need n >= {least}, got {self.n_grid[0]}")
         if not all(math.isfinite(r) and r > 0 for r in self.r_grid) or any(
             b <= a for a, b in zip(self.r_grid, self.r_grid[1:])
         ):
@@ -288,6 +291,14 @@ def wilson_interval(k: int, n: int, z: float = _WILSON_Z) -> tuple[float, float]
     center = (k + z * z / 2.0) / denom
     half = z * math.sqrt(k * (n - k) / n + z * z / 4.0) / denom
     return center - half, center + half
+
+
+def _proportion(hits: np.ndarray) -> tuple[int, float, float, tuple[float, float]]:
+    """The count k of true ``hits``, the proportion p = k / size, its stderr
+    sqrt(p (1 - p) / size), floored above 0, and its Wilson interval."""
+    k, size = int(np.count_nonzero(hits)), hits.size
+    p = k / size
+    return k, p, math.sqrt(max(p * (1 - p), 1e-300) / size), wilson_interval(k, size)
 
 
 def _ols(x: np.ndarray, y: np.ndarray) -> dict:
@@ -470,15 +481,13 @@ def _chunk(task) -> np.ndarray:
     return np.concatenate([fn(plan, cell_index, ctx, b, min(b + block, hi)) for b in range(lo, hi, block)])
 
 
-def _jobs(fn, plan: ExperimentPlan, cell_index: int, ctx, total: int, block: int = _FIT_BLOCK) -> list:
-    """The ``_chunk`` tasks over ``total`` rows of one cell, one per worker range."""
-    return [(fn, block, plan, cell_index, ctx, lo, hi) for lo, hi in _chunks(total, plan.workers, block)]
-
-
-def _gather(groups: list[list], workers: int) -> list:
-    """Every group's tasks in one scatter; per group, its rows in order, or
-    None for a group without tasks."""
-    parts = iter(_scatter([task for group in groups for task in group], workers))
+def _gather(plan: ExperimentPlan, cell_index: int, *jobs) -> list:
+    """Every job ``(fn, ctx, total, block)`` of one cell in one scatter, as
+    ``_chunk`` tasks over ``total`` rows, one per worker range; per job, its
+    rows in order, or None for a job without rows."""
+    groups = [[(fn, block, plan, cell_index, ctx, lo, hi) for lo, hi in _chunks(total, plan.workers, block)]
+              for fn, ctx, total, block in jobs]
+    parts = iter(_scatter([task for group in groups for task in group], plan.workers))
     return [np.concatenate([next(parts) for _ in group]) if group else None for group in groups]
 
 
@@ -512,6 +521,14 @@ def _fit_counts(rows: np.ndarray) -> dict:
     """Cell counters from ``_fit_rows`` columns 2 and 3."""
     cap_hits, nonconverged = np.count_nonzero(rows[:, 2:4], axis=0).tolist()
     return {"cap_hits": cap_hits, "nonconverged": nonconverged}
+
+
+def _error_cell(rows: np.ndarray, theta0: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Each ``_fit_rows`` row's error ||theta_hat - theta_0||, and the cell
+    fields of their median: ``estimate``, its ``stderr`` and the counters."""
+    errs = np.linalg.norm(rows[:, :2] - theta0, axis=1)
+    med, se = median_with_stderr(errs)
+    return errs, {"estimate": med, "stderr": se, **_fit_counts(rows)}
 
 
 # block functions of ``_chunk`` (module level, so picklable) ------------------
@@ -744,8 +761,14 @@ def _decreasing_gates(values: np.ndarray, stderrs: np.ndarray) -> tuple[bool, bo
     return bool(noise_ok), strict
 
 
-def _trend_gate(name: str, values, stderrs) -> dict:
-    """``name``: values decreasing along the grid, see ``_decreasing_gates``."""
+def _estimates(cells: list[dict]) -> tuple[list[float], list[float]]:
+    """The cells' estimates and their stderrs, in cell order."""
+    return [c["estimate"] for c in cells], [c["stderr"] for c in cells]
+
+
+def _trend_gate(name: str, cells: list[dict]) -> dict:
+    """``name``: the cells' estimates decreasing along the grid, see ``_decreasing_gates``."""
+    values, stderrs = _estimates(cells)
     noise_ok, strict = _decreasing_gates(np.array(values), np.array(stderrs))
     return _gate(name, noise_ok, strict, values=[float(v) for v in values],
                  stderrs=[float(v) for v in stderrs])
@@ -788,8 +811,7 @@ def _discrepancy(plan: ExperimentPlan, cell_index: int, fn: SmoothTestFn, V: np.
 
 def _discrepancy_gates(cells: list[dict]) -> list[dict]:
     """The endpoint-drop and trend gates on the cells' discrepancies."""
-    discs, ses = [c["estimate"] for c in cells], [c["stderr"] for c in cells]
-    return [_endpoint_drop_gate(discs, ses), _trend_gate("discrepancy_trend", discs, ses)]
+    return [_endpoint_drop_gate(*_estimates(cells)), _trend_gate("discrepancy_trend", cells)]
 
 
 # ---------------------------------------------------------------------------
@@ -803,37 +825,30 @@ def run_consistency(plan: ExperimentPlan) -> ExperimentReport:
     bidiagonal of Dumitriu & Edelman (2002) (``_cell_spectrum``)."""
     theta0 = plan.params().as_array()
     cells = []
-    medians, stderrs = [], []
     for ci, n in enumerate(plan.n_grid):
         X, spec = _cell_spectrum(plan, ci, n)
         if est.not_identifiable(spec):
             raise NonIdentifiableError(
                 f"cell n={n}: eigenvalue variance below the identifiability floor"
             )
-        [rows] = _gather([_jobs(_theta_block, plan, ci, (X, spec, None), plan.replicates)], plan.workers)
-        thetas = rows[:, :2]
-        errs = np.linalg.norm(thetas - theta0, axis=1)
-        med, se = median_with_stderr(errs)
+        [rows] = _gather(plan, ci, (_theta_block, (X, spec, None), plan.replicates, _FIT_BLOCK))
+        errs, fields = _error_cell(rows, theta0)
         # a capped fit's error is the distance to the cap, about 1e6
         uncapped = errs[rows[:, 2] == 0.0]
-        medians.append(med)
-        stderrs.append(se)
         cells.append(
             {
                 "cell": f"n={n}",
                 "n": n,
                 "p": _cell_p(plan, n),
-                "estimate": med,
-                "stderr": se,
+                **fields,
                 "mean_error_uncapped": float(np.mean(uncapped)) if uncapped.size else math.nan,
-                "boundary_fraction": float(np.mean(thetas[:, 1] == 0.0)),
-                **_fit_counts(rows),
+                "boundary_fraction": float(np.mean(rows[:, 1] == 0.0)),
             }
         )
 
-    gates = [_trend_gate("medians_decreasing", medians, stderrs)]
+    gates = [_trend_gate("medians_decreasing", cells)]
     if len(plan.n_grid) >= 2:
-        fitres = _ols(np.log(plan.n_grid), np.log(medians))
+        fitres = _ols(np.log(plan.n_grid), np.log(_estimates(cells)[0]))
         gates.append(_window_gate("slope_window", fitres["slope"], fitres["stderr"], (-0.7, -0.3),
                                   r2=fitres["r2"]))
     return _report(plan, cells, gates)
@@ -849,48 +864,29 @@ def run_tail(plan: ExperimentPlan) -> ExperimentReport:
     if not rs:
         raise ValueError("tail experiment needs a nonempty r grid")
     cells = []
-    total_exceed = 0
-    log_tail: dict[float, list[tuple[int, float]]] = {r: [] for r in rs}
     for ci, n in enumerate(plan.n_grid):
         X, spec = _cell_spectrum(plan, ci, n)
-        [devs] = _gather([_jobs(_tail_block, plan, ci, _tail_context(plan, X, spec), plan.replicates)],
-                         plan.workers)
+        [devs] = _gather(plan, ci, (_tail_block, _tail_context(plan, X, spec), plan.replicates, _FIT_BLOCK))
         for r in rs:
-            k = int(np.count_nonzero(devs > r))
-            total_exceed += k
-            phat = k / plan.replicates
-            w_lo, w_hi = wilson_interval(k, plan.replicates)
-            se = math.sqrt(max(phat * (1 - phat), 1e-300) / plan.replicates)
-            reliable = k >= 5
-            if reliable:
-                log_tail[r].append((n, math.log(phat)))
-            cells.append(
-                {
-                    "cell": f"n={n},r={r}",
-                    "n": n,
-                    "r": r,
-                    "estimate": phat,
-                    "stderr": se,
-                    "exceedances": k,
-                    "wilson_low": w_lo,
-                    "wilson_high": w_hi,
-                    "reliable": reliable,
-                }
-            )
-    if total_exceed == 0:
+            k, phat, se, (w_lo, w_hi) = _proportion(devs > r)
+            cells.append({"cell": f"n={n},r={r}", "n": n, "r": r, "estimate": phat, "stderr": se,
+                          "exceedances": k, "wilson_low": w_lo, "wilson_high": w_hi, "reliable": k >= 5})
+    if not any(c["exceedances"] for c in cells):
         raise TailGridError("no exceedances at any r; widen (lower) the r grid")
 
     gates = []
-    for ci, n in enumerate(plan.n_grid):
-        sub = [c for c in cells if c["n"] == n]
-        vals = [c["estimate"] for c in sorted(sub, key=lambda c: c["r"])]
+    for n in plan.n_grid:
+        # a cell's r ascend with the strictly increasing r grid
+        vals = [c["estimate"] for c in cells if c["n"] == n]
         mono = all(b <= a for a, b in zip(vals, vals[1:]))
         gates.append(_gate(f"nonincreasing_in_r_n={n}", mono, mono, n=n))
     for r in rs:
-        if len(log_tail[r]) < 3:
+        reliable = [c for c in cells if c["r"] == r and c["reliable"]]
+        if len(reliable) < 3:
             gates.append(_gate(f"log_tail_linear_r={r}", True, False, note="too few reliable cells"))
             continue
-        fitres = _ols(*(np.array(col, float) for col in zip(*log_tail[r])))
+        fitres = _ols(np.array([c["n"] for c in reliable], float),
+                      np.array([math.log(c["estimate"]) for c in reliable]))
         slope, stderr, r2 = fitres["slope"], fitres["stderr"], fitres["r2"]
         gates.append(_gate(f"log_tail_linear_r={r}", slope - 2 * stderr < 0 and r2 > 0.8, slope < 0 and r2 > 0.8,
                            value=slope, stderr=stderr, r2=r2))
@@ -933,10 +929,10 @@ def run_normality(plan: ExperimentPlan) -> ExperimentReport:
         # shorter fit chunks then even out the workers' loads; Gaussian laws
         # need only the eigenvalues
         C = None if plan.gaussian() or not plan.control_draws else est.standardized_map(params, spec, X)
-        ctrl_sums, rows = _gather([
-            _jobs(_control_block, plan, ci, (replace(spec, U=None), C, j0), plan.control_draws, _CTRL_BLOCK),
-            _jobs(_lin_block, plan, ci, (X, spec, j0), plan.replicates),
-        ], plan.workers)
+        ctrl_sums, rows = _gather(
+            plan, ci, (_control_block, (replace(spec, U=None), C, j0), plan.control_draws, _CTRL_BLOCK),
+            (_lin_block, (X, spec, j0), plan.replicates, _FIT_BLOCK),
+        )
         thetas = rows[:, :2]
         u = math.sqrt(n) * (thetas - theta0)
         fvals = fn.evaluator(u)
@@ -963,9 +959,7 @@ def run_normality(plan: ExperimentPlan) -> ExperimentReport:
             fmean, fse = mean_with_stderr(fvals)
             se_reps, se_ctrl = fse, 0.0
         wald = np.einsum("ij,jk,ik->i", u, np.linalg.inv(psi), u)
-        k_cover = int(np.count_nonzero(wald <= _CHI2_2_95))
-        cover = k_cover / plan.replicates
-        cover_se = math.sqrt(max(cover * (1 - cover), 1e-300) / plan.replicates)
+        _, cover, cover_se, cover_wilson = _proportion(wald <= _CHI2_2_95)
         err_norm = np.linalg.norm(thetas - theta0, axis=1)
         far = float(np.mean(err_norm > params.sigma_sq * math.log(n) / (2 * math.sqrt(n))))
         cells.append(
@@ -978,7 +972,7 @@ def run_normality(plan: ExperimentPlan) -> ExperimentReport:
                 "stderr_control": se_ctrl,
                 "coverage95": cover,
                 "coverage95_stderr": cover_se,
-                "coverage95_wilson": list(wilson_interval(k_cover, plan.replicates)),
+                "coverage95_wilson": list(cover_wilson),
                 "far_fraction": far,
                 **_fit_counts(rows),
             }
@@ -1013,44 +1007,26 @@ def run_coupling(plan: ExperimentPlan) -> ExperimentReport:
         effective = [delta / n if plan.delta_scale == "inverse_n" else delta for delta in deltas]
         couplings = [CouplingSpec(plan.coupling_scheme, delta=d, fraction=fraction) for d in effective]
         # one scatter: the independent fits, then every delta's coupled fits
-        ind_rows, *coupled = _gather([_jobs(_theta_block, plan, ci, (X, spec, coupling), plan.replicates)
-                                      for coupling in (None, *couplings)], plan.workers)
-        ind = ind_rows[:, :2]
-        ind_err = np.linalg.norm(ind - theta0, axis=1)
-        med_ind, se_ind = median_with_stderr(ind_err)
-        cells.append(
-            {"cell": f"n={n},independent", "n": n, "estimate": med_ind, "stderr": se_ind,
-             **_fit_counts(ind_rows)}
-        )
-        med_by_delta, se_by_delta, dist_by_delta = [], [], []
+        ind_rows, *coupled = _gather(plan, ci, *((_theta_block, (X, spec, coupling), plan.replicates, _FIT_BLOCK)
+                                                 for coupling in (None, *couplings)))
+        cells.append({"cell": f"n={n},independent", "n": n, **_error_cell(ind_rows, theta0)[1]})
+        med_ind = cells[-1]["estimate"]
         for delta, delta_eff, coup in zip(deltas, effective, coupled):
-            errs = np.linalg.norm(coup[:, :2] - theta0, axis=1)
-            med, se = median_with_stderr(errs)
-            med_dist = float(np.median(coup[:, 4]))
-            med_by_delta.append(med)
-            se_by_delta.append(se)
-            dist_by_delta.append(med_dist)
             if delta == 0.0 and plan.coupling_scheme == "additive_perturb":
-                bitwise_all &= bool(np.array_equal(coup[:, :2], ind))
-            cells.append(
-                {
-                    "cell": f"n={n},delta={delta}",
-                    "n": n,
-                    "delta": delta,
-                    "delta_effective": delta_eff,
-                    "estimate": med,
-                    "stderr": se,
-                    "median_coupling_distance": med_dist,
-                    "error_ratio_vs_independent": med / med_ind if med_ind > 0 else math.inf,
-                    **_fit_counts(coup),
-                }
-            )
+                bitwise_all &= bool(np.array_equal(coup[:, :2], ind_rows[:, :2]))
+            _, fields = _error_cell(coup, theta0)
+            cells.append({"cell": f"n={n},delta={delta}", "n": n, "delta": delta, "delta_effective": delta_eff,
+                          **fields, "median_coupling_distance": float(np.median(coup[:, 4])),
+                          "error_ratio_vs_independent": fields["estimate"] / med_ind if med_ind > 0 else math.inf})
         if len(deltas) > 1:
-            mono_dist = all(b >= a for a, b in zip(dist_by_delta, dist_by_delta[1:]))
+            by_delta = cells[-len(deltas):]
+            dists = [c["median_coupling_distance"] for c in by_delta]
+            mono_dist = all(b >= a for a, b in zip(dists, dists[1:]))
             gates.append(_gate(f"distance_nondecreasing_n={n}", mono_dist, mono_dist, n=n))
             # a decrease fails only when established beyond the 2-stderr band
-            trend_noise = _decreasing_gates(-np.array(med_by_delta), np.array(se_by_delta))[0]
-            strict_trend = all(b >= a for a, b in zip(med_by_delta, med_by_delta[1:]))
+            meds, ses = _estimates(by_delta)
+            trend_noise = _decreasing_gates(-np.array(meds), np.array(ses))[0]
+            strict_trend = all(b >= a for a, b in zip(meds, meds[1:]))
             gates.append(_gate(f"error_nondecreasing_in_delta_n={n}", trend_noise, strict_trend, n=n))
 
     if plan.coupling_scheme == "additive_perturb" and 0.0 in deltas:
@@ -1076,7 +1052,7 @@ def run_stein(plan: ExperimentPlan) -> ExperimentReport:
         sigmas = [sigma_k_sq(qf, law.excess_kurtosis) for qf in qforms]
         scale = max(qf.trace_sq for qf in qforms)
         degenerate = any(s <= 1e-12 * max(scale, 1e-300) for s in sigmas)
-        [wvals] = _gather([_jobs(_wvec_block, plan, ci, wv, plan.replicates)], plan.workers)
+        [wvals] = _gather(plan, ci, (_wvec_block, wv, plan.replicates, _FIT_BLOCK))
         cell = {
             "cell": f"d={d}",
             "n": d,

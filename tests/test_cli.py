@@ -654,6 +654,16 @@ class TestConfigValidation:
         assert f"vcomp: error: trace: expected true or false, got {bad!r}" in capsys.readouterr().err
         assert not (tmp_path / "o" / "fit.json").exists()
 
+    @pytest.mark.parametrize("bad", [5, None, ["X.csv"], {"path": "X.csv"}], ids=["int", "null", "list", "object"])
+    @pytest.mark.parametrize("key", ["x", "y"])
+    def test_fit_path_must_be_a_name(self, tmp_path, capsys, key, bad):
+        # a path that is not a string once ended in a TypeError traceback from pathlib
+        write_recovery_fixture(tmp_path)
+        cfg = write_config(tmp_path / "c.cfg", {**FIT_CFG, key: bad})
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"vcomp: error: {key}: expected a name, got {bad!r}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_huge_matrix_header_exit_one(self, tmp_path, capsys):
         write_recovery_fixture(tmp_path)
         # a 16-byte file whose header declares n = p = 2^31 float64 entries
@@ -719,6 +729,11 @@ class TestConfigValidation:
             ({"replicates": 10**21}, "replicates: expected a count below 2**63"),
             ({"replicates": 2**32 - 2}, "replicates must be at most 4294967293"),
             ({"n_grid": [10**30]}, "n_grid: expected a count below 2**63"),
+            # [0] ended in an IndexError traceback, [-3] in numpy's message, [1, 10] in the first
+            # cell's, which named neither n_grid nor the limit
+            ({"kind": "stein_discrepancy", "n_grid": [0]}, "n_grid: need n >= 1, got 0"),
+            ({"kind": "stein_discrepancy", "n_grid": [-3]}, "n_grid: need n >= 1, got -3"),
+            ({"kind": "consistency", "n_grid": [1, 10]}, "n_grid: need n >= 2, got 1"),
         ],
     )
     def test_out_of_range_value_is_named(self, tmp_path, capsys, edit, name):

@@ -612,6 +612,25 @@ class TestTail:
             assert all("grid_error_bound" not in c for c in sub)
         assert any(g["gate"].startswith("log_tail_linear") for g in rep.gates)
 
+    @pytest.mark.parametrize("law", ["gaussian", "rademacher"])
+    def test_gates_read_the_cells(self, law):
+        # three n values, so each r's log-linear gate fits its reliable cells
+        plan = small_plan(kind="tail_envelope", n_grid=(30, 60, 120), replicates=300, r_grid=(0.2, 0.3),
+                          beta_law=law, eps_law=law)
+        rep = run_tail(plan)
+        gates = {g["gate"]: g for g in rep.gates}
+        for n in plan.n_grid:
+            vals = [c["estimate"] for c in sorted((c for c in rep.cells if c["n"] == n), key=lambda c: c["r"])]
+            mono = all(b <= a for a, b in zip(vals, vals[1:]))
+            assert gates[f"nonincreasing_in_r_n={n}"]["pass"] == mono
+        for r in plan.r_grid:
+            reliable = [c for c in rep.cells if c["r"] == r and c["reliable"]]
+            assert len(reliable) == 3
+            fit = _ols(np.array([c["n"] for c in reliable], float),
+                       np.array([math.log(c["estimate"]) for c in reliable]))
+            gate = gates[f"log_tail_linear_r={r}"]
+            assert (gate["value"], gate["stderr"], gate["r2"]) == (fit["slope"], fit["stderr"], fit["r2"])
+
     def test_unreliable_marking(self):
         plan = small_plan(kind="tail_envelope", n_grid=(30, 60), replicates=150,
                           r_grid=(0.2, 50.0), master_seed=5)
