@@ -41,7 +41,7 @@ from .laws import SeedSpec, law_by_name, rng_for, sample_rows, shared_rng
 from .matio import exit_with_parent
 from .model import (COUPLING_SCHEMES, CouplingSpec, DesignSpec, ModelParams, design_eigenvalues, draw_effects,
                     draw_eigenbasis, gen_design, haar_orthogonal)
-from .qform import QuadraticForm, build_w, napprox_rate, sigma_k_sq
+from .qform import QuadraticForm, build_w, napprox_rate
 from .spectrum import GramSpectrum, decompose_gram
 
 REPORT_HEADER = (
@@ -79,13 +79,14 @@ class SmoothTestFn:
 
 
 def tanh_product(scales: tuple[float, ...]) -> SmoothTestFn:
-    """f(x) = prod_j tanh(x_j / a_j); bounded with |f|_j <= 2 / min(a)^j."""
+    """f(x) = prod_j tanh(x_j / a_j), |f|_j <= 2 / min(a)^j; one value, possibly repeated, fits any width."""
     a = np.asarray(scales, dtype=np.float64)
     if a.size == 0:
         raise ValueError("tanh_product needs at least one scale, got empty scales")
     if not np.all(np.isfinite(a) & (a > 0)):
         raise ValueError(f"tanh_product scales must be positive and finite, got {list(scales)}")
     amin = float(np.min(a))
+    a = a[0] if np.all(a == amin) else a
 
     def evaluator(x: np.ndarray) -> np.ndarray:
         return np.prod(np.tanh(np.asarray(x, dtype=np.float64) / a), axis=-1)
@@ -109,16 +110,15 @@ def tanh_sum(scales: tuple[float, ...]) -> SmoothTestFn:
     return SmoothTestFn(evaluator=evaluator, norm_bounds=(1.0, 1.0 / a, 1.0 / a**2, 2.0 / a**3))
 
 
-def constant_fn(value: float = 1.0) -> SmoothTestFn:
+def constant_fn(scales: tuple[float, ...]) -> SmoothTestFn:
+    value = scales[0] if scales else 1.0
     return SmoothTestFn(evaluator=lambda x: np.full(np.asarray(x).shape[:-1], value), norm_bounds=(abs(value), 0.0, 0.0, 0.0))
 
 
-_TEST_FNS = {"tanh_product": tanh_product, "tanh_sum": tanh_sum}
+_TEST_FNS = {"tanh_product": tanh_product, "tanh_sum": tanh_sum, "constant": constant_fn}
 
 
 def resolve_test_fn(name: str, scales: tuple[float, ...]) -> SmoothTestFn:
-    if name == "constant":
-        return constant_fn(scales[0] if scales else 1.0)
     try:
         factory = _TEST_FNS[name]
     except KeyError:
@@ -196,6 +196,16 @@ class ExperimentPlan:
             raise ValueError(f"control_draws must be nonnegative, got {self.control_draws}")
         if self.kind == "stein_discrepancy" and self.k_forms not in (1, 2):
             raise ValueError("stein experiment supports K in {1, 2}")
+        if self.kind in ("normality", "stein_discrepancy"):
+            # the test function uses test_scales as given: tanh_product one scale per
+            # coordinate (2, or 2 K for Stein), and every function one value, possibly repeated
+            resolve_test_fn(self.test_fn, self.test_scales)
+            width = 2 * self.k_forms if self.kind == "stein_discrepancy" else 2
+            if len(set(self.test_scales)) > 1 and not (self.test_fn == "tanh_product" and len(self.test_scales) == width):
+                each = f"{width} scales, one per coordinate, or " if self.test_fn == "tanh_product" else ""
+                raise ValueError(f"test_scales: {self.test_fn} takes {each}one value, got {list(self.test_scales)}")
+        if self.coupling_scheme == "sparse_zero" and any(self.delta_grid):
+            raise ValueError(f"delta_grid: the sparse_zero scheme runs delta = 0 only, got {list(self.delta_grid)}")
         design = DesignSpec(self.design, self.design_lambdas)
         if design.kind == "fixed_spectrum":
             for n in self.n_grid:
@@ -458,9 +468,9 @@ def _bidiagonal_gram_eigenvalues(d: np.ndarray, e: np.ndarray) -> np.ndarray:
 def one_blas_thread():
     """Run the body with numpy's OpenBLAS on one thread, then restore the old
     count.  A threaded BLAS call can round differently from a serial one, so
-    this makes reports and ``vcomp fit`` independent of
-    ``OPENBLAS_NUM_THREADS``; forked pool workers inherit the setting.  Under
-    another BLAS it does nothing."""
+    every runner is decorated with it (re-entered on each call), and ``vcomp
+    fit`` and ``generate`` run under it; forked pool workers inherit the
+    setting.  Under another BLAS it does nothing."""
     lib = _openblas()
     if lib is None:
         yield
@@ -819,6 +829,7 @@ def _discrepancy_gates(cells: list[dict]) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
+@one_blas_thread()
 def run_consistency(plan: ExperimentPlan) -> ExperimentReport:
     """Median estimation error per n and the log-log decay slope.  With Gaussian
     laws no design is drawn: a gaussian_iid cell's eigenvalues come from the chi
@@ -854,6 +865,7 @@ def run_consistency(plan: ExperimentPlan) -> ExperimentReport:
     return _report(plan, cells, gates)
 
 
+@one_blas_thread()
 def run_tail(plan: ExperimentPlan) -> ExperimentReport:
     """Empirical tail of the uniform profile-variance deviation, per (n, r):
     sup |sstar - sigma0^2| over every eta^2 >= 0, on the fit's grid, whose far
@@ -893,6 +905,7 @@ def run_tail(plan: ExperimentPlan) -> ExperimentReport:
     return _report(plan, cells, gates)
 
 
+@one_blas_thread()
 def run_normality(plan: ExperimentPlan) -> ExperimentReport:
     """Smooth-function discrepancy between sqrt(n)(theta_hat - theta_0) and its
     Gaussian surrogate, plus Wald-ellipse coverage at the largest n.
@@ -985,6 +998,7 @@ def run_normality(plan: ExperimentPlan) -> ExperimentReport:
     return _report(plan, cells, gates)
 
 
+@one_blas_thread()
 def run_coupling(plan: ExperimentPlan) -> ExperimentReport:
     """Estimation error under coupled effects versus the independent baseline.
 
@@ -1037,19 +1051,18 @@ def run_coupling(plan: ExperimentPlan) -> ExperimentReport:
     return _report(plan, cells, gates)
 
 
+@one_blas_thread()
 def run_stein(plan: ExperimentPlan) -> ExperimentReport:
     """Normal-approximation discrepancy for centered quadratic-form vectors,
     against the d grid, together with the constant-free rate quantity."""
     law = law_by_name(plan.beta_law)
-    scales = plan.test_scales
-    if len(scales) != 2 * plan.k_forms:
-        scales = tuple(scales[:1] * (2 * plan.k_forms)) if scales else (3.0,) * (2 * plan.k_forms)
-    fn = resolve_test_fn(plan.test_fn, scales)
+    fn = resolve_test_fn(plan.test_fn, plan.test_scales)
     cells = []
     for ci, d in enumerate(plan.n_grid):
         qforms = _stein_qforms(plan, ci, d)
         wv = build_w(qforms, law)
-        sigmas = [sigma_k_sq(qf, law.excess_kurtosis) for qf in qforms]
+        # Var(z'Q_k z), clamped at 0 as ``sigma_k_sq`` clamps it
+        sigmas = [max(0.0, float(wv.v_cov[2 * k, 2 * k])) for k in range(plan.k_forms)]
         scale = max(qf.trace_sq for qf in qforms)
         degenerate = any(s <= 1e-12 * max(scale, 1e-300) for s in sigmas)
         [wvals] = _gather(plan, ci, (_wvec_block, wv, plan.replicates, _FIT_BLOCK))
@@ -1058,7 +1071,7 @@ def run_stein(plan: ExperimentPlan) -> ExperimentReport:
             "n": d,
             "degenerate": degenerate,
             "sigma_k_sq": sigmas,
-            "rate_quantity": napprox_rate(qforms, d, law.gamma, fn.norm_bounds[2:4]),
+            "rate_quantity": napprox_rate(qforms, law, fn.norm_bounds[2:4]),
         }
         if degenerate:
             cell.update(estimate=math.nan, stderr=math.nan, max_abs_w=float(np.max(np.abs(wvals))))
@@ -1087,10 +1100,7 @@ _RUNNERS = {
 
 
 def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
-    """Run a plan with BLAS on one thread, so the report's bytes do not depend
-    on the BLAS thread count."""
-    with one_blas_thread():
-        return _RUNNERS[plan.kind](plan)
+    return _RUNNERS[plan.kind](plan)
 
 
 def with_workers(plan: ExperimentPlan, workers: int) -> ExperimentPlan:

@@ -7,8 +7,9 @@ moments mu4_i, every second moment here comes from one identity,
     Cov(z'Az, z'Bz) = sum_i (mu4_i - 3) a_ii b_ii + 2 tr(AB),
 
 computed only by ``qf_cov_terms``; Var(z'Qz) is the case A = B.  No third
-moment enters: each such term carries a factor E z_j = 0.  The moments are a
-``SubGaussianLaw`` or a length-d array of per-coordinate fourth moments.
+moment enters: each such term carries a factor E z_j = 0.  The coordinates
+share one ``SubGaussianLaw``; only ``qf_cov_terms`` takes one kurtosis per
+coordinate, for a vector that mixes two laws (``estimator.score_covariance``).
 """
 
 from __future__ import annotations
@@ -63,19 +64,6 @@ class QuadraticForm:
         return self.matrix.shape[0]
 
 
-def _kurtosis(moments: SubGaussianLaw | np.ndarray, d: int) -> float | np.ndarray:
-    """mu4 - 3 of the coordinates: a scalar for a law, one per coordinate for
-    a length-d array of fourth moments."""
-    if isinstance(moments, SubGaussianLaw):
-        return moments.excess_kurtosis
-    mu4 = np.asarray(moments, dtype=np.float64)
-    if mu4.shape != (d,):
-        raise ValueError(f"moments must be a law or {d} fourth moments, got shape {mu4.shape}")
-    if np.any(mu4 < 1.0):
-        raise ValueError("fourth moment below 1 is impossible for a variance-1 law")
-    return mu4 - 3.0
-
-
 def qf_cov_terms(
     a_diag: np.ndarray, b_diag: np.ndarray, tr_ab: float, kurt: float | np.ndarray
 ) -> float:
@@ -85,19 +73,19 @@ def qf_cov_terms(
     return float(np.sum(kurt * a_diag * b_diag)) + 2.0 * tr_ab
 
 
-def qf_variance(qf: QuadraticForm, moments: SubGaussianLaw | np.ndarray) -> float:
-    """Exact Var(z'Qz); ``moments`` is a law or a length-d array of fourth moments."""
-    return sigma_k_sq(qf, _kurtosis(moments, qf.dim))
+def qf_variance(qf: QuadraticForm, law: SubGaussianLaw) -> float:
+    """Exact Var(z'Qz) for coordinates drawn from ``law``."""
+    return sigma_k_sq(qf, law.excess_kurtosis)
 
 
 def qf_covariance(
-    qfA: QuadraticForm, qfB: QuadraticForm, moments: SubGaussianLaw | np.ndarray
+    qfA: QuadraticForm, qfB: QuadraticForm, law: SubGaussianLaw
 ) -> float:
-    """Exact Cov(z'Az, z'Bz); ``moments`` is a law or a length-d array of fourth moments."""
+    """Exact Cov(z'Az, z'Bz) for coordinates drawn from ``law``."""
     if qfA.dim != qfB.dim:
         raise ValueError(f"dimension mismatch: {qfA.dim} vs {qfB.dim}")
     tr_ab = float(np.sum(qfA.matrix * qfB.matrix))
-    return qf_cov_terms(qfA.diag, qfB.diag, tr_ab, _kurtosis(moments, qfA.dim))
+    return qf_cov_terms(qfA.diag, qfB.diag, tr_ab, law.excess_kurtosis)
 
 
 @dataclass
@@ -106,7 +94,7 @@ class WVector:
 
     ``w_k = z'Q_k z - tr(Q_k)`` and ``w_check_k = z'diag(Q_k)z - tr(Q_k)``;
     both are mean zero by construction.  ``v_cov`` is the exact 2K x 2K
-    covariance for the supplied coordinate moments.
+    covariance for the coordinates' law.
     """
 
     qforms: list[QuadraticForm]
@@ -132,20 +120,19 @@ class WVector:
 
 
 def build_w(
-    qforms: Sequence[QuadraticForm], moments: SubGaussianLaw | np.ndarray
+    qforms: Sequence[QuadraticForm], law: SubGaussianLaw
 ) -> WVector:
     """Assemble the 2K centered-form vector and its exact covariance.
 
-    ``moments`` is a law or a length-d array of fourth moments.  Every entry
-    is the module's covariance identity; one that touches a diagonal part
-    diag(Q_l) has tr(Q_k diag(Q_l)) = d_k.d_l and so is (mu4 - 1) d_k.d_l.
+    Every entry is the module's covariance identity for coordinates drawn
+    from ``law``: entry (2k, 2k) is Var(z'Q_k z), and one that touches a
+    diagonal part diag(Q_l) has tr(Q_k diag(Q_l)) = d_k.d_l and so is
+    (mu4 - 1) d_k.d_l.
     """
     if not qforms:
         raise ValueError("need at least one quadratic form")
-    d = qforms[0].dim
-    if any(qf.dim != d for qf in qforms):
+    if any(qf.dim != qforms[0].dim for qf in qforms):
         raise ValueError("all quadratic forms must share one dimension")
-    kurt = _kurtosis(moments, d)
 
     kk = len(qforms)
     v_cov = np.empty((2 * kk, 2 * kk))
@@ -155,9 +142,9 @@ def build_w(
         # (kurt = -2) cancels to exactly 0
         dd = float(np.sum(diags[i] * diags[j]))
         tr_ij = float(np.sum(qforms[i].matrix * qforms[j].matrix))
-        v_cov[2 * i, 2 * j] = qf_cov_terms(diags[i], diags[j], tr_ij, kurt)
+        v_cov[2 * i, 2 * j] = qf_cov_terms(diags[i], diags[j], tr_ij, law.excess_kurtosis)
         v_cov[2 * i, 2 * j + 1] = v_cov[2 * i + 1, 2 * j] = v_cov[2 * i + 1, 2 * j + 1] = (
-            qf_cov_terms(diags[i], diags[j], dd, kurt)
+            qf_cov_terms(diags[i], diags[j], dd, law.excess_kurtosis)
         )
     v_cov = 0.5 * (v_cov + v_cov.T)
 
@@ -167,30 +154,30 @@ def build_w(
 
 
 def sigma_k_sq(qf: QuadraticForm, gamma2: float) -> float:
-    """Var(z'Qz) written through the excess kurtosis gamma2 = mu4 - 3 (a
-    scalar, or one per coordinate).  Clamped at 0: a variance that cancels
-    exactly, as for identity Q and Rademacher z, can round to just below."""
+    """Var(z'Qz) written through the law's excess kurtosis gamma2 = mu4 - 3.
+    Clamped at 0: a variance that cancels exactly, as for identity Q and
+    Rademacher z, can round to just below."""
     return max(0.0, qf_cov_terms(qf.diag, qf.diag, qf.trace_sq, gamma2))
 
 
 def napprox_rate(
     qforms: Sequence[QuadraticForm],
-    d: int,
-    gamma: float,
+    law: SubGaussianLaw,
     f_norms: tuple[float, float],
 ) -> float:
     """Constant-free normal-approximation rate quantity for a K-form vector.
 
     (gamma+1)^8 { K^{3/2} d^{1/2} |f|_2 qmax^2  +  K^3 d |f|_3 qmax^3 }
-    with qmax the largest operator norm among the forms.  The unknown absolute
+    with d the forms' dimension, gamma the law's sub-Gaussian bound and qmax
+    the largest operator norm among the forms.  The unknown absolute
     constant is omitted; only the scaling is meaningful.
     """
     f2, f3 = f_norms
     if f2 < 0 or f3 < 0:
         raise ValueError("derivative norms must be nonnegative")
-    kk = len(qforms)
+    kk, d = len(qforms), qforms[0].dim
     qmax = max(qf.op_norm for qf in qforms)
     return float(
-        (gamma + 1.0) ** 8
+        (law.gamma + 1.0) ** 8
         * (kk**1.5 * d**0.5 * f2 * qmax**2 + kk**3 * d * f3 * qmax**3)
     )

@@ -744,6 +744,28 @@ class TestConfigValidation:
         assert err.startswith("vcomp: error: ") and name in err
 
     @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"kind": "stein_discrepancy", "k_forms": 2, "test_fn": {"name": "tanh_product", "scales": [3.0, 0.5]}},
+             "test_scales: tanh_product takes 4 scales, one per coordinate, or one value, got [3.0, 0.5]"),
+            ({"kind": "normality", "test_fn": {"name": "tanh_product", "scales": [3.0, 3.0, 1.0]}},
+             "test_scales: tanh_product takes 2 scales, one per coordinate, or one value, got [3.0, 3.0, 1.0]"),
+            ({"kind": "normality", "test_fn": {"name": "tanh_sum", "scales": [3.0, 0.5]}},
+             "test_scales: tanh_sum takes one value, got [3.0, 0.5]"),
+            ({"kind": "coupling", "coupling": {"scheme": "sparse_zero", "delta_grid": [0.5]}},
+             "delta_grid: the sparse_zero scheme runs delta = 0 only, got [0.5]"),
+        ],
+        ids=["stein-k2-two-scales", "normality-three-scales", "tanh_sum-two-scales", "sparse_zero-delta"],
+    )
+    def test_plan_rejects_what_a_runner_would_not_use(self, tmp_path, capsys, edit, message):
+        # each once ran: a Stein plan on its first scale repeated, a sparse_zero
+        # plan at delta = 0 alone, a normality tanh_product into numpy's broadcast error
+        cfg = write_config(tmp_path / "c.cfg", {**EXP_CFG, "replicates": 100, **edit})
+        assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"vcomp: error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
         "command, edit, message",
         [
             ("generate", {"laws": {"beta": 3, "eps": "gaussian"}}, "laws.beta: expected a law name, got 3"),

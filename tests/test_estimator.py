@@ -682,17 +682,17 @@ class TestScoreCovariance:
         assert np.min(np.linalg.eigvalsh(info)) >= -1e-10
 
     def test_matches_qf_route(self):
-        from vcomp.qform import qf_covariance
+        from vcomp.qform import qf_cov_terms
 
+        # the identity on the full (n+p) x (n+p) matrices, each coordinate
+        # with its own block's kurtosis
         M1, M2, _ = score_qf_matrices(self.params, self.spec, self.X)
-        mu4 = np.concatenate(
-            [np.full(self.p, UNIFORM.mu4), np.full(self.n, GAUSSIAN.mu4)]
+        kurt = np.concatenate(
+            [np.full(self.p, UNIFORM.excess_kurtosis), np.full(self.n, GAUSSIAN.excess_kurtosis)]
         )
+        pair = (M1, M2)
         expect = self.n * np.array(
-            [
-                [qf_covariance(M1, M1, mu4), qf_covariance(M1, M2, mu4)],
-                [qf_covariance(M2, M1, mu4), qf_covariance(M2, M2, mu4)],
-            ]
+            [[qf_cov_terms(a.diag, b.diag, float(np.sum(a.matrix * b.matrix)), kurt) for b in pair] for a in pair]
         )
         info = score_covariance(self.params, self.spec, self.X, (UNIFORM, GAUSSIAN))
         np.testing.assert_allclose(info, expect, rtol=1e-9)

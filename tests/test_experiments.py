@@ -65,7 +65,7 @@ from vcomp.experiments import (
 )
 from vcomp.laws import SeedSpec, law_by_name
 from vcomp.model import CouplingSpec, ModelParams, gen_independent
-from vcomp.qform import build_w
+from vcomp.qform import build_w, sigma_k_sq
 from vcomp.spectrum import GramSpectrum, decompose_gram
 
 
@@ -104,6 +104,51 @@ class TestPlanValidation:
         # checked with the plan, not after the first cell's design and eigensolve
         with pytest.raises(ValueError, match=f"unknown coupling scheme '{scheme}'"):
             small_plan(kind="coupling", coupling_scheme=scheme, delta_grid=(0.0,))
+
+    @pytest.mark.parametrize("kw", [
+        dict(kind="stein_discrepancy", k_forms=2, test_scales=(3.0, 0.5)),
+        dict(kind="stein_discrepancy", test_scales=(3.0, 0.5, 1.0)),
+        dict(kind="normality", test_scales=(3.0, 3.0, 1.0)),
+        dict(kind="normality", test_fn="tanh_sum", test_scales=(3.0, 0.5)),
+        dict(kind="stein_discrepancy", test_fn="constant", test_scales=(1.0, 2.0)),
+    ], ids=["stein-k2-two-scales", "stein-k1-three-scales", "normality-three-scales", "tanh_sum-two-scales",
+            "constant-two-values"])
+    def test_scales_the_test_function_would_not_use_are_rejected(self, kw):
+        # a Stein plan's scales were once replaced by the first one repeated,
+        # and a normality tanh_product failed after the first cell's fits
+        with pytest.raises(ValueError, match=re.escape(f"test_scales: {kw.get('test_fn', 'tanh_product')} takes")):
+            small_plan(**kw)
+
+    @pytest.mark.parametrize("kw", [
+        dict(kind="stein_discrepancy", k_forms=2),
+        dict(kind="stein_discrepancy", k_forms=2, test_scales=(3.0,)),
+        dict(kind="stein_discrepancy", k_forms=2, test_scales=(3.0, 0.5, 1.0, 2.0)),
+        dict(kind="stein_discrepancy", test_scales=(3.0, 0.5)),
+        dict(kind="normality", test_scales=(3.0, 3.0, 3.0)),
+        dict(kind="normality", test_fn="tanh_sum", test_scales=(1.0, 1.0)),
+        dict(kind="stein_discrepancy", test_fn="constant", test_scales=()),
+        dict(kind="consistency", test_scales=(3.0, 0.5, 1.0)),
+    ], ids=["stein-k2-default", "stein-k2-one-scale", "stein-k2-four-scales", "stein-k1-two-scales",
+            "normality-repeated", "tanh_sum-repeated", "constant-default", "consistency-unread"])
+    def test_scales_used_as_given_stay_valid(self, kw):
+        small_plan(**kw)
+
+    def test_repeated_scale_applies_at_any_width(self):
+        x = np.random.default_rng(3).standard_normal((5, 4))
+        want = tanh_product((3.0, 3.0, 3.0, 3.0)).evaluator(x)
+        assert np.array_equal(tanh_product((3.0, 3.0)).evaluator(x), want)
+        assert np.array_equal(tanh_product((3.0,)).evaluator(x), want)
+
+    @pytest.mark.parametrize("delta_grid", [(0.5, 2.0), (0.0, 0.5)])
+    def test_sparse_zero_rejects_a_nonzero_delta(self, delta_grid):
+        # sparse_zero runs delta = 0 alone: (0.5, 2.0) wrote the cells and gates of (0.0,)
+        with pytest.raises(ValueError, match=re.escape("delta_grid: the sparse_zero scheme runs delta = 0 only")):
+            small_plan(kind="coupling", coupling_scheme="sparse_zero", delta_grid=delta_grid)
+        small_plan(kind="coupling", delta_grid=delta_grid)
+
+    @pytest.mark.parametrize("delta_grid", [(), (0.0,)])
+    def test_sparse_zero_takes_no_delta_or_zero(self, delta_grid):
+        small_plan(kind="coupling", coupling_scheme="sparse_zero", delta_grid=delta_grid)
 
     def test_replicates_stay_below_the_reserved_streams(self):
         # replicate r draws from stream c << 32 | r; the top three ids are the cell's own
@@ -572,9 +617,31 @@ class TestSpectrumRoute:
 
 @pytest.mark.skipif(_openblas() is None, reason="numpy is not on its bundled OpenBLAS")
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="on one CPU OpenBLAS starts one thread whatever it is asked for")
+@pytest.mark.parametrize("plan", [
+    ExperimentPlan(kind="normality", n_grid=(100, 200), replicates=128, p_ratio=0.75, control_draws=4_096,
+                   master_seed=4, workers=2),
+    ExperimentPlan(kind="consistency", n_grid=(200, 400), replicates=128, beta_law="rademacher",
+                   eps_law="rademacher", master_seed=3, workers=2),
+], ids=["normality", "rademacher-consistency"])
+def test_runners_pin_one_blas_thread(plan):
+    # called directly under 2 BLAS threads, a runner once wrote other bytes
+    # than run_experiment, which alone held the pin
+    lib = _openblas()
+    old = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(2)
+    try:
+        direct = experiments._RUNNERS[plan.kind](plan).to_json()
+        assert lib.scipy_openblas_get_num_threads64_() == 2  # the pin restores the count
+    finally:
+        lib.scipy_openblas_set_num_threads64_(old)
+    assert direct == run_experiment(plan).to_json()
+
+
+@pytest.mark.skipif(_openblas() is None, reason="numpy is not on its bundled OpenBLAS")
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="on one CPU OpenBLAS starts one thread whatever it is asked for")
 def test_reports_do_not_depend_on_blas_threads():
     # at n = 200 a threaded BLAS rounds the consistency and normality reports
-    # differently from a serial one unless run_experiment pins one thread
+    # differently from a serial one unless the runner pins one thread
     child = """if True:
         import hashlib, json, sys
         from vcomp.experiments import ExperimentPlan, _openblas, run_experiment
@@ -1081,6 +1148,17 @@ class TestStein:
         rep = run_stein(plan)
         assert len(rep.cells) == 2
         assert all(len(c["sigma_k_sq"]) == 2 for c in rep.cells)
+
+    @pytest.mark.parametrize("law", ["gaussian", "uniform", "rademacher"])
+    @pytest.mark.parametrize("qspec", ["equispaced", "identity"])
+    def test_sigma_k_sq_is_the_v_cov_diagonal(self, law, qspec):
+        # the cells read Var(z'Q_k z) off build_w's covariance, bitwise sigma_k_sq's value
+        plan = small_plan(kind="stein_discrepancy", n_grid=(16, 32), replicates=100, k_forms=2, beta_law=law,
+                          qspec=qspec, master_seed=13, surrogate_draws=1_000)
+        rep = run_stein(plan)
+        kurt = law_by_name(law).excess_kurtosis
+        for ci, (d, cell) in enumerate(zip(plan.n_grid, rep.cells)):
+            assert cell["sigma_k_sq"] == [sigma_k_sq(qf, kurt) for qf in _stein_qforms(plan, ci, d)]
 
 
 class TestExtremeSignalRatios:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from vcomp.laws import GAUSSIAN, RADEMACHER, UNIFORM, SeedSpec, sample_vector
+from vcomp.laws import GAUSSIAN, RADEMACHER, UNIFORM, SeedSpec, SubGaussianLaw, sample_vector
 from vcomp.qform import (
     QuadraticForm,
     build_w,
@@ -120,22 +120,6 @@ class TestVariance:
         )
         assert abs(qf_variance(qf, law) - sample_var) < 5 * se
 
-    def test_per_coordinate_mu4(self):
-        qf = QuadraticForm(np.diag([1.0, 2.0]))
-        mu4 = np.array([3.0, 1.0])
-        # Var = sum (mu4_i - 3) q_ii^2 + 2 tr(Q^2) = 0 - 8 + 2*5
-        assert qf_variance(qf, mu4) == pytest.approx(2.0)
-
-    def test_rejects_impossible_mu4(self):
-        with pytest.raises(ValueError, match="below 1"):
-            qf_variance(QuadraticForm(np.eye(2)), np.array([0.5, 0.5]))
-
-    @pytest.mark.parametrize("mu4", [(0.0, 3.0), np.full(4, 3.0), 3.0], ids=["mu3-mu4-tuple", "long", "scalar"])
-    def test_rejects_moments_of_another_length(self, mu4):
-        # a law or one fourth moment per coordinate; a (mu3, mu4, ...) tuple is gone
-        with pytest.raises(ValueError, match="3 fourth moments"):
-            qf_variance(QuadraticForm(np.eye(3)), mu4)
-
     def test_nonnegative_for_all_laws(self):
         rng = np.random.default_rng(4)
         for law in (GAUSSIAN, RADEMACHER, UNIFORM):
@@ -174,14 +158,14 @@ class TestCovariance:
         assert qf_covariance(qa, qb, GAUSSIAN) == pytest.approx(2 * float(a @ b))
 
     def test_asymmetric_two_point_law_matches_enumeration(self):
-        # z_i is hi_i with probability p_i, else lo_i: mean 0 and variance 1,
-        # with mu3 != 0 unless p_i = 1/2.  No third moment enters the identity,
-        # so the fourth moments are all it reads.
+        # z_i is 2 with probability 1/5, else -1/2: mean 0, variance 1 and
+        # mu3 = 3/2.  No third moment enters the identity, so the fourth
+        # moment is all it reads.
+        p, hi, lo = 0.2, 2.0, -0.5
+        assert p * hi + (1 - p) * lo == 0.0 and p * hi**2 + (1 - p) * lo**2 == 1.0
+        assert p * hi**3 + (1 - p) * lo**3 == 1.5
+        law = SubGaussianLaw("two_point", gamma=hi, mu4=p * hi**4 + (1 - p) * lo**4)
         rng = np.random.default_rng(9)
-        p = np.array([0.2, 0.5, 0.1])
-        hi, lo = np.sqrt((1 - p) / p), -np.sqrt(p / (1 - p))
-        assert np.count_nonzero(np.abs(p * hi**3 + (1 - p) * lo**3) > 1.0) == 2
-        mu4 = p * hi**4 + (1 - p) * lo**4
         up = np.array(list(itertools.product((False, True), repeat=3)))
         z = np.where(up, hi, lo)
         prob = np.prod(np.where(up, p, 1 - p), axis=1)
@@ -193,8 +177,8 @@ class TestCovariance:
             qa, qb = random_psd(rng, 3), random_psd(rng, 3)
             va = np.einsum("ij,jk,ik->i", z, qa.matrix, z)
             vb = np.einsum("ij,jk,ik->i", z, qb.matrix, z)
-            assert qf_covariance(qa, qb, mu4) == pytest.approx(cov(va, vb), abs=1e-12)
-            wv = build_w([qa, qb], mu4)
+            assert qf_covariance(qa, qb, law) == pytest.approx(cov(va, vb), abs=1e-12)
+            wv = build_w([qa, qb], law)
             w = wv.evaluate(z)
             want = [[cov(w[:, i], w[:, j]) for j in range(4)] for i in range(4)]
             np.testing.assert_allclose(wv.v_cov, want, rtol=0, atol=1e-12)
@@ -258,8 +242,7 @@ class TestWVector:
     def test_v_cov_matches_block_covariance_formulas(self):
         rng = np.random.default_rng(10)
         qa, qb = random_psd(rng, 6), random_psd(rng, 6)
-        per_coordinate = np.array([3.0, 1.0, 1.8, 3.0, 1.0, 1.8])
-        for law in (GAUSSIAN, UNIFORM, RADEMACHER, per_coordinate):
+        for law in (GAUSSIAN, UNIFORM, RADEMACHER):
             wv = build_w([qa, qb], law)
             qa_d = QuadraticForm(np.diag(qa.diag))
             qb_d = QuadraticForm(np.diag(qb.diag))
@@ -336,19 +319,19 @@ class TestNapproxRate:
     def test_scaled_identity_plugin(self):
         for d in (4, 16, 64):
             qf = QuadraticForm(np.eye(d) / d)
-            got = napprox_rate([qf], d, gamma=1.0, f_norms=(1.0, 1.0))
+            got = napprox_rate([qf], GAUSSIAN, f_norms=(1.0, 1.0))
             assert got == pytest.approx(2**8 * (d**-1.5 + d**-2.0), rel=1e-12)
 
     def test_decreases_when_d_doubles(self):
         vals = []
         for d in (8, 16, 32):
             qf = QuadraticForm(np.eye(d) / d)
-            vals.append(napprox_rate([qf], d, 1.0, (1.0, 1.0)))
+            vals.append(napprox_rate([qf], GAUSSIAN, (1.0, 1.0)))
         assert vals[0] > vals[1] > vals[2]
 
     def test_k_scaling_of_first_term(self):
         d = 50
         qf = QuadraticForm(np.eye(d) / d)
-        one = napprox_rate([qf], d, 1.0, (1.0, 0.0))
-        two = napprox_rate([qf, qf], d, 1.0, (1.0, 0.0))
+        one = napprox_rate([qf], GAUSSIAN, (1.0, 0.0))
+        two = napprox_rate([qf, qf], GAUSSIAN, (1.0, 0.0))
         assert two / one == pytest.approx(2**1.5, rel=1e-12)
