@@ -204,8 +204,17 @@ class ExperimentPlan:
             if len(set(self.test_scales)) > 1 and not (self.test_fn == "tanh_product" and len(self.test_scales) == width):
                 each = f"{width} scales, one per coordinate, or " if self.test_fn == "tanh_product" else ""
                 raise ValueError(f"test_scales: {self.test_fn} takes {each}one value, got {list(self.test_scales)}")
+        # a repeated or decreasing delta once wrote duplicate cells, or cells the
+        # monotonicity gates read backwards; a negative one failed after a cell's eigensolve
+        if not all(math.isfinite(d) and d >= 0 for d in self.delta_grid) or any(
+            b <= a for a, b in zip(self.delta_grid, self.delta_grid[1:])
+        ):
+            raise ValueError(
+                f"delta_grid must be nonnegative, finite and strictly increasing, got {list(self.delta_grid)}")
         if self.coupling_scheme == "sparse_zero" and any(self.delta_grid):
             raise ValueError(f"delta_grid: the sparse_zero scheme runs delta = 0 only, got {list(self.delta_grid)}")
+        if self.kind == "coupling" and self.coupling_scheme == "additive_perturb" and not self.delta_grid:
+            raise ValueError("delta_grid: the additive_perturb scheme needs at least one delta")
         design = DesignSpec(self.design, self.design_lambdas)
         if design.kind == "fixed_spectrum":
             for n in self.n_grid:
@@ -1006,11 +1015,7 @@ def run_coupling(plan: ExperimentPlan) -> ExperimentReport:
     delta = 0 reproduces the independent estimates bitwise.
     """
     theta0 = plan.params().as_array()
-    deltas = plan.delta_grid
-    if plan.coupling_scheme == "sparse_zero":
-        deltas = (0.0,)
-    if not deltas:
-        raise ValueError("coupling experiment needs a delta grid")
+    deltas = (0.0,) if plan.coupling_scheme == "sparse_zero" else plan.delta_grid
     cells = []
     gates = []
     bitwise_all = True

@@ -8,12 +8,14 @@ A CSV file that spans at least two ranges of ``_RANGE_BYTES`` is written and
 parsed in forked worker processes, one per CPU in the process's affinity mask.
 Workers get the matrix, the path and the output buffer through ``fork``; only
 row and byte ranges and shapes go through the pool's queues.  The bytes
-written and the arrays read are those of ``np.savetxt`` and ``np.loadtxt``
-in one call, which is what runs otherwise.
+written are those of numpy's ``savetxt(X, fmt="%.17g", delimiter=",")``, made
+chunk by chunk with array operations by ``_write_csv``; the arrays read are
+those of ``np.loadtxt`` in one call, which is what runs otherwise.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import mmap
 import os
@@ -38,6 +40,117 @@ _NUMBER_BYTES = 25  # the longest "%.17g" of a float64 and its delimiter
 
 # what a forked worker got from its parent, set by ``_inherit``
 _inherited: tuple = ()
+
+# "%.17g" of a float64 in [1e-4, 1e16) is fixed-point text of the 17-digit
+# integer D = round(|x| * 10^(16-k)), k = floor(log10 |x|) after rounding,
+# with trailing zeros cut: "0." and -k-1 zeros ahead of D for k < 0, a point
+# after digit k + 1 of D otherwise.  Each element gets a row of bytes: sign,
+# the _SLOTS digits (_LEAD zeros, then D), '.', the digits again, separator.
+# A mask picks the text: the digits up to slot _LEAD + k from the first copy,
+# those after it from the second.
+_CHUNK = 1 << 15  # elements formatted per write
+_LEAD = 4  # k >= -4: "0.000" ahead of D
+_SLOTS = _LEAD + 17
+_ROW = 2 * _SLOTS + 3  # also holds the longest "%.17g" of a float64 (24 bytes) and a separator
+_SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's splitter of a float64 into 26-bit halves
+
+
+@functools.cache
+def _tables() -> tuple[np.ndarray, ...]:
+    """The writer's tables, built on first use, not at import: 10^0..10^22
+    (each exact) and their Veltkamp halves; 0..9999 as four ASCII digits,
+    first digit in the lowest byte, and their number of trailing zeros; and
+    in row ``((k + _LEAD) * 17 + m - 1) * 2 + negative`` the mask of the row
+    bytes that hold the text of a number with exponent k (-_LEAD..16) and m
+    kept digits of D; last, a row before D's digits are in."""
+    pow10 = np.cumprod(np.r_[1.0, np.full(22, 10.0)])
+    pow10_hi = pow10 * _SPLIT - (pow10 * _SPLIT - pow10)
+    quads = np.arange(10_000)
+    digits4 = sum((48 + quads // 10 ** (3 - i) % 10) << 8 * i for i in range(4)).astype("<u4")
+    trailing4 = sum(quads % 10**i == 0 for i in range(1, 5)).astype(np.uint8)
+    k = np.arange(-_LEAD, 17)[:, None, None, None]
+    m = np.arange(1, 18)[None, :, None, None]
+    negative = np.arange(2)[None, None, :, None]
+    col = np.arange(_ROW)
+    point, last = _LEAD + k, _LEAD + m - 1  # the last digit slot before the point, and the last kept
+    first = (col - 1 >= np.minimum(point, _LEAD)) & (col - 1 <= point)
+    second = (col - _SLOTS - 2 > point) & (col - _SLOTS - 2 <= last)
+    masks = ((col == 0) & (negative == 1) | first | (col == _SLOTS + 1) & (last > point) | second
+             | (col == _ROW - 1))
+    template = np.frombuffer(b"-" + b"0" * _SLOTS + b"." + b"0" * _SLOTS + b",", np.uint8)
+    tables = pow10, pow10_hi, pow10 - pow10_hi, digits4, trailing4, masks.reshape(-1, _ROW), template
+    for table in tables:  # shared by every call
+        table.flags.writeable = False
+    return tables
+
+
+def _scaled(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """round-half-even(a * 10^(16-k)) as int64, exact: Dekker's product gives
+    the exact a * 10^(16-k) as hi + lo, and where the result has 17 digits,
+    hi >= 2^53 is an even integer."""
+    pow10, pow10_hi, pow10_lo = (t[16 - k] for t in _tables()[:3])
+    hi = a * pow10
+    c = a * _SPLIT
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    lo = ((a_hi * pow10_hi - hi) + a_hi * pow10_lo + a_lo * pow10_hi) + a_lo * pow10_lo
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+
+def _format(x: np.ndarray, start: int, p: int) -> np.ndarray:
+    """The text of flat elements ``start..`` of a matrix with ``p`` columns."""
+    *_, digits4, trailing4, masks, template = _tables()
+    n = len(x)
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e16)
+    zero = a == 0
+    a = np.where(fast, a, 1.0)  # the others' D and k are set below or unused
+    k = np.floor(np.log10(a)).astype(np.intp)
+    D = _scaled(a, k)
+    while (off := np.flatnonzero((D < 10**16) | (D >= 10**17))).size:
+        k[off] += np.where(D[off] < 10**16, -1, 1)
+        D[off] = _scaled(a[off], k[off])
+    D[zero] = 0  # "0": k = 0 from the placeholder, one digit
+    # D is its head digit, then four groups of four digits (// and * outrun np.divmod)
+    upper = D // 10**8
+    lower = D - upper * 10**8
+    head = upper // 10**8
+    upper -= head * 10**8
+    quads = np.empty((n, 4), np.intp)
+    quads[:, 0] = upper // 10**4
+    quads[:, 1] = upper - quads[:, 0] * 10**4
+    quads[:, 2] = lower // 10**4
+    quads[:, 3] = lower - quads[:, 2] * 10**4
+    q1, q2, q3, q4 = quads.T
+    trailing = trailing4[q4] + (q4 == 0) * (
+        trailing4[q3] + (q3 == 0) * (trailing4[q2] + (q2 == 0) * trailing4[q1]))
+    text = np.empty((n, _ROW), np.uint8)
+    text[:] = template
+    text[:, _LEAD + 1] = 48 + head
+    text[:, _LEAD + 2:_SLOTS + 1] = digits4[quads].view(np.uint8)
+    text[:, _SLOTS + 2:-1] = text[:, 1:_SLOTS + 1]
+    text[(p - 1 - start) % p::p, -1] = ord("\n")
+    mask = np.take(masks, ((k + _LEAD) * 17 + 16 - trailing) * 2 + np.signbit(x), axis=0)
+    # zero aside, what the fast range leaves out gets the call numpy's savetxt makes
+    other = np.flatnonzero(~(fast | zero))
+    if other.size:
+        words = [b"%.17g" % v for v in x[other].tolist()]
+        text[other, :-1] = np.array(words, dtype=f"S{_ROW - 1}").view(np.uint8).reshape(-1, _ROW - 1)
+        mask[other, :-1] = np.arange(_ROW - 1) < np.array([len(w) for w in words])[:, None]
+    return np.compress(mask.reshape(-1), text.reshape(-1))
+
+
+def _write_csv(fh, X: np.ndarray) -> None:
+    """Write the float64 matrix ``X`` to the binary file ``fh`` as numpy's
+    ``savetxt(fh, X, fmt="%.17g", delimiter=",")`` writes it, in one write per
+    chunk of at most ``_CHUNK`` elements: the text is never whole in memory."""
+    n, p = X.shape
+    if p == 0:
+        fh.write(b"\n" * n)
+        return
+    flat = np.ascontiguousarray(X).reshape(-1)
+    for start in range(0, flat.size, _CHUNK):
+        fh.write(_format(flat[start:start + _CHUNK], start, p))
 
 
 def _cpu_count() -> int:
@@ -98,7 +211,8 @@ def save_matrix_csv(path: str | Path, X: np.ndarray) -> None:
     # at most one worker per range the file can fill, and one per row
     workers = min(_workers(-(-X.size * _NUMBER_BYTES // _RANGE_BYTES)), len(X))
     if workers < 2:
-        np.savetxt(path, X, delimiter=",", fmt="%.17g")
+        with open(path, "wb") as fh:
+            _write_csv(fh, X)
         return
     path = Path(path)
     bounds = [len(X) * k // workers for k in range(workers + 1)]
@@ -123,7 +237,8 @@ def _write_rows(task) -> None:
     """Worker: rows ``lo:hi`` of the inherited matrix into a part file."""
     part, lo, hi = task
     (X,) = _inherited
-    np.savetxt(part, X[lo:hi], delimiter=",", fmt="%.17g")
+    with open(part, "wb") as fh:
+        _write_csv(fh, X[lo:hi])
 
 
 def load_matrix(path: str | Path) -> np.ndarray:

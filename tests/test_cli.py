@@ -754,12 +754,22 @@ class TestConfigValidation:
              "test_scales: tanh_sum takes one value, got [3.0, 0.5]"),
             ({"kind": "coupling", "coupling": {"scheme": "sparse_zero", "delta_grid": [0.5]}},
              "delta_grid: the sparse_zero scheme runs delta = 0 only, got [0.5]"),
+            ({"kind": "coupling", "coupling": {"delta_grid": [0.5, -1.0]}},
+             "delta_grid must be nonnegative, finite and strictly increasing, got [0.5, -1.0]"),
+            ({"kind": "coupling", "coupling": {"delta_grid": [0.5, 0.5]}},
+             "delta_grid must be nonnegative, finite and strictly increasing, got [0.5, 0.5]"),
+            ({"kind": "coupling", "coupling": {"delta_grid": [1.0, 0.5]}},
+             "delta_grid must be nonnegative, finite and strictly increasing, got [1.0, 0.5]"),
+            ({"kind": "coupling"}, "delta_grid: the additive_perturb scheme needs at least one delta"),
         ],
-        ids=["stein-k2-two-scales", "normality-three-scales", "tanh_sum-two-scales", "sparse_zero-delta"],
+        ids=["stein-k2-two-scales", "normality-three-scales", "tanh_sum-two-scales", "sparse_zero-delta",
+             "delta-negative", "delta-repeated", "delta-decreasing", "additive-no-delta"],
     )
     def test_plan_rejects_what_a_runner_would_not_use(self, tmp_path, capsys, edit, message):
         # each once ran: a Stein plan on its first scale repeated, a sparse_zero
-        # plan at delta = 0 alone, a normality tanh_product into numpy's broadcast error
+        # plan at delta = 0 alone, a normality tanh_product into numpy's broadcast
+        # error, coupling plans into duplicate or backward cells or into a failure
+        # once the run had started
         cfg = write_config(tmp_path / "c.cfg", {**EXP_CFG, "replicates": 100, **edit})
         assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == f"vcomp: error: {message}\n"

@@ -150,6 +150,21 @@ class TestPlanValidation:
     def test_sparse_zero_takes_no_delta_or_zero(self, delta_grid):
         small_plan(kind="coupling", coupling_scheme="sparse_zero", delta_grid=delta_grid)
 
+    @pytest.mark.parametrize("delta_grid", [(0.5, 0.5), (1.0, 0.5), (0.5, -1.0), (-1.0,), (math.inf,), (math.nan,)])
+    @pytest.mark.parametrize("kind", ["coupling", "consistency"])
+    def test_delta_grid_nonnegative_finite_increasing(self, kind, delta_grid):
+        # a repeated delta wrote duplicate cells, a decreasing grid made the
+        # monotonicity gates read the cells backwards, and a negative delta
+        # failed only after the first cell's design and eigensolve
+        with pytest.raises(ValueError, match=re.escape("delta_grid must be nonnegative, finite and strictly increasing")):
+            small_plan(kind=kind, delta_grid=delta_grid)
+
+    def test_additive_perturb_needs_a_delta(self):
+        # an empty grid was accepted with the plan and failed only in run_coupling
+        with pytest.raises(ValueError, match=re.escape("delta_grid: the additive_perturb scheme needs at least one delta")):
+            small_plan(kind="coupling", delta_grid=())
+        small_plan(kind="consistency", delta_grid=())
+
     def test_replicates_stay_below_the_reserved_streams(self):
         # replicate r draws from stream c << 32 | r; the top three ids are the cell's own
         small_plan(replicates=_CTRL_STREAM)

@@ -12,6 +12,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from vcomp import matio
 from vcomp.matio import (
@@ -118,6 +121,85 @@ def test_csv_parse_error_names_the_file(tmp_path, text, message):
         load_matrix(path)
     assert str(info.value).startswith(f"{path}: {message}")
     assert "usecols" not in str(info.value)
+
+
+# -- the CSV writer: the bytes of np.savetxt(fmt="%.17g"), the oracle (_text) -
+
+
+def _written(X):
+    buf = io.BytesIO()
+    matio._write_csv(buf, X)
+    return buf.getvalue()
+
+
+# any float64: drawn as a float (nan, +-inf, +-0 and subnormals included) or as 64 raw bits
+_MATRICES = hnp.array_shapes(min_dims=2, max_dims=2, max_side=12).flatmap(lambda shape: st.one_of(
+    hnp.arrays(np.float64, shape, elements=st.floats(width=64)),
+    hnp.arrays(np.uint64, shape).map(lambda bits: bits.view(np.float64)),
+))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_MATRICES)
+def test_writer_bytes_equal_savetxt(X):
+    assert _written(X) == _text(X).encode()
+
+
+def _edge_values():
+    """Where "%.17g" changes its layout or rounds a tie: powers of ten and
+    their neighbours, both sides of the writer's fast range, and dyadic
+    numbers, hundreds of them exact halfway cases (18 significant digits, the
+    last a 5), such as 1 + 2^-17, which rounds half to even to
+    1.0000076293945312."""
+    powers = np.array([10.0**k for k in range(-5, 17)])
+    bounds = np.array([1e-4, 1e15, 1e16])
+    odd, b = np.arange(1, 200, 2)[:, None], 2.0 ** np.arange(1, 53)
+    dyadic = np.concatenate([(odd / b).ravel(), (1 + odd / b).ravel(), (1000 + odd / b).ravel()])
+    values = np.concatenate([powers, np.nextafter(powers, np.inf), np.nextafter(powers, -np.inf), bounds,
+                             np.nextafter(bounds, 0), np.nextafter(bounds, np.inf), dyadic,
+                             [0.0, np.inf, np.nan, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]])
+    return np.concatenate([values, -values])
+
+
+@pytest.mark.parametrize("shape", [(-1, 1), (1, -1), (2, -1)], ids=["column", "row", "matrix"])
+def test_writer_bytes_at_the_edges(shape):
+    X = _edge_values().reshape(shape)
+    assert _written(X) == _text(X).encode()
+
+
+def test_writer_bytes_one_by_one():
+    for x in _edge_values()[::7]:
+        assert _written(np.array([[x]])) == _text(np.array([[x]])).encode()
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (4, 10), (1, 23), (23, 1)])
+def test_writer_rows_straddle_chunks(monkeypatch, shape):
+    monkeypatch.setattr(matio, "_CHUNK", 7)
+    X = np.random.default_rng(6).choice(_edge_values(), shape)
+    assert _written(X) == _text(X).encode()
+
+
+def test_writer_streams_one_chunk_per_write():
+    # a writer that joined its chunks held the whole text in every forked
+    # worker, past the round trip's memory bound
+    class Recorder:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, data):
+            self.writes.append(bytes(data))
+
+    X = _special_matrix(300, 300)
+    out = Recorder()
+    matio._write_csv(out, X)
+    assert len(out.writes) == -(-X.size // matio._CHUNK) > 1
+    assert max(map(len, out.writes)) <= matio._CHUNK * matio._NUMBER_BYTES
+    assert b"".join(out.writes) == _text(X).encode()
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (2, 0)])
+def test_writer_empty_matrix(shape):
+    assert _written(np.zeros(shape)) == _text(np.zeros(shape)).encode()
 
 
 # -- the split codec: forked workers over row and byte ranges ----------------
