@@ -468,12 +468,17 @@ def score_covariance(
     kurt = np.concatenate([np.full(p, laws[0].excess_kurtosis), np.full(n, laws[1].excess_kurtosis)])
 
     lam = spec.lambdas
-    C = standardized_map(params, spec, X)
     # the score's weights over i, M_k = C' diag(w_k) C; vectors, not the kernel's sums
     w1 = 1.0 / (2.0 * params.sigma_sq**2 * n * (params.eta_sq * lam + 1.0))
     w2 = lam / (2.0 * params.sigma_sq * n * (params.eta_sq * lam + 1.0) ** 2)
 
-    C_sq = C * C
+    # C * C of the standardized map, built and squared in one buffer: the
+    # bytes of standardized_map's, without a second n x (n+p) array
+    C_sq = np.empty((n, p + n))
+    np.matmul(spec.U.T, X, out=C_sq[:, :p])
+    C_sq[:, :p] *= math.sqrt(params.sigma_sq * params.eta_sq) / math.sqrt(p)
+    np.multiply(spec.U.T, math.sqrt(params.sigma_sq), out=C_sq[:, p:])
+    np.square(C_sq, out=C_sq)
     terms = ((w1, w1 @ C_sq), (w2, w2 @ C_sq))  # each weight vector with diag(M_k)
     # C C' = diag(E y_check^2) makes tr(M_k M_l) an O(n) sum
     cc = _pop_sq(params, spec)

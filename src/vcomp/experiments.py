@@ -36,9 +36,9 @@ from typing import Callable
 import numpy as np
 
 from . import estimator as est
+from . import matio
 from .errors import NonIdentifiableError, NumericalError, TailGridError
 from .laws import SeedSpec, law_by_name, rng_for, sample_rows, shared_rng
-from .matio import exit_with_parent
 from .model import (COUPLING_SCHEMES, CouplingSpec, DesignSpec, ModelParams, design_eigenvalues, draw_effects,
                     draw_eigenbasis, gen_design, haar_orthogonal)
 from .qform import QuadraticForm, build_w, napprox_rate
@@ -165,6 +165,10 @@ class ExperimentPlan:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
+        # checked here, not first by a runner once a cell's design and eigensolve are done
+        self.params()  # sigma0_sq > 0 and eta0_sq >= 0
+        if self.kind == "normality" and self.eta0_sq == 0:  # its sandwich covariance needs eta0^2 > 0
+            raise ValueError("eta0_sq (params.eta2) must be positive in a normality plan, got 0.0")
         if self.replicates < 100:
             raise ValueError("need at least 100 replicates for reported stderrs")
         if self.replicates > _CTRL_STREAM:  # replicate r draws from stream c << 32 | r, below the reserved ids
@@ -432,13 +436,16 @@ def _scatter(tasks: list, workers: int) -> list:
     ``workers`` > 1.  The pool has at most one process per task: a forked
     pool starts all of its processes at the first submit.  Its workers fork
     wherever fork exists, whatever the default start method, so they inherit
-    the parent's one-thread BLAS pin (``one_blas_thread``)."""
+    the parent's one-thread BLAS pin (``one_blas_thread``) and the tasks,
+    which the pool initializer (``matio._inherit``) gets and fork never
+    pickles; only task indices go through the pool's queue (``_chunk_at``).
+    Without fork, the tasks are pickled once per worker, not once per task."""
     if workers <= 1 or len(tasks) <= 1:
         return [_chunk(task) for task in tasks]
     context = multiprocessing.get_context("fork") if hasattr(os, "fork") else None
     with ProcessPoolExecutor(max_workers=min(workers, len(tasks)), mp_context=context,
-                             initializer=exit_with_parent) as pool:
-        return list(pool.map(_chunk, tasks, chunksize=1))
+                             initializer=matio._inherit, initargs=(tasks,)) as pool:
+        return list(pool.map(_chunk_at, range(len(tasks)), chunksize=1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -498,6 +505,12 @@ def _chunk(task) -> np.ndarray:
     holds what every task of the cell shares, computed once by the runner."""
     fn, block, plan, cell_index, ctx, lo, hi = task
     return np.concatenate([fn(plan, cell_index, ctx, b, min(b + block, hi)) for b in range(lo, hi, block)])
+
+
+def _chunk_at(i: int) -> np.ndarray:
+    """Worker: ``_chunk`` of task ``i`` of the list the pool's worker inherited."""
+    (tasks,) = matio._inherited
+    return _chunk(tasks[i])
 
 
 def _gather(plan: ExperimentPlan, cell_index: int, *jobs) -> list:

@@ -84,60 +84,104 @@ def _tables() -> tuple[np.ndarray, ...]:
     return tables
 
 
-def _scaled(a: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """round-half-even(a * 10^(16-k)) as int64, exact: Dekker's product gives
-    the exact a * 10^(16-k) as hi + lo, and where the result has 17 digits,
-    hi >= 2^53 is an even integer."""
-    pow10, pow10_hi, pow10_lo = (t[16 - k] for t in _tables()[:3])
-    hi = a * pow10
-    c = a * _SPLIT
-    a_hi = c - (c - a)
-    a_lo = a - a_hi
-    lo = ((a_hi * pow10_hi - hi) + a_hi * pow10_lo + a_lo * pow10_hi) + a_lo * pow10_lo
-    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+class _Scratch:
+    """The arrays ``_format`` fills for chunks of up to ``size`` elements,
+    made once per matrix written.  The allocator serves arrays this large by
+    mmap until a larger one has been freed, so temporaries made per chunk
+    are faulted in afresh by every chunk: 115,000 page faults, and nearly
+    twice the CPU time, for a 1000 x 2000 design written first thing in a
+    process.  Byte-wide temporaries, 32 KB at most, come from the heap; the
+    text itself is made per chunk, since only its mask gives its length."""
+
+    def __init__(self, size: int):
+        self.floats = np.empty((8, size))  # |x| and _scaled's seven
+        self.ints = np.empty((5, size), np.int64)  # k; D; three for _scaled and D's digit groups
+        self.quads = np.empty((size, 4), np.intp)
+        self.digits = np.empty((size, 4), np.uint32)
+        self.text = np.empty((size, _ROW), np.uint8)
+        self.mask = np.empty((size, _ROW), bool)
 
 
-def _format(x: np.ndarray, start: int, p: int) -> np.ndarray:
-    """The text of flat elements ``start..`` of a matrix with ``p`` columns."""
+def _scaled(a: np.ndarray, k: np.ndarray, f: np.ndarray, out: np.ndarray, e: np.ndarray) -> None:
+    """round-half-even(a * 10^(16-k)) as int64 into ``out``, exact: Dekker's
+    product gives the exact a * 10^(16-k) as hi + lo, and where the result
+    has 17 digits, hi >= 2^53 is an even integer.  ``f`` (seven float rows)
+    and ``e`` (ints) are scratch of a's length."""
+    pow10, pow10_hi, pow10_lo = _tables()[:3]
+    hi, p_hi, p_lo, a_hi, a_lo, lo, t = f
+    np.subtract(16, k, out=e)
+    # the exponents are in range; mode="clip" only spares take its copy of out
+    for table, row in ((pow10, hi), (pow10_hi, p_hi), (pow10_lo, p_lo)):
+        np.take(table, e, out=row, mode="clip")
+    hi *= a
+    np.multiply(a, _SPLIT, out=a_lo)  # c
+    np.subtract(a_lo, a, out=a_hi)
+    np.subtract(a_lo, a_hi, out=a_hi)  # c - (c - a)
+    np.subtract(a, a_hi, out=a_lo)
+    # ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo, in that order
+    np.multiply(a_hi, p_hi, out=lo)
+    lo -= hi
+    for u, v in ((a_hi, p_lo), (a_lo, p_hi), (a_lo, p_lo)):
+        lo += np.multiply(u, v, out=t)
+    np.copyto(out, hi, casting="unsafe")
+    np.copyto(e, np.rint(lo, out=lo), casting="unsafe")
+    out += e
+
+
+def _format(x: np.ndarray, start: int, p: int, s: _Scratch) -> np.ndarray:
+    """The text of flat elements ``start..`` of a matrix with ``p`` columns,
+    made in the arrays of ``s``."""
     *_, digits4, trailing4, masks, template = _tables()
     n = len(x)
-    a = np.abs(x)
+    f, (k, D, t1, t2, t3) = s.floats[:, :n], s.ints[:, :n]
+    a = np.abs(x, out=f[0])
     fast = (a >= 1e-4) & (a < 1e16)
     zero = a == 0
-    a = np.where(fast, a, 1.0)  # the others' D and k are set below or unused
-    k = np.floor(np.log10(a)).astype(np.intp)
-    D = _scaled(a, k)
+    np.copyto(a, 1.0, where=~fast)  # the others' D and k are set below or unused
+    np.copyto(k, np.floor(np.log10(a, out=f[1]), out=f[1]), casting="unsafe")
+    _scaled(a, k, f[1:], D, t1)
     while (off := np.flatnonzero((D < 10**16) | (D >= 10**17))).size:
+        m = off.size
         k[off] += np.where(D[off] < 10**16, -1, 1)
-        D[off] = _scaled(a[off], k[off])
+        _scaled(a[off], k[off], f[1:, :m], t2[:m], t1[:m])
+        D[off] = t2[:m]
     D[zero] = 0  # "0": k = 0 from the placeholder, one digit
     # D is its head digit, then four groups of four digits (// and * outrun np.divmod)
-    upper = D // 10**8
-    lower = D - upper * 10**8
-    head = upper // 10**8
-    upper -= head * 10**8
-    quads = np.empty((n, 4), np.intp)
-    quads[:, 0] = upper // 10**4
-    quads[:, 1] = upper - quads[:, 0] * 10**4
-    quads[:, 2] = lower // 10**4
-    quads[:, 3] = lower - quads[:, 2] * 10**4
+    upper, lower, head = t1, t2, t3
+    np.floor_divide(D, 10**8, out=upper)
+    np.subtract(D, np.multiply(upper, 10**8, out=lower), out=lower)
+    np.floor_divide(upper, 10**8, out=head)
+    upper -= np.multiply(head, 10**8, out=D)
+    quads = s.quads[:n]
     q1, q2, q3, q4 = quads.T
+    for group, q_hi, q_lo in ((upper, q1, q2), (lower, q3, q4)):
+        np.floor_divide(group, 10**4, out=q_hi)
+        np.subtract(group, np.multiply(q_hi, 10**4, out=q_lo), out=q_lo)
     trailing = trailing4[q4] + (q4 == 0) * (
         trailing4[q3] + (q3 == 0) * (trailing4[q2] + (q2 == 0) * trailing4[q1]))
-    text = np.empty((n, _ROW), np.uint8)
+    text = s.text[:n]
     text[:] = template
-    text[:, _LEAD + 1] = 48 + head
-    text[:, _LEAD + 2:_SLOTS + 1] = digits4[quads].view(np.uint8)
-    text[:, _SLOTS + 2:-1] = text[:, 1:_SLOTS + 1]
+    digits = np.take(digits4, quads, out=s.digits[:n], mode="clip").view(np.uint8)
+    for first in (_LEAD + 1, _LEAD + _SLOTS + 2):  # the two copies of D
+        np.add(head, 48, out=text[:, first], casting="unsafe")
+        text[:, first + 1:first + 17] = digits
     text[(p - 1 - start) % p::p, -1] = ord("\n")
-    mask = np.take(masks, ((k + _LEAD) * 17 + 16 - trailing) * 2 + np.signbit(x), axis=0)
+    # the mask row ((k + _LEAD) * 17 + 16 - trailing) * 2 + negative, made in k
+    k += _LEAD
+    k *= 17
+    k += 16
+    k -= trailing
+    k *= 2
+    k += np.signbit(x)
+    mask = np.take(masks, k, axis=0, out=s.mask[:n], mode="clip")
     # zero aside, what the fast range leaves out gets the call numpy's savetxt makes
     other = np.flatnonzero(~(fast | zero))
     if other.size:
         words = [b"%.17g" % v for v in x[other].tolist()]
         text[other, :-1] = np.array(words, dtype=f"S{_ROW - 1}").view(np.uint8).reshape(-1, _ROW - 1)
         mask[other, :-1] = np.arange(_ROW - 1) < np.array([len(w) for w in words])[:, None]
-    return np.compress(mask.reshape(-1), text.reshape(-1))
+    # a boolean index, not np.compress, which makes the (8-byte) index of every kept byte first
+    return text.reshape(-1)[mask.reshape(-1)]
 
 
 def _write_csv(fh, X: np.ndarray) -> None:
@@ -149,8 +193,9 @@ def _write_csv(fh, X: np.ndarray) -> None:
         fh.write(b"\n" * n)
         return
     flat = np.ascontiguousarray(X).reshape(-1)
+    scratch = _Scratch(min(_CHUNK, flat.size))
     for start in range(0, flat.size, _CHUNK):
-        fh.write(_format(flat[start:start + _CHUNK], start, p))
+        fh.write(_format(flat[start:start + _CHUNK], start, p, scratch))
 
 
 def _cpu_count() -> int:

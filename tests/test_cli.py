@@ -734,6 +734,10 @@ class TestConfigValidation:
             ({"kind": "stein_discrepancy", "n_grid": [0]}, "n_grid: need n >= 1, got 0"),
             ({"kind": "stein_discrepancy", "n_grid": [-3]}, "n_grid: need n >= 1, got -3"),
             ({"kind": "consistency", "n_grid": [1, 10]}, "n_grid: need n >= 2, got 1"),
+            # each once named ModelParams' field, sigma_sq or eta_sq, not the config key
+            ({"params": {"sigma2": -1, "eta2": 1.0}}, "params.sigma2: expected a positive number, got -1.0"),
+            ({"params": {"sigma2": 0, "eta2": 1.0}}, "params.sigma2: expected a positive number, got 0.0"),
+            ({"params": {"sigma2": 1.0, "eta2": -2}}, "params.eta2: expected a nonnegative number, got -2.0"),
         ],
     )
     def test_out_of_range_value_is_named(self, tmp_path, capsys, edit, name):
@@ -742,6 +746,16 @@ class TestConfigValidation:
         assert main(["experiment", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("vcomp: error: ") and name in err
+
+    @pytest.mark.parametrize("key, bad, message", [
+        ("sigma2", -1, "params.sigma2: expected a positive number, got -1.0"),
+        ("eta2", -2, "params.eta2: expected a nonnegative number, got -2.0"),
+    ])
+    def test_generate_names_out_of_range_params(self, tmp_path, capsys, key, bad, message):
+        cfg = write_config(tmp_path / "c.cfg", edited_config("generate", ("params", key), bad))
+        assert main(["generate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"vcomp: error: {message}\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -761,15 +775,18 @@ class TestConfigValidation:
             ({"kind": "coupling", "coupling": {"delta_grid": [1.0, 0.5]}},
              "delta_grid must be nonnegative, finite and strictly increasing, got [1.0, 0.5]"),
             ({"kind": "coupling"}, "delta_grid: the additive_perturb scheme needs at least one delta"),
+            ({"kind": "normality", "params": {"sigma2": 1.0, "eta2": 0}},
+             "eta0_sq (params.eta2) must be positive in a normality plan, got 0.0"),
         ],
         ids=["stein-k2-two-scales", "normality-three-scales", "tanh_sum-two-scales", "sparse_zero-delta",
-             "delta-negative", "delta-repeated", "delta-decreasing", "additive-no-delta"],
+             "delta-negative", "delta-repeated", "delta-decreasing", "additive-no-delta", "normality-eta2-zero"],
     )
     def test_plan_rejects_what_a_runner_would_not_use(self, tmp_path, capsys, edit, message):
         # each once ran: a Stein plan on its first scale repeated, a sparse_zero
         # plan at delta = 0 alone, a normality tanh_product into numpy's broadcast
         # error, coupling plans into duplicate or backward cells or into a failure
-        # once the run had started
+        # once the run had started, a normality plan at eta2 = 0 into the score
+        # covariance's error after the first cell's design and eigensolve
         cfg = write_config(tmp_path / "c.cfg", {**EXP_CFG, "replicates": 100, **edit})
         assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == f"vcomp: error: {message}\n"

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -632,6 +634,27 @@ class TestScoreQF:
             score_qf_matrices(ModelParams(1.0, 0.0), self.spec, self.X)
 
 
+def score_covariance_by_map(params, spec, X, laws):
+    """Oracle for score_covariance: its old route, which squared the
+    standardized map into a second n x (n+p) array; the same operations on
+    the same shapes, so the same bytes."""
+    from vcomp.qform import qf_cov_terms
+
+    n, p = X.shape
+    kurt = np.concatenate([np.full(p, laws[0].excess_kurtosis), np.full(n, laws[1].excess_kurtosis)])
+    lam = spec.lambdas
+    C = est.standardized_map(params, spec, X)
+    w1 = 1.0 / (2.0 * params.sigma_sq**2 * n * (params.eta_sq * lam + 1.0))
+    w2 = lam / (2.0 * params.sigma_sq * n * (params.eta_sq * lam + 1.0) ** 2)
+    C_sq = C * C
+    terms = ((w1, w1 @ C_sq), (w2, w2 @ C_sq))
+    cc = est._pop_sq(params, spec)
+    info = np.empty((2, 2))
+    for (i, (wi, di)), (j, (wj, dj)) in itertools.combinations_with_replacement(enumerate(terms), 2):
+        info[i, j] = info[j, i] = n * qf_cov_terms(di, dj, float(np.sum(wi * wj * cc * cc)), kurt)
+    return info
+
+
 class TestScoreCovariance:
     def setup_method(self):
         rng = np.random.default_rng(35)
@@ -676,6 +699,29 @@ class TestScoreCovariance:
                 prod = self.n * scores[:, i] * scores[:, j]
                 se = prod.std(ddof=1) / math.sqrt(reps)
                 assert abs(emp[i, j] - info[i, j]) < 5 * se
+
+    @pytest.mark.parametrize("laws", [(GAUSSIAN, GAUSSIAN), (RADEMACHER, RADEMACHER), (UNIFORM, UNIFORM),
+                                      (UNIFORM, GAUSSIAN), (GAUSSIAN, RADEMACHER)],
+                             ids=["gaussian", "rademacher", "uniform", "uniform-gaussian", "gaussian-rademacher"])
+    @pytest.mark.parametrize("n, p", [(40, 15), (30, 70)], ids=["p<n", "p>n"])
+    def test_equals_the_standardized_map_route(self, laws, n, p):
+        X = np.random.default_rng(38).standard_normal((n, p))
+        spec, params = decompose_gram(X), ModelParams(1.3, 0.7)
+        got = score_covariance(params, spec, X, laws)
+        assert got.tobytes() == score_covariance_by_map(params, spec, X, laws).tobytes()
+
+    def test_peak_memory_is_one_map(self):
+        # C and C * C were two n x (n+p) arrays; the map is now squared in place
+        n, p = 200, 300
+        X = np.random.default_rng(39).standard_normal((n, p))
+        spec, params = decompose_gram(X), ModelParams(1.0, 1.0)
+        tracemalloc.start()
+        try:
+            score_covariance(params, spec, X, (RADEMACHER, RADEMACHER))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * n * (n + p) * 8
 
     def test_psd(self):
         info = score_covariance(self.params, self.spec, self.X, (RADEMACHER, RADEMACHER))

@@ -2,6 +2,7 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -94,6 +95,24 @@ class TestPlanValidation:
         # a duplicate r wrote duplicate cells and gates; r <= 0 reported p_hat = 1
         with pytest.raises(ValueError, match="r_grid"):
             small_plan(kind="tail_envelope", r_grid=r_grid)
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(sigma0_sq=-1.0), "sigma_sq must be finite and positive, got -1.0"),
+        (dict(sigma0_sq=0.0), "sigma_sq must be finite and positive, got 0.0"),
+        (dict(sigma0_sq=math.inf), "sigma_sq must be finite and positive, got inf"),
+        (dict(eta0_sq=-2.0), "eta_sq must be finite and nonnegative, got -2.0"),
+        (dict(eta0_sq=math.nan), "eta_sq must be finite and nonnegative, got nan"),
+        (dict(kind="normality", eta0_sq=0.0), "eta0_sq (params.eta2) must be positive in a normality plan, got 0.0"),
+    ], ids=["sigma-negative", "sigma-zero", "sigma-inf", "eta-negative", "eta-nan", "normality-eta-zero"])
+    def test_model_parameters_are_checked_with_the_plan(self, kw, message):
+        # each once failed only in a runner, ModelParams or the normality score
+        # covariance after the first cell's design and eigensolve
+        with pytest.raises(ValueError, match=re.escape(message)):
+            small_plan(**kw)
+
+    @pytest.mark.parametrize("kind", ["consistency", "coupling", "tail_envelope", "stein_discrepancy"])
+    def test_zero_eta_stays_valid_outside_normality(self, kind):
+        small_plan(kind=kind, eta0_sq=0.0, delta_grid=(0.0,), r_grid=(0.3,))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -386,6 +405,26 @@ class TestDeterminism:
         assert [t.tolist() for t in experiments._scatter(tasks[:2], 3)] == [[0], [1]]
         assert [t.tolist() for t in experiments._scatter(tasks, 2)] == [[0], [1], [2]]
         assert pool_sizes == [2, 2]
+
+    def test_pool_receives_task_indices_only(self, monkeypatch):
+        # each task once went through the pool's queue with its context: an
+        # n = 800 cell's design and eigenvectors, a non-Gaussian cell's n x (n+p)
+        # control map; the workers now inherit the tasks
+        sizes = []
+
+        class SpyPool(experiments.ProcessPoolExecutor):
+            def map(self, fn, *iterables, **kw):
+                items = list(zip(*iterables))
+                sizes.extend(len(pickle.dumps((fn, *item))) for item in items)
+                return super().map(fn, *zip(*items), **kw)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SpyPool)
+        # Rademacher laws: the control tasks get the map C; 1500 draws, 3 control blocks
+        plan = small_plan(kind="normality", beta_law="rademacher", eps_law="rademacher", control_draws=1500,
+                          workers=2)
+        report = run_normality(plan)
+        assert len(sizes) == 2 * 4 and max(sizes) < 1024
+        assert report.to_json() == run_normality(with_workers(plan, 1)).to_json()
 
     @pytest.mark.skipif(_openblas() is None or not hasattr(os, "fork"),
                         reason="needs numpy's bundled OpenBLAS and fork")
