@@ -174,15 +174,9 @@ def _design_from_cfg(cfg: dict, keys: set[str]) -> DesignSpec:
 
 
 def _params_from_cfg(cfg: dict) -> tuple[float, float]:
-    """(sigma2, eta2) from a ``params`` section: sigma2 positive, eta2 nonnegative."""
+    """(sigma2, eta2) from a ``params`` section; ModelParams checks their range."""
     _check_keys(cfg, _PARAMS_KEYS, "params")
-    sigma2, eta2 = (_number(_required(cfg, key, "params"), f"params.{key}") for key in ("sigma2", "eta2"))
-    # ModelParams would reject them too, but under its field names, sigma_sq and eta_sq
-    if sigma2 <= 0:
-        raise ConfigError(f"params.sigma2: expected a positive number, got {sigma2}")
-    if eta2 < 0:
-        raise ConfigError(f"params.eta2: expected a nonnegative number, got {eta2}")
-    return sigma2, eta2
+    return tuple(_number(_required(cfg, key, "params"), f"params.{key}") for key in ("sigma2", "eta2"))
 
 
 def _laws_from_cfg(cfg: dict) -> tuple[str, str]:

@@ -440,10 +440,15 @@ def standardized_map(params: ModelParams, spec: GramSpectrum, X: np.ndarray) -> 
     Here z = (sqrt(p) beta'/tau_0, eps'/sigma_0)' has independent unit-variance
     coordinates, so every score component is a quadratic form in z.
     """
-    p = X.shape[1]
+    n, p = X.shape
     s0 = math.sqrt(params.sigma_sq)
     tau0 = math.sqrt(params.sigma_sq * params.eta_sq)
-    return np.hstack([(tau0 / math.sqrt(p)) * (spec.U.T @ X), s0 * spec.U.T])
+    # [tau0/sqrt(p) U'X | s0 U'] made in its own buffer: no block is a temporary
+    C = np.empty((n, p + n))
+    np.matmul(spec.U.T, X, out=C[:, :p])
+    C[:, :p] *= tau0 / math.sqrt(p)
+    np.multiply(spec.U.T, s0, out=C[:, p:])
+    return C
 
 
 def score_covariance(
@@ -472,13 +477,8 @@ def score_covariance(
     w1 = 1.0 / (2.0 * params.sigma_sq**2 * n * (params.eta_sq * lam + 1.0))
     w2 = lam / (2.0 * params.sigma_sq * n * (params.eta_sq * lam + 1.0) ** 2)
 
-    # C * C of the standardized map, built and squared in one buffer: the
-    # bytes of standardized_map's, without a second n x (n+p) array
-    C_sq = np.empty((n, p + n))
-    np.matmul(spec.U.T, X, out=C_sq[:, :p])
-    C_sq[:, :p] *= math.sqrt(params.sigma_sq * params.eta_sq) / math.sqrt(p)
-    np.multiply(spec.U.T, math.sqrt(params.sigma_sq), out=C_sq[:, p:])
-    np.square(C_sq, out=C_sq)
+    C_sq = standardized_map(params, spec, X)
+    np.square(C_sq, out=C_sq)  # in place: no second n x (n+p) array
     terms = ((w1, w1 @ C_sq), (w2, w2 @ C_sq))  # each weight vector with diag(M_k)
     # C C' = diag(E y_check^2) makes tr(M_k M_l) an O(n) sum
     cc = _pop_sq(params, spec)

@@ -437,14 +437,14 @@ def _scatter(tasks: list, workers: int) -> list:
     pool starts all of its processes at the first submit.  Its workers fork
     wherever fork exists, whatever the default start method, so they inherit
     the parent's one-thread BLAS pin (``one_blas_thread``) and the tasks,
-    which the pool initializer (``matio._inherit``) gets and fork never
+    which the pool initializer (``matio.inherit``) gets and fork never
     pickles; only task indices go through the pool's queue (``_chunk_at``).
     Without fork, the tasks are pickled once per worker, not once per task."""
     if workers <= 1 or len(tasks) <= 1:
         return [_chunk(task) for task in tasks]
     context = multiprocessing.get_context("fork") if hasattr(os, "fork") else None
     with ProcessPoolExecutor(max_workers=min(workers, len(tasks)), mp_context=context,
-                             initializer=matio._inherit, initargs=(tasks,)) as pool:
+                             initializer=matio.inherit, initargs=(tasks,)) as pool:
         return list(pool.map(_chunk_at, range(len(tasks)), chunksize=1))
 
 
@@ -509,7 +509,7 @@ def _chunk(task) -> np.ndarray:
 
 def _chunk_at(i: int) -> np.ndarray:
     """Worker: ``_chunk`` of task ``i`` of the list the pool's worker inherited."""
-    (tasks,) = matio._inherited
+    (tasks,) = matio.inherited()
     return _chunk(tasks[i])
 
 

@@ -38,7 +38,7 @@ _RANGE_BYTES = 4 << 20  # the bytes of CSV one reader task parses
 _SCAN_BYTES = 1 << 20  # read size when cutting a file into ranges
 _NUMBER_BYTES = 25  # the longest "%.17g" of a float64 and its delimiter
 
-# what a forked worker got from its parent, set by ``_inherit``
+# what a forked worker got from its parent, set by ``inherit``
 _inherited: tuple = ()
 
 # "%.17g" of a float64 in [1e-4, 1e16) is fixed-point text of the 17-digit
@@ -84,104 +84,60 @@ def _tables() -> tuple[np.ndarray, ...]:
     return tables
 
 
-class _Scratch:
-    """The arrays ``_format`` fills for chunks of up to ``size`` elements,
-    made once per matrix written.  The allocator serves arrays this large by
-    mmap until a larger one has been freed, so temporaries made per chunk
-    are faulted in afresh by every chunk: 115,000 page faults, and nearly
-    twice the CPU time, for a 1000 x 2000 design written first thing in a
-    process.  Byte-wide temporaries, 32 KB at most, come from the heap; the
-    text itself is made per chunk, since only its mask gives its length."""
-
-    def __init__(self, size: int):
-        self.floats = np.empty((8, size))  # |x| and _scaled's seven
-        self.ints = np.empty((5, size), np.int64)  # k; D; three for _scaled and D's digit groups
-        self.quads = np.empty((size, 4), np.intp)
-        self.digits = np.empty((size, 4), np.uint32)
-        self.text = np.empty((size, _ROW), np.uint8)
-        self.mask = np.empty((size, _ROW), bool)
+def _scaled(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """round-half-even(a * 10^(16-k)) as int64, exact: Dekker's product gives
+    the exact a * 10^(16-k) as hi + lo, and where the result has 17 digits,
+    hi >= 2^53 is an even integer."""
+    pow10, pow10_hi, pow10_lo = (t[16 - k] for t in _tables()[:3])
+    hi = a * pow10
+    c = a * _SPLIT
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    lo = ((a_hi * pow10_hi - hi) + a_hi * pow10_lo + a_lo * pow10_hi) + a_lo * pow10_lo
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
 
 
-def _scaled(a: np.ndarray, k: np.ndarray, f: np.ndarray, out: np.ndarray, e: np.ndarray) -> None:
-    """round-half-even(a * 10^(16-k)) as int64 into ``out``, exact: Dekker's
-    product gives the exact a * 10^(16-k) as hi + lo, and where the result
-    has 17 digits, hi >= 2^53 is an even integer.  ``f`` (seven float rows)
-    and ``e`` (ints) are scratch of a's length."""
-    pow10, pow10_hi, pow10_lo = _tables()[:3]
-    hi, p_hi, p_lo, a_hi, a_lo, lo, t = f
-    np.subtract(16, k, out=e)
-    # the exponents are in range; mode="clip" only spares take its copy of out
-    for table, row in ((pow10, hi), (pow10_hi, p_hi), (pow10_lo, p_lo)):
-        np.take(table, e, out=row, mode="clip")
-    hi *= a
-    np.multiply(a, _SPLIT, out=a_lo)  # c
-    np.subtract(a_lo, a, out=a_hi)
-    np.subtract(a_lo, a_hi, out=a_hi)  # c - (c - a)
-    np.subtract(a, a_hi, out=a_lo)
-    # ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo, in that order
-    np.multiply(a_hi, p_hi, out=lo)
-    lo -= hi
-    for u, v in ((a_hi, p_lo), (a_lo, p_hi), (a_lo, p_lo)):
-        lo += np.multiply(u, v, out=t)
-    np.copyto(out, hi, casting="unsafe")
-    np.copyto(e, np.rint(lo, out=lo), casting="unsafe")
-    out += e
-
-
-def _format(x: np.ndarray, start: int, p: int, s: _Scratch) -> np.ndarray:
-    """The text of flat elements ``start..`` of a matrix with ``p`` columns,
-    made in the arrays of ``s``."""
+def _format(x: np.ndarray, start: int, p: int) -> np.ndarray:
+    """The text of flat elements ``start..`` of a matrix with ``p`` columns."""
     *_, digits4, trailing4, masks, template = _tables()
     n = len(x)
-    f, (k, D, t1, t2, t3) = s.floats[:, :n], s.ints[:, :n]
-    a = np.abs(x, out=f[0])
+    a = np.abs(x)
     fast = (a >= 1e-4) & (a < 1e16)
     zero = a == 0
-    np.copyto(a, 1.0, where=~fast)  # the others' D and k are set below or unused
-    np.copyto(k, np.floor(np.log10(a, out=f[1]), out=f[1]), casting="unsafe")
-    _scaled(a, k, f[1:], D, t1)
+    a = np.where(fast, a, 1.0)  # the others' D and k are set below or unused
+    k = np.floor(np.log10(a)).astype(np.intp)
+    D = _scaled(a, k)
     while (off := np.flatnonzero((D < 10**16) | (D >= 10**17))).size:
-        m = off.size
         k[off] += np.where(D[off] < 10**16, -1, 1)
-        _scaled(a[off], k[off], f[1:, :m], t2[:m], t1[:m])
-        D[off] = t2[:m]
+        D[off] = _scaled(a[off], k[off])
     D[zero] = 0  # "0": k = 0 from the placeholder, one digit
     # D is its head digit, then four groups of four digits (// and * outrun np.divmod)
-    upper, lower, head = t1, t2, t3
-    np.floor_divide(D, 10**8, out=upper)
-    np.subtract(D, np.multiply(upper, 10**8, out=lower), out=lower)
-    np.floor_divide(upper, 10**8, out=head)
-    upper -= np.multiply(head, 10**8, out=D)
-    quads = s.quads[:n]
+    upper = D // 10**8
+    lower = D - upper * 10**8
+    head = upper // 10**8
+    upper -= head * 10**8
+    quads = np.empty((n, 4), np.intp)
+    quads[:, 0] = upper // 10**4
+    quads[:, 1] = upper - quads[:, 0] * 10**4
+    quads[:, 2] = lower // 10**4
+    quads[:, 3] = lower - quads[:, 2] * 10**4
     q1, q2, q3, q4 = quads.T
-    for group, q_hi, q_lo in ((upper, q1, q2), (lower, q3, q4)):
-        np.floor_divide(group, 10**4, out=q_hi)
-        np.subtract(group, np.multiply(q_hi, 10**4, out=q_lo), out=q_lo)
     trailing = trailing4[q4] + (q4 == 0) * (
         trailing4[q3] + (q3 == 0) * (trailing4[q2] + (q2 == 0) * trailing4[q1]))
-    text = s.text[:n]
+    text = np.empty((n, _ROW), np.uint8)
     text[:] = template
-    digits = np.take(digits4, quads, out=s.digits[:n], mode="clip").view(np.uint8)
-    for first in (_LEAD + 1, _LEAD + _SLOTS + 2):  # the two copies of D
-        np.add(head, 48, out=text[:, first], casting="unsafe")
-        text[:, first + 1:first + 17] = digits
+    text[:, _LEAD + 1] = 48 + head
+    text[:, _LEAD + 2:_SLOTS + 1] = digits4[quads].view(np.uint8)
+    text[:, _SLOTS + 2:-1] = text[:, 1:_SLOTS + 1]
     text[(p - 1 - start) % p::p, -1] = ord("\n")
-    # the mask row ((k + _LEAD) * 17 + 16 - trailing) * 2 + negative, made in k
-    k += _LEAD
-    k *= 17
-    k += 16
-    k -= trailing
-    k *= 2
-    k += np.signbit(x)
-    mask = np.take(masks, k, axis=0, out=s.mask[:n], mode="clip")
+    mask = np.take(masks, ((k + _LEAD) * 17 + 16 - trailing) * 2 + np.signbit(x), axis=0)
     # zero aside, what the fast range leaves out gets the call numpy's savetxt makes
     other = np.flatnonzero(~(fast | zero))
     if other.size:
         words = [b"%.17g" % v for v in x[other].tolist()]
         text[other, :-1] = np.array(words, dtype=f"S{_ROW - 1}").view(np.uint8).reshape(-1, _ROW - 1)
         mask[other, :-1] = np.arange(_ROW - 1) < np.array([len(w) for w in words])[:, None]
-    # a boolean index, not np.compress, which makes the (8-byte) index of every kept byte first
-    return text.reshape(-1)[mask.reshape(-1)]
+    return np.compress(mask.reshape(-1), text.reshape(-1))
 
 
 def _write_csv(fh, X: np.ndarray) -> None:
@@ -193,9 +149,8 @@ def _write_csv(fh, X: np.ndarray) -> None:
         fh.write(b"\n" * n)
         return
     flat = np.ascontiguousarray(X).reshape(-1)
-    scratch = _Scratch(min(_CHUNK, flat.size))
     for start in range(0, flat.size, _CHUNK):
-        fh.write(_format(flat[start:start + _CHUNK], start, p, scratch))
+        fh.write(_format(flat[start:start + _CHUNK], start, p))
 
 
 def _cpu_count() -> int:
@@ -214,7 +169,7 @@ def _workers(ranges: int) -> int:
 
 
 def _pool(workers: int, *state):
-    """Forked workers that see ``state`` as ``_inherited``, never pickled."""
+    """Forked workers that see ``state`` as ``inherited()``, never pickled."""
     # imported here: imported with this module, which loads ahead of the rest
     # of vcomp, the pool machinery kept about 1.7 MB more resident in every
     # vcomp process
@@ -223,14 +178,22 @@ def _pool(workers: int, *state):
 
     return ProcessPoolExecutor(
         max_workers=workers, mp_context=multiprocessing.get_context("fork"),
-        initializer=_inherit, initargs=state,
+        initializer=inherit, initargs=state,
     )
 
 
-def _inherit(*state) -> None:
+def inherit(*state) -> None:
+    """Pool initializer: keep ``state``, the pool's ``initargs``, for
+    ``inherited()``, then ``exit_with_parent``.  A forked worker gets
+    ``initargs`` by inheritance and never pickles them."""
     global _inherited
     _inherited = state
     exit_with_parent()
+
+
+def inherited() -> tuple:
+    """The ``state`` this worker's pool initializer ``inherit`` kept."""
+    return _inherited
 
 
 def exit_with_parent() -> None:
@@ -281,7 +244,7 @@ def save_matrix_csv(path: str | Path, X: np.ndarray) -> None:
 def _write_rows(task) -> None:
     """Worker: rows ``lo:hi`` of the inherited matrix into a part file."""
     part, lo, hi = task
-    (X,) = _inherited
+    (X,) = inherited()
     with open(part, "wb") as fh:
         _write_csv(fh, X[lo:hi])
 
@@ -345,7 +308,7 @@ def _read_rows(task) -> tuple[int, ...]:
     """Worker: parse bytes ``start:stop`` into rows ``lo:hi`` of the inherited
     output if they hold that many rows of its width; their shape."""
     start, stop, lo, hi = task
-    path, X = _inherited
+    path, X = inherited()
     with open(path, "rb") as fh:
         fh.seek(start)
         # decoded as np.loadtxt(path) decodes: locale encoding, universal newlines

@@ -37,9 +37,9 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.sigma_sq) and self.sigma_sq > 0):
-            raise ValueError(f"sigma_sq must be finite and positive, got {self.sigma_sq}")
+            raise ValueError(f"sigma_sq (params.sigma2) must be finite and positive, got {self.sigma_sq}")
         if not (math.isfinite(self.eta_sq) and self.eta_sq >= 0):
-            raise ValueError(f"eta_sq must be finite and nonnegative, got {self.eta_sq}")
+            raise ValueError(f"eta_sq (params.eta2) must be finite and nonnegative, got {self.eta_sq}")
 
     def beta_variance(self, p: int) -> float:
         return self.sigma_sq * self.eta_sq / p

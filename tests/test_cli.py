@@ -734,10 +734,10 @@ class TestConfigValidation:
             ({"kind": "stein_discrepancy", "n_grid": [0]}, "n_grid: need n >= 1, got 0"),
             ({"kind": "stein_discrepancy", "n_grid": [-3]}, "n_grid: need n >= 1, got -3"),
             ({"kind": "consistency", "n_grid": [1, 10]}, "n_grid: need n >= 2, got 1"),
-            # each once named ModelParams' field, sigma_sq or eta_sq, not the config key
-            ({"params": {"sigma2": -1, "eta2": 1.0}}, "params.sigma2: expected a positive number, got -1.0"),
-            ({"params": {"sigma2": 0, "eta2": 1.0}}, "params.sigma2: expected a positive number, got 0.0"),
-            ({"params": {"sigma2": 1.0, "eta2": -2}}, "params.eta2: expected a nonnegative number, got -2.0"),
+            # each once named ModelParams' field, sigma_sq or eta_sq, and not the config key
+            ({"params": {"sigma2": -1, "eta2": 1.0}}, "sigma_sq (params.sigma2) must be finite and positive, got -1.0"),
+            ({"params": {"sigma2": 0, "eta2": 1.0}}, "sigma_sq (params.sigma2) must be finite and positive, got 0.0"),
+            ({"params": {"sigma2": 1.0, "eta2": -2}}, "eta_sq (params.eta2) must be finite and nonnegative, got -2.0"),
         ],
     )
     def test_out_of_range_value_is_named(self, tmp_path, capsys, edit, name):
@@ -748,8 +748,8 @@ class TestConfigValidation:
         assert err.startswith("vcomp: error: ") and name in err
 
     @pytest.mark.parametrize("key, bad, message", [
-        ("sigma2", -1, "params.sigma2: expected a positive number, got -1.0"),
-        ("eta2", -2, "params.eta2: expected a nonnegative number, got -2.0"),
+        ("sigma2", -1, "sigma_sq (params.sigma2) must be finite and positive, got -1.0"),
+        ("eta2", -2, "eta_sq (params.eta2) must be finite and nonnegative, got -2.0"),
     ])
     def test_generate_names_out_of_range_params(self, tmp_path, capsys, key, bad, message):
         cfg = write_config(tmp_path / "c.cfg", edited_config("generate", ("params", key), bad))

@@ -634,16 +634,25 @@ class TestScoreQF:
             score_qf_matrices(ModelParams(1.0, 0.0), self.spec, self.X)
 
 
+def standardized_map_by_blocks(params, spec, X):
+    """Oracle for standardized_map: its old route, which stacked two
+    temporary blocks into C."""
+    p = X.shape[1]
+    tau0 = math.sqrt(params.sigma_sq * params.eta_sq)
+    return np.hstack([(tau0 / math.sqrt(p)) * (spec.U.T @ X), math.sqrt(params.sigma_sq) * spec.U.T])
+
+
 def score_covariance_by_map(params, spec, X, laws):
-    """Oracle for score_covariance: its old route, which squared the
-    standardized map into a second n x (n+p) array; the same operations on
-    the same shapes, so the same bytes."""
+    """Oracle for score_covariance: its old route, which stacked the
+    standardized map from temporary blocks and squared it into a second
+    n x (n+p) array; the same operations on the same shapes, so the same
+    bytes."""
     from vcomp.qform import qf_cov_terms
 
     n, p = X.shape
     kurt = np.concatenate([np.full(p, laws[0].excess_kurtosis), np.full(n, laws[1].excess_kurtosis)])
     lam = spec.lambdas
-    C = est.standardized_map(params, spec, X)
+    C = standardized_map_by_blocks(params, spec, X)
     w1 = 1.0 / (2.0 * params.sigma_sq**2 * n * (params.eta_sq * lam + 1.0))
     w2 = lam / (2.0 * params.sigma_sq * n * (params.eta_sq * lam + 1.0) ** 2)
     C_sq = C * C
@@ -709,6 +718,13 @@ class TestScoreCovariance:
         spec, params = decompose_gram(X), ModelParams(1.3, 0.7)
         got = score_covariance(params, spec, X, laws)
         assert got.tobytes() == score_covariance_by_map(params, spec, X, laws).tobytes()
+
+    @pytest.mark.parametrize("n, p", [(40, 15), (30, 70)], ids=["p<n", "p>n"])
+    def test_map_equals_its_blocks(self, n, p):
+        X = np.random.default_rng(38).standard_normal((n, p))
+        spec, params = decompose_gram(X), ModelParams(1.3, 0.7)
+        got = est.standardized_map(params, spec, X)
+        assert got.tobytes() == standardized_map_by_blocks(params, spec, X).tobytes()
 
     def test_peak_memory_is_one_map(self):
         # C and C * C were two n x (n+p) arrays; the map is now squared in place

@@ -97,11 +97,11 @@ class TestPlanValidation:
             small_plan(kind="tail_envelope", r_grid=r_grid)
 
     @pytest.mark.parametrize("kw, message", [
-        (dict(sigma0_sq=-1.0), "sigma_sq must be finite and positive, got -1.0"),
-        (dict(sigma0_sq=0.0), "sigma_sq must be finite and positive, got 0.0"),
-        (dict(sigma0_sq=math.inf), "sigma_sq must be finite and positive, got inf"),
-        (dict(eta0_sq=-2.0), "eta_sq must be finite and nonnegative, got -2.0"),
-        (dict(eta0_sq=math.nan), "eta_sq must be finite and nonnegative, got nan"),
+        (dict(sigma0_sq=-1.0), "sigma_sq (params.sigma2) must be finite and positive, got -1.0"),
+        (dict(sigma0_sq=0.0), "sigma_sq (params.sigma2) must be finite and positive, got 0.0"),
+        (dict(sigma0_sq=math.inf), "sigma_sq (params.sigma2) must be finite and positive, got inf"),
+        (dict(eta0_sq=-2.0), "eta_sq (params.eta2) must be finite and nonnegative, got -2.0"),
+        (dict(eta0_sq=math.nan), "eta_sq (params.eta2) must be finite and nonnegative, got nan"),
         (dict(kind="normality", eta0_sq=0.0), "eta0_sq (params.eta2) must be positive in a normality plan, got 0.0"),
     ], ids=["sigma-negative", "sigma-zero", "sigma-inf", "eta-negative", "eta-nan", "normality-eta-zero"])
     def test_model_parameters_are_checked_with_the_plan(self, kw, message):
