@@ -204,25 +204,35 @@ def cmd_generate(args) -> int:
     params = ModelParams(*_params_from_cfg(_required(cfg, "params", "generate config")))
     laws_cfg = cfg.get("laws", {"beta": "gaussian", "eps": "gaussian"})
     beta_law, eps_law = (law_by_name(name) for name in _laws_from_cfg(laws_cfg))
+    coupling = None  # read before the design is drawn
+    if cfg.get("coupling") is not None:
+        _check_keys(cfg["coupling"], _COUPLING_KEYS, "coupling")
+        coupling = CouplingSpec(
+            scheme=_required(cfg["coupling"], "scheme", "coupling"),
+            delta=_number(cfg["coupling"].get("delta", 0.0), "coupling.delta"),
+            fraction=_number(cfg["coupling"].get("fraction", 0.0), "coupling.fraction"),
+        )
 
     # one BLAS thread, so X.csv and y.csv do not depend on the thread count
     with one_blas_thread():
         X = gen_design(n, p, design, seed)
-        if "coupling" in cfg and cfg["coupling"] is not None:
-            _check_keys(cfg["coupling"], _COUPLING_KEYS, "coupling")
-            coupling = CouplingSpec(
-                scheme=_required(cfg["coupling"], "scheme", "coupling"),
-                delta=_number(cfg["coupling"].get("delta", 0.0), "coupling.delta"),
-                fraction=_number(cfg["coupling"].get("fraction", 0.0), "coupling.fraction"),
-            )
-            ds = gen_coupled(X, params, beta_law, eps_law, coupling, seed)
-        else:
+        if coupling is None:
             ds = gen_independent(X, params, beta_law, eps_law, seed)
+        else:
+            ds = gen_coupled(X, params, beta_law, eps_law, coupling, seed)
 
     outdir = Path(args.out)
     save_dataset(ds, outdir)
     _manifest(outdir, "generate", _config_digest(cfg), seed_val)
     return 0
+
+
+def _design_for(x_path: Path, y: np.ndarray) -> np.ndarray:
+    """The design at ``x_path``, once ``y`` is checked against its rows, so a
+    bad ``y`` fails before the eigensolve."""
+    X = load_matrix(x_path)
+    est.checked_outcomes(y, len(X))
+    return X
 
 
 def cmd_fit(args) -> int:
@@ -238,7 +248,7 @@ def cmd_fit(args) -> int:
     # Gram is formed, so no n x p matrix is resident during the eigensolve;
     # one BLAS thread, so fit.json does not depend on the thread count
     with one_blas_thread():
-        spec = decompose_gram(load_matrix(x_path))
+        spec = decompose_gram(_design_for(x_path, y))
         state = est.ScoreState.from_observations(spec, y)
         fit = est.fit_mle(state, est.FitOptions(trace=trace))
 

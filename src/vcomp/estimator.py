@@ -53,6 +53,16 @@ def not_identifiable(spec: GramSpectrum) -> bool:
     return eigvar(spec) < IDENT_FLOOR * (spec.lambda_1 + 1.0) ** 2
 
 
+def checked_outcomes(y: np.ndarray, n: int) -> np.ndarray:
+    """``y`` as a float64 vector, checked to hold n finite entries."""
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    if y.size != n:
+        raise ValueError(f"y has length {y.size}, expected n={n}")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y has non-finite entries")
+    return y
+
+
 @dataclass
 class ScoreState:
     """Observations rotated into the Gram eigenbasis."""
@@ -62,11 +72,7 @@ class ScoreState:
 
     @classmethod
     def from_observations(cls, spec: GramSpectrum, y: np.ndarray) -> "ScoreState":
-        y = np.asarray(y, dtype=np.float64).reshape(-1)
-        if y.size != spec.n:
-            raise ValueError(f"y has length {y.size}, expected n={spec.n}")
-        if not np.all(np.isfinite(y)):
-            raise ValueError("y has non-finite entries")
+        y = checked_outcomes(y, spec.n)
         y_check = spec.U.T @ y
         # both norms at y / 2^e, |y| < 2^e: exact, and neither over- nor underflows
         e = np.frexp(np.max(np.abs(y)))[1]

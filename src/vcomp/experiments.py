@@ -39,8 +39,8 @@ from . import estimator as est
 from . import matio
 from .errors import NonIdentifiableError, NumericalError, TailGridError
 from .laws import SeedSpec, law_by_name, rng_for, sample_rows, shared_rng
-from .model import (COUPLING_SCHEMES, CouplingSpec, DesignSpec, ModelParams, design_eigenvalues, draw_effects,
-                    draw_eigenbasis, gen_design, haar_orthogonal)
+from .model import (CouplingSpec, DesignSpec, ModelParams, design_eigenvalues, draw_effects, draw_eigenbasis,
+                    gen_design, haar_orthogonal)
 from .qform import QuadraticForm, build_w, napprox_rate
 from .spectrum import GramSpectrum, decompose_gram
 
@@ -48,8 +48,6 @@ REPORT_HEADER = (
     "Absolute constants in the underlying finite-sample bounds are unknown; "
     "gates test shapes (monotonicity, log-linearity, slope windows), not bound values."
 )
-
-KINDS = ("consistency", "tail_envelope", "normality", "coupling", "stein_discrepancy")
 
 _X_STREAM = (1 << 32) - 1
 _AUX_STREAM = (1 << 32) - 2
@@ -126,6 +124,14 @@ def resolve_test_fn(name: str, scales: tuple[float, ...]) -> SmoothTestFn:
     return factory(scales)
 
 
+def _check_grid(key: str, grid: tuple[float, ...], zero: bool = False) -> None:
+    """A grid's rule: finite, strictly increasing, and positive, or nonnegative with ``zero``."""
+    if not all(math.isfinite(g) and (g > 0 or zero and g == 0) for g in grid) or any(
+            b <= a for a, b in zip(grid, grid[1:])):
+        bound = "nonnegative" if zero else "positive"
+        raise ValueError(f"{key} must be {bound}, finite and strictly increasing, got {list(grid)}")
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
     """Everything a run needs; a pure value, safe to hash and to ship to workers."""
@@ -161,12 +167,14 @@ class ExperimentPlan:
     control_draws: int = 200_000
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
+        if self.kind not in _RUNNERS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
         # checked here, not first by a runner once a cell's design and eigensolve are done
         self.params()  # sigma0_sq > 0 and eta0_sq >= 0
+        self.laws()
+        CouplingSpec(self.coupling_scheme, fraction=self.sparse_fraction)
         if self.kind == "normality" and self.eta0_sq == 0:  # its sandwich covariance needs eta0^2 > 0
             raise ValueError("eta0_sq (params.eta2) must be positive in a normality plan, got 0.0")
         if self.replicates < 100:
@@ -180,12 +188,9 @@ class ExperimentPlan:
         least = 1 if self.kind == "stein_discrepancy" else 2  # a fit needs two rows; a Stein cell one dimension
         if self.n_grid[0] < least:
             raise ValueError(f"n_grid: need n >= {least}, got {self.n_grid[0]}")
-        if not all(math.isfinite(r) and r > 0 for r in self.r_grid) or any(
-            b <= a for a, b in zip(self.r_grid, self.r_grid[1:])
-        ):
-            raise ValueError(f"r_grid must be positive, finite and strictly increasing, got {list(self.r_grid)}")
-        if self.coupling_scheme not in COUPLING_SCHEMES:
-            raise ValueError(f"unknown coupling scheme {self.coupling_scheme!r}")
+        _check_grid("r_grid", self.r_grid)
+        if self.kind == "tail_envelope" and not self.r_grid:
+            raise ValueError("r_grid: a tail plan needs at least one r")
         if self.delta_scale not in ("absolute", "inverse_n"):
             raise ValueError(f"unknown delta_scale {self.delta_scale!r}")
         if self.qspec not in ("equispaced", "identity"):
@@ -210,11 +215,7 @@ class ExperimentPlan:
                 raise ValueError(f"test_scales: {self.test_fn} takes {each}one value, got {list(self.test_scales)}")
         # a repeated or decreasing delta once wrote duplicate cells, or cells the
         # monotonicity gates read backwards; a negative one failed after a cell's eigensolve
-        if not all(math.isfinite(d) and d >= 0 for d in self.delta_grid) or any(
-            b <= a for a, b in zip(self.delta_grid, self.delta_grid[1:])
-        ):
-            raise ValueError(
-                f"delta_grid must be nonnegative, finite and strictly increasing, got {list(self.delta_grid)}")
+        _check_grid("delta_grid", self.delta_grid, zero=True)
         if self.coupling_scheme == "sparse_zero" and any(self.delta_grid):
             raise ValueError(f"delta_grid: the sparse_zero scheme runs delta = 0 only, got {list(self.delta_grid)}")
         if self.kind == "coupling" and self.coupling_scheme == "additive_perturb" and not self.delta_grid:
@@ -256,7 +257,9 @@ class ExperimentReport:
     gates: list[dict]
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
+        """Strict JSON: a non-finite number (a 2-point slope's stderr, a
+        degenerate Stein cell's estimate) is written as null."""
+        return json.dumps(_finite(asdict(self)), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
     def cells_csv(self) -> str:
         buf = io.StringIO()
@@ -275,6 +278,15 @@ class ExperimentReport:
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "report.json").write_text(self.to_json(), encoding="utf-8")
         (outdir / "cells.csv").write_text(self.cells_csv(), encoding="utf-8")
+
+
+def _finite(obj):
+    """``obj`` with every non-finite float in it replaced by None."""
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
 def _report(plan: ExperimentPlan, cells: list, gates: list) -> ExperimentReport:
@@ -433,17 +445,18 @@ def _chunks(total: int, workers: int, block: int = _FIT_BLOCK) -> list[tuple[int
 
 def _scatter(tasks: list, workers: int) -> list:
     """The results of ``_chunk`` tasks, in order; a pool runs them when
-    ``workers`` > 1.  The pool has at most one process per task: a forked
-    pool starts all of its processes at the first submit.  Its workers fork
-    wherever fork exists, whatever the default start method, so they inherit
-    the parent's one-thread BLAS pin (``one_blas_thread``) and the tasks,
-    which the pool initializer (``matio.inherit``) gets and fork never
-    pickles; only task indices go through the pool's queue (``_chunk_at``).
-    Without fork, the tasks are pickled once per worker, not once per task."""
+    ``workers`` > 1.  The pool has at most one process per task and one per
+    CPU (``matio._cpu_count``): a forked pool starts all of its processes at
+    the first submit.  Its workers fork wherever fork exists, whatever the
+    default start method, so they inherit the parent's one-thread BLAS pin
+    (``one_blas_thread``) and the tasks, which the pool initializer
+    (``matio.inherit``) gets and fork never pickles; only task indices go
+    through the pool's queue (``_chunk_at``).  Without fork, the tasks are
+    pickled once per worker, not once per task."""
     if workers <= 1 or len(tasks) <= 1:
         return [_chunk(task) for task in tasks]
     context = multiprocessing.get_context("fork") if hasattr(os, "fork") else None
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks)), mp_context=context,
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks), matio._cpu_count()), mp_context=context,
                              initializer=matio.inherit, initargs=(tasks,)) as pool:
         return list(pool.map(_chunk_at, range(len(tasks)), chunksize=1))
 
@@ -895,8 +908,6 @@ def run_tail(plan: ExperimentPlan) -> ExperimentReport:
     Gaussian laws no design is drawn: a gaussian_iid cell's eigenvalues come
     from the chi bidiagonal of Dumitriu & Edelman (2002) (``_cell_spectrum``)."""
     rs = plan.r_grid
-    if not rs:
-        raise ValueError("tail experiment needs a nonempty r grid")
     cells = []
     for ci, n in enumerate(plan.n_grid):
         X, spec = _cell_spectrum(plan, ci, n)
@@ -965,7 +976,7 @@ def run_normality(plan: ExperimentPlan) -> ExperimentReport:
         # need only the eigenvalues
         C = None if plan.gaussian() or not plan.control_draws else est.standardized_map(params, spec, X)
         ctrl_sums, rows = _gather(
-            plan, ci, (_control_block, (replace(spec, U=None), C, j0), plan.control_draws, _CTRL_BLOCK),
+            plan, ci, (_control_block, (spec, C, j0), plan.control_draws, _CTRL_BLOCK),
             (_lin_block, (X, spec, j0), plan.replicates, _FIT_BLOCK),
         )
         thetas = rows[:, :2]

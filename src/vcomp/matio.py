@@ -154,7 +154,10 @@ def _write_csv(fh, X: np.ndarray) -> None:
 
 
 def _cpu_count() -> int:
-    return len(os.sched_getaffinity(0))
+    """The CPUs in the process's affinity mask, or ``os.cpu_count()`` without one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _workers(ranges: int) -> int:
@@ -183,26 +186,14 @@ def _pool(workers: int, *state):
 
 
 def inherit(*state) -> None:
-    """Pool initializer: keep ``state``, the pool's ``initargs``, for
-    ``inherited()``, then ``exit_with_parent``.  A forked worker gets
-    ``initargs`` by inheritance and never pickles them."""
+    """Pool initializer: keep ``state``, the pool's ``initargs``, which a
+    forked worker inherits unpickled, for ``inherited()``; end this worker
+    within a second of its parent's death, as it holds its pool's call queue
+    open and would wait on it forever.  A timer signal runs the check, not a
+    thread: a watcher thread left the normality control task's worker about
+    20 MB more resident (one more malloc arena)."""
     global _inherited
     _inherited = state
-    exit_with_parent()
-
-
-def inherited() -> tuple:
-    """The ``state`` this worker's pool initializer ``inherit`` kept."""
-    return _inherited
-
-
-def exit_with_parent() -> None:
-    """Pool initializer: end this worker within a second of its parent's
-    death.  Each forked worker holds its pool's call queue open for writing,
-    so a worker whose parent was killed would otherwise wait on it forever.
-    A timer signal runs the check, not a thread: a watcher thread left the
-    normality control task's worker about 20 MB more resident (one more
-    malloc arena)."""
     parent = os.getppid()
 
     def check(signum, frame) -> None:
@@ -212,6 +203,11 @@ def exit_with_parent() -> None:
     if hasattr(signal, "setitimer"):  # not on Windows
         signal.signal(signal.SIGALRM, check)
         signal.setitimer(signal.ITIMER_REAL, 0.5, 0.5)
+
+
+def inherited() -> tuple:
+    """The ``state`` this worker's pool initializer ``inherit`` kept."""
+    return _inherited
 
 
 def save_matrix_csv(path: str | Path, X: np.ndarray) -> None:
@@ -263,16 +259,22 @@ def load_matrix(path: str | Path) -> np.ndarray:
     X = _load_split(path)
     if X is not None:
         return X
-    with warnings.catch_warnings():  # loadtxt warns on a file with no data; raised below
-        warnings.simplefilter("ignore", UserWarning)
-        try:
-            X = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-        except ValueError as exc:
-            # numpy's message names no file, and after a ';' cites loadtxt options
-            raise ValueError(f"{path}: {str(exc).split(';')[0]}") from None
+    try:
+        X = _loadtxt(path)
+    except ValueError as exc:
+        # numpy's message names no file, and after a ';' cites loadtxt options
+        raise ValueError(f"{path}: {str(exc).split(';')[0]}") from None
     if X.size == 0:
         raise ValueError(f"{path}: matrix file holds no data")
     return X
+
+
+def _loadtxt(source) -> np.ndarray:
+    """The CSV at ``source``, a path or a text file, from the one
+    ``np.loadtxt`` call of both readers, without its warning on no data."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(source, delimiter=",", dtype=np.float64, ndmin=2)
 
 
 def _load_split(path: Path) -> np.ndarray | None:
@@ -312,10 +314,7 @@ def _read_rows(task) -> tuple[int, ...]:
     with open(path, "rb") as fh:
         fh.seek(start)
         # decoded as np.loadtxt(path) decodes: locale encoding, universal newlines
-        text = io.TextIOWrapper(io.BytesIO(fh.read(stop - start)))
-    with warnings.catch_warnings():  # a range of comment lines only has no data
-        warnings.simplefilter("ignore", UserWarning)
-        rows = np.loadtxt(text, delimiter=",", dtype=np.float64, ndmin=2)
+        rows = _loadtxt(io.TextIOWrapper(io.BytesIO(fh.read(stop - start))))
     if rows.shape == (hi - lo, X.shape[1]):
         X[lo:hi] = rows
     return rows.shape

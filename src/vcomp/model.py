@@ -86,9 +86,9 @@ class CouplingSpec:
         if self.scheme not in COUPLING_SCHEMES:
             raise ValueError(f"unknown coupling scheme {self.scheme!r}")
         if not (math.isfinite(self.delta) and self.delta >= 0):
-            raise ValueError(f"delta must be finite and nonnegative, got {self.delta}")
+            raise ValueError(f"delta (coupling.delta) must be finite and nonnegative, got {self.delta}")
         if not (0.0 <= self.fraction <= 1.0):
-            raise ValueError(f"fraction must lie in [0, 1], got {self.fraction}")
+            raise ValueError(f"fraction (coupling.fraction) must lie in [0, 1], got {self.fraction}")
 
 
 @dataclass

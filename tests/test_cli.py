@@ -213,6 +213,19 @@ class TestFit:
         assert exc.value.code == 2 and "unrecognized arguments: --seed 3" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("y, message", [
+        (np.ones(11), "y has length 11, expected n=12"),
+        (np.r_[np.ones(11), np.inf], "y has non-finite entries"),
+    ], ids=["short", "non-finite"])
+    def test_y_is_checked_before_the_eigensolve(self, tmp_path, capsys, monkeypatch, y, message):
+        # both were checked only after the design's eigensolve: 1.31 s at 1500 x 3000
+        write_recovery_fixture(tmp_path)
+        save_matrix_csv(tmp_path / "y.csv", y.reshape(-1, 1))
+        monkeypatch.setattr(cli, "decompose_gram", lambda X: pytest.fail("decompose_gram was called"))
+        cfg = write_config(tmp_path / "c.cfg", {"x": "X.csv", "y": "y.csv"})
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"vcomp: error: {message}\n"
+
     def test_non_finite_y_is_named(self, tmp_path, capsys):
         # a nan once reached the search and was reported as a non-finite likelihood
         write_recovery_fixture(tmp_path)
@@ -305,6 +318,21 @@ class TestGenerate:
         assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
         truth = json.loads((out / "truth.json").read_text())
         assert truth["coupling"]["scheme"] == "sparse_zero"
+
+    @pytest.mark.parametrize("coupling, message", [
+        ({"scheme": "sparse_zero", "fraction": 1.5}, "fraction (coupling.fraction) must lie in [0, 1], got 1.5"),
+        ({"scheme": "additive_perturb", "delta": -1.0}, "delta (coupling.delta) must be finite and nonnegative"),
+        ({"scheme": "swap"}, "unknown coupling scheme 'swap'"),
+        ({"fraction": 0.5}, "coupling: missing required key 'scheme'"),
+    ], ids=["fraction", "delta", "scheme", "no-scheme"])
+    def test_coupling_is_read_before_the_design_is_drawn(self, tmp_path, capsys, monkeypatch, coupling, message):
+        # a bad coupling section once failed only after the design was drawn: 0.14 s at 2000 x 4000
+        monkeypatch.setattr(cli, "gen_design", lambda *a: pytest.fail("gen_design was called"))
+        cfg = write_config(tmp_path / "gen.cfg", {"n": 10, "p": 8, "params": {"sigma2": 1.0, "eta2": 1.0},
+                                                  "coupling": coupling, "seed": 3})
+        assert main(["generate", "--config", cfg, "--out", str(tmp_path / "d")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
     @pytest.mark.skipif(_openblas() is None, reason="numpy is not on its bundled OpenBLAS")
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="on one CPU OpenBLAS starts one thread whatever it is asked for")

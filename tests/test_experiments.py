@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vcomp.errors import NonIdentifiableError, NumericalError, TailGridError
-from vcomp import estimator, experiments
+from vcomp.errors import NonIdentifiableError, NumericalError, TailGridError, UnsupportedLawError
+from vcomp import estimator, experiments, matio
 from vcomp.estimator import ScoreState, _pop_sq, asymptotic_cov, expected_hessian, sigma0_sq_of, sigma_star_sq, standardized_map
 from vcomp.experiments import (
     _CHI2_2_95,
@@ -219,6 +219,19 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match=re.escape(message)):
             run_experiment(small_plan(n_grid=(20, 40), p_ratio=p_ratio, design=design, design_lambdas=lambdas))
 
+    @pytest.mark.parametrize("kw, error, message", [
+        (dict(kind="coupling", coupling_scheme="sparse_zero", sparse_fraction=1.5), ValueError,
+         "fraction (coupling.fraction) must lie in [0, 1], got 1.5"),
+        (dict(kind="normality", beta_law="cauchy"), UnsupportedLawError, "unknown law 'cauchy'"),
+        (dict(kind="coupling", eps_law="cauchy", delta_grid=(0.5,)), UnsupportedLawError, "unknown law 'cauchy'"),
+        (dict(kind="tail_envelope"), ValueError, "r_grid: a tail plan needs at least one r"),
+    ], ids=["sparse-fraction", "normality-law", "coupling-law", "tail-without-r"])
+    def test_rejected_before_the_first_eigensolve(self, monkeypatch, kw, error, message):
+        # each was raised only by a runner, after the first cell's design and eigensolve
+        monkeypatch.setattr(experiments, "decompose_gram", lambda X: pytest.fail("decompose_gram was called"))
+        with pytest.raises(error, match=re.escape(message)):
+            run_experiment(small_plan(n_grid=(200,), **kw))
+
     def test_config_hash_ignores_workers(self):
         a = small_plan(workers=1)
         b = small_plan(workers=7)
@@ -397,7 +410,35 @@ class TestDeterminism:
                 super().__init__(max_workers=max_workers, **kw)
 
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(matio, "_cpu_count", lambda: 4)  # the sizes hold on a runner of any width
         return sizes
+
+    def test_pool_has_at_most_one_process_per_cpu(self, monkeypatch):
+        # --workers had no upper bound: a normality plan with workers 64 asked
+        # for a pool of one process per task, 53 on a 2-CPU machine; the
+        # stand-in pool runs the tasks in this process and starts none
+        sizes = []
+
+        class StandInPool:
+            def __init__(self, max_workers, initargs, **kw):
+                sizes.append(max_workers)
+                (self.tasks,) = initargs
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, indices, chunksize=1):
+                return [experiments._chunk(self.tasks[i]) for i in indices]
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", StandInPool)
+        monkeypatch.setattr(matio, "_cpu_count", lambda: 2)
+        plan = small_plan(kind="normality", control_draws=20_000, workers=64)
+        report = run_normality(plan)
+        assert sizes == [2, 2]
+        assert report.to_json() == run_normality(with_workers(plan, 1)).to_json()
 
     def test_pool_has_at_most_one_process_per_job(self, pool_sizes):
         # a forked pool starts all max_workers processes at its first submit
@@ -1232,6 +1273,22 @@ class TestExtremeSignalRatios:
 
 
 class TestReportSerialization:
+    @pytest.mark.parametrize("plan, path", [
+        # a 2-point OLS has no slope stderr, a degenerate Stein cell no estimate
+        (ExperimentPlan(kind="consistency", n_grid=(30, 60), replicates=100, master_seed=4),
+         lambda r: next(g for g in r["gates"] if g["gate"] == "slope_window")["stderr"]),
+        (ExperimentPlan(kind="stein_discrepancy", n_grid=(16, 32), replicates=200, beta_law="rademacher",
+                        qspec="identity", master_seed=31),
+         lambda r: r["cells"][0]["estimate"]),
+    ], ids=["two-cell-consistency", "degenerate-stein"])
+    def test_report_json_is_strict(self, plan, path):
+        # json wrote Infinity and NaN, which JSON parsers such as JSON.parse reject
+        def reject(name):
+            raise ValueError(f"report.json holds {name}")
+
+        report = json.loads(run_experiment(plan).to_json(), parse_constant=reject)
+        assert path(report) is None
+
     def test_csv_columns(self):
         rep = run_consistency(small_plan())
         lines = rep.cells_csv().splitlines()

@@ -386,6 +386,7 @@ def test_pool_workers_exit_when_the_parent_is_killed(pool):
     script = """
 import os, sys, time
 from vcomp import experiments, matio
+matio._cpu_count = lambda: 2  # two workers, however few CPUs the runner has
 def job(*_):
     os.write(1, f"{os.getpid()}\\n".encode())  # one write: the two lines cannot interleave
     time.sleep(60)

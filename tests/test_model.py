@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -195,7 +196,7 @@ class TestGenCoupled:
     @pytest.mark.parametrize("delta", [math.inf, math.nan, -0.5])
     def test_delta_must_be_finite_and_nonnegative(self, delta):
         # an infinite delta once generated an all-NaN y
-        with pytest.raises(ValueError, match="delta must be finite and nonnegative"):
+        with pytest.raises(ValueError, match=re.escape("delta (coupling.delta) must be finite and nonnegative")):
             CouplingSpec(scheme="additive_perturb", delta=delta)
 
 
