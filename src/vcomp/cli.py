@@ -24,13 +24,14 @@ import numpy as np
 
 from . import __version__
 from . import estimator as est
+from . import spectrum
 from .errors import (
     ConfigError,
     NonIdentifiableError,
     TailGridError,
     VcompError,
 )
-from .experiments import ExperimentPlan, _openblas, one_blas_thread, run_experiment
+from .experiments import ExperimentPlan, one_blas_thread, run_experiment
 from .laws import SeedSpec, law_by_name
 from .matio import load_matrix, load_vector
 from .model import (
@@ -145,7 +146,7 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _manifest(outdir: Path, command: str, cfg_digest: str, seed: int | None) -> None:
-    blas = _openblas()  # None under another BLAS, where one_blas_thread does nothing
+    blas = spectrum._openblas()  # None under another BLAS, where one_blas_thread does nothing
     _write_json(
         outdir / "manifest.json",
         {

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import csv
 import ctypes
-import functools
 import hashlib
 import io
 import json
@@ -36,13 +35,13 @@ from typing import Callable
 import numpy as np
 
 from . import estimator as est
-from . import matio
+from . import matio, spectrum
 from .errors import NonIdentifiableError, NumericalError, TailGridError
 from .laws import SeedSpec, law_by_name, rng_for, sample_rows, shared_rng
 from .model import (CouplingSpec, DesignSpec, ModelParams, design_eigenvalues, draw_effects, draw_eigenbasis,
                     gen_design, haar_orthogonal)
 from .qform import QuadraticForm, build_w, napprox_rate
-from .spectrum import GramSpectrum, decompose_gram
+from .spectrum import _F64, _I64, GramSpectrum, decompose_gram
 
 REPORT_HEADER = (
     "Absolute constants in the underlying finite-sample bounds are unknown; "
@@ -461,23 +460,11 @@ def _scatter(tasks: list, workers: int) -> list:
         return list(pool.map(_chunk_at, range(len(tasks)), chunksize=1))
 
 
-@functools.lru_cache(maxsize=None)
-def _openblas():
-    """numpy's bundled OpenBLAS (the scipy-openblas wheel build), or None
-    when numpy was built against another BLAS."""
-    root = Path(np.__file__).parent
-    for path in (*root.parent.glob("numpy.libs/*scipy_openblas*"), *root.glob(".dylibs/*scipy_openblas*")):
-        lib = ctypes.CDLL(str(path))  # the loaded library: dlopen returns its handle
-        if hasattr(lib, "scipy_openblas_set_num_threads64_") and hasattr(lib, "scipy_openblas_get_num_threads64_"):
-            return lib
-    return None
-
-
 def _bidiagonal_gram_eigenvalues(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     """The eigenvalues of B B' for the bidiagonal B with diagonal ``d`` and
     off-diagonal ``e``: in O(m^2) from the bundled OpenBLAS's dqds (``dlasq1``;
     Fernando & Parlett, Numer. Math. 67, 1994), else ``eigvalsh(B B')``."""
-    dlasq1 = getattr(_openblas(), "scipy_dlasq1_64_", None)
+    dlasq1 = spectrum._lapack("scipy_dlasq1_64_", _I64, _F64, _F64, _F64, _I64)
     if dlasq1 is None:
         B = np.diag(d) + np.diag(e, -1)
         return np.linalg.eigvalsh(B @ B.T)
@@ -485,9 +472,7 @@ def _bidiagonal_gram_eigenvalues(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     m = d.size
     s, scratch, work, info = np.array(d, dtype=np.float64), np.zeros(m), np.empty(4 * m), ctypes.c_int64(0)
     scratch[: m - 1] = e
-    i64, f64 = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
-    dlasq1.argtypes, dlasq1.restype = [i64, f64, f64, f64, i64], None
-    dlasq1(ctypes.byref(ctypes.c_int64(m)), *(a.ctypes.data_as(f64) for a in (s, scratch, work)), ctypes.byref(info))
+    dlasq1(ctypes.byref(ctypes.c_int64(m)), *(a.ctypes.data_as(_F64) for a in (s, scratch, work)), ctypes.byref(info))
     if info.value != 0:
         raise NumericalError(f"dlasq1 failed on a {m} x {m} bidiagonal (info {info.value})")
     return s * s
@@ -500,7 +485,7 @@ def one_blas_thread():
     every runner is decorated with it (re-entered on each call), and ``vcomp
     fit`` and ``generate`` run under it; forked pool workers inherit the
     setting.  Under another BLAS it does nothing."""
-    lib = _openblas()
+    lib = spectrum._openblas()
     if lib is None:
         yield
         return

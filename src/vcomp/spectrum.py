@@ -3,13 +3,45 @@
 Everything downstream works in the eigenbasis of G = XX^T / p.  The
 eigenvalue variance decides whether the two variance components are
 identifiable: it vanishes exactly when G is a multiple of the identity.
+The LAPACK routines the package calls from numpy's bundled OpenBLAS are
+looked up here (``_openblas``, ``_lapack``).
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+
+from .errors import NumericalError
+
+_I64, _F64 = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas():
+    """numpy's bundled OpenBLAS (the scipy-openblas wheel build), or None
+    when numpy was built against another BLAS."""
+    root = Path(np.__file__).parent
+    for path in (*root.parent.glob("numpy.libs/*scipy_openblas*"), *root.glob(".dylibs/*scipy_openblas*")):
+        lib = ctypes.CDLL(str(path))  # the loaded library: dlopen returns its handle
+        if hasattr(lib, "scipy_openblas_set_num_threads64_") and hasattr(lib, "scipy_openblas_get_num_threads64_"):
+            return lib
+    return None
+
+
+def _lapack(name: str, *argtypes):
+    """The bundled OpenBLAS's routine ``name``, declared to take ``argtypes``
+    and return nothing, or None under another BLAS or when the library lacks
+    it.  A CDLL keeps each routine it looks up, so the declaration is made on
+    the first lookup only."""
+    routine = getattr(_openblas(), name, None)
+    if routine is not None and getattr(routine, "argtypes", None) is None:
+        routine.argtypes, routine.restype = list(argtypes), None
+    return routine
 
 
 @dataclass
@@ -47,7 +79,9 @@ def decompose_gram(X: np.ndarray) -> GramSpectrum:
 
     One route for every shape: a symmetric eigendecomposition of the
     symmetrized n x n Gram matrix, ordered and rank-clamped by
-    ``GramSpectrum.from_eigenvalues``.
+    ``GramSpectrum.from_eigenvalues``.  G is formed and eigensolved in one
+    n x n buffer (``_eigh_in_place``).  A design whose Gram leaves the float
+    range raises ``NumericalError``.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -58,10 +92,50 @@ def decompose_gram(X: np.ndarray) -> GramSpectrum:
     if not np.all(np.isfinite(X)):
         raise ValueError("design matrix contains non-finite entries")
 
-    G = (X @ X.T) / p
-    del X  # a caller that passed its last reference frees the design before eigh
-    G = 0.5 * (G + G.T)
-    return GramSpectrum.from_eigenvalues(n, p, *np.linalg.eigh(G))
+    # in place, the bits of 0.5 * (G + G.T) for G = (X @ X.T) / p
+    with np.errstate(over="ignore", under="ignore"):
+        G = X @ X.T
+        G /= p
+        if np.all(np.diagonal(G) < np.finfo(np.float64).tiny) and np.any(X):
+            raise NumericalError("the Gram matrix XX'/p underflows the float range "
+                                 "(every diagonal entry is below the smallest normal float); rescale X")
+        del X  # a caller that passed its last reference frees the design before the eigensolve
+        G += G.T
+        G *= 0.5
+    if not np.all(np.isfinite(G)):
+        raise NumericalError("the Gram matrix XX'/p overflows the float range; rescale X")
+    return GramSpectrum.from_eigenvalues(n, p, *_eigh_in_place(G))
+
+
+def _eigh_in_place(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues of the exactly symmetric, C-contiguous ``G`` and its
+    eigenvectors as columns.  On the bundled OpenBLAS this is the call
+    ``np.linalg.eigh`` makes (LAPACK's divide-and-conquer ``dsyevd``, jobz 'V',
+    uplo 'L', the queried workspace), made on G's own buffer: its C order is
+    valid Fortran input by symmetry, and its rows come back holding the
+    eigenvectors.  Under another BLAS, ``np.linalg.eigh(G)``."""
+    c_char, c_size = ctypes.c_char_p, ctypes.c_size_t
+    dsyevd = _lapack("scipy_dsyevd_64_", c_char, c_char, _I64, _F64, _I64, _F64, _F64, _I64, _I64, _I64, _I64,
+                     c_size, c_size)  # the last two: the Fortran lengths of jobz and uplo
+    if dsyevd is None:
+        return np.linalg.eigh(G)
+    n = G.shape[0]
+    dim, w, info = ctypes.c_int64(n), np.empty(n), ctypes.c_int64(0)
+
+    def call(work: np.ndarray, iwork: np.ndarray, lwork: int, liwork: int) -> None:
+        dsyevd(b"V", b"L", ctypes.byref(dim), G.ctypes.data_as(_F64), ctypes.byref(dim), w.ctypes.data_as(_F64),
+               work.ctypes.data_as(_F64), ctypes.byref(ctypes.c_int64(lwork)), iwork.ctypes.data_as(_I64),
+               ctypes.byref(ctypes.c_int64(liwork)), ctypes.byref(info), 1, 1)
+        if info.value != 0:
+            raise NumericalError(f"dsyevd failed on the {n} x {n} Gram matrix (info {info.value})")
+
+    # the workspace dsyevd asks for, as numpy's eigh queries it: a smaller one
+    # blocks the tridiagonal reduction differently and changes the bits
+    work, iwork = np.empty(1), np.empty(1, dtype=np.int64)
+    call(work, iwork, -1, -1)
+    lwork, liwork = int(work[0]), int(iwork[0])
+    call(np.empty(lwork), np.empty(liwork, dtype=np.int64), lwork, liwork)
+    return w, G.T
 
 
 def eigvar(spec: GramSpectrum) -> float:

@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 import vcomp
-from vcomp import cli, estimator, experiments
+from vcomp import cli, estimator, experiments, spectrum
 from vcomp.cli import _plan_from_cfg, main
-from vcomp.experiments import ExperimentPlan, _openblas
+from vcomp.experiments import ExperimentPlan
 from vcomp.matio import save_matrix_csv
 from vcomp.model import ModelParams
-from vcomp.spectrum import decompose_gram
+from vcomp.spectrum import _openblas, decompose_gram
 
 
 def write_config(path, cfg):
@@ -179,6 +179,29 @@ class TestFit:
         assert capsys.readouterr().err == (
             "vcomp: error: sigma^2 estimate overflows the float range; rescale y\n"
         )
+
+    @pytest.mark.parametrize("scale, word", [(1e160, "overflows"), (1e-170, "underflows")])
+    def test_gram_outside_the_float_range_is_typed_without_warnings(self, tmp_path, capsys, scale, word):
+        # an overflow once exited 1 as a non-finite likelihood, after a
+        # RuntimeWarning; an underflow exited 2 as a non-identifiable design
+        rng = np.random.default_rng(30)
+        save_matrix_csv(tmp_path / "X.csv", scale * rng.standard_normal((40, 60)))
+        save_matrix_csv(tmp_path / "y.csv", rng.standard_normal((40, 1)))
+        cfg = write_config(tmp_path / "c.cfg", {"x": "X.csv", "y": "y.csv"})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fit", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"vcomp: error: the Gram matrix XX'/p {word} the float range") and "rescale X" in err
+        assert "Warning" not in err
+
+    def test_all_zero_design_stays_non_identifiable(self, tmp_path):
+        # a zero Gram is a design without information, not a scale problem
+        save_matrix_csv(tmp_path / "X.csv", np.zeros((40, 60)))
+        save_matrix_csv(tmp_path / "y.csv", np.random.default_rng(30).standard_normal((40, 1)))
+        cfg = write_config(tmp_path / "c.cfg", {"x": "X.csv", "y": "y.csv"})
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert json.loads((tmp_path / "out" / "fit.json").read_text())["identifiable"] is False
 
     def test_empty_design_file_is_named(self, tmp_path, capsys):
         write_recovery_fixture(tmp_path)
@@ -371,7 +394,7 @@ class TestGenerate:
             assert blas == {"openblas_threads": threads, "one_thread_pin": True}
 
     def test_manifest_under_another_blas_records_no_pin(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "_openblas", lambda: None)
+        monkeypatch.setattr(spectrum, "_openblas", lambda: None)
         cfg = write_config(tmp_path / "gen.cfg", {"n": 8, "p": 4, "params": {"sigma2": 1.0, "eta2": 1.0}, "seed": 3})
         assert main(["generate", "--config", cfg, "--out", str(tmp_path / "d")]) == 0
         blas = json.loads((tmp_path / "d" / "manifest.json").read_text())["blas"]

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vcomp.errors import NonIdentifiableError, NumericalError, TailGridError, UnsupportedLawError
-from vcomp import estimator, experiments, matio
+from vcomp import estimator, experiments, matio, spectrum
 from vcomp.estimator import ScoreState, _pop_sq, asymptotic_cov, expected_hessian, sigma0_sq_of, sigma_star_sq, standardized_map
 from vcomp.experiments import (
     _CHI2_2_95,
@@ -37,7 +37,6 @@ from vcomp.experiments import (
     _expansion_controls,
     _fold,
     _lin_block,
-    _openblas,
     _outcomes,
     _rank,
     _stein_qforms,
@@ -67,7 +66,7 @@ from vcomp.experiments import (
 from vcomp.laws import SeedSpec, law_by_name
 from vcomp.model import CouplingSpec, ModelParams, gen_independent
 from vcomp.qform import build_w, sigma_k_sq
-from vcomp.spectrum import GramSpectrum, decompose_gram
+from vcomp.spectrum import GramSpectrum, _openblas, decompose_gram
 
 
 def small_plan(**kw):
@@ -604,15 +603,15 @@ class TestEigenbasisRoute:
         ("coupling", "gaussian", {"delta_grid": (0.0, 0.5)}, True),
     ])
     def test_route_follows_the_plan(self, monkeypatch, kind, laws, extra, rotates):
-        eigh, shapes, rotated = np.linalg.eigh, [], []
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
+        # every Gram eigensolve goes through decompose_gram's solver, on either BLAS
+        solve, shapes, rotated = spectrum._eigh_in_place, [], []
+        monkeypatch.setattr(spectrum, "_eigh_in_place", lambda G: shapes.append(G.shape) or solve(G))
         # _outcomes rotates a drawn design's outcomes; with X None it draws in the eigenbasis
         monkeypatch.setattr(experiments, "_outcomes",
                             lambda *args, **kw: rotated.append(args[2] is not None) or _outcomes(*args, **kw))
         run_experiment(small_plan(kind=kind, n_grid=(30, 60), beta_law=laws, eps_law=laws, **extra))
-        gram_eighs = [s for s in shapes if s[0] > 2]  # normality's 2x2 covariance root aside
         assert set(rotated) == {rotates}
-        assert gram_eighs == ([(30, 30), (60, 60)] if rotates else [])
+        assert shapes == ([(30, 30), (60, 60)] if rotates else [])
 
 
 class TestSpectrumRoute:
@@ -650,7 +649,7 @@ class TestSpectrumRoute:
         plan = small_plan(n_grid=(30, 60))
         dqds = [_cell_spectrum(plan, c, n)[1].lambdas for c, n in enumerate(plan.n_grid)]
         report = run_consistency(plan)
-        monkeypatch.setattr(experiments, "_openblas", lambda: None)
+        monkeypatch.setattr(spectrum, "_openblas", lambda: None)
         dense = [_cell_spectrum(plan, c, n)[1].lambdas for c, n in enumerate(plan.n_grid)]
         for a, b in zip(dqds, dense):
             assert np.max(np.abs(a - b)) <= 1e-12 * a[0]
@@ -663,7 +662,7 @@ class TestSpectrumRoute:
                              ids=["p=1", "n=2,p=1", "n=2,p=2", "n=2,p=4"])
     def test_edge_shapes_have_exact_zeros(self, monkeypatch, fallback, n, p_ratio, zeros):
         if fallback:
-            monkeypatch.setattr(experiments, "_openblas", lambda: None)
+            monkeypatch.setattr(spectrum, "_openblas", lambda: None)
         X, spec = _cell_spectrum(small_plan(n_grid=(n,), p_ratio=p_ratio), 0, n)
         assert X is None and spec.lambdas.shape == (n,)
         assert np.count_nonzero(spec.lambdas == 0.0) == zeros and np.all(spec.lambdas[: n - zeros] > 0)
@@ -680,7 +679,7 @@ class TestSpectrumRoute:
             def scipy_dlasq1_64_(n, d, e, work, info):
                 info._obj.value = 2
 
-        monkeypatch.setattr(experiments, "_openblas", lambda: Lib)
+        monkeypatch.setattr(spectrum, "_openblas", lambda: Lib)
         with pytest.raises(NumericalError, match="info 2"):
             _bidiagonal_gram_eigenvalues(np.ones(3), np.ones(2))
 
@@ -739,7 +738,8 @@ def test_reports_do_not_depend_on_blas_threads():
     # differently from a serial one unless the runner pins one thread
     child = """if True:
         import hashlib, json, sys
-        from vcomp.experiments import ExperimentPlan, _openblas, run_experiment
+        from vcomp.experiments import ExperimentPlan, run_experiment
+        from vcomp.spectrum import _openblas
         print(_openblas().scipy_openblas_get_num_threads64_())
         for kw in json.loads(sys.argv[1]):
             print(hashlib.sha256(run_experiment(ExperimentPlan(**kw)).to_json().encode()).hexdigest())

@@ -1,11 +1,48 @@
 import math
+import os
+import subprocess
 import sys
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 
-from vcomp.spectrum import GramSpectrum, decompose_gram, eigvar
+from vcomp import spectrum
+from vcomp.errors import NumericalError
+from vcomp.laws import SeedSpec
+from vcomp.model import DesignSpec, gen_design
+from vcomp.spectrum import GramSpectrum, _openblas, decompose_gram, eigvar
+
+
+def decompose_gram_by_eigh(X):
+    """The reference route: the Gram formed out of place and ``np.linalg.eigh``."""
+    n, p = X.shape
+    G = (X @ X.T) / p
+    G = 0.5 * (G + G.T)
+    return GramSpectrum.from_eigenvalues(n, p, *np.linalg.eigh(G))
+
+
+_rng = np.random.default_rng(17)
+DESIGNS = {
+    "p<n": _rng.standard_normal((40, 15)),
+    "p>n": _rng.standard_normal((30, 70)),
+    "n=p": _rng.standard_normal((65, 65)),
+    "large": _rng.standard_normal((200, 150)),
+    "rank-deficient": _rng.standard_normal((60, 5)) @ _rng.standard_normal((5, 90)),
+    "identity": math.sqrt(8) * np.eye(8),
+    "fixed-trailing-zeros": gen_design(40, 20, DesignSpec("fixed_spectrum", (3.0, 2.0) + (1.0,) * 18 + (0.0,) * 20),
+                                       SeedSpec(3)),
+    "n=2": _rng.standard_normal((2, 3)),
+    "n=2,p=1": _rng.standard_normal((2, 1)),
+    "non-contiguous": _rng.standard_normal((90, 120))[::2, ::3],
+}
+BUNDLED = hasattr(_openblas(), "scipy_dsyevd_64_")
+
+
+def assert_same_bytes(got, want):
+    assert got.lambdas.tobytes() == want.lambdas.tobytes()
+    assert got.U.tobytes() == want.U.tobytes() and got.U.strides == want.U.strides
 
 
 def make_spec(lambdas):
@@ -72,10 +109,87 @@ class TestDecomposeGram:
         box = [np.random.default_rng(2).standard_normal((6, 9))]
         design = weakref.ref(box[0])
         alive_at_eigh = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda G: alive_at_eigh.append(design() is not None) or eigh(G))
+        solve = spectrum._eigh_in_place
+        monkeypatch.setattr(spectrum, "_eigh_in_place", lambda G: alive_at_eigh.append(design() is not None) or solve(G))
         decompose_gram(box.pop())
         assert alive_at_eigh == [False]
+
+
+class TestInPlaceEigensolve:
+    @pytest.mark.parametrize("name", DESIGNS)
+    def test_bytes_equal_the_eigh_route(self, name):
+        X = DESIGNS[name]
+        spec = decompose_gram(X)
+        assert_same_bytes(spec, decompose_gram_by_eigh(X))
+        assert spec.U.flags.f_contiguous
+
+    @pytest.mark.skipif(not BUNDLED, reason="numpy is not on its bundled OpenBLAS")
+    @pytest.mark.parametrize("name", ["p>n", "large", "rank-deficient", "non-contiguous"])
+    def test_bundled_route_does_not_call_eigh(self, monkeypatch, name):
+        X = DESIGNS[name]
+        want = decompose_gram_by_eigh(X)
+        monkeypatch.setattr(np.linalg, "eigh", lambda G: pytest.fail("np.linalg.eigh was called"))
+        assert_same_bytes(decompose_gram(X), want)
+
+    @pytest.mark.parametrize("lib", [None, type("NoDsyevd", (), {})], ids=["another-blas", "no-dsyevd"])
+    @pytest.mark.parametrize("name", ["p<n", "large", "rank-deficient", "identity"])
+    def test_fallback_calls_eigh_with_the_same_bytes(self, monkeypatch, lib, name):
+        X = DESIGNS[name]
+        want = decompose_gram_by_eigh(X)
+        eigh, calls = np.linalg.eigh, []
+        monkeypatch.setattr(spectrum, "_openblas", lambda: lib)
+        monkeypatch.setattr(np.linalg, "eigh", lambda G: calls.append(G.shape) or eigh(G))
+        assert_same_bytes(decompose_gram(X), want)
+        assert calls == [(X.shape[0],) * 2]
+
+    def test_dsyevd_failure_raises(self, monkeypatch):
+        class Lib:
+            @staticmethod
+            def scipy_dsyevd_64_(*args):
+                args[10]._obj.value = 1  # info
+
+        monkeypatch.setattr(spectrum, "_openblas", lambda: Lib)
+        with pytest.raises(NumericalError, match=r"dsyevd failed on the 6 x 6 Gram matrix \(info 1\)"):
+            decompose_gram(DESIGNS["p>n"][:6])
+
+    @pytest.mark.skipif(not BUNDLED, reason="numpy is not on its bundled OpenBLAS")
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status to read VmHWM from")
+    def test_peak_memory_is_under_four_and_a_quarter_grams(self):
+        # the eigh route peaked at about 5.7 n^2 doubles above the design; in place, about 3.7
+        child = """if True:
+            import numpy as np
+            from vcomp.spectrum import decompose_gram
+
+            def hwm():
+                with open("/proc/self/status") as fh:
+                    return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM:"))
+
+            X = np.random.default_rng(0).standard_normal((1000, 2000))
+            before = hwm()
+            decompose_gram(X)
+            print((hwm() - before) / (8 * 1000 ** 2))
+        """
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", child], env=env, check=True, capture_output=True, text=True,
+                             timeout=300)
+        assert float(out.stdout) <= 4.25
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize("scale, word", [(1e160, "overflows"), (1e-170, "underflows")])
+    def test_gram_outside_the_float_range_is_rejected(self, scale, word):
+        X = scale * np.random.default_rng(4).standard_normal((40, 60))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=f"Gram matrix XX'/p {word} the float range.*; rescale X"):
+                decompose_gram(X)
+
+    def test_partly_tiny_diagonal_is_kept(self):
+        # one row below the smallest normal float is a design, not a scale problem
+        X = np.random.default_rng(4).standard_normal((6, 9))
+        X[0] *= 1e-170
+        spec = decompose_gram(X)
+        assert np.count_nonzero(spec.lambdas) == 5
 
 
 class TestFromEigenvalues:
