@@ -10,7 +10,6 @@ VCOMP_SEED environment variable; fit draws nothing and takes no seed.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -25,13 +24,8 @@ import numpy as np
 from . import __version__
 from . import estimator as est
 from . import spectrum
-from .errors import (
-    ConfigError,
-    NonIdentifiableError,
-    TailGridError,
-    VcompError,
-)
-from .experiments import ExperimentPlan, one_blas_thread, run_experiment
+from .errors import ConfigError, NonIdentifiableError, TailGridError, VcompError
+from .experiments import ExperimentPlan, json_digest, run_experiment
 from .laws import SeedSpec, law_by_name
 from .matio import load_matrix, load_vector
 from .model import (
@@ -43,7 +37,7 @@ from .model import (
     gen_independent,
     save_dataset,
 )
-from .spectrum import decompose_gram
+from .spectrum import decompose_gram, one_blas_thread
 
 _GENERATE_KEYS = {"n", "p", "design", "params", "laws", "coupling", "seed", "stream"}
 _DESIGN_KEYS = {"kind", "lambdas"}
@@ -132,12 +126,6 @@ def _resolve_seed(args, cfg: dict) -> int:
     return 0
 
 
-def _config_digest(cfg: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    ).hexdigest()
-
-
 def _write_json(path: Path, obj) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
@@ -145,14 +133,14 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def _manifest(outdir: Path, command: str, cfg_digest: str, seed: int | None) -> None:
+def _manifest(outdir: Path, command: str, cfg: dict, seed: int | None) -> None:
     blas = spectrum._openblas()  # None under another BLAS, where one_blas_thread does nothing
     _write_json(
         outdir / "manifest.json",
         {
             "blas": {"openblas_threads": blas and blas.scipy_openblas_get_num_threads64_(), "one_thread_pin": bool(blas)},
             "command": command,
-            "config_hash": cfg_digest,
+            "config_hash": json_digest(cfg),
             "seed": seed,
             "versions": {
                 "vcomp": __version__,
@@ -224,7 +212,7 @@ def cmd_generate(args) -> int:
 
     outdir = Path(args.out)
     save_dataset(ds, outdir)
-    _manifest(outdir, "generate", _config_digest(cfg), seed_val)
+    _manifest(outdir, "generate", cfg, seed_val)
     return 0
 
 
@@ -258,7 +246,7 @@ def cmd_fit(args) -> int:
         out["trace"] = [[e, ll] for e, ll in fit.eta_grid_trace]
     outdir = Path(args.out)
     _write_json(outdir / "fit.json", out)
-    _manifest(outdir, "fit", _config_digest(cfg), None)
+    _manifest(outdir, "fit", cfg, None)
     return 2 if fit.identifiability_flag else 0
 
 
@@ -314,7 +302,7 @@ def cmd_experiment(args) -> int:
     seconds = time.perf_counter() - t0
     outdir = Path(args.out)
     report.write(outdir)
-    _manifest(outdir, "experiment", _config_digest(cfg), seed)
+    _manifest(outdir, "experiment", cfg, seed)
     print(f"experiment {plan.kind}: {seconds:.1f}s", file=sys.stderr)
     degenerate = any(cell.get("degenerate") for cell in report.cells)
     return 2 if degenerate else 0

@@ -19,15 +19,12 @@ deliberately kept out of the serialized report).
 from __future__ import annotations
 
 import csv
-import ctypes
 import hashlib
 import io
 import json
 import math
 import multiprocessing
-import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable
@@ -35,13 +32,13 @@ from typing import Callable
 import numpy as np
 
 from . import estimator as est
-from . import matio, spectrum
+from . import matio
 from .errors import NonIdentifiableError, NumericalError, TailGridError
 from .laws import SeedSpec, law_by_name, rng_for, sample_rows, shared_rng
 from .model import (CouplingSpec, DesignSpec, ModelParams, design_eigenvalues, draw_effects, draw_eigenbasis,
                     gen_design, haar_orthogonal)
 from .qform import QuadraticForm, build_w, napprox_rate
-from .spectrum import _F64, _I64, GramSpectrum, decompose_gram
+from .spectrum import GramSpectrum, _bidiagonal_gram_eigenvalues, decompose_gram, one_blas_thread
 
 REPORT_HEADER = (
     "Absolute constants in the underlying finite-sample bounds are unknown; "
@@ -242,9 +239,14 @@ def plan_to_dict(plan: ExperimentPlan) -> dict:
     return d
 
 
-def config_hash(plan: ExperimentPlan) -> str:
-    blob = json.dumps(plan_to_dict(plan), sort_keys=True, separators=(",", ":"))
+def json_digest(obj) -> str:
+    """The sha256 of ``obj`` as sorted, compact JSON: report and manifest config hashes."""
+    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def config_hash(plan: ExperimentPlan) -> str:
+    return json_digest(plan_to_dict(plan))
 
 
 @dataclass
@@ -443,58 +445,18 @@ def _chunks(total: int, workers: int, block: int = _FIT_BLOCK) -> list[tuple[int
 
 
 def _scatter(tasks: list, workers: int) -> list:
-    """The results of ``_chunk`` tasks, in order; a pool runs them when
-    ``workers`` > 1.  The pool has at most one process per task and one per
-    CPU (``matio._cpu_count``): a forked pool starts all of its processes at
-    the first submit.  Its workers fork wherever fork exists, whatever the
-    default start method, so they inherit the parent's one-thread BLAS pin
-    (``one_blas_thread``) and the tasks, which the pool initializer
-    (``matio.inherit``) gets and fork never pickles; only task indices go
-    through the pool's queue (``_chunk_at``).  Without fork, the tasks are
-    pickled once per worker, not once per task."""
-    if workers <= 1 or len(tasks) <= 1:
+    """The results of ``_chunk`` tasks, in order, from at most ``workers``
+    processes forked whatever the default start method (``matio._workers``),
+    or from this process, with the same bytes, where only one is allowed.  The
+    workers inherit the one-thread BLAS pin (``one_blas_thread``) and the
+    tasks (``matio.inherit``), never pickled; only task indices go through the
+    pool's queue (``_chunk_at``)."""
+    workers = 1 if workers <= 1 else min(workers, matio._workers(len(tasks)))
+    if workers <= 1:
         return [_chunk(task) for task in tasks]
-    context = multiprocessing.get_context("fork") if hasattr(os, "fork") else None
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks), matio._cpu_count()), mp_context=context,
+    with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"),
                              initializer=matio.inherit, initargs=(tasks,)) as pool:
         return list(pool.map(_chunk_at, range(len(tasks)), chunksize=1))
-
-
-def _bidiagonal_gram_eigenvalues(d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """The eigenvalues of B B' for the bidiagonal B with diagonal ``d`` and
-    off-diagonal ``e``: in O(m^2) from the bundled OpenBLAS's dqds (``dlasq1``;
-    Fernando & Parlett, Numer. Math. 67, 1994), else ``eigvalsh(B B')``."""
-    dlasq1 = spectrum._lapack("scipy_dlasq1_64_", _I64, _F64, _F64, _F64, _I64)
-    if dlasq1 is None:
-        B = np.diag(d) + np.diag(e, -1)
-        return np.linalg.eigvalsh(B @ B.T)
-    # dlasq1 overwrites s with the singular values and takes e in an m-array it uses as scratch
-    m = d.size
-    s, scratch, work, info = np.array(d, dtype=np.float64), np.zeros(m), np.empty(4 * m), ctypes.c_int64(0)
-    scratch[: m - 1] = e
-    dlasq1(ctypes.byref(ctypes.c_int64(m)), *(a.ctypes.data_as(_F64) for a in (s, scratch, work)), ctypes.byref(info))
-    if info.value != 0:
-        raise NumericalError(f"dlasq1 failed on a {m} x {m} bidiagonal (info {info.value})")
-    return s * s
-
-
-@contextmanager
-def one_blas_thread():
-    """Run the body with numpy's OpenBLAS on one thread, then restore the old
-    count.  A threaded BLAS call can round differently from a serial one, so
-    every runner is decorated with it (re-entered on each call), and ``vcomp
-    fit`` and ``generate`` run under it; forked pool workers inherit the
-    setting.  Under another BLAS it does nothing."""
-    lib = spectrum._openblas()
-    if lib is None:
-        yield
-        return
-    old = lib.scipy_openblas_get_num_threads64_()
-    lib.scipy_openblas_set_num_threads64_(1)
-    try:
-        yield
-    finally:
-        lib.scipy_openblas_set_num_threads64_(old)
 
 
 def _chunk(task) -> np.ndarray:
@@ -531,13 +493,20 @@ def _outcomes(plan: ExperimentPlan, cell_index: int, X, spec, lo: int, hi: int,
     its own replicate stream.  With X None (Gaussian laws, ``_cell_spectrum``)
     they are drawn directly in the eigenbasis (``draw_eigenbasis``);
     otherwise they are the rotated (B X' + E) U, and under a coupling they
-    come with each row's coupling distance ||beta_y - beta||."""
+    come with each row's coupling distance ||beta_y - beta||.  Outcomes
+    whose squares leave the float range raise ``NumericalError``."""
     seeds = _seeds(plan, cell_index, lo, hi)
-    if X is None:
-        return draw_eigenbasis(est._pop_sq(plan.params(), spec), seeds)
-    beta, eps, beta_y = draw_effects(*X.shape, plan.params(), *plan.laws(), seeds, coupling)
-    y_check = (beta_y @ X.T + eps) @ spec.U
-    return y_check if coupling is None else (y_check, np.linalg.norm(beta_y - beta, axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if X is None:
+            y_check = draw_eigenbasis(est._pop_sq(plan.params(), spec), seeds)
+        else:
+            beta, eps, beta_y = draw_effects(*X.shape, plan.params(), *plan.laws(), seeds, coupling)
+            y_check = (beta_y @ X.T + eps) @ spec.U
+        if not np.all(np.isfinite(np.square([y_check.min(), y_check.max()]))):
+            delta = "" if coupling is None else f", coupling delta = {coupling.delta:g}"
+            raise NumericalError(f"replicate outcomes overflow the float range (y_check^2 is not finite) at "
+                                 f"params.sigma2 = {plan.sigma0_sq:g}, params.eta2 = {plan.eta0_sq:g}{delta}")
+        return y_check if coupling is None else (y_check, np.linalg.norm(beta_y - beta, axis=1))
 
 
 def _fit_rows(spec, y_check: np.ndarray) -> np.ndarray:
@@ -750,7 +719,8 @@ def _tail_context(plan: ExperimentPlan, X, spec) -> tuple:
     sstar alone, as the three-column ``est._resolvent_sums`` would triple the
     product on every block, and the target is its population row's."""
     resolvent = 1.0 / (np.multiply.outer(spec.lambdas, est.ETA_GRID) + 1.0) / spec.n
-    return X, spec, resolvent, est._pop_sq(plan.params(), spec) @ resolvent
+    with np.errstate(over="ignore"):  # the target overflows only where E y_check^2 does: ``_outcomes`` raises
+        return X, spec, resolvent, est._pop_sq(plan.params(), spec) @ resolvent
 
 
 def _wvec_block(plan: ExperimentPlan, cell_index: int, wv, lo: int, hi: int) -> np.ndarray:

@@ -5,7 +5,7 @@ little-endian uint32 fields n (rows), p (columns), and element width in bytes
 (8 for float64, 4 for float32), followed by the row-major payload.
 
 A CSV file that spans at least two ranges of ``_RANGE_BYTES`` is written and
-parsed in forked worker processes, one per CPU in the process's affinity mask.
+parsed in forked worker processes, as many as ``_workers`` allows.
 Workers get the matrix, the path and the output buffer through ``fork``; only
 row and byte ranges and shapes go through the pool's queues.  The bytes
 written are those of numpy's ``savetxt(X, fmt="%.17g", delimiter=",")``, made
@@ -160,15 +160,14 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _workers(ranges: int) -> int:
-    """Processes to share ``ranges`` ranges: one per CPU in the affinity
-    mask, at most one per range; 1 without fork (workers inherit their data
-    through it) or an affinity mask, and where fork is unsafe: another
-    thread may hold a lock the child needs."""
-    if (ranges < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
-            or threading.active_count() > 1):
+def _workers(count: int) -> int:
+    """Forked processes to share ``count`` tasks, the one rule of every pool:
+    at most one per task and one per CPU (``_cpu_count``); 1 for fewer than
+    two tasks, without fork (workers inherit their data through it), and
+    where fork is unsafe: another thread may hold a lock the child needs."""
+    if count < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
-    return min(ranges, _cpu_count())
+    return min(count, _cpu_count())
 
 
 def _pool(workers: int, *state):

@@ -3,14 +3,16 @@
 Everything downstream works in the eigenbasis of G = XX^T / p.  The
 eigenvalue variance decides whether the two variance components are
 identifiable: it vanishes exactly when G is a multiple of the identity.
-The LAPACK routines the package calls from numpy's bundled OpenBLAS are
-looked up here (``_openblas``, ``_lapack``).
+Every call into numpy's bundled OpenBLAS is made here: the library and
+routine lookup (``_openblas``, ``_lapack``), the one-thread pin
+(``one_blas_thread``), and LAPACK's ``dsyevd`` and ``dlasq1``.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,6 +44,25 @@ def _lapack(name: str, *argtypes):
     if routine is not None and getattr(routine, "argtypes", None) is None:
         routine.argtypes, routine.restype = list(argtypes), None
     return routine
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the body with numpy's OpenBLAS on one thread, then restore the old
+    count.  A threaded BLAS call can round differently from a serial one, so
+    every runner is decorated with it (re-entered on each call), and ``vcomp
+    fit`` and ``generate`` run under it; forked pool workers inherit the
+    setting.  Under another BLAS it does nothing."""
+    lib = _openblas()
+    if lib is None:
+        yield
+        return
+    old = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(old)
 
 
 @dataclass
@@ -136,6 +157,24 @@ def _eigh_in_place(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lwork, liwork = int(work[0]), int(iwork[0])
     call(np.empty(lwork), np.empty(liwork, dtype=np.int64), lwork, liwork)
     return w, G.T
+
+
+def _bidiagonal_gram_eigenvalues(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The eigenvalues of B B' for the bidiagonal B with diagonal ``d`` and
+    off-diagonal ``e``: in O(m^2) from the bundled OpenBLAS's dqds (``dlasq1``;
+    Fernando & Parlett, Numer. Math. 67, 1994), else ``eigvalsh(B B')``."""
+    dlasq1 = _lapack("scipy_dlasq1_64_", _I64, _F64, _F64, _F64, _I64)
+    if dlasq1 is None:
+        B = np.diag(d) + np.diag(e, -1)
+        return np.linalg.eigvalsh(B @ B.T)
+    # dlasq1 overwrites s with the singular values and takes e in an m-array it uses as scratch
+    m = d.size
+    s, scratch, work, info = np.array(d, dtype=np.float64), np.zeros(m), np.empty(4 * m), ctypes.c_int64(0)
+    scratch[: m - 1] = e
+    dlasq1(ctypes.byref(ctypes.c_int64(m)), *(a.ctypes.data_as(_F64) for a in (s, scratch, work)), ctypes.byref(info))
+    if info.value != 0:
+        raise NumericalError(f"dlasq1 failed on a {m} x {m} bidiagonal (info {info.value})")
+    return s * s
 
 
 def eigvar(spec: GramSpectrum) -> float:

@@ -460,6 +460,26 @@ class TestExperimentCommand:
         assert info.value.code == 2
         assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra, named", [
+        ({"params": {"sigma2": 1e308, "eta2": 10}}, "params.sigma2 = 1e+308, params.eta2 = 10"),
+        ({"params": {"sigma2": 1e308, "eta2": 10}, "laws": {"beta": "rademacher", "eps": "rademacher"}},
+         "params.sigma2 = 1e+308, params.eta2 = 10"),
+        ({"kind": "tail_envelope", "r_grid": [0.3], "params": {"sigma2": 1e308, "eta2": 10}},
+         "params.sigma2 = 1e+308, params.eta2 = 10"),
+        ({"kind": "coupling", "coupling": {"scheme": "additive_perturb", "delta_grid": [0, 1e200]}},
+         "params.sigma2 = 1, params.eta2 = 1, coupling delta = 1e+200"),
+    ], ids=["gaussian", "rademacher", "tail", "coupling"])
+    def test_overflowing_outcomes_exit_one_without_warnings(self, tmp_path, extra, named):
+        cfg = write_config(tmp_path / "exp.cfg", {"kind": "consistency", "n_grid": [30, 60], "replicates": 100,
+                                                  **extra})
+        src = str(Path(vcomp.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-m", "vcomp.cli", "experiment", "--config", cfg,
+                              "--out", str(tmp_path / "o")],
+                             env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=300)
+        assert out.returncode == 1
+        assert out.stderr == ("vcomp: error: replicate outcomes overflow the float range (y_check^2 is not "
+                              f"finite) at {named}\n")
+
     def test_normality_at_large_sigma2_runs(self, tmp_path):
         # an identifiable design stays identifiable at any scale of sigma0^2
         cfg = write_config(

@@ -6,6 +6,8 @@ import pickle
 import re
 import subprocess
 import sys
+import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +25,6 @@ from vcomp.experiments import (
     _FIT_BLOCK,
     REPORT_HEADER,
     _ols,
-    _bidiagonal_gram_eigenvalues,
     _cell_design,
     _cell_p,
     _cell_spectrum,
@@ -475,11 +476,41 @@ class TestDeterminism:
         default = multiprocessing.get_start_method(allow_none=True)
         multiprocessing.set_start_method("spawn", force=True)
         try:
-            with experiments.one_blas_thread():
+            with spectrum.one_blas_thread():
                 threads = experiments._scatter([(_blas_threads, 1, None, 0, None, lo, lo + 1) for lo in range(2)], 2)
         finally:
             multiprocessing.set_start_method(default, force=True)
         assert [t.tolist() for t in threads] == [[1], [1]]
+
+    @pytest.mark.parametrize("case", ["no-fork", "second-thread"])
+    def test_one_process_where_fork_is_missing_or_unsafe(self, monkeypatch, case):
+        # without fork a spawned pool's workers did not inherit the BLAS pin,
+        # and fork copies only the calling thread: a lock another thread holds
+        # stays held in the child
+        plan = small_plan(workers=2)
+        want = run_consistency(with_workers(plan, 1)).to_json()
+        built = []
+
+        class SpyPool(experiments.ProcessPoolExecutor):
+            def __init__(self, *args, **kw):
+                built.append(kw)  # and start no process
+                raise RuntimeError("a pool was built")
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SpyPool)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait, args=(60,))
+        if case == "no-fork":
+            monkeypatch.delattr(os, "fork")
+        else:
+            waiter.start()
+        try:
+            got = run_consistency(plan).to_json()
+        finally:
+            release.set()
+            if waiter.is_alive():
+                waiter.join(timeout=60)
+        assert not waiter.is_alive()
+        assert built == [] and got == want
 
     def test_coupling_starts_one_pool_per_cell(self, pool_sizes):
         # the independent fits and every delta's coupled fits share one scatter
@@ -635,16 +666,6 @@ class TestSpectrumRoute:
         for j in (0, m // 2, m - 1):
             assert stats.ks_2samp(route[:, j], design[:, j]).statistic < critical, j
 
-    @pytest.mark.skipif(not hasattr(_openblas(), "scipy_dlasq1_64_"), reason="numpy is not on its bundled OpenBLAS")
-    @pytest.mark.parametrize("m", [1, 2, 7, 100, 400])
-    def test_dqds_matches_the_dense_eigensolve(self, m):
-        rng = np.random.default_rng(m)
-        d, e = rng.standard_normal(m), rng.standard_normal(m - 1)
-        B = np.diag(d) + np.diag(e, -1)
-        want = np.linalg.eigvalsh(B @ B.T)
-        got = np.sort(_bidiagonal_gram_eigenvalues(d, e))
-        assert np.max(np.abs(got - want)) <= 1e-12 * want[-1]
-
     def test_fallback_under_another_blas(self, monkeypatch):
         plan = small_plan(n_grid=(30, 60))
         dqds = [_cell_spectrum(plan, c, n)[1].lambdas for c, n in enumerate(plan.n_grid)]
@@ -672,16 +693,6 @@ class TestSpectrumRoute:
         # as decompose_gram rejects a one-row design
         with pytest.raises(ValueError, match="need n >= 2"):
             run_experiment(small_plan(kind=kind, n_grid=(1, 4), r_grid=(0.3,)))
-
-    def test_dqds_failure_raises(self, monkeypatch):
-        class Lib:
-            @staticmethod
-            def scipy_dlasq1_64_(n, d, e, work, info):
-                info._obj.value = 2
-
-        monkeypatch.setattr(spectrum, "_openblas", lambda: Lib)
-        with pytest.raises(NumericalError, match="info 2"):
-            _bidiagonal_gram_eigenvalues(np.ones(3), np.ones(2))
 
     @pytest.mark.parametrize("design, p_ratio, lambdas, want", [
         ("identity", 0.5, None, [1.0] * 10 + [0.0] * 10),
@@ -1270,6 +1281,25 @@ class TestExtremeSignalRatios:
         assert len(rep.cells) >= 2 and rep.gates
         assert all(np.isfinite(c["estimate"]) and np.isfinite(c["stderr"]) for c in rep.cells)
         assert all(c.get("nonconverged", 0) == 0 for c in rep.cells)
+
+
+    @pytest.mark.parametrize("extra, message", [
+        ({}, r"params\.sigma2 = 1e\+308, params\.eta2 = 10$"),
+        ({"beta_law": "rademacher", "eps_law": "rademacher"}, r"params\.sigma2 = 1e\+308, params\.eta2 = 10$"),
+        ({"kind": "tail_envelope", "r_grid": (0.3,)}, r"params\.sigma2 = 1e\+308, params\.eta2 = 10$"),
+        ({"kind": "coupling", "sigma0_sq": 1.0, "eta0_sq": 1.0, "delta_grid": (0.0, 1e200)},
+         r"params\.sigma2 = 1, params\.eta2 = 1, coupling delta = 1e\+200$"),
+    ], ids=["gaussian", "rademacher", "tail", "coupling"])
+    def test_overflowing_outcomes_raise_without_warnings(self, extra, message):
+        # the warnings once came first, then a non-finite likelihood, a
+        # sigma^2 overflow that told the user to rescale a y they never gave,
+        # or, in a tail plan, no exceedances at any r
+        plan = small_plan(**{"sigma0_sq": 1e308, "eta0_sq": 10.0, **extra})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericalError, match=r"^replicate outcomes overflow the float range .*" + message):
+                run_experiment(plan)
+        assert caught == []
 
 
 class TestReportSerialization:

@@ -12,7 +12,7 @@ from vcomp import spectrum
 from vcomp.errors import NumericalError
 from vcomp.laws import SeedSpec
 from vcomp.model import DesignSpec, gen_design
-from vcomp.spectrum import GramSpectrum, _openblas, decompose_gram, eigvar
+from vcomp.spectrum import GramSpectrum, _bidiagonal_gram_eigenvalues, _openblas, decompose_gram, eigvar
 
 
 def decompose_gram_by_eigh(X):
@@ -173,6 +173,28 @@ class TestInPlaceEigensolve:
         out = subprocess.run([sys.executable, "-c", child], env=env, check=True, capture_output=True, text=True,
                              timeout=300)
         assert float(out.stdout) <= 4.25
+
+
+class TestBidiagonalGram:
+    @pytest.mark.skipif(not hasattr(_openblas(), "scipy_dlasq1_64_"), reason="numpy is not on its bundled OpenBLAS")
+    @pytest.mark.parametrize("m", [1, 2, 7, 100, 400])
+    def test_dqds_matches_the_dense_eigensolve(self, m):
+        rng = np.random.default_rng(m)
+        d, e = rng.standard_normal(m), rng.standard_normal(m - 1)
+        B = np.diag(d) + np.diag(e, -1)
+        want = np.linalg.eigvalsh(B @ B.T)
+        got = np.sort(_bidiagonal_gram_eigenvalues(d, e))
+        assert np.max(np.abs(got - want)) <= 1e-12 * want[-1]
+
+    def test_dqds_failure_raises(self, monkeypatch):
+        class Lib:
+            @staticmethod
+            def scipy_dlasq1_64_(n, d, e, work, info):
+                info._obj.value = 2
+
+        monkeypatch.setattr(spectrum, "_openblas", lambda: Lib)
+        with pytest.raises(NumericalError, match="info 2"):
+            _bidiagonal_gram_eigenvalues(np.ones(3), np.ones(2))
 
 
 class TestFloatRange:
