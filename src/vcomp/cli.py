@@ -37,7 +37,7 @@ from .model import (
     gen_independent,
     save_dataset,
 )
-from .spectrum import decompose_gram, one_blas_thread
+from .spectrum import decompose_gram_rotating, one_blas_thread
 
 _GENERATE_KEYS = {"n", "p", "design", "params", "laws", "coupling", "seed", "stream"}
 _DESIGN_KEYS = {"kind", "lambdas"}
@@ -233,12 +233,13 @@ def cmd_fit(args) -> int:
     if not isinstance(trace, bool):  # bool("false") is True
         raise ConfigError(f"trace: expected true or false, got {trace!r}")
     y = load_vector(y_path)
-    # decompose_gram holds the design's only reference and drops it once the
-    # Gram is formed, so no n x p matrix is resident during the eigensolve;
-    # one BLAS thread, so fit.json does not depend on the thread count
+    # decompose_gram_rotating holds the design's only reference and drops it
+    # once the Gram is formed, so no n x p matrix is resident during the
+    # eigensolve, and it never forms U; one BLAS thread, so fit.json does not
+    # depend on the thread count
     with one_blas_thread():
-        spec = decompose_gram(_design_for(x_path, y))
-        state = est.ScoreState.from_observations(spec, y)
+        spec, y_check = decompose_gram_rotating(_design_for(x_path, y), y)
+        state = est.ScoreState.from_observations(spec, y, y_check)
         fit = est.fit_mle(state, est.FitOptions(trace=trace))
 
     out = est.fit_result_to_dict(fit)

@@ -71,9 +71,12 @@ class ScoreState:
     spec: GramSpectrum
 
     @classmethod
-    def from_observations(cls, spec: GramSpectrum, y: np.ndarray) -> "ScoreState":
+    def from_observations(cls, spec: GramSpectrum, y: np.ndarray, y_check: np.ndarray | None = None) -> "ScoreState":
+        """``y`` rotated by ``spec.U``, or given rotated as ``y_check``
+        (``spectrum.decompose_gram_rotating``), checked to keep its norm."""
         y = checked_outcomes(y, spec.n)
-        y_check = spec.U.T @ y
+        if y_check is None:
+            y_check = spec.U.T @ y
         # both norms at y / 2^e, |y| < 2^e: exact, and neither over- nor underflows
         e = np.frexp(np.max(np.abs(y)))[1]
         ny, nyc = np.linalg.norm(np.ldexp(y, -e)), np.linalg.norm(np.ldexp(y_check, -e))

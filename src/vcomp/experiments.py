@@ -19,6 +19,7 @@ deliberately kept out of the serialized report).
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -893,7 +894,26 @@ def run_tail(plan: ExperimentPlan) -> ExperimentReport:
     return _report(plan, cells, gates)
 
 
+def _within_float_range(runner):
+    """``runner`` with an overflow, a zero division or an invalid operation
+    raised as a ``NumericalError`` naming params.sigma2: a normality cell's
+    covariances scale as its powers, and leave the float range from about
+    1e100, or 1e-100 down.  A run in range meets none, so keeps its bytes."""
+
+    @functools.wraps(runner)
+    def guarded(plan: ExperimentPlan) -> ExperimentReport:
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                return runner(plan)
+        except ArithmeticError:  # numpy's FloatingPointError, and Python's OverflowError and ZeroDivisionError
+            raise NumericalError(f"normality statistics leave the float range at params.sigma2 = {plan.sigma0_sq:g}"
+                                 f" (they scale as its powers); choose params.sigma2 nearer 1") from None
+
+    return guarded
+
+
 @one_blas_thread()
+@_within_float_range
 def run_normality(plan: ExperimentPlan) -> ExperimentReport:
     """Smooth-function discrepancy between sqrt(n)(theta_hat - theta_0) and its
     Gaussian surrogate, plus Wald-ellipse coverage at the largest n.

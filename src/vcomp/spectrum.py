@@ -5,7 +5,8 @@ eigenvalue variance decides whether the two variance components are
 identifiable: it vanishes exactly when G is a multiple of the identity.
 Every call into numpy's bundled OpenBLAS is made here: the library and
 routine lookup (``_openblas``, ``_lapack``), the one-thread pin
-(``one_blas_thread``), and LAPACK's ``dsyevd`` and ``dlasq1``.
+(``one_blas_thread``), and LAPACK's ``dsyevd``, its steps ``dsytrd``,
+``dormtr`` and ``dstedc``, and ``dlasq1``.
 """
 
 from __future__ import annotations
@@ -36,12 +37,12 @@ def _openblas():
 
 
 def _lapack(name: str, *argtypes):
-    """The bundled OpenBLAS's routine ``name``, declared to take ``argtypes``
-    and return nothing, or None under another BLAS or when the library lacks
-    it.  A CDLL keeps each routine it looks up, so the declaration is made on
-    the first lookup only."""
-    routine = getattr(_openblas(), name, None)
-    if routine is not None and getattr(routine, "argtypes", None) is None:
+    """The bundled OpenBLAS's LAPACK routine ``name`` (its ILP64 symbol),
+    declared, when ``argtypes`` are given, to take them and return nothing;
+    None under another BLAS or when the library lacks it.  A CDLL keeps each
+    routine it looks up, so the declaration is made on the first call only."""
+    routine = getattr(_openblas(), f"scipy_{name}_64_", None)
+    if routine is not None and argtypes and getattr(routine, "argtypes", None) is None:
         routine.argtypes, routine.restype = list(argtypes), None
     return routine
 
@@ -95,15 +96,10 @@ class GramSpectrum:
         return float(np.max(self.lambdas))
 
 
-def decompose_gram(X: np.ndarray) -> GramSpectrum:
-    """Eigendecomposition of XX^T / p for an n x p design matrix.
-
-    One route for every shape: a symmetric eigendecomposition of the
-    symmetrized n x n Gram matrix, ordered and rank-clamped by
-    ``GramSpectrum.from_eigenvalues``.  G is formed and eigensolved in one
-    n x n buffer (``_eigh_in_place``).  A design whose Gram leaves the float
-    range raises ``NumericalError``.
-    """
+def _gram(X: np.ndarray) -> tuple[np.ndarray, int]:
+    """G = XX^T / p for an n x p design, and p, checked and formed in one
+    n x n buffer as the bits of 0.5 * (G + G.T) for G = (X @ X.T) / p.  A
+    design whose Gram leaves the float range raises ``NumericalError``."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"design must be a 2-d array, got shape {X.shape}")
@@ -113,19 +109,83 @@ def decompose_gram(X: np.ndarray) -> GramSpectrum:
     if not np.all(np.isfinite(X)):
         raise ValueError("design matrix contains non-finite entries")
 
-    # in place, the bits of 0.5 * (G + G.T) for G = (X @ X.T) / p
     with np.errstate(over="ignore", under="ignore"):
         G = X @ X.T
         G /= p
         if np.all(np.diagonal(G) < np.finfo(np.float64).tiny) and np.any(X):
             raise NumericalError("the Gram matrix XX'/p underflows the float range "
                                  "(every diagonal entry is below the smallest normal float); rescale X")
-        del X  # a caller that passed its last reference frees the design before the eigensolve
         G += G.T
         G *= 0.5
     if not np.all(np.isfinite(G)):
         raise NumericalError("the Gram matrix XX'/p overflows the float range; rescale X")
-    return GramSpectrum.from_eigenvalues(n, p, *_eigh_in_place(G))
+    return G, p
+
+
+def decompose_gram(X: np.ndarray) -> GramSpectrum:
+    """Eigendecomposition of XX^T / p for an n x p design matrix, for every
+    shape: the Gram (``_gram``) eigensolved in its own buffer
+    (``_eigh_in_place``), ordered and rank-clamped by ``from_eigenvalues``."""
+    G, p = _gram(X)
+    del X  # a caller that passed its last reference frees the design before the eigensolve
+    return GramSpectrum.from_eigenvalues(len(G), p, *_eigh_in_place(G))
+
+
+def decompose_gram_rotating(X: np.ndarray, y: np.ndarray) -> tuple[GramSpectrum, np.ndarray]:
+    """``decompose_gram(X)`` with U None, and y_check = U'y in the eigenvalues'
+    order, for ``vcomp fit``, which needs nothing else of U.  On the bundled
+    OpenBLAS, ``dsyevd``'s steps but the back-transformation (Golub & Van Loan,
+    4th ed., 8.3; Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995):
+    ``dsytrd`` reduces G to T = Q'GQ in place, ``dormtr`` makes z = Q'y, and
+    ``dstedc`` writes T's eigenvectors W over G; y_check = W'z.  The
+    eigenvalues keep their bits, and no n x n U is formed.  Else eigh and U'y."""
+    G, p = _gram(X)
+    del X  # as in decompose_gram
+    n, z = len(G), np.array(y, dtype=np.float64).reshape(-1)  # a copy, rotated in place
+    if z.size != n:  # dormtr would read past its end
+        raise ValueError(f"y has length {z.size}, expected n={n}")
+    if None in (_lapack(name) for name in ("dsytrd", "dormtr", "dstedc")):
+        spec = GramSpectrum.from_eigenvalues(n, p, *np.linalg.eigh(G))
+        y_check, spec.U = spec.U.T @ z, None
+        return spec, y_check
+    # dsyevd's scaling of a G whose largest entry lies outside [2^-485, 2^485],
+    # the square roots of safmin/eps and of its inverse, and of its eigenvalues back
+    big = max(G.max(), -G.min())  # max |G_ij| without an n x n temporary
+    scale = 2.0**-485 / big if 0.0 < big < 2.0**-485 else 2.0**485 / big if big > 2.0**485 else 1.0
+    if scale != 1.0:
+        G *= scale
+    w, e, tau, what = np.empty(n), np.empty(n), np.empty(n), f"the {n} x {n} Gram matrix"
+    _call("dsytrd", what, b"L", n, G, n, w, e, tau)
+    _call("dormtr", what, b"L", b"L", b"T", n, 1, G, n, tau, z, n)
+    _call("dstedc", what, b"I", n, w, e, G, n, iwork=True)
+    w *= 1.0 / scale
+    return GramSpectrum.from_eigenvalues(n, p, w), (G @ z)[np.argsort(w)[::-1]]  # G's C rows are W's columns
+
+
+def _call(name: str, what: str, *args, iwork: bool = False) -> None:
+    """The bundled LAPACK routine ``name`` on ``args`` (bytes, ints, arrays),
+    then the workspace it asks for (and an integer one with ``iwork``), as
+    numpy's eigh queries it: a smaller one blocks differently and changes the
+    bits.  A nonzero info raises ``NumericalError`` naming ``what``."""
+    kinds = [ctypes.c_char_p if isinstance(a, bytes) else _I64 if isinstance(a, int) or a.dtype == np.int64 else _F64
+             for a in args]
+    chars = kinds.count(ctypes.c_char_p)  # each has a hidden Fortran length, passed last
+    routine = _lapack(name, *kinds, _F64, _I64, *(_I64,) * (2 * iwork), _I64, *(ctypes.c_size_t,) * chars)
+    head = [a if isinstance(a, bytes) else ctypes.byref(ctypes.c_int64(a)) if isinstance(a, int)
+            else a.ctypes.data_as(k) for a, k in zip(args, kinds)]
+    info = ctypes.c_int64(0)
+
+    def run(lwork: int, liwork: int) -> tuple[np.ndarray, np.ndarray]:
+        work, ints = np.empty(max(lwork, 1)), np.zeros(max(liwork, 1), dtype=np.int64)
+        tail = (ints.ctypes.data_as(_I64), ctypes.byref(ctypes.c_int64(liwork))) if iwork else ()
+        routine(*head, work.ctypes.data_as(_F64), ctypes.byref(ctypes.c_int64(lwork)), *tail, ctypes.byref(info),
+                *(1,) * chars)
+        if info.value != 0:
+            raise NumericalError(f"{name} failed on {what} (info {info.value})")
+        return work, ints
+
+    work, ints = run(-1, -1)
+    run(int(work[0]), int(ints[0]))
 
 
 def _eigh_in_place(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -135,27 +195,11 @@ def _eigh_in_place(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     uplo 'L', the queried workspace), made on G's own buffer: its C order is
     valid Fortran input by symmetry, and its rows come back holding the
     eigenvectors.  Under another BLAS, ``np.linalg.eigh(G)``."""
-    c_char, c_size = ctypes.c_char_p, ctypes.c_size_t
-    dsyevd = _lapack("scipy_dsyevd_64_", c_char, c_char, _I64, _F64, _I64, _F64, _F64, _I64, _I64, _I64, _I64,
-                     c_size, c_size)  # the last two: the Fortran lengths of jobz and uplo
-    if dsyevd is None:
+    if _lapack("dsyevd") is None:
         return np.linalg.eigh(G)
     n = G.shape[0]
-    dim, w, info = ctypes.c_int64(n), np.empty(n), ctypes.c_int64(0)
-
-    def call(work: np.ndarray, iwork: np.ndarray, lwork: int, liwork: int) -> None:
-        dsyevd(b"V", b"L", ctypes.byref(dim), G.ctypes.data_as(_F64), ctypes.byref(dim), w.ctypes.data_as(_F64),
-               work.ctypes.data_as(_F64), ctypes.byref(ctypes.c_int64(lwork)), iwork.ctypes.data_as(_I64),
-               ctypes.byref(ctypes.c_int64(liwork)), ctypes.byref(info), 1, 1)
-        if info.value != 0:
-            raise NumericalError(f"dsyevd failed on the {n} x {n} Gram matrix (info {info.value})")
-
-    # the workspace dsyevd asks for, as numpy's eigh queries it: a smaller one
-    # blocks the tridiagonal reduction differently and changes the bits
-    work, iwork = np.empty(1), np.empty(1, dtype=np.int64)
-    call(work, iwork, -1, -1)
-    lwork, liwork = int(work[0]), int(iwork[0])
-    call(np.empty(lwork), np.empty(liwork, dtype=np.int64), lwork, liwork)
+    w = np.empty(n)
+    _call("dsyevd", f"the {n} x {n} Gram matrix", b"V", b"L", n, G, n, w, iwork=True)
     return w, G.T
 
 
@@ -163,7 +207,7 @@ def _bidiagonal_gram_eigenvalues(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     """The eigenvalues of B B' for the bidiagonal B with diagonal ``d`` and
     off-diagonal ``e``: in O(m^2) from the bundled OpenBLAS's dqds (``dlasq1``;
     Fernando & Parlett, Numer. Math. 67, 1994), else ``eigvalsh(B B')``."""
-    dlasq1 = _lapack("scipy_dlasq1_64_", _I64, _F64, _F64, _F64, _I64)
+    dlasq1 = _lapack("dlasq1", _I64, _F64, _F64, _F64, _I64)
     if dlasq1 is None:
         B = np.diag(d) + np.diag(e, -1)
         return np.linalg.eigvalsh(B @ B.T)

@@ -16,7 +16,8 @@ from vcomp import cli, estimator, experiments, spectrum
 from vcomp.cli import _plan_from_cfg, main
 from vcomp.experiments import ExperimentPlan
 from vcomp.matio import save_matrix_csv
-from vcomp.model import ModelParams
+from vcomp.laws import SeedSpec
+from vcomp.model import DesignSpec, ModelParams, gen_design
 from vcomp.spectrum import _openblas, decompose_gram
 
 
@@ -35,6 +36,28 @@ def write_recovery_fixture(tmp_path, params=ModelParams(1.3, 0.8), n=12, p=20, s
     save_matrix_csv(tmp_path / "X.csv", X)
     save_matrix_csv(tmp_path / "y.csv", y.reshape(-1, 1))
     return params
+
+
+def fit_through_u(X, y):
+    """The fit.json object and exit code of the route through U: decompose_gram's
+    eigenvectors, then U'y."""
+    with spectrum.one_blas_thread():
+        state = estimator.ScoreState.from_observations(decompose_gram(X), y)
+        fit = estimator.fit_mle(state, estimator.FitOptions(trace=False))
+    return estimator.fit_result_to_dict(fit), 2 if fit.identifiability_flag else 0
+
+
+_frng = np.random.default_rng(21)
+FIT_DESIGNS = {
+    "rank-deficient": _frng.standard_normal((40, 15)),
+    "n=2": _frng.standard_normal((2, 3)),
+    "fixed-trailing-zeros": gen_design(40, 20, DesignSpec("fixed_spectrum", (3.0, 2.0) + (1.0,) * 18 + (0.0,) * 20),
+                                       SeedSpec(3)),
+    "identity": math.sqrt(8) * np.eye(8),
+    "scaled-1e-100": 1e-100 * _frng.standard_normal((30, 60)),
+    "scaled-1e75": 1e75 * _frng.standard_normal((30, 60)),
+    "wide": _frng.standard_normal((120, 240)),
+}
 
 
 def test_commands_run_without_scipy(tmp_path):
@@ -121,6 +144,44 @@ class TestFit:
                            env=env, check=True, capture_output=True, timeout=300)
             fits.append((out / "fit.json").read_bytes())
         assert fits[0] == fits[1]
+
+    #: how far fit.json may move from the route through U: y_check moves in its last bits
+    ROUTE_RTOL = 1e-9
+
+    @pytest.mark.parametrize("name", FIT_DESIGNS)
+    def test_fit_agrees_with_the_route_through_u(self, tmp_path, name):
+        X = FIT_DESIGNS[name]
+        # noise on the design's scale: a scaled design is a scaled dataset
+        y = X @ np.random.default_rng(5).standard_normal(X.shape[1]) * (2.0 / math.sqrt(X.shape[1]))
+        y += np.abs(X).max() * np.random.default_rng(6).standard_normal(X.shape[0])
+        save_matrix_csv(tmp_path / "X.csv", X)
+        save_matrix_csv(tmp_path / "y.csv", y.reshape(-1, 1))
+        want, code = fit_through_u(X, y)
+        cfg = write_config(tmp_path / "c.cfg", {"x": "X.csv", "y": "y.csv"})
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "out")]) == code
+        got = json.loads((tmp_path / "out" / "fit.json").read_text())
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            if isinstance(value, float):
+                # the score residual is |H_star| at the estimate, a rounding-level number
+                assert got[key] == pytest.approx(value, rel=self.ROUTE_RTOL, abs=1e-12 * (key == "score_residual"))
+            elif key == "psi" and value is not None:
+                assert got[key] == pytest.approx(value, rel=self.ROUTE_RTOL)
+            else:
+                assert got[key] == value, key
+
+    @pytest.mark.parametrize("name", ["rank-deficient", "identity", "wide"])
+    def test_fit_under_another_blas_writes_the_route_through_u_bytes(self, tmp_path, monkeypatch, name):
+        X = FIT_DESIGNS[name]
+        y = np.random.default_rng(6).standard_normal(X.shape[0])
+        save_matrix_csv(tmp_path / "X.csv", X)
+        save_matrix_csv(tmp_path / "y.csv", y.reshape(-1, 1))
+        monkeypatch.setattr(spectrum, "_openblas", lambda: None)
+        want, code = fit_through_u(X, y)
+        cli._write_json(tmp_path / "want.json", want)
+        cfg = write_config(tmp_path / "c.cfg", {"x": "X.csv", "y": "y.csv"})
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "out")]) == code
+        assert (tmp_path / "out" / "fit.json").read_bytes() == (tmp_path / "want.json").read_bytes()
 
     def test_psi_is_symmetric(self, tmp_path):
         # inv(F) of a symmetric F can differ across the diagonal in its last bit
@@ -244,7 +305,8 @@ class TestFit:
         # both were checked only after the design's eigensolve: 1.31 s at 1500 x 3000
         write_recovery_fixture(tmp_path)
         save_matrix_csv(tmp_path / "y.csv", y.reshape(-1, 1))
-        monkeypatch.setattr(cli, "decompose_gram", lambda X: pytest.fail("decompose_gram was called"))
+        monkeypatch.setattr(cli, "decompose_gram_rotating",
+                            lambda X, y: pytest.fail("decompose_gram_rotating was called"))
         cfg = write_config(tmp_path / "c.cfg", {"x": "X.csv", "y": "y.csv"})
         assert main(["fit", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"vcomp: error: {message}\n"
@@ -479,6 +541,18 @@ class TestExperimentCommand:
         assert out.returncode == 1
         assert out.stderr == ("vcomp: error: replicate outcomes overflow the float range (y_check^2 is not "
                               f"finite) at {named}\n")
+
+    def test_normality_beyond_the_float_range_exit_one(self, tmp_path):
+        # an OverflowError traceback once, after a RuntimeWarning
+        cfg = write_config(tmp_path / "exp.cfg", {"kind": "normality", "n_grid": [40, 80], "replicates": 100,
+                                                  "params": {"sigma2": 1e308, "eta2": 10}})
+        src = str(Path(vcomp.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-m", "vcomp.cli", "experiment", "--config", cfg,
+                              "--out", str(tmp_path / "o")],
+                             env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=300)
+        assert out.returncode == 1
+        assert out.stderr == ("vcomp: error: normality statistics leave the float range at params.sigma2 = 1e+308 "
+                              "(they scale as its powers); choose params.sigma2 nearer 1\n")
 
     def test_normality_at_large_sigma2_runs(self, tmp_path):
         # an identifiable design stays identifiable at any scale of sigma0^2

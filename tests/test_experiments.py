@@ -924,6 +924,27 @@ class TestNormality:
         assert all(np.isfinite(c["stderr"]) and c["stderr"] > 0 for c in serial.cells)
         assert serial.to_json() == run_normality(with_workers(plan, 2)).to_json()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("sigma2", [1e308, 1e150, 1e100, 1e-100, 1e-300])
+    def test_far_sigma2_is_typed_without_warnings(self, sigma2, workers):
+        # 1e308 once warned in _pop_sq, then raised an OverflowError at the
+        # expected Hessian's s2**3; 1e100 ended in an lstsq "SVD did not converge"
+        plan = small_plan(kind="normality", sigma0_sq=sigma2, eta0_sq=10.0, control_draws=2_000,
+                          surrogate_draws=2_000, workers=workers)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=re.escape(f"float range at params.sigma2 = {sigma2:g} ")):
+                run_normality(plan)
+
+    @pytest.mark.parametrize("sigma2", [1e-50, 1e50])
+    def test_guard_keeps_the_bytes_of_a_run_in_range(self, sigma2):
+        plan = small_plan(kind="normality", sigma0_sq=sigma2, eta0_sq=10.0, control_draws=2_000,
+                          surrogate_draws=2_000)
+        unguarded = run_normality.__wrapped__.__wrapped__  # under one_blas_thread, then the float-range guard
+        with spectrum.one_blas_thread():
+            want = unguarded(plan).to_json()
+        assert run_normality(plan).to_json() == want
+
 
 def _linear_u(y_check_sq, params, spec, j0):
     """sqrt(n) times -J0^{-1} S(theta_0) on a (reps, n) block; returns (reps, 2)."""

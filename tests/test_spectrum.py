@@ -12,7 +12,8 @@ from vcomp import spectrum
 from vcomp.errors import NumericalError
 from vcomp.laws import SeedSpec
 from vcomp.model import DesignSpec, gen_design
-from vcomp.spectrum import GramSpectrum, _bidiagonal_gram_eigenvalues, _openblas, decompose_gram, eigvar
+from vcomp.spectrum import (GramSpectrum, _bidiagonal_gram_eigenvalues, _openblas, decompose_gram,
+                            decompose_gram_rotating, eigvar)
 
 
 def decompose_gram_by_eigh(X):
@@ -38,6 +39,13 @@ DESIGNS = {
     "non-contiguous": _rng.standard_normal((90, 120))[::2, ::3],
 }
 BUNDLED = hasattr(_openblas(), "scipy_dsyevd_64_")
+STEPS = all(hasattr(_openblas(), f"scipy_{name}_64_") for name in ("dsytrd", "dormtr", "dstedc"))
+
+
+def rotated_by_u(X, y):
+    """``decompose_gram_rotating``'s reference: U'y through ``decompose_gram``'s U."""
+    spec = decompose_gram(X)
+    return spec, spec.U.T @ y
 
 
 def assert_same_bytes(got, want):
@@ -173,6 +181,85 @@ class TestInPlaceEigensolve:
         out = subprocess.run([sys.executable, "-c", child], env=env, check=True, capture_output=True, text=True,
                              timeout=300)
         assert float(out.stdout) <= 4.25
+
+
+class TestRotatingRoute:
+    @pytest.mark.parametrize("name", DESIGNS)
+    def test_eigenvalues_keep_their_bits_and_y_check_its_squares(self, name):
+        X = DESIGNS[name]
+        y = np.random.default_rng(3).standard_normal(X.shape[0])
+        want, y_want = rotated_by_u(X, y)
+        spec, y_check = decompose_gram_rotating(X, y)
+        assert spec.lambdas.tobytes() == want.lambdas.tobytes() and (spec.n, spec.p, spec.U) == (want.n, want.p, None)
+        # each coordinate up to the sign of its eigenvector, and in a repeated
+        # eigenvalue's eigenspace only the sum of squares is defined
+        for lam in np.unique(spec.lambdas):
+            block = spec.lambdas == lam
+            assert np.sum(y_check[block] ** 2) == pytest.approx(np.sum(y_want[block] ** 2), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.skipif(not STEPS, reason="numpy is not on its bundled OpenBLAS")
+    @pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e100, 1e150])
+    def test_far_scaled_designs_keep_their_bits(self, monkeypatch, scale):
+        # dsyevd scales a G with entries beyond 2^485 or below 2^-485 into range: so does this route
+        X = scale * DESIGNS["p>n"]
+        y = np.random.default_rng(3).standard_normal(X.shape[0])
+        want, y_want = rotated_by_u(X, y)
+        monkeypatch.setattr(np.linalg, "eigh", lambda G: pytest.fail("np.linalg.eigh was called"))
+        spec, y_check = decompose_gram_rotating(X, y)
+        assert spec.lambdas.tobytes() == want.lambdas.tobytes()
+        np.testing.assert_allclose(y_check**2, y_want**2, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("lib", [None, type("NoDstedc", (), {})], ids=["another-blas", "no-dstedc"])
+    def test_fallback_is_decompose_gram_and_u_prime_y(self, monkeypatch, lib):
+        X = DESIGNS["large"]
+        y = np.random.default_rng(3).standard_normal(X.shape[0])
+        monkeypatch.setattr(spectrum, "_openblas", lambda: lib)
+        want, y_want = rotated_by_u(X, y)
+        spec, y_check = decompose_gram_rotating(X, y)
+        assert spec.lambdas.tobytes() == want.lambdas.tobytes() and spec.U is None
+        assert y_check.tobytes() == y_want.tobytes()
+
+    @pytest.mark.skipif(not STEPS, reason="numpy is not on its bundled OpenBLAS")
+    def test_routine_failure_raises(self, monkeypatch):
+        real = _openblas()
+
+        class Lib:
+            scipy_dsytrd_64_, scipy_dormtr_64_ = real.scipy_dsytrd_64_, real.scipy_dormtr_64_
+
+            @staticmethod
+            def scipy_dstedc_64_(*args):
+                args[10]._obj.value = 4  # info
+
+        monkeypatch.setattr(spectrum, "_openblas", lambda: Lib)
+        with pytest.raises(NumericalError, match=r"dstedc failed on the 6 x 6 Gram matrix \(info 4\)"):
+            decompose_gram_rotating(DESIGNS["p>n"][:6], np.ones(6))
+
+    def test_y_of_another_length_is_rejected_before_any_routine(self):
+        with pytest.raises(ValueError, match="y has length 5, expected n=6"):
+            decompose_gram_rotating(DESIGNS["p>n"][:6], np.ones(5))
+
+    @pytest.mark.skipif(not STEPS, reason="numpy is not on its bundled OpenBLAS")
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status to read VmHWM from")
+    def test_peak_memory_is_under_three_grams(self):
+        # decompose_gram's dsyevd holds G, U's n^2 workspace and dstedc's; this route never forms U
+        child = """if True:
+            import numpy as np
+            from vcomp.spectrum import decompose_gram_rotating
+
+            def hwm():
+                with open("/proc/self/status") as fh:
+                    return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM:"))
+
+            rng = np.random.default_rng(0)
+            X, y = rng.standard_normal((1000, 2000)), rng.standard_normal(1000)
+            before = hwm()
+            decompose_gram_rotating(X, y)
+            print((hwm() - before) / (8 * 1000 ** 2))
+        """
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", child], env=env, check=True, capture_output=True, text=True,
+                             timeout=300)
+        assert float(out.stdout) <= 3.0
 
 
 class TestBidiagonalGram:
