@@ -25,18 +25,10 @@ from . import __version__
 from . import estimator as est
 from . import spectrum
 from .errors import ConfigError, NonIdentifiableError, TailGridError, VcompError
-from .experiments import ExperimentPlan, json_digest, run_experiment
+from .experiments import ExperimentPlan, json_digest, json_text, run_experiment
 from .laws import SeedSpec, law_by_name
 from .matio import load_matrix, load_vector
-from .model import (
-    CouplingSpec,
-    DesignSpec,
-    ModelParams,
-    gen_coupled,
-    gen_design,
-    gen_independent,
-    save_dataset,
-)
+from .model import CouplingSpec, DesignSpec, ModelParams, gen_coupled, gen_design, save_dataset
 from .spectrum import decompose_gram_rotating, one_blas_thread
 
 _GENERATE_KEYS = {"n", "p", "design", "params", "laws", "coupling", "seed", "stream"}
@@ -128,9 +120,7 @@ def _resolve_seed(args, cfg: dict) -> int:
 
 def _write_json(path: Path, obj) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    path.write_text(json_text(obj), encoding="utf-8")
 
 
 def _manifest(outdir: Path, command: str, cfg: dict, seed: int | None) -> None:
@@ -204,24 +194,12 @@ def cmd_generate(args) -> int:
 
     # one BLAS thread, so X.csv and y.csv do not depend on the thread count
     with one_blas_thread():
-        X = gen_design(n, p, design, seed)
-        if coupling is None:
-            ds = gen_independent(X, params, beta_law, eps_law, seed)
-        else:
-            ds = gen_coupled(X, params, beta_law, eps_law, coupling, seed)
+        ds = gen_coupled(gen_design(n, p, design, seed), params, beta_law, eps_law, coupling, seed)
 
     outdir = Path(args.out)
     save_dataset(ds, outdir)
     _manifest(outdir, "generate", cfg, seed_val)
     return 0
-
-
-def _design_for(x_path: Path, y: np.ndarray) -> np.ndarray:
-    """The design at ``x_path``, once ``y`` is checked against its rows, so a
-    bad ``y`` fails before the eigensolve."""
-    X = load_matrix(x_path)
-    est.checked_outcomes(y, len(X))
-    return X
 
 
 def cmd_fit(args) -> int:
@@ -233,12 +211,12 @@ def cmd_fit(args) -> int:
     if not isinstance(trace, bool):  # bool("false") is True
         raise ConfigError(f"trace: expected true or false, got {trace!r}")
     y = load_vector(y_path)
-    # decompose_gram_rotating holds the design's only reference and drops it
-    # once the Gram is formed, so no n x p matrix is resident during the
-    # eigensolve, and it never forms U; one BLAS thread, so fit.json does not
-    # depend on the thread count
+    # decompose_gram_rotating checks y before it forms the Gram, holds the
+    # design's only reference and drops it once the Gram is formed, so no
+    # n x p matrix is resident during the eigensolve, and it never forms U;
+    # one BLAS thread, so fit.json does not depend on the thread count
     with one_blas_thread():
-        spec, y_check = decompose_gram_rotating(_design_for(x_path, y), y)
+        spec, y_check = decompose_gram_rotating(load_matrix(x_path), y)
         state = est.ScoreState.from_observations(spec, y, y_check)
         fit = est.fit_mle(state, est.FitOptions(trace=trace))
 

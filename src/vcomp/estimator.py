@@ -33,7 +33,7 @@ from .errors import DegenerateDataError, NonIdentifiableError, NumericalError
 from .model import ModelParams
 from .laws import SubGaussianLaw
 from .qform import qf_cov_terms
-from .spectrum import GramSpectrum, eigvar
+from .spectrum import GramSpectrum, checked_outcomes, eigvar
 
 #: eigenvalue-variance floor (relative to (lambda_1+1)^2) below which the
 #: components are flagged non-identifiable
@@ -51,16 +51,6 @@ ETA_GRID.flags.writeable = False
 def not_identifiable(spec: GramSpectrum) -> bool:
     """Whether the eigenvalues spread too little to separate the components."""
     return eigvar(spec) < IDENT_FLOOR * (spec.lambda_1 + 1.0) ** 2
-
-
-def checked_outcomes(y: np.ndarray, n: int) -> np.ndarray:
-    """``y`` as a float64 vector, checked to hold n finite entries."""
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    if y.size != n:
-        raise ValueError(f"y has length {y.size}, expected n={n}")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("y has non-finite entries")
-    return y
 
 
 @dataclass
@@ -390,9 +380,8 @@ def fit_mle(state: ScoreState, options: FitOptions | None = None) -> FitResult |
     # and y^2 neither under- nor overflows; sigma^2 and H_star scale by 4^e
     expo = np.frexp(np.max(np.abs(y_block), axis=1))[1]
     block, lls, tol = _fit_block(np.ldexp(y_block, -expo[:, None]) ** 2, spec.lambdas)
-    sigma_scaled = block.theta[:, 0].copy()
     with np.errstate(over="ignore"):  # an overflow is raised below, not warned
-        block.theta[:, 0] = np.ldexp(sigma_scaled, 2 * expo)
+        block.theta[:, 0] = np.ldexp(block.theta[:, 0], 2 * expo)
         block.score_residual = np.ldexp(block.score_residual, 2 * expo)
     if not np.all(np.isfinite(block.theta[:, 0])):
         raise NumericalError("sigma^2 estimate overflows the float range; rescale y")
@@ -404,15 +393,17 @@ def fit_mle(state: ScoreState, options: FitOptions | None = None) -> FitResult |
     ident_flag = not_identifiable(spec)
     psi_hat = None
     if not ident_flag:
-        fisher = gaussian_fisher(ModelParams(float(sigma_scaled[0]), eta_hat), spec)
+        # F(sigma^2, eta^2) = D F(1, eta^2) D with D = diag(1/sigma^2, 1), so
+        # psi = F^-1 is F(1, eta^2)^-1 times [[sigma^4, sigma^2], [sigma^2, 1]]
+        fisher = gaussian_fisher(ModelParams(1.0, eta_hat), spec)
         if _nonsingular(fisher):
-            # sigma^2 entries scale by 4^e, its variance by 16^e; an entry that
-            # leaves the normal float range is not reported as inf or 0
-            psi_scaled, e2 = np.linalg.inv(fisher), 2 * int(expo[0])
-            psi_scaled = 0.5 * (psi_scaled + psi_scaled.T)
+            psi_1 = np.linalg.inv(fisher)
+            psi_1 = 0.5 * (psi_1 + psi_1.T)
+            scale = np.array([sigma_hat, 1.0])
             with np.errstate(over="ignore", under="ignore"):
-                psi = np.ldexp(psi_scaled, [[2 * e2, e2], [e2, 0]])
-            if np.all((np.abs(psi) >= np.finfo(float).tiny) & np.isfinite(psi) | (psi_scaled == 0.0)):
+                psi = psi_1 * scale[:, None] * scale
+            # an entry that leaves the normal float range is not reported as inf or 0
+            if np.all((np.abs(psi) >= np.finfo(float).tiny) & np.isfinite(psi) | (psi_1 == 0.0)):
                 psi_hat = psi
 
     return FitResult(

@@ -218,9 +218,12 @@ class ExperimentPlan:
         if self.kind == "coupling" and self.coupling_scheme == "additive_perturb" and not self.delta_grid:
             raise ValueError("delta_grid: the additive_perturb scheme needs at least one delta")
         design = DesignSpec(self.design, self.design_lambdas)
-        if design.kind == "fixed_spectrum":
+        if design.kind == "fixed_spectrum":  # the recipe's checks, then the spectrum's range rule
             for n in self.n_grid:
-                design_eigenvalues(n, _cell_p(self, n), design)
+                p = _cell_p(self, n)
+                lam = design_eigenvalues(n, p, design)
+                if n >= 2:  # a Stein cell's n is its dimension d, which may be 1; it draws no design
+                    GramSpectrum.from_eigenvalues(n, p, lam)
 
     def params(self) -> ModelParams:
         return ModelParams(sigma_sq=self.sigma0_sq, eta_sq=self.eta0_sq)
@@ -246,6 +249,13 @@ def json_digest(obj) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def json_text(obj) -> str:
+    """``obj`` as strict, sorted, indented JSON, newline-terminated, for every
+    file vcomp writes as JSON: a non-finite number (a 2-point slope's stderr,
+    a degenerate Stein cell's estimate) is written as null."""
+    return json.dumps(_finite(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
 def config_hash(plan: ExperimentPlan) -> str:
     return json_digest(plan_to_dict(plan))
 
@@ -259,9 +269,7 @@ class ExperimentReport:
     gates: list[dict]
 
     def to_json(self) -> str:
-        """Strict JSON: a non-finite number (a 2-point slope's stderr, a
-        degenerate Stein cell's estimate) is written as null."""
-        return json.dumps(_finite(asdict(self)), sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return json_text(asdict(self))
 
     def cells_csv(self) -> str:
         buf = io.StringIO()
@@ -406,26 +414,25 @@ def _cell_p(plan: ExperimentPlan, n: int) -> int:
     return max(1, int(round(plan.p_ratio * n)))
 
 
-def _cell_design(plan: ExperimentPlan, cell_index: int, n: int) -> np.ndarray:
-    seed = SeedSpec(plan.master_seed, _stream(cell_index, _X_STREAM))
-    return gen_design(n, _cell_p(plan, n), DesignSpec(plan.design, plan.design_lambdas), seed)
-
-
 def _cell_spectrum(plan: ExperimentPlan, cell_index: int, n: int):
-    """The cell's design and its spectrum for an independent-effects runner.
-    With Gaussian laws the replicates are drawn in the eigenbasis
+    """The cell's design, drawn from its design stream, and its spectrum.  The
+    normality and coupling runners, and any plan with a non-Gaussian law,
+    rotate their outcomes through the design's eigenvectors: criterion 6
+    passes on the rotated sample and fails on the eigenbasis one at its pinned
+    seed, and a coupling plan's delta = 0 cells must match the independent
+    baseline bit for bit.  Otherwise the replicates are drawn in the eigenbasis
     (``_outcomes``): the design is None, and an identity or fixed_spectrum
     recipe prescribes the eigenvalues.  A gaussian_iid design's first m =
     min(n, p) have the law of the squared singular values, over p, of the m x m
     bidiagonal with diagonal chi_k, ..., chi_{k-m+1} and subdiagonal chi_{m-1},
     ..., chi_1, k = max(n, p) (Dumitriu & Edelman, J. Math. Phys. 43, 2002,
     beta = 1), drawn diagonal first from the design stream; the rest are 0."""
-    if not plan.gaussian():
-        X = _cell_design(plan, cell_index, n)
+    p, seed = _cell_p(plan, n), SeedSpec(plan.master_seed, _stream(cell_index, _X_STREAM))
+    if plan.kind in ("normality", "coupling") or not plan.gaussian():
+        X = gen_design(n, p, DesignSpec(plan.design, plan.design_lambdas), seed)
         return X, decompose_gram(X)
-    p = _cell_p(plan, n)
     if plan.design == "gaussian_iid":
-        rng = rng_for(SeedSpec(plan.master_seed, _stream(cell_index, _X_STREAM)))
+        rng = rng_for(seed)
         m, k = min(n, p), max(n, p)
         diag = np.sqrt(rng.chisquare(np.arange(k, k - m, -1)))
         sub = np.sqrt(rng.chisquare(np.arange(m - 1, 0, -1)))
@@ -531,7 +538,7 @@ def _error_cell(rows: np.ndarray, theta0: np.ndarray) -> tuple[np.ndarray, dict]
     return errs, {"estimate": med, "stderr": se, **_fit_counts(rows)}
 
 
-# block functions of ``_chunk`` (module level, so picklable) ------------------
+# block functions of ``_chunk`` ----------------------------------------------
 
 
 def _theta_block(plan: ExperimentPlan, cell_index: int, ctx, lo: int, hi: int) -> np.ndarray:
@@ -657,13 +664,11 @@ def _control_rows(plan: ExperimentPlan, spec, C, seed: SeedSpec, k: int, rows: i
 def _control_block(plan: ExperimentPlan, cell_index: int, ctx, lo: int, hi: int) -> np.ndarray:
     """One row for control block k = lo / ``_CTRL_BLOCK`` of the cell: the
     two sums of f of the expansion surrogates over its draws, then the two
-    sums of f^2.  ctx is (spec, C, j0), C None for Gaussian laws
-    (``_control_rows``).  The block is drawn from substream k of the cell's
-    control stream and reduced in one pass, so its sums do not depend on the
-    task that reduces it.  The test function is rebuilt from the plan
-    because its evaluator does not pickle."""
-    spec, C, j0 = ctx
-    fn = resolve_test_fn(plan.test_fn, plan.test_scales)
+    sums of f^2.  ctx is (spec, C, j0, fn), C None for Gaussian laws
+    (``_control_rows``), fn the plan's test function.  The block is drawn from
+    substream k of the cell's control stream and reduced in one pass, so its
+    sums do not depend on the task that reduces it."""
+    spec, C, j0, fn = ctx
     seed = SeedSpec(plan.master_seed, _stream(cell_index, _CTRL_STREAM))
     u_both = _expansion_controls(_control_rows(plan, spec, C, seed, lo // _CTRL_BLOCK, hi - lo),
                                  plan.params(), spec, j0)
@@ -942,8 +947,7 @@ def run_normality(plan: ExperimentPlan) -> ExperimentReport:
     fn = resolve_test_fn(plan.test_fn, plan.test_scales)
     cells = []
     for ci, n in enumerate(plan.n_grid):
-        X = _cell_design(plan, ci, n)
-        spec = decompose_gram(X)
+        X, spec = _cell_spectrum(plan, ci, n)
         psi = est.asymptotic_cov(params, spec, X, plan.laws())
         j0 = est.expected_hessian(params, params, spec)
         # the control ranges go first: they are the longest jobs, and the
@@ -951,7 +955,7 @@ def run_normality(plan: ExperimentPlan) -> ExperimentReport:
         # need only the eigenvalues
         C = None if plan.gaussian() or not plan.control_draws else est.standardized_map(params, spec, X)
         ctrl_sums, rows = _gather(
-            plan, ci, (_control_block, (spec, C, j0), plan.control_draws, _CTRL_BLOCK),
+            plan, ci, (_control_block, (spec, C, j0, fn), plan.control_draws, _CTRL_BLOCK),
             (_lin_block, (X, spec, j0), plan.replicates, _FIT_BLOCK),
         )
         thetas = rows[:, :2]
@@ -1020,8 +1024,7 @@ def run_coupling(plan: ExperimentPlan) -> ExperimentReport:
     bitwise_all = True
     fraction = plan.sparse_fraction if plan.coupling_scheme == "sparse_zero" else 0.0
     for ci, n in enumerate(plan.n_grid):
-        X = _cell_design(plan, ci, n)
-        spec = decompose_gram(X)
+        X, spec = _cell_spectrum(plan, ci, n)
         effective = [delta / n if plan.delta_scale == "inverse_n" else delta for delta in deltas]
         couplings = [CouplingSpec(plan.coupling_scheme, delta=d, fraction=fraction) for d in effective]
         # one scatter: the independent fits, then every delta's coupled fits

@@ -81,12 +81,18 @@ class GramSpectrum:
         """The spectrum of an n x p design from the eigenvalues ``w`` of G
         (and their eigenvectors, the columns of ``V``), sorted descending; those
         at or below the numerical-rank threshold ``max(n, p) * eps * lambda_1``
-        are set to exactly 0, so a rank-deficient design has exact zeros."""
+        are set to exactly 0, so a rank-deficient design has exact zeros.
+        Eigenvalues whose squares sum beyond the float range, as ``eigvar`` and
+        the estimator's row-free sums add them, raise ``NumericalError``."""
         if n < 2 or p < 1:
             raise ValueError(f"need n >= 2 and p >= 1, got n={n}, p={p}")
         order = np.argsort(w)[::-1]
         lambdas = w[order]
         lambdas[lambdas <= max(n, p) * np.finfo(np.float64).eps * float(lambdas[0])] = 0.0
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.square(lambdas).sum()):
+                raise NumericalError(f"the Gram matrix's eigenvalues reach lambda_1 = {lambdas[0]:.3g}, and their "
+                                     "squares sum beyond the float range; rescale X")
         return cls(n=n, p=p, lambdas=lambdas, U=None if V is None else V[:, order])
 
     @property
@@ -122,6 +128,16 @@ def _gram(X: np.ndarray) -> tuple[np.ndarray, int]:
     return G, p
 
 
+def checked_outcomes(y: np.ndarray, n: int) -> np.ndarray:
+    """``y`` as a float64 vector, checked to hold n finite entries."""
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    if y.size != n:
+        raise ValueError(f"y has length {y.size}, expected n={n}")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y has non-finite entries")
+    return y
+
+
 def decompose_gram(X: np.ndarray) -> GramSpectrum:
     """Eigendecomposition of XX^T / p for an n x p design matrix, for every
     shape: the Gram (``_gram``) eigensolved in its own buffer
@@ -138,12 +154,12 @@ def decompose_gram_rotating(X: np.ndarray, y: np.ndarray) -> tuple[GramSpectrum,
     4th ed., 8.3; Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995):
     ``dsytrd`` reduces G to T = Q'GQ in place, ``dormtr`` makes z = Q'y, and
     ``dstedc`` writes T's eigenvectors W over G; y_check = W'z.  The
-    eigenvalues keep their bits, and no n x n U is formed.  Else eigh and U'y."""
+    eigenvalues keep their bits, and no n x n U is formed.  Else eigh and U'y.
+    y is checked against X's rows (``checked_outcomes``) before G is formed."""
+    z = checked_outcomes(y, len(X)).copy()  # a copy: dormtr rotates it in place
     G, p = _gram(X)
     del X  # as in decompose_gram
-    n, z = len(G), np.array(y, dtype=np.float64).reshape(-1)  # a copy, rotated in place
-    if z.size != n:  # dormtr would read past its end
-        raise ValueError(f"y has length {z.size}, expected n={n}")
+    n = len(G)
     if None in (_lapack(name) for name in ("dsytrd", "dormtr", "dstedc")):
         spec = GramSpectrum.from_eigenvalues(n, p, *np.linalg.eigh(G))
         y_check, spec.U = spec.U.T @ z, None

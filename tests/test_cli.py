@@ -241,10 +241,15 @@ class TestFit:
             "vcomp: error: sigma^2 estimate overflows the float range; rescale y\n"
         )
 
-    @pytest.mark.parametrize("scale, word", [(1e160, "overflows"), (1e-170, "underflows")])
-    def test_gram_outside_the_float_range_is_typed_without_warnings(self, tmp_path, capsys, scale, word):
+    @pytest.mark.parametrize("scale, start", [
+        (1e160, "the Gram matrix XX'/p overflows the float range"),
+        (1e-170, "the Gram matrix XX'/p underflows the float range"),
+        (1e100, "the Gram matrix's eigenvalues reach lambda_1 = "),
+    ], ids=["1e+160-overflows", "1e-170-underflows", "1e+100-eigenvalue-squares"])
+    def test_gram_outside_the_float_range_is_typed_without_warnings(self, tmp_path, capsys, scale, start):
         # an overflow once exited 1 as a non-finite likelihood, after a
-        # RuntimeWarning; an underflow exited 2 as a non-identifiable design
+        # RuntimeWarning; an underflow exited 2 as a non-identifiable design;
+        # eigenvalues whose squares overflow ended in an OverflowError traceback
         rng = np.random.default_rng(30)
         save_matrix_csv(tmp_path / "X.csv", scale * rng.standard_normal((40, 60)))
         save_matrix_csv(tmp_path / "y.csv", rng.standard_normal((40, 1)))
@@ -253,7 +258,7 @@ class TestFit:
             warnings.simplefilter("error")
             assert main(["fit", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"vcomp: error: the Gram matrix XX'/p {word} the float range") and "rescale X" in err
+        assert err.startswith(f"vcomp: error: {start}") and "rescale X" in err
         assert "Warning" not in err
 
     def test_all_zero_design_stays_non_identifiable(self, tmp_path):
@@ -302,14 +307,29 @@ class TestFit:
         (np.r_[np.ones(11), np.inf], "y has non-finite entries"),
     ], ids=["short", "non-finite"])
     def test_y_is_checked_before_the_eigensolve(self, tmp_path, capsys, monkeypatch, y, message):
-        # both were checked only after the design's eigensolve: 1.31 s at 1500 x 3000
+        # both were checked only after the design's eigensolve: 1.31 s at 1500 x 3000;
+        # now before the Gram is formed
         write_recovery_fixture(tmp_path)
         save_matrix_csv(tmp_path / "y.csv", y.reshape(-1, 1))
-        monkeypatch.setattr(cli, "decompose_gram_rotating",
-                            lambda X, y: pytest.fail("decompose_gram_rotating was called"))
+        monkeypatch.setattr(spectrum, "_gram", lambda X: pytest.fail("the Gram was formed"))
         cfg = write_config(tmp_path / "c.cfg", {"x": "X.csv", "y": "y.csv"})
         assert main(["fit", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"vcomp: error: {message}\n"
+
+    @pytest.mark.filterwarnings("error")
+    def test_far_scaled_design_with_unit_y_has_no_psi(self, tmp_path, capsys):
+        # sigma2-hat at the fit's power-of-two scale once reached the Fisher
+        # information, whose sigma^6 underflowed: a ZeroDivisionError traceback
+        X = FIT_DESIGNS["scaled-1e75"]
+        y = X / np.abs(X).max() @ np.random.default_rng(5).standard_normal(60) * 2
+        y += np.random.default_rng(6).standard_normal(30)
+        save_matrix_csv(tmp_path / "X.csv", X)
+        save_matrix_csv(tmp_path / "y.csv", y.reshape(-1, 1))
+        cfg = write_config(tmp_path / "c.cfg", {"x": "X.csv", "y": "y.csv"})
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        fit = json.loads((tmp_path / "out" / "fit.json").read_text())
+        assert fit["identifiable"] is True and fit["psi"] is None
+        assert capsys.readouterr().err == ""
 
     def test_non_finite_y_is_named(self, tmp_path, capsys):
         # a nan once reached the search and was reported as a non-finite likelihood
@@ -968,7 +988,9 @@ class TestConfigValidation:
         ({"kind": "fixed_spectrum", "lambdas": [1.0] * 20}, "fixed_spectrum needs 40 eigenvalues, got 20"),
         ({"kind": "gaussian_iid", "lambdas": [1.0] * 20},
          "eigenvalues are given only with a fixed_spectrum design, not 'gaussian_iid'"),
-    ], ids=["wrong-length-at-second-n", "lambdas-without-fixed_spectrum"])
+        ({"kind": "fixed_spectrum", "lambdas": [1e200 * i / 20 for i in range(1, 21)]},
+         "the Gram matrix's eigenvalues reach lambda_1 = 1e+200, and their squares sum beyond the float range"),
+    ], ids=["wrong-length-at-second-n", "lambdas-without-fixed_spectrum", "lambdas-squares-beyond-the-float-range"])
     def test_design_error_exits_one_before_any_fit(self, tmp_path, capsys, monkeypatch, design, message):
         monkeypatch.setattr(estimator, "fit_mle", lambda *a, **kw: pytest.fail("fit_mle was called"))
         cfg = write_config(tmp_path / "c.cfg", {"kind": "consistency", "n_grid": [20, 40], "replicates": 100,

@@ -25,7 +25,6 @@ from vcomp.experiments import (
     _FIT_BLOCK,
     REPORT_HEADER,
     _ols,
-    _cell_design,
     _cell_p,
     _cell_spectrum,
     _chunk,
@@ -219,6 +218,14 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match=re.escape(message)):
             run_experiment(small_plan(n_grid=(20, 40), p_ratio=p_ratio, design=design, design_lambdas=lambdas))
 
+    @pytest.mark.filterwarnings("error")
+    def test_spectrum_beyond_the_float_range_is_rejected_when_the_plan_is_built(self):
+        # eigenvalues of 1e200 once passed the plan, and the first cell ended in an
+        # OverflowError traceback in not_identifiable
+        lambdas = tuple(1e200 * i / 20 for i in range(1, 41))
+        with pytest.raises(NumericalError, match=re.escape("lambda_1 = 2e+200, and their squares sum beyond")):
+            small_plan(n_grid=(40,), design="fixed_spectrum", design_lambdas=lambdas)
+
     @pytest.mark.parametrize("kw, error, message", [
         (dict(kind="coupling", coupling_scheme="sparse_zero", sparse_fraction=1.5), ValueError,
          "fraction (coupling.fraction) must lie in [0, 1], got 1.5"),
@@ -342,8 +349,8 @@ class TestGaussianExpectation:
         elif plan.kind == "normality":
             fn, covs = resolve_test_fn(plan.test_fn, plan.test_scales), []
             for ci, n in enumerate(plan.n_grid):
-                X = _cell_design(plan, ci, n)
-                covs.append(asymptotic_cov(plan.params(), decompose_gram(X), X, plan.laws()))
+                X, spec = _cell_spectrum(plan, ci, n)
+                covs.append(asymptotic_cov(plan.params(), spec, X, plan.laws()))
         else:
             law = law_by_name(plan.beta_law)
             fn = resolve_test_fn(plan.test_fn, plan.test_scales)
@@ -580,8 +587,7 @@ class TestConsistency:
 
     def test_rotated_blocks_match_single_replicates(self):
         plan = small_plan(n_grid=(20,), replicates=100, beta_law="rademacher")
-        X = _cell_design(plan, 0, 20)
-        spec = decompose_gram(X)
+        X, spec = _cell_spectrum(plan, 0, 20)
         blocks = []
 
         def record(plan, cell_index, ctx, lo, hi):
@@ -613,9 +619,10 @@ class TestEigenbasisRoute:
     def test_outcome_moments_match_the_population(self, route):
         # E y_check_i^2 = sigma0^2 (eta0^2 lam_i + 1) and E y_check_i y_check_j = 0,
         # each checked to 5 stderrs over the replicates
-        plan = small_plan(n_grid=(8,), replicates=self.REPS, sigma0_sq=1.5, eta0_sq=2.0)
-        X = _cell_design(plan, 0, 8)
-        spec = decompose_gram(X)
+        # a coupling plan's cells draw their design
+        plan = small_plan(kind="coupling", n_grid=(8,), replicates=self.REPS, sigma0_sq=1.5, eta0_sq=2.0,
+                          delta_grid=(0.0,))
+        X, spec = _cell_spectrum(plan, 0, 8)
         y = _outcomes(plan, 0, X if route == "rotated" else None, spec, 0, self.REPS)
         assert y.shape == (self.REPS, 8)
         se = lambda v: np.std(v, axis=0, ddof=1) / math.sqrt(self.REPS)  # noqa: E731
@@ -817,8 +824,7 @@ class TestTail:
         plan = small_plan(kind="tail_envelope", n_grid=(30,), replicates=120,
                           r_grid=(0.2,), sigma0_sq=2.5, eta0_sq=0.3,
                           beta_law="rademacher", eps_law="uniform", master_seed=7)
-        X = _cell_design(plan, 0, 30)
-        spec = decompose_gram(X)
+        X, spec = _cell_spectrum(plan, 0, 30)
         rows = _chunk((_tail_block, _FIT_BLOCK, plan, 0, _tail_context(plan, X, spec), 3, 9))
         assert rows.shape == (6,)
         params = plan.params()
@@ -841,8 +847,7 @@ class TestTail:
         plan = small_plan(kind="tail_envelope", n_grid=(24,), replicates=200,
                           r_grid=(0.2,), sigma0_sq=0.8, eta0_sq=2.0,
                           eps_law="uniform", master_seed=3)
-        X = _cell_design(plan, 0, 24)
-        spec = decompose_gram(X)
+        X, spec = _cell_spectrum(plan, 0, 24)
         rows = _chunk((_tail_block, _FIT_BLOCK, plan, 0, _tail_context(plan, X, spec), lo, hi))
         assert rows.shape == (hi - lo,)
         params = plan.params()
@@ -1096,15 +1101,15 @@ class TestPrefetchedControl:
             kind="normality", n_grid=(100,), p_ratio=0.75, test_fn="tanh_sum", test_scales=(1.0,),
             beta_law=law, eps_law=law, **kw,
         )
-        X = _cell_design(plan, 0, 100)
-        return plan, X, decompose_gram(X)
+        return plan, *_cell_spectrum(plan, 0, 100)
 
     @staticmethod
     def control_ctx(plan, X, spec):
         """The control tasks' ctx as run_normality builds it."""
         params = plan.params()
         C = None if plan.gaussian() else standardized_map(params, spec, X)
-        return replace(spec, U=None), C, expected_hessian(params, params, spec)
+        fn = resolve_test_fn(plan.test_fn, plan.test_scales)
+        return replace(spec, U=None), C, expected_hessian(params, params, spec), fn
 
     @pytest.mark.parametrize("law", ["gaussian", "rademacher"])
     def test_matches_serial_unsliced_loop(self, law):

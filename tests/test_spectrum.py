@@ -198,9 +198,10 @@ class TestRotatingRoute:
             assert np.sum(y_check[block] ** 2) == pytest.approx(np.sum(y_want[block] ** 2), rel=1e-12, abs=1e-12)
 
     @pytest.mark.skipif(not STEPS, reason="numpy is not on its bundled OpenBLAS")
-    @pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e100, 1e150])
+    @pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e74, 1e76])
     def test_far_scaled_designs_keep_their_bits(self, monkeypatch, scale):
-        # dsyevd scales a G with entries beyond 2^485 or below 2^-485 into range: so does this route
+        # dsyevd scales a G with entries beyond 2^485 or below 2^-485 into range: so does this route;
+        # above 1e76 the eigenvalues' squares leave the float range (TestFloatRange)
         X = scale * DESIGNS["p>n"]
         y = np.random.default_rng(3).standard_normal(X.shape[0])
         want, y_want = rotated_by_u(X, y)
@@ -292,6 +293,24 @@ class TestFloatRange:
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match=f"Gram matrix XX'/p {word} the float range.*; rescale X"):
                 decompose_gram(X)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e100, 1e150])
+    def test_eigenvalue_squares_beyond_the_float_range_are_rejected(self, scale):
+        # a finite Gram whose eigenvalues square past the float range once reached
+        # the fit, which warned and ended in an OverflowError traceback
+        X, y = scale * DESIGNS["p>n"], np.ones(30)
+        for decompose in (decompose_gram, lambda X: decompose_gram_rotating(X, y)):
+            with pytest.raises(NumericalError, match=r"eigenvalues reach lambda_1 = .*; rescale X"):
+                decompose(X)
+
+    @pytest.mark.filterwarnings("error")
+    def test_eigenvalue_range_rule_is_the_sum_of_squares(self):
+        # sum(lambda^2) = 2 lam^2 is the largest float at lam = sqrt(max / 2), and overflows one ulp above
+        lam = math.sqrt(np.finfo(np.float64).max / 2)
+        assert eigvar(GramSpectrum.from_eigenvalues(2, 2, np.array([lam, lam]))) == 0.0
+        with pytest.raises(NumericalError, match="lambda_1 = 9.48e\\+153, and their squares sum beyond"):
+            GramSpectrum.from_eigenvalues(2, 2, np.full(2, np.nextafter(lam, np.inf)))
 
     def test_partly_tiny_diagonal_is_kept(self):
         # one row below the smallest normal float is a design, not a scale problem
